@@ -681,10 +681,10 @@ int run_service_overload_json(const JsonOptions& options) {
     tydi::service::CompileService svc(config);
     tydi::service::Response r = svc.handle_line("TPCH 6 vhdl");
     if (!r.ok()) {
-      std::cerr << "error: reference compile failed: " << r.payload << "\n";
+      std::cerr << "error: reference compile failed: " << r.payload() << "\n";
       return 1;
     }
-    reference = r.payload;
+    reference = r.payload();
   }
 
   // Baseline: the pre-queue thread-per-request shape — `workers` threads
@@ -732,7 +732,7 @@ int run_service_overload_json(const JsonOptions& options) {
   {
     tydi::service::Response warm = svc.handle_line("TPCH 6 vhdl");
     if (!warm.ok()) {
-      std::cerr << "error: warmup request failed: " << warm.payload << "\n";
+      std::cerr << "error: warmup request failed: " << warm.payload() << "\n";
       return 1;
     }
   }
@@ -761,7 +761,7 @@ int run_service_overload_json(const JsonOptions& options) {
           if (r.ok()) {
             ++landed;
             ++accepted;
-            if (r.payload != reference) ++mismatched;
+            if (r.payload() != reference) ++mismatched;
             continue;
           }
           if (r.status.code() !=
@@ -867,7 +867,8 @@ int run_service_overload_json(const JsonOptions& options) {
 /// Crash-safe warm restarts: a journaled daemon compiles the full query
 /// set, restarts on the same journal, and replays. Gates: every journaled
 /// key replays, post-replay responses are byte-identical to the first
-/// daemon's, the post-replay memo hit rate clears min_warm_hit_rate, and
+/// daemon's, the share of post-replay requests answered from the result
+/// cache clears min_warm_hit_rate, and
 /// live interactive traffic arriving *during* replay still gets prompt
 /// service — shed replies within max_shed_reply_ms, accepted replies
 /// byte-identical (replay is batch-class work; it must never capture the
@@ -905,10 +906,10 @@ int run_service_restart_json(const JsonOptions& options) {
       tydi::service::Response r = svc.handle_line(requests[i]);
       if (!r.ok()) {
         std::cerr << "error: cold compile '" << requests[i]
-                  << "' failed: " << r.payload << "\n";
+                  << "' failed: " << r.payload() << "\n";
         return 1;
       }
-      reference[i] = std::move(r.payload);
+      reference[i] = r.payload();
     }
     cold_workload_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -942,9 +943,12 @@ int run_service_restart_json(const JsonOptions& options) {
     replayed = svc.replay_stats().replayed.get();
     skipped_stale = svc.replay_stats().skipped_stale.get();
 
-    const tydi::elab::MemoStats& memo0 = svc.session().memo().stats();
-    const std::uint64_t hits0 = memo0.streamlet_hits + memo0.impl_hits;
-    const std::uint64_t lookups0 = hits0 + memo0.misses + memo0.stale;
+    // Replay admitted every recovered key, so each post-replay request
+    // should be a whole-result hit.
+    tydi::obs::Counter& result_hits =
+        tydi::obs::MetricsRegistry::global().counter(
+            "tydi.service.result_cache.hits");
+    const std::uint64_t hits0 = result_hits.value();
     const auto t1 = Clock::now();
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const auto tr = Clock::now();
@@ -954,18 +958,12 @@ int run_service_restart_json(const JsonOptions& options) {
                                Clock::now() - tr)
                                .count();
       }
-      if (!r.ok() || r.payload != reference[i]) ++mismatched;
+      if (!r.ok() || r.payload() != reference[i]) ++mismatched;
     }
     warm_workload_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t1).count();
-    const tydi::elab::MemoStats& memo1 = svc.session().memo().stats();
-    const std::uint64_t hits1 = memo1.streamlet_hits + memo1.impl_hits;
-    const std::uint64_t lookups1 = hits1 + memo1.misses + memo1.stale;
-    post_replay_hit_rate =
-        lookups1 > lookups0
-            ? static_cast<double>(hits1 - hits0) /
-                  static_cast<double>(lookups1 - lookups0)
-            : 0.0;
+    post_replay_hit_rate = static_cast<double>(result_hits.value() - hits0) /
+                           static_cast<double>(requests.size());
     svc.drain();
   }
 
@@ -997,7 +995,7 @@ int run_service_restart_json(const JsonOptions& options) {
           std::lock_guard lock(mu);
           if (r.ok()) {
             ++live_accepted;
-            if (r.payload != reference[q6_vhdl_index]) ++live_mismatched;
+            if (r.payload() != reference[q6_vhdl_index]) ++live_mismatched;
           } else if (r.status.code() ==
                      tydi::support::StatusCode::kUnavailable) {
             ++live_shed;

@@ -123,20 +123,6 @@ const Streamlet* Design::streamlet_of(const Impl& impl) const {
   return find_streamlet(impl.streamlet_name);
 }
 
-const Port* Design::resolve_endpoint(const Impl& impl,
-                                     const Endpoint& ep) const {
-  if (ep.instance.empty()) {
-    const Streamlet* s = streamlet_of(impl);
-    return s != nullptr ? s->find_port(ep.port) : nullptr;
-  }
-  const Instance* inst = impl.find_instance(ep.instance);
-  if (inst == nullptr) return nullptr;
-  const Impl* child = find_impl(inst->impl_name);
-  if (child == nullptr) return nullptr;
-  const Streamlet* s = streamlet_of(*child);
-  return s != nullptr ? s->find_port(ep.port) : nullptr;
-}
-
 std::string Design::summary() const {
   std::ostringstream out;
   out << "design: " << streamlets_.size() << " streamlet(s), "
@@ -153,14 +139,6 @@ std::string Design::summary() const {
         << i.connections.size() << " connection(s)\n";
   }
   return out.str();
-}
-
-bool endpoint_is_source(const lang::PortDir dir, bool is_self_port) {
-  // Inside an implementation, the data available to connect FROM is:
-  //  - the impl's own input ports (data arriving from outside), and
-  //  - the output ports of nested instances.
-  return is_self_port ? (dir == lang::PortDir::kIn)
-                      : (dir == lang::PortDir::kOut);
 }
 
 }  // namespace tydi::elab

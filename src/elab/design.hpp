@@ -57,6 +57,9 @@ struct Streamlet {
   support::Loc loc;
   /// Interned `name`; assigned by Design::add_streamlet.
   Symbol sym = support::kNoSymbol;
+  /// Fingerprint of the template-argument structure the mangled name does
+  /// not spell out (see Elaborator::arg_shape); 0 when there is none.
+  std::uint64_t arg_shape = 0;
 
   [[nodiscard]] const Port* find_port(std::string_view port_name) const;
   /// Symbol-keyed variant (no string comparison).
@@ -134,6 +137,8 @@ struct Impl {
   std::vector<Connection> connections;
   std::optional<SimProgram> sim;
   support::Loc loc;
+  /// See Streamlet::arg_shape.
+  std::uint64_t arg_shape = 0;
 
   [[nodiscard]] const Instance* find_instance(
       std::string_view instance_name) const;
@@ -230,12 +235,6 @@ class Design {
   /// Resolves the streamlet of `impl`, or nullptr.
   [[nodiscard]] const Streamlet* streamlet_of(const Impl& impl) const;
 
-  /// Resolves the port type/direction of an endpoint inside `impl`:
-  /// self ports come from the impl's own streamlet; instance ports from the
-  /// instance's implementation's streamlet. Returns nullptr if unresolvable.
-  [[nodiscard]] const Port* resolve_endpoint(const Impl& impl,
-                                             const Endpoint& ep) const;
-
   /// Human-readable inventory (streamlets, impls, instance/connection
   /// counts) for debugging and the quickstart example.
   [[nodiscard]] std::string summary() const;
@@ -254,10 +253,5 @@ class Design {
   std::unordered_map<Symbol, std::size_t> impl_index_;
   std::string top_;
 };
-
-/// True if, inside an implementation, `ep` acts as a data *source*:
-/// a self `in` port or an instance `out` port.
-[[nodiscard]] bool endpoint_is_source(const lang::PortDir dir,
-                                      bool is_self_port);
 
 }  // namespace tydi::elab

@@ -180,19 +180,19 @@ bool Elaborator::materialize_memo_impl(const TemplateMemo::ImplEntry& e) {
   std::vector<std::pair<Symbol, std::shared_ptr<const Streamlet>>>
       streamlet_window;
   std::vector<std::pair<Symbol, std::shared_ptr<const Impl>>> impl_window;
-  for (Symbol sym : e.dep_streamlets) {
-    if (design_.find_streamlet(sym) != nullptr) continue;
+  for (MemoRef ref : e.dep_streamlets) {
+    if (design_.find_streamlet(ref.sym) != nullptr) continue;
     std::shared_ptr<const Streamlet> payload =
-        memo_.memo->valid_streamlet(sym, *memo_.hashes);
+        memo_.memo->valid_streamlet(ref, *memo_.hashes);
     if (payload == nullptr) return false;
-    streamlet_window.emplace_back(sym, std::move(payload));
+    streamlet_window.emplace_back(ref.sym, std::move(payload));
   }
-  for (Symbol sym : e.dep_impls) {
-    if (design_.find_impl(sym) != nullptr) continue;
+  for (MemoRef ref : e.dep_impls) {
+    if (design_.find_impl(ref.sym) != nullptr) continue;
     std::shared_ptr<const Impl> payload =
-        memo_.memo->valid_impl(sym, *memo_.hashes);
+        memo_.memo->valid_impl(ref, *memo_.hashes);
     if (payload == nullptr) return false;
-    impl_window.emplace_back(sym, std::move(payload));
+    impl_window.emplace_back(ref.sym, std::move(payload));
   }
   // Replay in recorded insertion order (skipping already-present members)
   // so a warm compile reproduces the cold compile's emission order exactly.
@@ -335,6 +335,29 @@ std::string Elaborator::mangle(const std::string& base,
   }
   std::string raw = display_args(args);
   return base + "__" + support::join(parts, "_") + "_" + short_hash(raw);
+}
+
+std::uint64_t Elaborator::arg_shape(
+    const std::vector<TemplateArgValue>& args) const {
+  // One fixed-width part per argument; 0 for arguments the mangled name
+  // already spells out in full.
+  std::string parts;
+  bool any = false;
+  for (const TemplateArgValue& a : args) {
+    std::uint64_t part = 0;
+    if (a.kind == TemplateArgValue::Kind::kType && a.type != nullptr &&
+        !a.type->origin().empty()) {
+      part = types::display_hash(*a.type);
+    } else if (a.kind == TemplateArgValue::Kind::kImpl) {
+      if (const Impl* impl = design_.find_impl(a.impl_name)) {
+        part = source_hash(std::to_string(impl->arg_shape) + ' ' +
+                           std::to_string(stamp_for(impl->loc).hash));
+      }
+    }
+    any = any || part != 0;
+    parts.append(reinterpret_cast<const char*>(&part), sizeof(part));
+  }
+  return any ? source_hash(parts) : 0;
 }
 
 types::TypeRef Elaborator::resolve_named_type(const std::string& name,
@@ -627,9 +650,10 @@ std::string Elaborator::elaborate_streamlet(
   // Cross-compile memo: a prior compile of this session already
   // monomorphised this streamlet from byte-identical source. The payload is
   // shared into this design, not copied.
+  const std::uint64_t shape = memo_.enabled() ? arg_shape(args) : 0;
   if (memo_.enabled()) {
     if (std::shared_ptr<const Streamlet> cached =
-            memo_.memo->find_streamlet(mangled_sym, *memo_.hashes)) {
+            memo_.memo->find_streamlet({mangled_sym, shape}, *memo_.hashes)) {
       design_.add_streamlet(std::move(cached));
       ++stats_.streamlet_hits;
       ++stats_.session_streamlet_hits;
@@ -674,6 +698,7 @@ std::string Elaborator::elaborate_streamlet(
 
   Streamlet s;
   s.name = mangled;
+  s.arg_shape = shape;
   s.display_name = args.empty()
                        ? decl.name
                        : decl.name + "<" + display_args(args) + ">";
@@ -798,9 +823,10 @@ std::string Elaborator::elaborate_impl(
   }
   // Cross-compile memo: replay the cached impl plus its recorded insertion
   // window (streamlet + transitive children) in original order.
+  const std::uint64_t shape = memo_.enabled() ? arg_shape(args) : 0;
   if (memo_.enabled()) {
     if (std::shared_ptr<const TemplateMemo::ImplEntry> entry =
-            memo_.memo->find_impl(mangled_sym, *memo_.hashes)) {
+            memo_.memo->find_impl({mangled_sym, shape}, *memo_.hashes)) {
       if (materialize_memo_impl(*entry)) {
         ++stats_.impl_hits;
         ++stats_.session_impl_hits;
@@ -866,6 +892,7 @@ std::string Elaborator::elaborate_impl(
 
   Impl impl;
   impl.name = mangled;
+  impl.arg_shape = shape;
   impl.display_name =
       args.empty() ? decl.name : decl.name + "<" + display_args(args) + ">";
   impl.template_name = decl.name;
@@ -953,21 +980,23 @@ std::string Elaborator::elaborate_impl(
       const auto& impls = design_.impls();
       entry.dep_streamlets.reserve(streamlets.size() - streamlets_before);
       for (std::size_t i = streamlets_before; i < streamlets.size(); ++i) {
-        entry.dep_streamlets.push_back(streamlets[i].sym);
+        entry.dep_streamlets.push_back(
+            {streamlets[i].sym, streamlets[i].arg_shape});
       }
       entry.dep_impls.reserve(impls.size() - impls_before - 1);
       for (std::size_t i = impls_before; i + 1 < impls.size(); ++i) {
-        entry.dep_impls.push_back(impls[i].sym);
+        entry.dep_impls.push_back({impls[i].sym, impls[i].arg_shape});
       }
       // References inside the window are replayed anyway; only references
       // predating the window become preconditions.
       auto outside_window = [](const std::vector<Symbol>& refs,
-                               const std::vector<Symbol>& window,
+                               const std::vector<MemoRef>& window,
                                Symbol self) {
         std::vector<Symbol> out;
         for (Symbol sym : refs) {
           if (sym != self &&
-              std::find(window.begin(), window.end(), sym) == window.end()) {
+              std::none_of(window.begin(), window.end(),
+                           [sym](MemoRef m) { return m.sym == sym; })) {
             out.push_back(sym);
           }
         }

@@ -213,6 +213,12 @@ class Elaborator {
 
   [[nodiscard]] static std::string mangle(
       const std::string& base, const std::vector<TemplateArgValue>& args);
+  /// Fingerprint of what `mangle` leaves out: the full structure of every
+  /// named type argument (mangled by name only) and the shape and source of
+  /// every impl argument. 0 when the arguments are spelled out in full.
+  /// The memo matches entries on it (see elab::TemplateMemo).
+  [[nodiscard]] std::uint64_t arg_shape(
+      const std::vector<TemplateArgValue>& args) const;
 };
 
 }  // namespace tydi::elab

@@ -43,10 +43,12 @@ std::uint64_t source_hash(std::string_view text) {
 
 namespace {
 
-/// True when the entry's own stamp and every dependency stamp match the
-/// current compile's sources.
+/// True when the entry has the requested shape and its own stamp and every
+/// dependency stamp match the current compile's sources.
 template <typename Entry>
-bool entry_current(const Entry& entry, const SourceHashes& hashes) {
+bool entry_current(const Entry& entry, std::uint64_t shape,
+                   const SourceHashes& hashes) {
+  if (entry.payload->arg_shape != shape) return false;
   if (!entry.stamp.current(hashes)) return false;
   for (const SourceStamp& dep : entry.dep_sources) {
     if (!dep.current(hashes)) return false;
@@ -54,31 +56,38 @@ bool entry_current(const Entry& entry, const SourceHashes& hashes) {
   return true;
 }
 
-/// The version whose stamps all match the current source hashes, or
-/// nullptr. At most one version's *own* stamp can match (a file id has one
-/// current hash), so the scan is deterministic.
+/// The version of `shape` whose stamps all match the current source hashes,
+/// or nullptr. At most one such version's *own* stamp can match (a file id
+/// has one current hash), so the scan is deterministic.
 const TemplateMemo::ImplEntry* current_impl_version(
     const std::vector<std::shared_ptr<const TemplateMemo::ImplEntry>>& versions,
-    const SourceHashes& hashes) {
+    std::uint64_t shape, const SourceHashes& hashes) {
   for (const auto& entry : versions) {
-    if (entry_current(*entry, hashes)) return entry.get();
+    if (entry_current(*entry, shape, hashes)) return entry.get();
   }
   return nullptr;
+}
+
+/// Same version identity as the lookup: stamp and payload shape.
+template <typename Entry>
+bool same_version(const Entry& a, const Entry& b) {
+  return a.stamp.file == b.stamp.file && a.stamp.hash == b.stamp.hash &&
+         a.payload->arg_shape == b.payload->arg_shape;
 }
 
 }  // namespace
 
 std::shared_ptr<const Streamlet> TemplateMemo::find_streamlet(
-    Symbol sym, const SourceHashes& hashes) {
+    MemoRef ref, const SourceHashes& hashes) {
   std::shared_lock lock(mu_);
-  auto it = streamlets_.find(sym);
+  auto it = streamlets_.find(ref.sym);
   if (it == streamlets_.end()) {
     ++stats_.misses;
     ++MemoCounters::get().misses;
     return nullptr;
   }
   for (const StreamletEntry& entry : it->second) {
-    if (entry_current(entry, hashes)) {
+    if (entry_current(entry, ref.shape, hashes)) {
       ++stats_.streamlet_hits;
       ++MemoCounters::get().streamlet_hits;
       return entry.payload;
@@ -90,16 +99,16 @@ std::shared_ptr<const Streamlet> TemplateMemo::find_streamlet(
 }
 
 std::shared_ptr<const TemplateMemo::ImplEntry> TemplateMemo::find_impl(
-    Symbol sym, const SourceHashes& hashes) {
+    MemoRef ref, const SourceHashes& hashes) {
   std::shared_lock lock(mu_);
-  auto it = impls_.find(sym);
+  auto it = impls_.find(ref.sym);
   if (it == impls_.end()) {
     ++stats_.misses;
     ++MemoCounters::get().misses;
     return nullptr;
   }
   for (const auto& entry : it->second) {
-    if (entry_current(*entry, hashes)) {
+    if (entry_current(*entry, ref.shape, hashes)) {
       ++stats_.impl_hits;
       ++MemoCounters::get().impl_hits;
       return entry;
@@ -111,22 +120,22 @@ std::shared_ptr<const TemplateMemo::ImplEntry> TemplateMemo::find_impl(
 }
 
 std::shared_ptr<const Streamlet> TemplateMemo::valid_streamlet(
-    Symbol sym, const SourceHashes& hashes) const {
+    MemoRef ref, const SourceHashes& hashes) const {
   std::shared_lock lock(mu_);
-  auto it = streamlets_.find(sym);
+  auto it = streamlets_.find(ref.sym);
   if (it == streamlets_.end()) return nullptr;
   for (const StreamletEntry& entry : it->second) {
-    if (entry_current(entry, hashes)) return entry.payload;
+    if (entry_current(entry, ref.shape, hashes)) return entry.payload;
   }
   return nullptr;
 }
 
 std::shared_ptr<const Impl> TemplateMemo::valid_impl(
-    Symbol sym, const SourceHashes& hashes) const {
+    MemoRef ref, const SourceHashes& hashes) const {
   std::shared_lock lock(mu_);
-  auto it = impls_.find(sym);
+  auto it = impls_.find(ref.sym);
   if (it == impls_.end()) return nullptr;
-  const ImplEntry* entry = current_impl_version(it->second, hashes);
+  const ImplEntry* entry = current_impl_version(it->second, ref.shape, hashes);
   return entry != nullptr ? entry->payload : nullptr;
 }
 
@@ -134,18 +143,16 @@ void TemplateMemo::put_streamlet(Symbol sym,
                                  std::shared_ptr<const Streamlet> payload,
                                  SourceStamp stamp,
                                  std::vector<SourceStamp> dep_sources) {
+  StreamletEntry entry{std::move(payload), stamp, std::move(dep_sources)};
   std::unique_lock lock(mu_);
   std::vector<StreamletEntry>& versions = streamlets_[sym];
   for (StreamletEntry& existing : versions) {
-    if (existing.stamp.file == stamp.file &&
-        existing.stamp.hash == stamp.hash) {
-      existing = StreamletEntry{std::move(payload), stamp,
-                                std::move(dep_sources)};
+    if (same_version(existing, entry)) {
+      existing = std::move(entry);
       return;
     }
   }
-  versions.push_back(
-      StreamletEntry{std::move(payload), stamp, std::move(dep_sources)});
+  versions.push_back(std::move(entry));
 }
 
 void TemplateMemo::put_impl(Symbol sym, ImplEntry entry, ProgramRef pin) {
@@ -154,8 +161,7 @@ void TemplateMemo::put_impl(Symbol sym, ImplEntry entry, ProgramRef pin) {
   std::vector<std::shared_ptr<const ImplEntry>>& versions = impls_[sym];
   bool placed = false;
   for (auto& existing : versions) {
-    if (existing->stamp.file == shared->stamp.file &&
-        existing->stamp.hash == shared->stamp.hash) {
+    if (same_version(*existing, *shared)) {
       // Replace the version in place; concurrent readers holding the old
       // snapshot keep it alive until they are done with it.
       existing = shared;

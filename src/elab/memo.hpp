@@ -12,13 +12,18 @@
 // Keying and validity:
 //  - Entries are keyed by the mangled name's interned Symbol. The mangled
 //    name encodes the declaration name plus the *evaluated* template
-//    arguments (type arguments by resolved structural display), i.e. the
-//    `(decl Symbol, arg Symbols)` identity of an instantiation.
+//    arguments, i.e. the `(decl Symbol, arg Symbols)` identity of an
+//    instantiation. A named type argument is spelled by its name only
+//    (`t_q6_mul`), so the name alone cannot tell `Bit(100)` from `Bit(64)`
+//    after an edit: every entry also carries its payload's `arg_shape`, a
+//    fingerprint of the full structure behind such names (and behind impl
+//    arguments), and a lookup only matches the version of the same shape.
+//    An edit that leaves every type unchanged keeps the shape and the hit.
 //  - Each entry carries a SourceStamp: the FileId and content hash of the
 //    file that declared it. A lookup only hits when the same file id still
 //    holds byte-identical text in the current compile, so editing a source
-//    invalidates naturally. Entries are *versioned* per stamp: two batch
-//    jobs declaring the same name from different sources (the Q1 /
+//    invalidates naturally. Entries are *versioned* per (stamp, shape): two
+//    batch jobs declaring the same name from different sources (the Q1 /
 //    Q1-without-sugaring pair shares decl names across different query
 //    files) each keep their own version instead of evicting each other —
 //    alternating jobs stay warm.
@@ -95,6 +100,13 @@ struct MemoStats {
   support::RelaxedCounter stale;
 };
 
+/// One memoized entity as a window member: its mangled symbol plus the
+/// arg_shape of the payload the window was recorded with.
+struct MemoRef {
+  Symbol sym = support::kNoSymbol;
+  std::uint64_t shape = 0;
+};
+
 class TemplateMemo {
  public:
   struct ImplEntry {
@@ -110,8 +122,8 @@ class TemplateMemo {
     /// Streamlets / impls (mangled symbols) the original elaboration
     /// inserted transitively, in Design insertion order; `payload` itself
     /// is not listed (it is always replayed last).
-    std::vector<Symbol> dep_streamlets;
-    std::vector<Symbol> dep_impls;
+    std::vector<MemoRef> dep_streamlets;
+    std::vector<MemoRef> dep_impls;
     /// Entities the elaboration *referenced* that were already in the
     /// design before its window opened (e.g. a shared child elaborated by
     /// an earlier sibling). They are not replayed — a hit requires them to
@@ -121,23 +133,25 @@ class TemplateMemo {
     std::vector<Symbol> required_impls;
   };
 
-  /// Valid payload lookups: nullptr on miss *or* stale stamp (stat-counted).
-  /// Payloads are returned as shared handles so a hit inserts into the
-  /// current Design without copying; the impl entry is a shared snapshot
-  /// that outlives any concurrent upsert/invalidate.
+  /// Valid payload lookups: nullptr on miss *or* stale stamp / other shape
+  /// (stat-counted). Payloads are returned as shared handles so a hit
+  /// inserts into the current Design without copying; the impl entry is a
+  /// shared snapshot that outlives any concurrent upsert/invalidate.
   [[nodiscard]] std::shared_ptr<const Streamlet> find_streamlet(
-      Symbol sym, const SourceHashes& hashes);
+      MemoRef ref, const SourceHashes& hashes);
   [[nodiscard]] std::shared_ptr<const ImplEntry> find_impl(
-      Symbol sym, const SourceHashes& hashes);
+      MemoRef ref, const SourceHashes& hashes);
 
-  /// Stamp-checked payload reads for window replay (no stat counting).
+  /// Stamp- and shape-checked payload reads for window replay (no stat
+  /// counting).
   [[nodiscard]] std::shared_ptr<const Streamlet> valid_streamlet(
-      Symbol sym, const SourceHashes& hashes) const;
+      MemoRef ref, const SourceHashes& hashes) const;
   [[nodiscard]] std::shared_ptr<const Impl> valid_impl(
-      Symbol sym, const SourceHashes& hashes) const;
+      MemoRef ref, const SourceHashes& hashes) const;
 
-  /// Inserts or replaces (a re-elaboration after a stale lookup replaces).
-  /// Payloads are shared with the inserting Design, not copied.
+  /// Inserts or replaces the version of the same stamp and payload shape (a
+  /// re-elaboration after a stale lookup replaces). Payloads are shared
+  /// with the inserting Design, not copied.
   void put_streamlet(Symbol sym, std::shared_ptr<const Streamlet> payload,
                      SourceStamp stamp,
                      std::vector<SourceStamp> dep_sources);
@@ -165,9 +179,10 @@ class TemplateMemo {
     std::vector<SourceStamp> dep_sources;  ///< see ImplEntry::dep_sources
   };
 
-  // One version per distinct source stamp (at most one can be current for
-  // any compile: a file id has exactly one current hash). Version vectors
-  // stay tiny — one per source variant of a decl seen by the session. Impl
+  // One version per distinct (source stamp, shape) (at most one can be
+  // current for a lookup: a file id has exactly one current hash). Version
+  // vectors stay tiny — one per source variant of a decl seen by the
+  // session. Impl
   // versions are shared_ptr'd so a lookup returns a stable snapshot while
   // writers replace versions in place.
   std::unordered_map<Symbol, std::vector<StreamletEntry>> streamlets_;

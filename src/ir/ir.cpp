@@ -349,6 +349,4 @@ std::string emit(const Module& module) {
   return w.take();
 }
 
-std::string emit(const elab::Design& design) { return emit(lower(design)); }
-
 }  // namespace tydi::ir

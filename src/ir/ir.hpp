@@ -250,7 +250,4 @@ class TypeLoweringCache {
 /// module — the backends do not depend on this form).
 [[nodiscard]] std::string emit(const Module& module);
 
-/// Convenience: lower + emit.
-[[nodiscard]] std::string emit(const elab::Design& design);
-
 }  // namespace tydi::ir

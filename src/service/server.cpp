@@ -1,6 +1,7 @@
 #include "src/service/server.hpp"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -41,6 +42,41 @@ bool write_all(int fd, std::string_view data) {
       return false;
     }
     data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Writes one response frame (header line, payload, newline) with one
+/// gathering send per pass, so a large payload is never copied into a
+/// serialized frame first.
+bool write_response(int fd, const Response& response) {
+  const std::string header = response.header() + "\n";
+  const std::string& payload = response.payload();
+  char newline = '\n';
+  iovec parts[3] = {{const_cast<char*>(header.data()), header.size()},
+                    {const_cast<char*>(payload.data()), payload.size()},
+                    {&newline, 1}};
+  iovec* next = parts;
+  std::size_t left = 3;
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = left;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    // Skip the fully written parts, then advance into a partial one.
+    while (left > 0 && static_cast<std::size_t>(n) >= next->iov_len) {
+      n -= static_cast<ssize_t>(next->iov_len);
+      ++next;
+      --left;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + n;
+      next->iov_len -= static_cast<std::size_t>(n);
+    }
   }
   return true;
 }
@@ -170,7 +206,7 @@ void serve_connection(int fd, CompileService& service,
       }
     }
     Response response = pending.take();
-    if (!write_all(fd, response.serialize())) {
+    if (!write_response(fd, response)) {
       tracker.remove(fd);
       ::close(fd);
       return;
@@ -261,7 +297,7 @@ Status serve(CompileService& service, const ServerConfig& config) {
       const Response shed = service.shed_response(
           "connection limit (" + std::to_string(config.max_connections) +
           ") reached");
-      write_all(fd, shed.serialize());
+      write_response(fd, shed);
       ::close(fd);
       continue;
     }

@@ -100,11 +100,20 @@ void PendingRequest::cancel() {
   if (state_) state_->request_cancel(CancelReason::kClientGone);
 }
 
+const std::string& Response::payload() const {
+  static const std::string empty;
+  return body != nullptr ? *body : empty;
+}
+
+void Response::set_payload(std::string text) {
+  body = std::make_shared<const std::string>(std::move(text));
+}
+
 std::string Response::header() const {
   std::string out = ok() ? "OK " : "ERR ";
   out += std::to_string(status.exit_code());
   out += ' ';
-  out += std::to_string(payload.size());
+  out += std::to_string(payload().size());
   if (retry_after_ms > 0.0) {
     out += ' ';
     out += std::to_string(
@@ -116,7 +125,7 @@ std::string Response::header() const {
 std::string Response::serialize() const {
   std::string out = header();
   out += '\n';
-  out += payload;
+  out += payload();
   out += '\n';
   return out;
 }
@@ -134,7 +143,7 @@ bool parse_response(std::string_view wire, Response& out) {
   if (!(header >> retry_after)) retry_after = 0.0;
   std::string_view rest = wire.substr(eol + 1);
   if (rest.size() < bytes) return false;
-  out.payload = std::string(rest.substr(0, bytes));
+  out.set_payload(std::string(rest.substr(0, bytes)));
   out.shutdown = false;
   out.retry_after_ms = retry_after;
   if (verdict == "OK") {
@@ -206,6 +215,13 @@ CompileService::CompileService(ServiceConfig config)
                               2u, std::thread::hardware_concurrency()))),
       queue_(config.queue_capacity) {
   open_journal();
+  if (journal_) {
+    // Recovered keys were sighted by the previous process: replay admits
+    // them, so the first live request after a restart is a whole-result hit.
+    for (const warmup::JournalEntry& entry : journal_->recovered_entries()) {
+      result_cache_.mark_sighted(entry.serialize());
+    }
+  }
   workers_.reserve(static_cast<std::size_t>(worker_count_));
   for (int i = 0; i < worker_count_; ++i) {
     workers_.emplace_back([this]() { worker_main(); });
@@ -285,7 +301,7 @@ namespace {
 Response error_response(StatusCode code, const std::string& message) {
   Response r;
   r.status = Status::error(code, "service", message);
-  r.payload = r.status.render() + "\n";
+  r.set_payload(r.status.render() + "\n");
   return r;
 }
 
@@ -553,13 +569,13 @@ Response CompileService::snapshot_now() {
   if (!status.is_ok()) {
     Response r;
     r.status = status;
-    r.payload = status.render() + "\n";
+    r.set_payload(status.render() + "\n");
     return r;
   }
   Response r;
-  r.payload = "compacted " + std::to_string(journal_->live_keys()) +
-              " key(s), " + std::to_string(journal_->journal_bytes()) +
-              " bytes";
+  r.set_payload("compacted " + std::to_string(journal_->live_keys()) +
+                " key(s), " + std::to_string(journal_->journal_bytes()) +
+                " bytes");
   return r;
 }
 
@@ -685,8 +701,8 @@ Response CompileService::sleep_request(double ms,
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   Response r;
-  r.payload = "slept " + obs::json_number(ms) + " seq " +
-              std::to_string(seq);
+  r.set_payload("slept " + obs::json_number(ms) + " seq " +
+                std::to_string(seq));
   return r;
 }
 
@@ -726,15 +742,15 @@ Response CompileService::compile_request(
   Response r;
   r.status = result.status();
   if (result.success()) {
-    r.payload = options.emit_vhdl ? std::move(result.vhdl_text)
-                                  : std::move(result.ir_text);
+    r.set_payload(options.emit_vhdl ? std::move(result.vhdl_text)
+                                    : std::move(result.ir_text));
   } else {
-    r.payload = result.report();
+    r.set_payload(result.report());
     if (r.status.code() == StatusCode::kAborted &&
         state.cancel_reason() == CancelReason::kClientGone) {
       r.status = Status::error(StatusCode::kAborted, "watchdog",
                                "client disconnected; compile aborted");
-      r.payload = r.status.render() + "\n";
+      r.set_payload(r.status.render() + "\n");
     }
   }
   return r;
@@ -755,54 +771,48 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
     return sleep_request(ms, state);
   }
 
+  // TPCH and FILE both come down to sources + options + the durable key
+  // (normalized request + per-source content stamps), built once here: it
+  // keys the result cache and is what the journal records.
+  const tpch::QueryCase* query = nullptr;  ///< TPCH: sources built on a miss
+  std::vector<driver::NamedSource> sources;
+  driver::CompileOptions options;
+  warmup::JournalEntry key;
+  std::string emit;
+  double budget_ms = 0.0;
+  std::string budget_token;
   if (verb == "TPCH") {
     std::string number;
-    std::string emit;
     if (!(fields >> number >> emit)) {
       return error_response(StatusCode::kInvalidArgument,
                             "usage: TPCH <n> <vhdl|ir> [budget_ms]");
     }
-    double budget_ms = 0.0;
-    std::string budget_token;
     if (fields >> budget_token && !parse_budget(budget_token, budget_ms)) {
       return error_response(StatusCode::kInvalidArgument,
                             "bad budget_ms '" + budget_token + "'");
     }
-    const tpch::QueryCase* query = tpch::find_query("TPC-H " + number);
+    query = tpch::find_query("TPC-H " + number);
     if (query == nullptr) {
       return error_response(StatusCode::kInvalidArgument,
                             "unknown TPC-H query '" + number + "'");
     }
-    Response r = compile_request(tpch::query_sources(*query),
-                                 tpch::query_options(*query), emit,
-                                 budget_ms, state);
-    if (r.ok()) {
-      // TPCH sources are built into the binary: the key needs no stamps
-      // (a different binary re-derives everything on replay anyway).
-      journal_success(
-          warmup::JournalEntry{"TPCH " + number + " " + emit, {}});
-    }
-    return r;
-  }
-
-  if (verb == "FILE") {
+    // TPCH sources are built into the binary: the key needs no stamps
+    // (a different binary re-derives everything on replay anyway).
+    key.request = "TPCH " + number + " " + emit;
+  } else if (verb == "FILE") {
     std::string path;
     std::string top;
-    std::string emit;
     if (!(fields >> path >> top >> emit)) {
       return error_response(
           StatusCode::kInvalidArgument,
           "usage: FILE <path> <top> <vhdl|ir> [budget_ms]");
     }
-    double budget_ms = 0.0;
-    std::string budget_token;
     if (fields >> budget_token && !parse_budget(budget_token, budget_ms)) {
       return error_response(StatusCode::kInvalidArgument,
                             "bad budget_ms '" + budget_token + "'");
     }
     // Comma-separated file list, compiled in list order (each file keeps
     // its own `package` header) — same convention as the batch manifest.
-    std::vector<driver::NamedSource> sources;
     std::istringstream paths(path);
     std::string one;
     while (std::getline(paths, one, ',')) {
@@ -819,27 +829,37 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
       return error_response(StatusCode::kInvalidArgument,
                             "no source files in '" + path + "'");
     }
-    driver::CompileOptions options;
     options.top = top;
-    Response r = compile_request(sources, std::move(options), emit,
-                                 budget_ms, state);
-    if (r.ok()) {
-      // Journal the key with a content stamp per source, taken from the
-      // exact bytes that compiled — replay skips the key when any file on
-      // disk no longer matches.
-      warmup::JournalEntry entry;
-      entry.request = "FILE " + path + " " + top + " " + emit;
-      for (const driver::SourceStamp& stamp : driver::source_stamps(sources)) {
-        entry.stamps.push_back(
-            warmup::SourceStampRecord{stamp.name, stamp.hash});
-      }
-      journal_success(entry);
+    // A content stamp per source, taken from the exact bytes that compile:
+    // an edited file is a different key, and replay skips the key when any
+    // file on disk no longer matches.
+    key.request = "FILE " + path + " " + top + " " + emit;
+    for (const driver::SourceStamp& stamp : driver::source_stamps(sources)) {
+      key.stamps.push_back(warmup::SourceStampRecord{stamp.name, stamp.hash});
     }
-    return r;
+  } else {
+    return error_response(StatusCode::kInternal,
+                          "verb '" + verb + "' queued but not dispatchable");
   }
 
-  return error_response(StatusCode::kInternal,
-                        "verb '" + verb + "' queued but not dispatchable");
+  const std::string key_text = key.serialize();
+  ResultCache::Lookup cached = result_cache_.lookup(key_text);
+  if (cached.hit != nullptr) {
+    Response r;
+    r.body = std::move(cached.hit);
+    return r;
+  }
+  if (query != nullptr) {
+    sources = tpch::query_sources(*query);
+    options = tpch::query_options(*query);
+  }
+  Response r = compile_request(sources, std::move(options), emit, budget_ms,
+                               state);
+  if (r.ok()) {
+    if (cached.admit) result_cache_.insert(key_text, r.body);
+    journal_success(key);
+  }
+  return r;
 }
 
 Response CompileService::dispatch_meta(const std::string& verb,
@@ -851,28 +871,29 @@ Response CompileService::dispatch_meta(const std::string& verb,
 
   if (verb == "PING") {
     Response r;
-    r.payload = "pong";
+    r.set_payload("pong");
     return r;
   }
   if (verb == "STATS") {
     Response r;
-    r.payload = stats_text();
+    r.set_payload(stats_text());
     return r;
   }
   if (verb == "METRICS") {
     Response r;
-    r.payload = obs::MetricsRegistry::global().render_json();
+    r.set_payload(obs::MetricsRegistry::global().render_json());
     return r;
   }
   if (verb == "HEALTH") {
     Response r;
-    r.payload = health_json();
+    r.set_payload(health_json());
     return r;
   }
   if (verb == "INVALIDATE") {
     session_.invalidate();
+    result_cache_.clear();
     Response r;
-    r.payload = "invalidated";
+    r.set_payload("invalidated");
     return r;
   }
   if (verb == "SNAPSHOT") {
@@ -883,7 +904,7 @@ Response CompileService::dispatch_meta(const std::string& verb,
     // the transport sees the flag and runs the full drain + unlink path.
     begin_drain();
     Response r;
-    r.payload = "bye";
+    r.set_payload("bye");
     r.shutdown = true;
     return r;
   }
@@ -893,6 +914,11 @@ Response CompileService::dispatch_meta(const std::string& verb,
 }
 
 std::string CompileService::health_json() const {
+  static auto& reg = obs::MetricsRegistry::global();
+  static const obs::Counter& result_cache_hits =
+      reg.counter("tydi.service.result_cache.hits");
+  static const obs::Gauge& result_cache_bytes =
+      reg.gauge("tydi.service.result_cache.bytes");
   const elab::MemoStats& memo = session_.memo().stats();
   const std::uint64_t hits = memo.streamlet_hits + memo.impl_hits;
   const std::uint64_t lookups = hits + memo.misses + memo.stale;
@@ -942,6 +968,10 @@ std::string CompileService::health_json() const {
   out += std::to_string(failures_.get());
   out += ",\"memo_hit_rate\":";
   out += obs::json_number(hit_rate);
+  out += ",\"result_cache_hits\":";
+  out += std::to_string(result_cache_hits.value());
+  out += ",\"result_cache_bytes\":";
+  out += obs::json_number(result_cache_bytes.value());
   out += ",\"journal_enabled\":";
   out += journal_ ? "true" : "false";
   out += ",\"journal_bytes\":";

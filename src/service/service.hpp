@@ -48,8 +48,11 @@
 //   HEALTH                              liveness JSON: status, uptime_ms,
 //                                       in_flight, queue_depth, workers,
 //                                       draining, shed_total, requests,
-//                                       failures, memo_hit_rate, last_abort
-//   INVALIDATE                          drop every session cache
+//                                       failures, memo_hit_rate,
+//                                       result_cache_hits,
+//                                       result_cache_bytes, last_abort
+//   INVALIDATE                          drop every session cache and the
+//                                       result cache
 //   SNAPSHOT                            compact the compile journal now
 //                                       (atomic rewrite of the live key
 //                                       set); payload reports keys + bytes
@@ -102,6 +105,7 @@
 
 #include "src/driver/compiler.hpp"
 #include "src/service/queue.hpp"
+#include "src/service/result_cache.hpp"
 #include "src/service/warmup.hpp"
 #include "src/support/counters.hpp"
 #include "src/support/status.hpp"
@@ -147,7 +151,10 @@ struct ServiceConfig {
 /// payload bytes (emitted text, rendered diagnostics, or meta output).
 struct Response {
   support::Status status;
-  std::string payload;
+  /// The payload, shared rather than owned: a result-cache hit answers with
+  /// the cached string itself, and a fresh compile hands its text to the
+  /// cache without a copy. Null reads as an empty payload.
+  std::shared_ptr<const std::string> body;
   /// Set by SHUTDOWN: the transport should stop accepting after replying.
   bool shutdown = false;
   /// > 0 on shed responses (kUnavailable): the daemon's backoff hint in
@@ -155,6 +162,8 @@ struct Response {
   double retry_after_ms = 0.0;
 
   [[nodiscard]] bool ok() const { return status.is_ok(); }
+  [[nodiscard]] const std::string& payload() const;
+  void set_payload(std::string text);
   /// `OK 0 1234` / `ERR 4 87` / `ERR 12 31 50` — the response header line
   /// (no newline; the trailing field appears only when retry_after_ms > 0).
   [[nodiscard]] std::string header() const;
@@ -247,6 +256,9 @@ class CompileService {
   }
 
   [[nodiscard]] driver::CompileSession& session() { return session_; }
+  [[nodiscard]] const ResultCache& result_cache() const {
+    return result_cache_;
+  }
 
   /// The durable compile journal (nullptr when journal_path was empty or
   /// the journal could not be opened at all).
@@ -327,6 +339,9 @@ class CompileService {
   ServiceConfig config_;
   int worker_count_ = 0;
   driver::CompileSession session_;
+  /// Whole-result cache served from dispatch_queued (src/service/README.md,
+  /// "Result cache").
+  ResultCache result_cache_;
   BoundedPriorityQueue<std::shared_ptr<PendingRequest::State>> queue_;
   std::vector<std::thread> workers_;
   std::once_flag join_once_;

@@ -186,12 +186,6 @@ std::string format_fixed(double value, int digits) {
   return out.str();
 }
 
-bool starts_with_trimmed(std::string_view text, std::string_view prefix) {
-  std::size_t b = text.find_first_not_of(" \t");
-  if (b == std::string_view::npos) return prefix.empty();
-  return text.substr(b, prefix.size()) == prefix;
-}
-
 std::vector<std::string_view> split_lines(std::string_view text) {
   std::vector<std::string_view> out;
   std::size_t start = 0;

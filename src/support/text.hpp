@@ -168,10 +168,6 @@ class TextTable {
 /// Formats a double with `digits` places (used by the bench tables).
 [[nodiscard]] std::string format_fixed(double value, int digits);
 
-/// True if `text` starts with `prefix` after skipping spaces/tabs.
-[[nodiscard]] bool starts_with_trimmed(std::string_view text,
-                                       std::string_view prefix);
-
 /// Splits on '\n' (keeps empty segments, drops the trailing empty one).
 [[nodiscard]] std::vector<std::string_view> split_lines(std::string_view text);
 

@@ -57,7 +57,7 @@
 // gauges, histograms under tydi.<subsystem>.*, stable key order); HEALTH
 // returns a small liveness JSON (status, uptime_ms, in_flight, queue_depth,
 // workers, draining, shed_total, requests, failures, memo_hit_rate,
-// last_abort). Both execute inline — never queued — so they stay
+// result_cache_hits, result_cache_bytes, last_abort). Both execute inline — never queued — so they stay
 // responsive while the worker pool is saturated.
 #include <cstdlib>
 #include <fstream>
@@ -118,9 +118,9 @@ int run_client(const std::string& socket_path, const std::string& line,
     return transport.exit_code();
   }
   if (response.ok()) {
-    std::cout << response.payload;
+    std::cout << response.payload();
   } else {
-    std::cerr << response.payload;
+    std::cerr << response.payload();
     // A shed response carries the daemon's own retry-after hint; surface
     // it on the final exhausted attempt so operators see *why* retries
     // stopped and when trying again is worthwhile — not just exit 12.
@@ -189,7 +189,7 @@ int run_batch_client(const std::string& socket_path,
     const bool ok = transport.is_ok() && response.ok();
     if (ok) {
       std::cerr << "ok   " << source_path << " " << top << " ("
-                << response.payload.size() << " bytes";
+                << response.payload().size() << " bytes";
       if (attempts > 1) std::cerr << ", " << attempts << " attempts";
       std::cerr << ")\n";
     } else {

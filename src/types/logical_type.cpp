@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string_view>
 
 #include "src/support/text.hpp"
 
@@ -160,6 +162,59 @@ bool strict_equal(const LogicalType& a, const LogicalType& b) {
   }
   if (a.origin().empty() != b.origin().empty()) return false;
   return structural_equal(a, b);
+}
+
+namespace {
+
+/// One FNV-1a step over a whole word, folded so high input bits reach the
+/// low bits of the state too.
+void mix(std::uint64_t& h, std::uint64_t v) {
+  h = (h ^ v) * 1099511628211ULL;
+  h ^= h >> 32;
+}
+
+void mix(std::uint64_t& h, std::string_view text) {
+  mix(h, text.size());
+  for (char c : text) mix(h, static_cast<std::uint8_t>(c));
+}
+
+void hash_into(std::uint64_t& h, const LogicalType& t) {
+  mix(h, t.node().index());
+  std::visit(
+      [&h](const auto& n) {
+        using T = std::decay_t<decltype(n)>;
+        if constexpr (std::is_same_v<T, BitT>) {
+          mix(h, static_cast<std::uint64_t>(n.width));
+        } else if constexpr (std::is_same_v<T, GroupT> ||
+                             std::is_same_v<T, UnionT>) {
+          mix(h, n.fields.size());
+          for (const Field& f : n.fields) {
+            mix(h, f.name);
+            hash_into(h, *f.type);
+          }
+        } else if constexpr (std::is_same_v<T, StreamT>) {
+          hash_into(h, *n.element);
+          std::uint64_t throughput = 0;
+          std::memcpy(&throughput, &n.params.throughput, sizeof(throughput));
+          mix(h, throughput);
+          mix(h, static_cast<std::uint64_t>(n.params.dimension));
+          mix(h, static_cast<std::uint64_t>(n.params.complexity));
+          mix(h, static_cast<std::uint64_t>(n.params.synchronicity));
+          mix(h, static_cast<std::uint64_t>(n.params.direction));
+          mix(h, n.params.user != nullptr);
+          if (n.params.user) hash_into(h, *n.params.user);
+        }
+      },
+      t.node());
+  mix(h, t.origin());
+}
+
+}  // namespace
+
+std::uint64_t display_hash(const LogicalType& t) {
+  std::uint64_t h = 1469598103934665603ULL;
+  hash_into(h, t);
+  return h;
 }
 
 }  // namespace tydi::types

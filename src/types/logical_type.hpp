@@ -152,4 +152,8 @@ class LogicalType {
 /// structural otherwise.
 [[nodiscard]] bool strict_equal(const LogicalType& a, const LogicalType& b);
 
+/// 64-bit hash of everything `to_display()` shows — structure, stream
+/// parameters and the origin at every level — without building the string.
+[[nodiscard]] std::uint64_t display_hash(const LogicalType& t);
+
 }  // namespace tydi::types

@@ -188,6 +188,62 @@ TEST(ConcurrentCompile, ParallelBatchByteIdenticalAcrossWorkerCounts) {
   }
 }
 
+// Q6's sources with `from` replaced by `to` in the query file (the last
+// source; the Fletcher interfaces come first).
+std::vector<driver::NamedSource> edited_q6(const std::string& from,
+                                           const std::string& to) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  std::vector<driver::NamedSource> sources = tpch::query_sources(*q);
+  std::string& text = sources.back().text;
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return sources;
+}
+
+// A warm session must not replay instantiations whose type arguments
+// changed structure under an unchanged name: `mul2_i<..., type t_q6_mul>`
+// mangles by the argument's name, so after a width edit of t_q6_mul the
+// memo entry has the same key but describes the old type.
+TEST(ConcurrentCompile, TypeArgumentEditIsNotReplayedStale) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const driver::CompileOptions options = tpch::query_options(*q);
+  const std::string decl = "type t_q6_mul = Stream(Bit(100), d=1, c=2)";
+  // Original, width edit, complexity edit, and back to the original.
+  const std::vector<std::string> variants = {
+      decl, "type t_q6_mul = Stream(Bit(64), d=1, c=2)",
+      "type t_q6_mul = Stream(Bit(100), d=1, c=3)", decl};
+  driver::CompileSession session;
+  for (const std::string& variant : variants) {
+    const std::vector<driver::NamedSource> sources = edited_q6(decl, variant);
+    driver::CompileResult cold = driver::compile(sources, options);
+    ASSERT_TRUE(cold.success()) << cold.report();
+    driver::CompileResult warm = session.compile(sources, options);
+    ASSERT_TRUE(warm.success()) << warm.report();
+    // Whole-text comparisons without the multi-KB diff dump.
+    EXPECT_TRUE(warm.vhdl_text == cold.vhdl_text) << variant;
+    EXPECT_TRUE(warm.ir_text == cold.ir_text) << variant;
+  }
+}
+
+// The structural check must not cost the edit loop its warm hits: an edit
+// that leaves every type unchanged (a constant threshold) re-elaborates
+// only the query's own impl and the one instantiation the constant feeds.
+TEST(ConcurrentCompile, ConstantEditKeepsTypeArgumentEntriesWarm) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const driver::CompileOptions options = tpch::query_options(*q);
+  driver::CompileSession session;
+  ASSERT_TRUE(session.compile(tpch::query_sources(*q), options).success());
+  const std::vector<driver::NamedSource> sources =
+      edited_q6("const qty_hi = 24;", "const qty_hi = 25;");
+  driver::CompileResult warm = session.compile(sources, options);
+  ASSERT_TRUE(warm.success()) << warm.report();
+  EXPECT_TRUE(warm.vhdl_text == driver::compile(sources, options).vhdl_text);
+  EXPECT_EQ(warm.template_cache.impl_misses.get(), 2u);
+}
+
 TEST(ConcurrentCompile, CancellationClassifiesAsAborted) {
   const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
   ASSERT_NE(q, nullptr);

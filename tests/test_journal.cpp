@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/elab/memo.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/service/service.hpp"
 #include "src/service/warmup.hpp"
 #include "src/support/journal.hpp"
@@ -516,17 +517,17 @@ TEST(ServiceWarmRestart, ReplayRewarmsByteIdentically) {
     service::CompileService svc(config);
     ASSERT_NE(svc.journal(), nullptr);
     service::Response r6 = svc.handle_line("TPCH 6 vhdl");
-    ASSERT_TRUE(r6.ok()) << r6.payload;
-    q6_vhdl = r6.payload;
+    ASSERT_TRUE(r6.ok()) << r6.payload();
+    q6_vhdl = r6.payload();
     service::Response r3 = svc.handle_line("TPCH 3 ir");
-    ASSERT_TRUE(r3.ok()) << r3.payload;
-    q3_ir = r3.payload;
+    ASSERT_TRUE(r3.ok()) << r3.payload();
+    q3_ir = r3.payload();
 
     // SNAPSHOT verb compacts on demand.
     service::Response snap = svc.handle_line("SNAPSHOT");
-    ASSERT_TRUE(snap.ok()) << snap.payload;
-    EXPECT_EQ(snap.payload.rfind("compacted 2 key(s)", 0), 0u)
-        << snap.payload;
+    ASSERT_TRUE(snap.ok()) << snap.payload();
+    EXPECT_EQ(snap.payload().rfind("compacted 2 key(s)", 0), 0u)
+        << snap.payload();
     svc.drain();
   }
 
@@ -543,25 +544,27 @@ TEST(ServiceWarmRestart, ReplayRewarmsByteIdentically) {
     EXPECT_EQ(svc.replay_stats().failed.get(), 0u);
 
     // Byte-identical to the first daemon's outputs.
+    obs::Counter& result_hits = obs::MetricsRegistry::global().counter(
+        "tydi.service.result_cache.hits");
+    const std::uint64_t hits0 = result_hits.value();
     service::Response r6 = svc.handle_line("TPCH 6 vhdl");
     ASSERT_TRUE(r6.ok());
-    EXPECT_EQ(r6.payload, q6_vhdl);
+    EXPECT_EQ(r6.payload(), q6_vhdl);
     service::Response r3 = svc.handle_line("TPCH 3 ir");
     ASSERT_TRUE(r3.ok());
-    EXPECT_EQ(r3.payload, q3_ir);
+    EXPECT_EQ(r3.payload(), q3_ir);
 
-    // The post-replay requests were warm: the memo served hits.
-    const elab::MemoStats& memo = svc.session().memo().stats();
-    const std::uint64_t hits = memo.streamlet_hits + memo.impl_hits;
-    EXPECT_GT(hits, 0u);
+    // The post-replay requests were warm: replay admitted both recovered
+    // keys, so each was a whole-result hit.
+    EXPECT_EQ(result_hits.value() - hits0, 2u);
 
     // HEALTH reports the journal + replay fields.
-    const std::string health = svc.handle_line("HEALTH").payload;
+    const std::string health = svc.handle_line("HEALTH").payload();
     EXPECT_NE(health.find("\"journal_enabled\":true"), std::string::npos);
     EXPECT_NE(health.find("\"replay_done\":true"), std::string::npos);
     EXPECT_NE(health.find("\"replayed\":2"), std::string::npos);
     EXPECT_NE(health.find("\"journal_error\":\"\""), std::string::npos);
-    const std::string stats = svc.handle_line("STATS").payload;
+    const std::string stats = svc.handle_line("STATS").payload();
     EXPECT_NE(stats.find("journal_enabled 1"), std::string::npos);
     EXPECT_NE(stats.find("replayed 2"), std::string::npos);
     svc.drain();
@@ -580,7 +583,7 @@ TEST(ServiceWarmRestart, CorruptJournalIsALoggedColdStart) {
   // Boot succeeded; the corruption is reported, not fatal.
   ASSERT_NE(svc.journal(), nullptr);
   EXPECT_TRUE(svc.journal()->recovered_corrupt());
-  const std::string health = svc.handle_line("HEALTH").payload;
+  const std::string health = svc.handle_line("HEALTH").payload();
   EXPECT_NE(health.find("corrupt-data"), std::string::npos) << health;
   // And the daemon still serves compiles + journals new keys.
   service::Response r = svc.handle_line("TPCH 6 vhdl");
@@ -608,7 +611,7 @@ TEST(ServiceWarmRestart, StaleFileStampsAreSkippedOnReplay) {
   {
     service::CompileService svc(config);
     service::Response r = svc.handle_line(file_line);
-    ASSERT_TRUE(r.ok()) << r.payload;
+    ASSERT_TRUE(r.ok()) << r.payload();
     svc.drain();
   }
   // Edit one stamped source: the journaled key must not replay.

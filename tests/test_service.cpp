@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/obs/json.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
 #include "src/tpch/tpch.hpp"
@@ -26,7 +27,7 @@ TEST(ServiceProtocol, PingPong) {
   service::CompileService svc;
   service::Response r = svc.handle_line("PING");
   EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.payload, "pong");
+  EXPECT_EQ(r.payload(), "pong");
   EXPECT_FALSE(r.shutdown);
   EXPECT_EQ(r.header(), "OK 0 4");
 }
@@ -70,7 +71,7 @@ TEST(ServiceProtocol, ParseErrorMapsToWireCode) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status.code(), support::StatusCode::kParseError);
   // The payload carries the rendered diagnostics.
-  EXPECT_NE(r.payload.find("error"), std::string::npos);
+  EXPECT_NE(r.payload().find("error"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -82,12 +83,12 @@ TEST(ServiceProtocol, TpchCompileMatchesInProcessCompile) {
 
   service::CompileService svc;
   service::Response vhdl = svc.handle_line("TPCH 6 vhdl");
-  ASSERT_TRUE(vhdl.ok()) << vhdl.payload;
-  EXPECT_EQ(vhdl.payload, golden.vhdl_text);
+  ASSERT_TRUE(vhdl.ok()) << vhdl.payload();
+  EXPECT_EQ(vhdl.payload(), golden.vhdl_text);
 
   service::Response ir = svc.handle_line("TPCH 6 ir");
-  ASSERT_TRUE(ir.ok()) << ir.payload;
-  EXPECT_EQ(ir.payload, golden.ir_text);
+  ASSERT_TRUE(ir.ok()) << ir.payload();
+  EXPECT_EQ(ir.payload(), golden.ir_text);
 }
 
 TEST(ServiceProtocol, StatsReportsSessionCounters) {
@@ -95,39 +96,39 @@ TEST(ServiceProtocol, StatsReportsSessionCounters) {
   ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
   service::Response stats = svc.handle_line("STATS");
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats.payload.find("requests 2"), std::string::npos)
-      << stats.payload;
-  EXPECT_NE(stats.payload.find("memo_impls"), std::string::npos);
+  EXPECT_NE(stats.payload().find("requests 2"), std::string::npos)
+      << stats.payload();
+  EXPECT_NE(stats.payload().find("memo_impls"), std::string::npos);
   service::Response inval = svc.handle_line("INVALIDATE");
   ASSERT_TRUE(inval.ok());
   service::Response stats2 = svc.handle_line("STATS");
-  EXPECT_NE(stats2.payload.find("memo_impls 0"), std::string::npos)
-      << stats2.payload;
-  EXPECT_NE(stats2.payload.find("parse_cache 0"), std::string::npos);
+  EXPECT_NE(stats2.payload().find("memo_impls 0"), std::string::npos)
+      << stats2.payload();
+  EXPECT_NE(stats2.payload().find("parse_cache 0"), std::string::npos);
 }
 
 TEST(ServiceProtocol, ResponseSerializeParseRoundTrip) {
   service::Response in;
   in.status = support::Status::error(support::StatusCode::kParseError,
                                      "parser", "boom");
-  in.payload = "line one\nline two\n";
+  in.set_payload("line one\nline two\n");
   const std::string wire = in.serialize();
   EXPECT_EQ(wire.substr(0, wire.find('\n')),
             "ERR " + std::to_string(in.status.exit_code()) + " " +
-                std::to_string(in.payload.size()));
+                std::to_string(in.payload().size()));
 
   service::Response out;
   ASSERT_TRUE(service::parse_response(wire, out));
-  EXPECT_EQ(out.payload, in.payload);
+  EXPECT_EQ(out.payload(), in.payload());
   EXPECT_EQ(out.status.exit_code(), in.status.exit_code());
   EXPECT_EQ(out.status.code(), support::StatusCode::kParseError);
 
   service::Response ok;
-  ok.payload = "pong";
+  ok.set_payload("pong");
   service::Response ok_out;
   ASSERT_TRUE(service::parse_response(ok.serialize(), ok_out));
   EXPECT_TRUE(ok_out.ok());
-  EXPECT_EQ(ok_out.payload, "pong");
+  EXPECT_EQ(ok_out.payload(), "pong");
 }
 
 TEST(ServiceProtocol, ParseResponseRejectsTruncatedFrames) {
@@ -137,7 +138,7 @@ TEST(ServiceProtocol, ParseResponseRejectsTruncatedFrames) {
   EXPECT_FALSE(service::parse_response("OK 0 10\nshort", out));  // payload cut
   EXPECT_FALSE(service::parse_response("WAT 0 0\n", out));
   EXPECT_TRUE(service::parse_response("OK 0 0\n\n", out));
-  EXPECT_TRUE(out.payload.empty());
+  EXPECT_TRUE(out.payload().empty());
 }
 
 // End-to-end: a real daemon on a real socket, eight parallel clients, every
@@ -178,9 +179,9 @@ TEST(ServiceServer, ParallelClientsByteIdentical) {
         if (!s.is_ok()) {
           errors[c] = s.render();
         } else if (!r.ok()) {
-          errors[c] = r.payload;
+          errors[c] = r.payload();
         } else {
-          payloads[c] = std::move(r.payload);
+          payloads[c] = r.payload();
         }
       });
     }
@@ -193,7 +194,7 @@ TEST(ServiceServer, ParallelClientsByteIdentical) {
 
   service::Response bye;
   ASSERT_TRUE(service::request(socket_path, "SHUTDOWN", bye).is_ok());
-  EXPECT_TRUE(bye.shutdown || bye.payload == "bye");
+  EXPECT_TRUE(bye.shutdown || bye.payload() == "bye");
   daemon.join();
   EXPECT_TRUE(serve_status.is_ok()) << serve_status.render();
   // Clean shutdown removes the socket file.
@@ -206,10 +207,10 @@ TEST(ServiceServer, BudgetedRequestStillSucceeds) {
   config.default_budget_ms = 60000.0;  // generous; exercises the watchdog path
   service::CompileService svc(config);
   service::Response r = svc.handle_line("TPCH 6 vhdl");
-  EXPECT_TRUE(r.ok()) << r.payload;
+  EXPECT_TRUE(r.ok()) << r.payload();
   service::Response budgeted = svc.handle_line("TPCH 6 vhdl 60000");
-  EXPECT_TRUE(budgeted.ok()) << budgeted.payload;
-  EXPECT_EQ(budgeted.payload, r.payload);
+  EXPECT_TRUE(budgeted.ok()) << budgeted.payload();
+  EXPECT_EQ(budgeted.payload(), r.payload());
 }
 
 TEST(ServiceProtocol, MetricsAndHealthReturnValidJson) {
@@ -217,27 +218,27 @@ TEST(ServiceProtocol, MetricsAndHealthReturnValidJson) {
   ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
 
   service::Response metrics = svc.handle_line("METRICS");
-  ASSERT_TRUE(metrics.ok()) << metrics.payload;
-  EXPECT_TRUE(obs::json_valid(metrics.payload)) << metrics.payload;
+  ASSERT_TRUE(metrics.ok()) << metrics.payload();
+  EXPECT_TRUE(obs::json_valid(metrics.payload())) << metrics.payload();
   for (const char* key :
        {"\"counters\"", "\"gauges\"", "\"histograms\"",
         "tydi.service.requests", "tydi.compile.total", "tydi.memo."}) {
-    EXPECT_NE(metrics.payload.find(key), std::string::npos)
+    EXPECT_NE(metrics.payload().find(key), std::string::npos)
         << "missing " << key;
   }
 
   service::Response health = svc.handle_line("HEALTH");
-  ASSERT_TRUE(health.ok()) << health.payload;
-  EXPECT_TRUE(obs::json_valid(health.payload)) << health.payload;
+  ASSERT_TRUE(health.ok()) << health.payload();
+  EXPECT_TRUE(obs::json_valid(health.payload())) << health.payload();
   for (const char* key :
        {"\"status\":\"ok\"", "\"uptime_ms\"", "\"in_flight\"", "\"requests\"",
         "\"failures\"", "\"memo_hit_rate\"", "\"last_abort\""}) {
-    EXPECT_NE(health.payload.find(key), std::string::npos)
-        << "missing " << key << " in " << health.payload;
+    EXPECT_NE(health.payload().find(key), std::string::npos)
+        << "missing " << key << " in " << health.payload();
   }
   // Three requests so far (TPCH, METRICS, HEALTH happened before the
   // HEALTH snapshot was taken — the snapshot counts the first two).
-  EXPECT_NE(health.payload.find("\"requests\":"), std::string::npos);
+  EXPECT_NE(health.payload().find("\"requests\":"), std::string::npos);
 }
 
 // Acceptance gate: the daemon answers METRICS/HEALTH with parseable JSON
@@ -291,7 +292,7 @@ TEST(ServiceServer, MetricsAndHealthDuringConcurrentFileRequests) {
             return;
           }
           if (!r.ok()) {
-            errors[c] = r.payload;
+            errors[c] = r.payload();
             return;
           }
         }
@@ -307,8 +308,8 @@ TEST(ServiceServer, MetricsAndHealthDuringConcurrentFileRequests) {
             errors[kCompilers + p] = s.render();
             return;
           }
-          if (!r.ok() || !obs::json_valid(r.payload)) {
-            errors[kCompilers + p] = verb + " bad payload: " + r.payload;
+          if (!r.ok() || !obs::json_valid(r.payload())) {
+            errors[kCompilers + p] = verb + " bad payload: " + r.payload();
             return;
           }
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -329,14 +330,14 @@ TEST(ServiceServer, MetricsAndHealthDuringConcurrentFileRequests) {
   service::Response health;
   ASSERT_TRUE(service::request(socket_path, "HEALTH", health).is_ok());
   ASSERT_TRUE(health.ok());
-  EXPECT_TRUE(obs::json_valid(health.payload)) << health.payload;
-  EXPECT_NE(health.payload.find("\"in_flight\":"), std::string::npos);
-  EXPECT_NE(health.payload.find("\"queue_depth\":"), std::string::npos);
-  EXPECT_NE(health.payload.find("\"shed_total\":"), std::string::npos);
-  EXPECT_NE(health.payload.find("\"workers\":"), std::string::npos);
+  EXPECT_TRUE(obs::json_valid(health.payload())) << health.payload();
+  EXPECT_NE(health.payload().find("\"in_flight\":"), std::string::npos);
+  EXPECT_NE(health.payload().find("\"queue_depth\":"), std::string::npos);
+  EXPECT_NE(health.payload().find("\"shed_total\":"), std::string::npos);
+  EXPECT_NE(health.payload().find("\"workers\":"), std::string::npos);
   // Nothing shed or draining in this test: a healthy daemon reports so.
-  EXPECT_NE(health.payload.find("\"draining\":false"), std::string::npos);
-  EXPECT_NE(health.payload.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_NE(health.payload().find("\"draining\":false"), std::string::npos);
+  EXPECT_NE(health.payload().find("\"status\":\"ok\""), std::string::npos);
 
   service::Response bye;
   ASSERT_TRUE(service::request(socket_path, "SHUTDOWN", bye).is_ok());
@@ -344,6 +345,245 @@ TEST(ServiceServer, MetricsAndHealthDuringConcurrentFileRequests) {
   EXPECT_TRUE(serve_status.is_ok()) << serve_status.render();
   std::remove(fletcher_path.c_str());
   std::remove(query_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Whole-result cache.
+// ---------------------------------------------------------------------------
+
+std::uint64_t result_cache_counter(const char* name) {
+  return obs::MetricsRegistry::global()
+      .counter(std::string("tydi.service.result_cache.") + name)
+      .value();
+}
+
+/// Q6 materialized as two files for the FILE verb, plus the session-free
+/// compile of exactly those named sources (the golden a FILE answer must
+/// match byte for byte).
+struct Q6Files {
+  std::string fletcher_path;
+  std::string query_path;
+
+  explicit Q6Files(const std::string& tag) {
+    const std::string base =
+        "/tmp/tydid_rc_" + tag + "_" + std::to_string(::getpid());
+    fletcher_path = base + "_fletcher.td";
+    query_path = base + "_q6.td";
+    write(fletcher_path, tpch::fletcher_source());
+    write(query_path, std::string(tpch::find_query("TPC-H 6")->source));
+  }
+  ~Q6Files() {
+    std::remove(fletcher_path.c_str());
+    std::remove(query_path.c_str());
+  }
+  static void write(const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  void edit_query(const std::string& from, const std::string& to) const {
+    std::ifstream in(query_path, std::ios::binary);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    write(query_path, text);
+  }
+  [[nodiscard]] std::string request() const {
+    return "FILE " + fletcher_path + "," + query_path + " q6_i vhdl";
+  }
+  [[nodiscard]] std::string golden() const {
+    std::vector<driver::NamedSource> sources;
+    for (const std::string& path : {fletcher_path, query_path}) {
+      std::ifstream in(path, std::ios::binary);
+      sources.push_back(driver::NamedSource{
+          path, std::string((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>())});
+    }
+    driver::CompileOptions options;
+    options.top = "q6_i";
+    driver::CompileResult r = driver::compile(sources, options);
+    EXPECT_TRUE(r.success()) << r.report();
+    return r.vhdl_text;
+  }
+};
+
+TEST(ResultCache, SecondSightingAdmitsAndHits) {
+  service::ResultCache cache(1 << 20);
+  service::ResultCache::Lookup first = cache.lookup("k");
+  EXPECT_EQ(first.hit, nullptr);
+  EXPECT_FALSE(first.admit);  // first sighting: not worth storing yet
+  service::ResultCache::Lookup second = cache.lookup("k");
+  EXPECT_EQ(second.hit, nullptr);
+  EXPECT_TRUE(second.admit);
+  auto payload = std::make_shared<const std::string>("payload");
+  cache.insert("k", payload);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.bytes(), std::string("k").size() + payload->size());
+  // A hit hands out the stored object itself, not a copy.
+  EXPECT_EQ(cache.lookup("k").hit, payload);
+  // A journal-recovered key counts as sighted: its first lookup admits.
+  cache.mark_sighted("recovered");
+  EXPECT_TRUE(cache.lookup("recovered").admit);
+}
+
+TEST(ResultCache, LruEvictionHoldsTheByteBudget) {
+  constexpr std::size_t kBudget = 1000;
+  service::ResultCache cache(kBudget);
+  const std::uint64_t evictions0 = result_cache_counter("evictions");
+  auto payload = [](char c) {
+    return std::make_shared<const std::string>(300, c);
+  };
+  cache.insert("a", payload('a'));
+  cache.insert("b", payload('b'));
+  cache.insert("c", payload('c'));
+  EXPECT_EQ(cache.entries(), 3u);
+  ASSERT_NE(cache.lookup("a").hit, nullptr);  // "a" is now most recent
+  cache.insert("d", payload('d'));            // evicts "b", the LRU entry
+  EXPECT_LE(cache.bytes(), kBudget);
+  EXPECT_EQ(cache.entries(), 3u);
+  EXPECT_EQ(cache.lookup("b").hit, nullptr);
+  EXPECT_NE(cache.lookup("a").hit, nullptr);
+  EXPECT_NE(cache.lookup("c").hit, nullptr);
+  EXPECT_NE(cache.lookup("d").hit, nullptr);
+  EXPECT_EQ(result_cache_counter("evictions") - evictions0, 1u);
+  // Larger than the whole budget: never stored, nothing evicted for it.
+  cache.insert("huge", std::make_shared<const std::string>(kBudget, 'x'));
+  EXPECT_EQ(cache.lookup("huge").hit, nullptr);
+  EXPECT_EQ(cache.entries(), 3u);
+  cache.clear();
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.entries(), 0u);
+}
+
+TEST(ServiceResultCache, HitIsByteIdenticalToSessionFreeCompile) {
+  const std::string golden =
+      tpch::compile_query(*tpch::find_query("TPC-H 6")).vhdl_text;
+  service::CompileService svc;
+  const std::uint64_t hits0 = result_cache_counter("hits");
+  // First sighting compiles, second compiles and admits, third hits.
+  for (int i = 0; i < 3; ++i) {
+    service::Response r = svc.handle_line("TPCH 6 vhdl");
+    ASSERT_TRUE(r.ok()) << r.payload();
+    EXPECT_TRUE(r.payload() == golden) << "request " << i;
+    EXPECT_EQ(svc.result_cache().entries(), i == 0 ? 0u : 1u);
+  }
+  EXPECT_EQ(result_cache_counter("hits") - hits0, 1u);
+  // HEALTH reads the cache from the registry.
+  const std::string health = svc.handle_line("HEALTH").payload();
+  EXPECT_TRUE(obs::json_valid(health)) << health;
+  EXPECT_NE(health.find("\"result_cache_hits\":"), std::string::npos);
+  EXPECT_NE(health.find("\"result_cache_bytes\":"), std::string::npos);
+}
+
+TEST(ServiceResultCache, RewrittenSourceMissesAndCompilesTheNewText) {
+  Q6Files files("rewrite");
+  service::CompileService svc;
+  const std::string before = files.golden();
+  for (int i = 0; i < 3; ++i) {
+    service::Response r = svc.handle_line(files.request());
+    ASSERT_TRUE(r.ok()) << r.payload();
+    EXPECT_TRUE(r.payload() == before);
+  }
+  // Same request line, new bytes on disk (a type edit, the kind the template
+  // memo once replayed stale): a different key, so a miss.
+  files.edit_query("type t_q6_mul = Stream(Bit(100)",
+                   "type t_q6_mul = Stream(Bit(64)");
+  const std::string after = files.golden();
+  ASSERT_NE(after, before);
+  const std::uint64_t hits0 = result_cache_counter("hits");
+  service::Response r = svc.handle_line(files.request());
+  ASSERT_TRUE(r.ok()) << r.payload();
+  EXPECT_TRUE(r.payload() == after);
+  EXPECT_EQ(result_cache_counter("hits"), hits0);
+}
+
+TEST(ServiceResultCache, InvalidateEmptiesTheCache) {
+  service::CompileService svc;
+  ASSERT_TRUE(svc.handle_line("TPCH 6 ir").ok());
+  ASSERT_TRUE(svc.handle_line("TPCH 6 ir").ok());
+  ASSERT_EQ(svc.result_cache().entries(), 1u);
+  ASSERT_GT(svc.result_cache().bytes(), 0u);
+  ASSERT_TRUE(svc.handle_line("INVALIDATE").ok());
+  EXPECT_EQ(svc.result_cache().entries(), 0u);
+  EXPECT_EQ(svc.result_cache().bytes(), 0u);
+  // Sightings went too: the next request is a first sighting again.
+  const std::uint64_t hits0 = result_cache_counter("hits");
+  ASSERT_TRUE(svc.handle_line("TPCH 6 ir").ok());
+  EXPECT_EQ(svc.result_cache().entries(), 0u);
+  EXPECT_EQ(result_cache_counter("hits"), hits0);
+}
+
+TEST(ServiceResultCache, JournalRecoveredKeyHitsOnFirstLiveRequest) {
+  Q6Files files("journal");
+  const std::string journal_path =
+      "/tmp/tydid_rc_" + std::to_string(::getpid()) + ".jnl";
+  std::remove(journal_path.c_str());
+  service::ServiceConfig config;
+  config.workers = 2;
+  config.journal_path = journal_path;
+  {
+    service::CompileService svc(config);
+    ASSERT_TRUE(svc.handle_line(files.request()).ok());
+    svc.drain();
+  }
+  service::CompileService svc(config);
+  svc.start_replay();
+  svc.wait_replay();
+  ASSERT_EQ(svc.replay_stats().replayed.get(), 1u);
+  EXPECT_EQ(svc.result_cache().entries(), 1u);  // replay admitted the key
+  const std::uint64_t hits0 = result_cache_counter("hits");
+  service::Response r = svc.handle_line(files.request());
+  ASSERT_TRUE(r.ok()) << r.payload();
+  EXPECT_TRUE(r.payload() == files.golden());
+  EXPECT_EQ(result_cache_counter("hits") - hits0, 1u);
+  svc.drain();
+  std::remove(journal_path.c_str());
+}
+
+// Hits, misses (first and second sightings of fresh keys) and INVALIDATE
+// racing on eight threads: every answer byte-identical to its golden. Runs
+// under TSan in CI.
+TEST(ServiceResultCache, ConcurrentHitsMissesAndInvalidate) {
+  const std::vector<std::string> lines = {"TPCH 6 vhdl", "TPCH 6 ir",
+                                          "TPCH 3 vhdl", "TPCH 1 ir"};
+  std::vector<std::string> goldens;
+  for (const std::string& line : lines) {
+    const tpch::QueryCase* q = tpch::find_query("TPC-H " + line.substr(5, 1));
+    driver::CompileResult r = tpch::compile_query(*q);
+    goldens.push_back(line.ends_with("ir") ? r.ir_text : r.vhdl_text);
+  }
+  service::ServiceConfig config;
+  config.workers = 4;
+  service::CompileService svc(config);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 6;
+  std::vector<std::string> errors(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t]() {
+        for (int round = 0; round < kRounds; ++round) {
+          if (t == 0 && round % 2 == 1) {
+            if (!svc.handle_line("INVALIDATE").ok()) errors[t] = "INVALIDATE";
+            continue;
+          }
+          const std::size_t k = static_cast<std::size_t>(t + round) %
+                                lines.size();
+          service::Response r = svc.handle_line(lines[k]);
+          if (!r.ok() || r.payload() != goldens[k]) {
+            errors[t] = lines[k] + " differs: " + r.payload().substr(0, 200);
+            return;
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(errors[t].empty()) << "thread " << t << ": " << errors[t];
+  }
+  EXPECT_LE(svc.result_cache().bytes(), service::ResultCache::kBudgetBytes);
 }
 
 }  // namespace

@@ -135,13 +135,13 @@ TEST(ServiceOverload, ShedsWithRetryAfterWhenQueueFull) {
   EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(shed.status.exit_code(), 12);
   EXPECT_GT(shed.retry_after_ms, 0.0);
-  EXPECT_NE(shed.payload.find("queue full"), std::string::npos);
+  EXPECT_NE(shed.payload().find("queue full"), std::string::npos);
   EXPECT_EQ(svc.requests_shed(), 1u);
 
   // Meta verbs are never shed: introspection works while saturated.
   service::Response health = svc.handle_line("HEALTH");
   ASSERT_TRUE(health.ok());
-  EXPECT_NE(health.payload.find("\"shed_total\":1"), std::string::npos);
+  EXPECT_NE(health.payload().find("\"shed_total\":1"), std::string::npos);
 
   // The shed response round-trips its retry-after hint over the wire.
   service::Response parsed;
@@ -174,9 +174,9 @@ TEST(ServiceOverload, InteractiveRunsBeforeQueuedBatch) {
   service::Response r_i1 = inter1.take();
   service::Response r_i2 = inter2.take();
   ASSERT_TRUE(r_b1.ok() && r_b2.ok() && r_i1.ok() && r_i2.ok());
-  EXPECT_LT(sleep_seq(r_i1.payload), sleep_seq(r_b1.payload));
-  EXPECT_LT(sleep_seq(r_i2.payload), sleep_seq(r_b1.payload));
-  EXPECT_LT(sleep_seq(r_b1.payload), sleep_seq(r_b2.payload));
+  EXPECT_LT(sleep_seq(r_i1.payload()), sleep_seq(r_b1.payload()));
+  EXPECT_LT(sleep_seq(r_i2.payload()), sleep_seq(r_b1.payload()));
+  EXPECT_LT(sleep_seq(r_b1.payload()), sleep_seq(r_b2.payload()));
   EXPECT_TRUE(running.take().ok());
 }
 
@@ -193,7 +193,7 @@ TEST(ServiceOverload, DeadlineExpiredInQueueIsShed) {
   service::Response r = doomed.take();
   EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
   EXPECT_GT(r.retry_after_ms, 0.0);
-  EXPECT_NE(r.payload.find("deadline expired"), std::string::npos);
+  EXPECT_NE(r.payload().find("deadline expired"), std::string::npos);
   EXPECT_TRUE(running.take().ok());
 }
 
@@ -224,7 +224,7 @@ TEST(ServiceOverload, CancelledQueuedRequestNeverExecutes) {
   queued.cancel();  // client hung up while queued
   service::Response r = queued.take();
   EXPECT_EQ(r.status.code(), StatusCode::kAborted);
-  EXPECT_NE(r.payload.find("disconnected"), std::string::npos);
+  EXPECT_NE(r.payload().find("disconnected"), std::string::npos);
   EXPECT_TRUE(running.take().ok());
 }
 
@@ -260,12 +260,12 @@ TEST(ServiceOverload, DrainCompletesInFlightThenShedsNewWork) {
   // New compile admissions shed; meta still answers, as "draining".
   service::Response shed = svc.handle_line("SLEEP 5");
   EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(shed.payload.find("draining"), std::string::npos);
+  EXPECT_NE(shed.payload().find("draining"), std::string::npos);
   service::Response health = svc.handle_line("HEALTH");
   ASSERT_TRUE(health.ok());
-  EXPECT_NE(health.payload.find("\"status\":\"draining\""),
+  EXPECT_NE(health.payload().find("\"status\":\"draining\""),
             std::string::npos);
-  EXPECT_NE(health.payload.find("\"draining\":true"), std::string::npos);
+  EXPECT_NE(health.payload().find("\"draining\":true"), std::string::npos);
 
   svc.drain();
   // Drain completed the accepted work rather than dropping it.
@@ -329,7 +329,7 @@ TEST(ServiceOverload, SaturationPreservesByteIdentity) {
         service::Response r = svc.handle_line("TPCH 6 vhdl");
         if (r.ok()) {
           ++accepted;
-          if (r.payload != reference.payload) ++wrong;
+          if (r.payload() != reference.payload()) ++wrong;
           return;
         }
         if (r.status.code() != StatusCode::kUnavailable) {
@@ -436,7 +436,7 @@ TEST(ServiceServerOverload, SaturatedDaemonShedsAndServes) {
         ++shed;
         return;
       }
-      errors[c] = "unexpected failure: " + r.payload;
+      errors[c] = "unexpected failure: " + r.payload();
     });
   }
   for (std::thread& t : clients) t.join();
@@ -474,9 +474,9 @@ TEST(ServiceServerOverload, RetryingClientLandsOnSaturatedDaemon) {
       daemon.config.socket_path, "TPCH 6 vhdl", policy, r, &attempts);
   load.join();
   ASSERT_TRUE(s.is_ok()) << s.render();
-  ASSERT_TRUE(r.ok()) << r.payload;
+  ASSERT_TRUE(r.ok()) << r.payload();
   EXPECT_GE(attempts, 1);
-  EXPECT_NE(r.payload.find("VHDL generated"), std::string::npos);
+  EXPECT_NE(r.payload().find("VHDL generated"), std::string::npos);
 }
 
 TEST(ServiceServerOverload, ConnectionLimitShedsAtTransport) {
@@ -500,7 +500,7 @@ TEST(ServiceServerOverload, ConnectionLimitShedsAtTransport) {
   if (!r.ok()) {
     EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
     EXPECT_GT(r.retry_after_ms, 0.0);
-    EXPECT_NE(r.payload.find("connection limit"), std::string::npos);
+    EXPECT_NE(r.payload().find("connection limit"), std::string::npos);
   }
   // Either way the daemon stays healthy afterwards — retry while the
   // holder's slot is released.
@@ -545,7 +545,7 @@ TEST(ServiceServerOverload, DisconnectedClientAbortsInFlightCompile) {
           std::chrono::steady_clock::now() - start)
           .count();
   ASSERT_TRUE(s.is_ok()) << s.render();
-  EXPECT_TRUE(r.ok()) << r.payload;
+  EXPECT_TRUE(r.ok()) << r.payload();
   EXPECT_LT(elapsed, 5000.0);
   EXPECT_EQ(daemon.service.requests_failed(), 1u);  // the aborted sleep
 }
@@ -562,7 +562,7 @@ TEST(ServiceServerOverload, SigtermDrainsAndUnlinksSocket) {
     support::Status s =
         service::request(daemon.config.socket_path, "SLEEP 80", r);
     EXPECT_TRUE(s.is_ok()) << s.render();
-    EXPECT_TRUE(r.ok()) << r.payload;
+    EXPECT_TRUE(r.ok()) << r.payload();
   });
   ASSERT_TRUE(wait_until([&] { return daemon.service.in_flight() > 0; }));
 

@@ -294,8 +294,6 @@ TEST(TextTable, AlignedRendering) {
 TEST(TextHelpers, FormatAndSplit) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(2.0, 0), "2");
-  EXPECT_TRUE(starts_with_trimmed("   impl foo", "impl"));
-  EXPECT_FALSE(starts_with_trimmed("   impl foo", "streamlet"));
   auto lines = split_lines("a\n\nb");
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[1], "");

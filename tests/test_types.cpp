@@ -102,6 +102,26 @@ TEST(Display, RendersReadableForms) {
             "Stream(Bit(8), t=2, d=1, c=7)");
 }
 
+// display_hash sees what to_display shows: structure, parameters and the
+// origin at every nesting level.
+TEST(Display, HashTracksEverythingDisplayed) {
+  auto stream = [](std::int64_t width, int complexity,
+                   const std::string& inner_origin) {
+    StreamParams p;
+    p.dimension = 1;
+    p.complexity = complexity;
+    return make_stream(
+        make_group({{"v", make_bit(width, inner_origin)}}), p, "t_col");
+  };
+  const std::uint64_t base = display_hash(*stream(100, 2, "t_v"));
+  EXPECT_EQ(display_hash(*stream(100, 2, "t_v")), base);
+  EXPECT_NE(display_hash(*stream(64, 2, "t_v")), base);
+  EXPECT_NE(display_hash(*stream(100, 3, "t_v")), base);
+  EXPECT_NE(display_hash(*stream(100, 2, "t_w")), base);
+  EXPECT_NE(display_hash(*with_origin(stream(100, 2, "t_v"), "t_other")),
+            base);
+}
+
 TEST(Physical, LanesForThroughput) {
   EXPECT_EQ(lanes_for_throughput(0.5), 1);
   EXPECT_EQ(lanes_for_throughput(1.0), 1);
