@@ -927,6 +927,13 @@ int run_service_restart_json(const JsonOptions& options) {
   std::uint64_t skipped_stale = 0;
   int mismatched = 0;
   {
+    auto& reg = tydi::obs::MetricsRegistry::global();
+    tydi::obs::Counter& replayed_metric =
+        reg.counter("tydi.service.replay.replayed");
+    tydi::obs::Counter& stale_metric =
+        reg.counter("tydi.service.replay.skipped_stale");
+    const std::uint64_t replayed0 = replayed_metric.value();
+    const std::uint64_t stale0 = stale_metric.value();
     tydi::service::CompileService svc(config);
     if (svc.journal() == nullptr ||
         svc.journal()->recovered_records() != requests.size()) {
@@ -940,14 +947,13 @@ int run_service_restart_json(const JsonOptions& options) {
     svc.wait_replay();
     replay_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-    replayed = svc.replay_stats().replayed.get();
-    skipped_stale = svc.replay_stats().skipped_stale.get();
+    replayed = replayed_metric.value() - replayed0;
+    skipped_stale = stale_metric.value() - stale0;
 
     // Replay admitted every recovered key, so each post-replay request
     // should be a whole-result hit.
     tydi::obs::Counter& result_hits =
-        tydi::obs::MetricsRegistry::global().counter(
-            "tydi.service.result_cache.hits");
+        reg.counter("tydi.service.result_cache.hits");
     const std::uint64_t hits0 = result_hits.value();
     const auto t1 = Clock::now();
     for (std::size_t i = 0; i < requests.size(); ++i) {

@@ -290,9 +290,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   // caller-side consumer (e.g. the fletchgen manifest) reads result.ir.
   {
     PhaseTimer t(result.phase_ms, "lower");
-    result.ir = ir::lower(result.design,
-                          session != nullptr ? &session->type_cache_
-                                             : nullptr);
+    result.ir = ir::lower(result.design);
   }
   if (aborted()) return result;
 

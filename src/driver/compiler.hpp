@@ -186,7 +186,7 @@ class CompileSession;
 /// Concurrency: any number of threads may call `compile` on one session
 /// simultaneously (parallel `compile_batch` workers, `tydid` request
 /// handlers). Each cache synchronizes itself — the template memo and the
-/// lowering/emission caches via shared_mutex with shared-lock lookups, the
+/// emission cache via shared_mutex with shared-lock lookups, the
 /// parse cache via the session's own lock — and every cache serves
 /// immutable shared payloads, so compiles never block each other outside
 /// the brief publish sections. Outputs are byte-identical whatever the
@@ -207,17 +207,15 @@ class CompileSession {
     return compile_with_session(sources, options, this);
   }
 
-  /// Drops every cached parse, memo entry, per-type lowering product and
-  /// per-port emission string. Safe to call while compiles are in flight:
-  /// they keep the shared payloads they already hold and re-elaborate on
-  /// their next lookup.
+  /// Drops every cached parse, memo entry and per-port emission string.
+  /// Safe to call while compiles are in flight: they keep the shared
+  /// payloads they already hold and re-elaborate on their next lookup.
   void invalidate() {
     memo_.invalidate();
     {
       std::unique_lock lock(parse_mu_);
       parses_.clear();
     }
-    type_cache_.clear();
     vhdl_cache_.clear();
   }
 
@@ -243,10 +241,6 @@ class CompileSession {
   /// Guards `parses_` (the other caches synchronize themselves).
   mutable std::shared_mutex parse_mu_;
   std::vector<CachedParse> parses_;
-  /// Per-type layouts/display reused by the "lower" phase: warm compiles
-  /// receive the same TypeRefs from the memo, so lowering skips the
-  /// physical-stream recomputation (see ir::TypeLoweringCache).
-  ir::TypeLoweringCache type_cache_;
   /// Per-port emission strings reused by the "vhdl" phase (see
   /// vhdl::EmitSession).
   vhdl::EmitSession vhdl_cache_;

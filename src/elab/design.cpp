@@ -11,13 +11,6 @@ const Port* Streamlet::find_port(std::string_view port_name) const {
   return nullptr;
 }
 
-const Port* Streamlet::find_port(Symbol port_sym) const {
-  for (const Port& p : ports) {
-    if (p.sym == port_sym) return &p;
-  }
-  return nullptr;
-}
-
 int Streamlet::port_index(Symbol port_sym) const {
   for (std::size_t i = 0; i < ports.size(); ++i) {
     if (ports[i].sym == port_sym) return static_cast<int>(i);

@@ -62,8 +62,6 @@ struct Streamlet {
   std::uint64_t arg_shape = 0;
 
   [[nodiscard]] const Port* find_port(std::string_view port_name) const;
-  /// Symbol-keyed variant (no string comparison).
-  [[nodiscard]] const Port* find_port(Symbol port_sym) const;
   /// Index of the port with symbol `port_sym` in `ports`, or -1.
   [[nodiscard]] int port_index(Symbol port_sym) const;
 };

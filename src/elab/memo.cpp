@@ -8,10 +8,9 @@ namespace tydi::elab {
 
 namespace {
 
-/// Process-wide mirrors of MemoStats: every memo in the process folds its
-/// hits/misses into the same tydi.memo.* counters so the daemon's METRICS
-/// snapshot reports cross-compile cache behaviour without walking
-/// sessions. (MemoStats stays the per-memo source of truth.)
+/// The tydi.memo.* lookup counters: every memo in the process counts into
+/// them, so METRICS and HEALTH report cross-compile cache behaviour without
+/// walking sessions.
 struct MemoCounters {
   obs::Counter& streamlet_hits;
   obs::Counter& impl_hits;
@@ -82,18 +81,15 @@ std::shared_ptr<const Streamlet> TemplateMemo::find_streamlet(
   std::shared_lock lock(mu_);
   auto it = streamlets_.find(ref.sym);
   if (it == streamlets_.end()) {
-    ++stats_.misses;
     ++MemoCounters::get().misses;
     return nullptr;
   }
   for (const StreamletEntry& entry : it->second) {
     if (entry_current(entry, ref.shape, hashes)) {
-      ++stats_.streamlet_hits;
       ++MemoCounters::get().streamlet_hits;
       return entry.payload;
     }
   }
-  ++stats_.stale;
   ++MemoCounters::get().stale;
   return nullptr;
 }
@@ -103,18 +99,15 @@ std::shared_ptr<const TemplateMemo::ImplEntry> TemplateMemo::find_impl(
   std::shared_lock lock(mu_);
   auto it = impls_.find(ref.sym);
   if (it == impls_.end()) {
-    ++stats_.misses;
     ++MemoCounters::get().misses;
     return nullptr;
   }
   for (const auto& entry : it->second) {
     if (entry_current(*entry, ref.shape, hashes)) {
-      ++stats_.impl_hits;
       ++MemoCounters::get().impl_hits;
       return entry;
     }
   }
-  ++stats_.stale;
   ++MemoCounters::get().stale;
   return nullptr;
 }

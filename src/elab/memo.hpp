@@ -48,13 +48,14 @@
 // Concurrency: the memo is shared by every concurrent compile of a session
 // (parallel `compile_batch` workers, `tydid` request handlers). A
 // shared_mutex guards the tables — lookups take the shared side, publishes
-// and invalidation the exclusive side — and the stat counters are relaxed
-// atomics. Impl entries are handed out as `shared_ptr<const ImplEntry>`
-// snapshots, so a reader replaying a window is never invalidated by a
-// concurrent upsert or `invalidate()`: the payloads it captured stay alive
-// until it drops them. Two compiles racing to publish the same entry both
-// upsert; last writer wins and both payloads are equivalent (same source
-// bytes), so warm outputs are byte-identical either way.
+// and invalidation the exclusive side — and lookups count into the
+// process-wide registry (tydi.memo.*). Impl entries are handed out as
+// `shared_ptr<const ImplEntry>` snapshots, so a reader replaying a window is
+// never invalidated by a concurrent upsert or `invalidate()`: the payloads
+// it captured stay alive until it drops them. Two compiles racing to publish
+// the same entry both upsert; last writer wins and both payloads are
+// equivalent (same source bytes), so warm outputs are byte-identical either
+// way.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +66,6 @@
 #include <vector>
 
 #include "src/elab/design.hpp"
-#include "src/support/counters.hpp"
 
 namespace tydi::elab {
 
@@ -86,18 +86,6 @@ struct SourceStamp {
     return file.valid() && file.value < hashes.size() &&
            hashes[file.value] == hash;
   }
-};
-
-/// Hit/miss counters of the process-wide memo (distinct from the
-/// per-compile InstantiationStats, which also counts within-compile hits).
-/// Relaxed atomics: concurrent compiles bump them without synchronizing.
-struct MemoStats {
-  support::RelaxedCounter streamlet_hits;
-  support::RelaxedCounter impl_hits;
-  support::RelaxedCounter misses;
-  /// Lookups rejected because the entry (or one of an impl's window
-  /// members) no longer matches the current source text.
-  support::RelaxedCounter stale;
 };
 
 /// One memoized entity as a window member: its mangled symbol plus the
@@ -133,8 +121,10 @@ class TemplateMemo {
     std::vector<Symbol> required_impls;
   };
 
-  /// Valid payload lookups: nullptr on miss *or* stale stamp / other shape
-  /// (stat-counted). Payloads are returned as shared handles so a hit
+  /// Valid payload lookups: nullptr on miss *or* stale stamp / other shape.
+  /// Each lookup counts into `tydi.memo.{streamlet_hits,impl_hits,misses,
+  /// stale}` (stale: the entry exists but no version matches the current
+  /// sources and shape). Payloads are returned as shared handles so a hit
   /// inserts into the current Design without copying; the impl entry is a
   /// shared snapshot that outlives any concurrent upsert/invalidate.
   [[nodiscard]] std::shared_ptr<const Streamlet> find_streamlet(
@@ -142,8 +132,8 @@ class TemplateMemo {
   [[nodiscard]] std::shared_ptr<const ImplEntry> find_impl(
       MemoRef ref, const SourceHashes& hashes);
 
-  /// Stamp- and shape-checked payload reads for window replay (no stat
-  /// counting).
+  /// Stamp- and shape-checked payload reads for window replay (not
+  /// counted).
   [[nodiscard]] std::shared_ptr<const Streamlet> valid_streamlet(
       MemoRef ref, const SourceHashes& hashes) const;
   [[nodiscard]] std::shared_ptr<const Impl> valid_impl(
@@ -169,8 +159,6 @@ class TemplateMemo {
     std::shared_lock lock(mu_);
     return impls_.size();
   }
-  /// Counters are atomics; the reference is safe to read concurrently.
-  [[nodiscard]] const MemoStats& stats() const { return stats_; }
 
  private:
   struct StreamletEntry {
@@ -194,7 +182,6 @@ class TemplateMemo {
   /// Guards the three containers above. Lookups shared, publishes and
   /// invalidation exclusive; never held while elaborating.
   mutable std::shared_mutex mu_;
-  MemoStats stats_;
 };
 
 /// The elaborator's optional view of a session memo: both pointers must be

@@ -1,10 +1,6 @@
 #include "src/ir/ir.hpp"
 
-#include <memory>
-#include <mutex>
-
 #include "src/elab/design.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/support/text.hpp"
 
 namespace tydi::ir {
@@ -29,11 +25,6 @@ std::string IrEndpoint::display() const {
                          : std::string();
   if (is_self()) return port;
   return support::symbol_name(instance_sym) + "." + port;
-}
-
-const IrStreamlet* Module::find_streamlet(Symbol sym) const {
-  Index i = streamlet_index(sym);
-  return i != kNoIndex ? &streamlets[i] : nullptr;
 }
 
 const IrImpl* Module::find_impl(Symbol sym) const {
@@ -98,26 +89,19 @@ IrTemplateArg lower_template_arg(const elab::TemplateArgValue& a) {
   return out;
 }
 
-/// Layouts + display of a type, computed directly (the uncached path).
-TypeLoweringCache::Entry compute_type_entry(const types::TypeRef& type) {
-  TypeLoweringCache::Entry entry;
-  entry.display = type->to_display();
-  if (type->is_stream()) {
-    // Prefix "" gives each stream's suffix directly ("" for the primary
-    // stream, "__field..." for nested ones); consumers prepend their own
-    // prefixes, so the layout is computed once here and never again.
-    for (types::PhysicalStream& ps : types::physical_streams(type, "")) {
-      StreamLayout layout;
-      layout.suffix = ps.name;
-      layout.signals = ps.signals();
-      layout.stream = std::move(ps);
-      entry.layouts.push_back(std::move(layout));
-    }
-  }
-  return entry;
-}
+/// A type's display form and physical stream layouts.
+struct TypeLowering {
+  std::string display;
+  std::vector<StreamLayout> layouts;
+};
 
-IrPort lower_port(const elab::Port& p, TypeLoweringCache* cache) {
+/// Types lowered so far in one lower() call, keyed by identity. The ports of
+/// one design share few distinct types (2.5-4 ports per type on TPC-H), so
+/// each type is lowered once per call; the design keeps the keys alive.
+using TypeLowerings =
+    std::unordered_map<const types::LogicalType*, TypeLowering>;
+
+IrPort lower_port(const elab::Port& p, TypeLowerings& lowered) {
   IrPort out;
   out.sym = p.sym != support::kNoSymbol ? p.sym : support::intern(p.name);
   out.name = p.name;
@@ -131,18 +115,25 @@ IrPort lower_port(const elab::Port& p, TypeLoweringCache* cache) {
     out.type_display = "<unresolved>";
     return out;
   }
-  if (cache != nullptr) {
-    // Snapshot: keeps the entry alive even if a concurrent invalidation
-    // clears the cache while this port is being lowered.
-    const std::shared_ptr<const TypeLoweringCache::Entry> entry =
-        cache->of(p.type);
-    out.type_display = entry->display;
-    out.layouts = entry->layouts;
-  } else {
-    TypeLoweringCache::Entry entry = compute_type_entry(p.type);
-    out.type_display = std::move(entry.display);
-    out.layouts = std::move(entry.layouts);
+  auto [it, fresh] = lowered.try_emplace(p.type.get());
+  TypeLowering& type = it->second;
+  if (fresh) {
+    type.display = p.type->to_display();
+    if (p.type->is_stream()) {
+      // Prefix "" gives each stream's suffix directly ("" for the primary
+      // stream, "__field..." for nested ones); consumers prepend their own
+      // prefixes, so the layout is computed once here and never again.
+      for (types::PhysicalStream& ps : types::physical_streams(p.type, "")) {
+        StreamLayout layout;
+        layout.suffix = ps.name;
+        layout.signals = ps.signals();
+        layout.stream = std::move(ps);
+        type.layouts.push_back(std::move(layout));
+      }
+    }
   }
+  out.type_display = type.display;
+  out.layouts = type.layouts;
   return out;
 }
 
@@ -181,43 +172,12 @@ IrEndpoint lower_endpoint(const Module& m, const IrImpl& impl,
 
 }  // namespace
 
-std::shared_ptr<const TypeLoweringCache::Entry> TypeLoweringCache::of(
-    const types::TypeRef& type) {
-  static obs::Counter& hits =
-      obs::MetricsRegistry::global().counter("tydi.lower.type_cache_hits");
-  static obs::Counter& misses =
-      obs::MetricsRegistry::global().counter("tydi.lower.type_cache_misses");
-  {
-    std::shared_lock lock(mu_);
-    auto it = entries_.find(type.get());
-    if (it != entries_.end()) {
-      ++hits;
-      return it->second;
-    }
-  }
-  ++misses;
-  // Compute outside the lock: the recursive physical-stream walk is the
-  // expensive part, and two threads racing on the same type produce
-  // identical entries (first publish wins, the loser's work is dropped).
-  auto computed =
-      std::make_shared<const Entry>(compute_type_entry(type));
-  std::unique_lock lock(mu_);
-  auto [it, inserted] = entries_.emplace(type.get(), std::move(computed));
-  if (inserted) pinned_.push_back(type);
-  return it->second;
-}
-
-void TypeLoweringCache::clear() {
-  std::unique_lock lock(mu_);
-  entries_.clear();
-  pinned_.clear();
-}
-
-Module lower(const elab::Design& design, TypeLoweringCache* cache) {
+Module lower(const elab::Design& design) {
   Module m;
   m.streamlets.reserve(design.streamlets().size());
   m.impls.reserve(design.impls().size());
 
+  TypeLowerings lowered;
   for (const elab::Streamlet& s : design.streamlets()) {
     IrStreamlet is;
     is.sym = s.sym != support::kNoSymbol ? s.sym : support::intern(s.name);
@@ -226,7 +186,7 @@ Module lower(const elab::Design& design, TypeLoweringCache* cache) {
     is.loc = s.loc;
     is.ports.reserve(s.ports.size());
     for (const elab::Port& p : s.ports) {
-      is.ports.push_back(lower_port(p, cache));
+      is.ports.push_back(lower_port(p, lowered));
     }
     m.streamlets.push_back(std::move(is));
   }

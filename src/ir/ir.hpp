@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -172,7 +171,6 @@ class Module {
   Index top = kNoIndex;
   std::string top_name;
 
-  [[nodiscard]] const IrStreamlet* find_streamlet(Symbol sym) const;
   [[nodiscard]] const IrImpl* find_impl(Symbol sym) const;
   [[nodiscard]] Index streamlet_index(Symbol sym) const;
   [[nodiscard]] Index impl_index(Symbol sym) const;
@@ -200,51 +198,8 @@ class Module {
                       : (dir == lang::PortDir::kOut);
 }
 
-/// Session-lifetime cache of per-type lowering products: the physical
-/// stream layouts and the display string of a logical type, keyed by type
-/// identity (the shared_ptr'd LogicalType address, pinned so keys stay
-/// valid). Types are immutable, and a driver::CompileSession's template
-/// memo hands the *same* TypeRefs to every warm compile, so repeated
-/// lowering of a memoized design skips the recursive physical-stream walk
-/// entirely. Owned by the session (bounded lifetime; `clear()` on
-/// invalidation) — the sessionless `lower(design)` never caches.
-///
-/// Thread-safe: concurrent compiles of a session lower in parallel. Reads
-/// take a shared lock; a miss computes the entry outside any lock and
-/// publishes under the exclusive lock (first writer wins, losers adopt the
-/// published entry). `of` returns an immutable shared_ptr snapshot, so a
-/// caller may keep reading its entry while a concurrent `clear()` (session
-/// invalidation racing an in-flight compile) drops the map — the snapshot
-/// keeps the payload alive until the caller releases it.
-class TypeLoweringCache {
- public:
-  struct Entry {
-    std::vector<StreamLayout> layouts;  ///< empty for non-stream types
-    std::string display;
-  };
-
-  /// The cached entry for `type` (computed on first sight). `type` must be
-  /// non-null. Never null; immutable after publication.
-  std::shared_ptr<const Entry> of(const types::TypeRef& type);
-
-  void clear();
-  [[nodiscard]] std::size_t size() const {
-    std::shared_lock lock(mu_);
-    return entries_.size();
-  }
-
- private:
-  mutable std::shared_mutex mu_;
-  std::unordered_map<const types::LogicalType*, std::shared_ptr<const Entry>>
-      entries_;
-  std::vector<types::TypeRef> pinned_;  ///< keeps key addresses alive
-};
-
-/// Lowers an elaborated design to the IR. Runs once per compile. `cache`
-/// (optional) reuses per-type lowering products across compiles of a
-/// session.
-[[nodiscard]] Module lower(const elab::Design& design,
-                           TypeLoweringCache* cache = nullptr);
+/// Lowers an elaborated design to the IR. Runs once per compile.
+[[nodiscard]] Module lower(const elab::Design& design);
 
 /// Emits the IR as deterministic Tydi-IR text (just another consumer of the
 /// module — the backends do not depend on this form).

@@ -100,11 +100,9 @@ std::string json_number(double v) {
   return buf;
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
+void append_json_string(std::string& out, std::string_view text) {
   out += '"';
-  for (char c : s) {
+  for (char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -122,8 +120,6 @@ void append_escaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
-}  // namespace
-
 std::string MetricsRegistry::render_json() const {
   std::shared_lock lock(mu_);
   std::string out = "{\"counters\":{";
@@ -131,7 +127,7 @@ std::string MetricsRegistry::render_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ':';
     out += std::to_string(c->value());
   }
@@ -140,7 +136,7 @@ std::string MetricsRegistry::render_json() const {
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ':';
     out += json_number(g->value());
   }
@@ -149,7 +145,7 @@ std::string MetricsRegistry::render_json() const {
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
+    append_json_string(out, name);
     out += ":{\"count\":";
     out += std::to_string(h->count());
     out += ",\"sum\":";

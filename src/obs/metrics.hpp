@@ -17,7 +17,7 @@
 //    lock;
 //  - instrument *registration* takes the registry's shared_mutex: lookups
 //    shared-lock, first-sight creation double-checks under the exclusive
-//    lock (the same discipline as TemplateMemo / TypeLoweringCache).
+//    lock (the same discipline as TemplateMemo / EmitSession).
 //    Instruments are heap-allocated and never destroyed while the registry
 //    lives, so a `Counter&` captured once (the intended pattern is a
 //    function-local `static obs::Counter& c = ...;`) stays valid and
@@ -166,5 +166,10 @@ class MetricsRegistry {
 /// fraction, otherwise up to 6 significant decimals) — shared with HEALTH
 /// rendering so the two surfaces agree.
 [[nodiscard]] std::string json_number(double v);
+
+/// Appends `text` to `out` as a quoted JSON string (quotes, backslashes and
+/// control bytes escaped). The one escaper behind render_json, HEALTH, the
+/// Chrome-trace export and span args.
+void append_json_string(std::string& out, std::string_view text);
 
 }  // namespace tydi::obs

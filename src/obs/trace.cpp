@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/obs/metrics.hpp"
+
 namespace tydi::obs {
 
 namespace {
@@ -11,26 +13,6 @@ namespace {
 std::uint64_t next_tracer_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -119,7 +101,7 @@ std::string SpanTracer::export_chrome_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_escaped(out, s.name);
+    append_json_string(out, s.name);
     out += ",\"cat\":\"tydi\",\"ph\":\"X\",\"ts\":";
     std::snprintf(buf, sizeof(buf), "%.3f",
                   static_cast<double>(s.start_ns) / 1000.0);
@@ -171,16 +153,16 @@ void SpanTracer::clear() {
 Span& Span::arg(std::string_view key, std::string_view value) {
   if (tracer_ == nullptr) return *this;
   if (!args_.empty()) args_ += ',';
-  append_escaped(args_, key);
+  append_json_string(args_, key);
   args_ += ':';
-  append_escaped(args_, value);
+  append_json_string(args_, value);
   return *this;
 }
 
 Span& Span::arg(std::string_view key, std::int64_t value) {
   if (tracer_ == nullptr) return *this;
   if (!args_.empty()) args_ += ',';
-  append_escaped(args_, key);
+  append_json_string(args_, key);
   args_ += ':';
   args_ += std::to_string(value);
   return *this;

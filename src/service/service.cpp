@@ -75,12 +75,6 @@ struct PendingRequest::State {
   }
 };
 
-bool PendingRequest::done() const {
-  if (!state_) return true;
-  std::lock_guard lock(state_->mu);
-  return state_->done;
-}
-
 bool PendingRequest::wait_for(double ms) const {
   if (!state_) return true;
   std::unique_lock lock(state_->mu);
@@ -321,8 +315,39 @@ bool is_queued_verb(const std::string& verb) {
 
 }  // namespace
 
+std::string render_health(const std::vector<StatusField>& fields) {
+  std::string out = "{";
+  for (const StatusField& field : fields) {
+    if (out.size() > 1) out += ',';
+    obs::append_json_string(out, field.name);
+    out += ':';
+    if (const double* n = std::get_if<double>(&field.value)) {
+      out += obs::json_number(*n);
+    } else if (const bool* flag = std::get_if<bool>(&field.value)) {
+      out += *flag ? "true" : "false";
+    } else {
+      obs::append_json_string(out, std::get<std::string>(field.value));
+    }
+  }
+  out += '}';
+  return out;
+}
+
+std::string render_stats(const std::vector<StatusField>& fields) {
+  std::string out;
+  for (const StatusField& field : fields) {
+    if (std::holds_alternative<std::string>(field.value)) continue;
+    out += field.name;
+    out += ' ';
+    const double* n = std::get_if<double>(&field.value);
+    out += n != nullptr ? obs::json_number(*n)
+                        : std::string(std::get<bool>(field.value) ? "1" : "0");
+    out += '\n';
+  }
+  return out;
+}
+
 Response CompileService::shed_response(const std::string& reason) {
-  ++shed_;
   static obs::Counter& shed_metric =
       obs::MetricsRegistry::global().counter("tydi.service.shed_total");
   ++shed_metric;
@@ -348,7 +373,6 @@ double CompileService::retry_after_hint_ms() const {
 void CompileService::finish(
     const std::shared_ptr<PendingRequest::State>& state, Response response) {
   if (!response.ok()) {
-    ++failures_;
     static obs::Counter& failures_metric =
         obs::MetricsRegistry::global().counter("tydi.service.failures");
     ++failures_metric;
@@ -366,7 +390,6 @@ void CompileService::finish(
 }
 
 PendingRequest CompileService::submit(const std::string& line) {
-  ++requests_;
   static auto& reg = obs::MetricsRegistry::global();
   static obs::Counter& requests_metric =
       reg.counter("tydi.service.requests");
@@ -501,17 +524,8 @@ void CompileService::wait_replay() {
 }
 
 void CompileService::replay_main() {
-  static auto& reg = obs::MetricsRegistry::global();
-  static obs::Counter& replayed_metric =
-      reg.counter("tydi.service.replay.replayed");
-  static obs::Counter& stale_metric =
-      reg.counter("tydi.service.replay.skipped_stale");
-  static obs::Counter& shed_metric = reg.counter("tydi.service.replay.shed");
-  static obs::Counter& failed_metric =
-      reg.counter("tydi.service.replay.failed");
-  static obs::Counter& expired_metric =
-      reg.counter("tydi.service.replay.budget_expired");
-  static obs::Gauge& ms_gauge = reg.gauge("tydi.service.replay.ms");
+  static obs::Gauge& ms_gauge =
+      obs::MetricsRegistry::global().gauge("tydi.service.replay.ms");
 
   const std::vector<warmup::JournalEntry> entries =
       journal_->recovered_entries();
@@ -529,14 +543,8 @@ void CompileService::replay_main() {
           // same shedding that protects clients protects the restart.
           return handle_line("PRIO batch " + request).status;
         },
-        replay_stats_,
         [this] { return draining_.load(std::memory_order_acquire); });
   }
-  replayed_metric += replay_stats_.replayed.get();
-  stale_metric += replay_stats_.skipped_stale.get();
-  shed_metric += replay_stats_.shed.get();
-  failed_metric += replay_stats_.failed.get();
-  expired_metric += replay_stats_.budget_expired.get();
   ms_gauge.set(elapsed_ms);
   replay_done_.store(true, std::memory_order_release);
 }
@@ -876,7 +884,7 @@ Response CompileService::dispatch_meta(const std::string& verb,
   }
   if (verb == "STATS") {
     Response r;
-    r.set_payload(stats_text());
+    r.set_payload(render_stats(status_fields()));
     return r;
   }
   if (verb == "METRICS") {
@@ -886,7 +894,7 @@ Response CompileService::dispatch_meta(const std::string& verb,
   }
   if (verb == "HEALTH") {
     Response r;
-    r.set_payload(health_json());
+    r.set_payload(render_health(status_fields()));
     return r;
   }
   if (verb == "INVALIDATE") {
@@ -913,135 +921,61 @@ Response CompileService::dispatch_meta(const std::string& verb,
                         "unknown verb '" + verb + "'");
 }
 
-std::string CompileService::health_json() const {
-  static auto& reg = obs::MetricsRegistry::global();
-  static const obs::Counter& result_cache_hits =
-      reg.counter("tydi.service.result_cache.hits");
-  static const obs::Gauge& result_cache_bytes =
-      reg.gauge("tydi.service.result_cache.bytes");
-  const elab::MemoStats& memo = session_.memo().stats();
-  const std::uint64_t hits = memo.streamlet_hits + memo.impl_hits;
-  const std::uint64_t lookups = hits + memo.misses + memo.stale;
-  const double hit_rate =
-      lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups;
-  const double uptime_ms = ms_since(start_);
+std::vector<StatusField> CompileService::status_fields() const {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const auto num = [](auto v) { return static_cast<double>(v); };
+  const auto count = [&](std::string_view name) {
+    return num(reg.counter(name).value());
+  };
+  const double memo_hits =
+      count("tydi.memo.streamlet_hits") + count("tydi.memo.impl_hits");
+  const double memo_lookups =
+      memo_hits + count("tydi.memo.misses") + count("tydi.memo.stale");
   std::string last_abort;
   {
     std::lock_guard lock(last_abort_mu_);
     last_abort = last_abort_;
   }
-  // Rendered Status strings carry no quotes/backslashes/control bytes in
-  // practice, but escape defensively since messages embed file paths.
-  const auto escape = [](const std::string& text) {
-    std::string escaped;
-    for (char c : text) {
-      if (c == '"' || c == '\\') escaped += '\\';
-      if (static_cast<unsigned char>(c) < 0x20) continue;
-      escaped += c;
-    }
-    return escaped;
+  std::string journal_error = journal_ ? journal_->last_error() : "";
+  if (journal_error.empty()) journal_error = journal_boot_error_;
+  const bool is_draining = draining();
+  return {
+      {"status", std::string(is_draining ? "draining" : "ok")},
+      {"uptime_ms", ms_since(start_)},
+      {"in_flight", num(in_flight())},
+      {"queue_depth", num(queue_.depth())},
+      {"workers", num(worker_count_)},
+      {"draining", is_draining},
+      {"shed_total", count("tydi.service.shed_total")},
+      {"requests", count("tydi.service.requests")},
+      {"failures", count("tydi.service.failures")},
+      {"memo_hit_rate", memo_lookups == 0.0 ? 0.0 : memo_hits / memo_lookups},
+      {"memo_impls", num(session_.memo().impl_count())},
+      {"parse_cache", num(session_.parse_cache_size())},
+      {"result_cache_hits", count("tydi.service.result_cache.hits")},
+      {"result_cache_bytes",
+       reg.gauge("tydi.service.result_cache.bytes").value()},
+      {"journal_enabled", journal_ != nullptr},
+      {"journal_bytes", journal_ ? num(journal_->journal_bytes()) : 0.0},
+      {"journal_live_keys", journal_ ? num(journal_->live_keys()) : 0.0},
+      {"journal_recovered_records",
+       journal_ ? num(journal_->recovered_records()) : 0.0},
+      {"journal_last_compaction_ms",
+       journal_ ? journal_->last_compaction_ms() : -1.0},
+      {"journal_error", journal_error},
+      {"replay_done", replay_done()},
+      {"replayed", count("tydi.service.replay.replayed")},
+      {"replay_skipped_stale", count("tydi.service.replay.skipped_stale")},
+      {"replay_shed", count("tydi.service.replay.shed")},
+      {"replay_failed", count("tydi.service.replay.failed")},
+      {"replay_budget_expired", count("tydi.service.replay.budget_expired")},
+      {"last_abort", last_abort},
   };
-  const std::string escaped = escape(last_abort);
-  std::string journal_error = journal_boot_error_;
-  if (journal_) {
-    const std::string io_error = journal_->last_error();
-    if (!io_error.empty()) journal_error = io_error;
-  }
-  const bool is_draining = draining_.load(std::memory_order_acquire);
-  std::string out = "{\"status\":\"";
-  out += is_draining ? "draining" : "ok";
-  out += "\",\"uptime_ms\":";
-  out += obs::json_number(uptime_ms);
-  out += ",\"in_flight\":";
-  out += std::to_string(in_flight_.load(std::memory_order_relaxed));
-  out += ",\"queue_depth\":";
-  out += std::to_string(queue_.depth());
-  out += ",\"workers\":";
-  out += std::to_string(worker_count_);
-  out += ",\"draining\":";
-  out += is_draining ? "true" : "false";
-  out += ",\"shed_total\":";
-  out += std::to_string(shed_.get());
-  out += ",\"requests\":";
-  out += std::to_string(requests_.get());
-  out += ",\"failures\":";
-  out += std::to_string(failures_.get());
-  out += ",\"memo_hit_rate\":";
-  out += obs::json_number(hit_rate);
-  out += ",\"result_cache_hits\":";
-  out += std::to_string(result_cache_hits.value());
-  out += ",\"result_cache_bytes\":";
-  out += obs::json_number(result_cache_bytes.value());
-  out += ",\"journal_enabled\":";
-  out += journal_ ? "true" : "false";
-  out += ",\"journal_bytes\":";
-  out += std::to_string(journal_ ? journal_->journal_bytes() : 0);
-  out += ",\"journal_live_keys\":";
-  out += std::to_string(journal_ ? journal_->live_keys() : 0);
-  out += ",\"journal_recovered_records\":";
-  out += std::to_string(journal_ ? journal_->recovered_records() : 0);
-  out += ",\"journal_last_compaction_ms\":";
-  out += obs::json_number(journal_ ? journal_->last_compaction_ms() : -1.0);
-  out += ",\"journal_error\":\"";
-  out += escape(journal_error);
-  out += "\",\"replay_done\":";
-  out += replay_done_.load(std::memory_order_acquire) ? "true" : "false";
-  out += ",\"replayed\":";
-  out += std::to_string(replay_stats_.replayed.get());
-  out += ",\"replay_skipped_stale\":";
-  out += std::to_string(replay_stats_.skipped_stale.get());
-  out += ",\"replay_shed\":";
-  out += std::to_string(replay_stats_.shed.get());
-  out += ",\"replay_failed\":";
-  out += std::to_string(replay_stats_.failed.get());
-  out += ",\"replay_budget_expired\":";
-  out += std::to_string(replay_stats_.budget_expired.get());
-  out += ",\"last_abort\":\"";
-  out += escaped;
-  out += "\"}";
-  return out;
 }
 
 void CompileService::record_abort(const support::Status& status) {
   std::lock_guard lock(last_abort_mu_);
   last_abort_ = status.render();
-}
-
-std::string CompileService::stats_text() const {
-  const elab::MemoStats& memo = session_.memo().stats();
-  std::ostringstream out;
-  out << "requests " << requests_.get() << "\n"
-      << "failures " << failures_.get() << "\n"
-      << "shed " << shed_.get() << "\n"
-      << "workers " << worker_count_ << "\n"
-      << "queue_depth " << queue_.depth() << "\n"
-      << "queue_capacity " << queue_.capacity() << "\n"
-      << "draining " << (draining_.load(std::memory_order_acquire) ? 1 : 0)
-      << "\n"
-      << "memo_streamlets " << session_.memo().streamlet_count() << "\n"
-      << "memo_impls " << session_.memo().impl_count() << "\n"
-      << "memo_streamlet_hits " << memo.streamlet_hits.get() << "\n"
-      << "memo_impl_hits " << memo.impl_hits.get() << "\n"
-      << "memo_misses " << memo.misses.get() << "\n"
-      << "memo_stale " << memo.stale.get() << "\n"
-      << "parse_cache " << session_.parse_cache_size() << "\n"
-      << "journal_enabled " << (journal_ ? 1 : 0) << "\n"
-      << "journal_bytes " << (journal_ ? journal_->journal_bytes() : 0)
-      << "\n"
-      << "journal_live_keys " << (journal_ ? journal_->live_keys() : 0)
-      << "\n"
-      << "journal_appends "
-      << (journal_ ? journal_->stats().appends.get() : 0) << "\n"
-      << "journal_compactions "
-      << (journal_ ? journal_->stats().compactions.get() : 0) << "\n"
-      << "replay_done "
-      << (replay_done_.load(std::memory_order_acquire) ? 1 : 0) << "\n"
-      << "replayed " << replay_stats_.replayed.get() << "\n"
-      << "replay_skipped_stale " << replay_stats_.skipped_stale.get()
-      << "\n"
-      << "replay_shed " << replay_stats_.shed.get() << "\n"
-      << "replay_failed " << replay_stats_.failed.get() << "\n";
-  return out.str();
 }
 
 }  // namespace tydi::service

@@ -43,14 +43,18 @@
 //
 // Verbs:
 //   PING                                liveness probe; payload "pong"
-//   STATS                               session cache counters, one per line
+//   STATS                               the numeric HEALTH fields, one
+//                                       "name value" line each (flags as
+//                                       0/1, string fields omitted)
 //   METRICS                             process metrics registry as JSON
-//   HEALTH                              liveness JSON: status, uptime_ms,
-//                                       in_flight, queue_depth, workers,
-//                                       draining, shed_total, requests,
-//                                       failures, memo_hit_rate,
-//                                       result_cache_hits,
-//                                       result_cache_bytes, last_abort
+//   HEALTH                              liveness JSON of the status fields
+//                                       (status, uptime_ms, in_flight,
+//                                       queue_depth, workers, draining,
+//                                       registry counts such as requests,
+//                                       failures, shed_total, memo_hit_rate,
+//                                       result_cache_hits, the session cache
+//                                       sizes, journal/replay state,
+//                                       last_abort)
 //   INVALIDATE                          drop every session cache and the
 //                                       result cache
 //   SNAPSHOT                            compact the compile journal now
@@ -89,8 +93,9 @@
 //
 // Thread-safety: submit/handle_line may be called from any number of
 // transport threads concurrently — admission is a try_push on the bounded
-// queue, the underlying session caches synchronize themselves, and the
-// service's own counters are relaxed atomics.
+// queue, the underlying session caches synchronize themselves, and every
+// count goes to the process-wide obs::MetricsRegistry (tydi.service.*),
+// which HEALTH and STATS read at call time.
 #pragma once
 
 #include <atomic>
@@ -100,14 +105,15 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/driver/compiler.hpp"
 #include "src/service/queue.hpp"
 #include "src/service/result_cache.hpp"
 #include "src/service/warmup.hpp"
-#include "src/support/counters.hpp"
 #include "src/support/status.hpp"
 
 namespace tydi::service {
@@ -171,6 +177,20 @@ struct Response {
   [[nodiscard]] std::string serialize() const;
 };
 
+/// One HEALTH/STATS field: a number, a flag or a string. HEALTH renders the
+/// whole list as one JSON object; STATS renders the numbers and flags.
+/// `name` views a string literal.
+struct StatusField {
+  std::string_view name;
+  std::variant<double, bool, std::string> value;
+};
+
+/// HEALTH's payload: every field, as one JSON object.
+[[nodiscard]] std::string render_health(const std::vector<StatusField>& fields);
+/// STATS' payload: one "name value" line per number or flag (0/1); string
+/// fields are omitted, so a `>> name >> value` reader never stops early.
+[[nodiscard]] std::string render_stats(const std::vector<StatusField>& fields);
+
 /// Parses one serialized response back into a Response (used by the client
 /// side and the protocol tests). `wire` must contain at least one full
 /// response; trailing bytes are ignored. Returns false on a malformed
@@ -203,8 +223,6 @@ class PendingRequest {
 
   PendingRequest() = default;
 
-  /// True once the response is ready (take() will not block).
-  [[nodiscard]] bool done() const;
   /// Waits up to `ms` for completion; true when done.
   [[nodiscard]] bool wait_for(double ms) const;
   /// Blocks until the response is ready and returns it.
@@ -277,19 +295,7 @@ class CompileService {
   /// Blocks until startup replay finishes (returns immediately when it
   /// never started).
   void wait_replay();
-  [[nodiscard]] const warmup::ReplayStats& replay_stats() const {
-    return replay_stats_;
-  }
 
-  [[nodiscard]] std::uint64_t requests_served() const {
-    return requests_.get();
-  }
-  [[nodiscard]] std::uint64_t requests_failed() const {
-    return failures_.get();
-  }
-  /// Requests shed by admission control (queue full, RSS, draining,
-  /// deadline expired in queue, connection limit).
-  [[nodiscard]] std::uint64_t requests_shed() const { return shed_.get(); }
   /// Requests currently executing or queued (live introspection; HEALTH
   /// reports executing + queued separately).
   [[nodiscard]] std::int64_t in_flight() const {
@@ -323,8 +329,9 @@ class CompileService {
   [[nodiscard]] double retry_after_hint_ms() const;
   void finish(const std::shared_ptr<PendingRequest::State>& state,
               Response response);
-  [[nodiscard]] std::string stats_text() const;
-  [[nodiscard]] std::string health_json() const;
+  /// The HEALTH/STATS field list: registry counts plus live service and
+  /// session state, read at call time.
+  [[nodiscard]] std::vector<StatusField> status_fields() const;
   void record_abort(const support::Status& status);
   void cancel_until_idle();
   void join_workers();
@@ -352,9 +359,6 @@ class CompileService {
   std::vector<std::shared_ptr<PendingRequest::State>> active_;
 
   std::atomic<bool> draining_{false};
-  support::RelaxedCounter requests_;
-  support::RelaxedCounter failures_;
-  support::RelaxedCounter shed_;
   std::atomic<std::int64_t> in_flight_{0};
   std::atomic<std::uint64_t> next_request_id_{1};
   std::atomic<std::uint64_t> exec_seq_{0};
@@ -374,7 +378,6 @@ class CompileService {
   /// Rendered kCorruptData status when boot recovery dropped bytes ("" on
   /// a clean boot) — HEALTH's journal_error field.
   std::string journal_boot_error_;
-  warmup::ReplayStats replay_stats_;
   std::atomic<bool> replay_done_{true};
   std::atomic<bool> replay_started_{false};
   std::thread replay_thread_;

@@ -173,12 +173,10 @@ void CompileJournal::record(const JournalEntry& entry) {
   if (!writer_.is_open()) return;  // journaling disabled by an earlier error
   const Status status = writer_.append(entry.serialize());
   if (!status.is_ok()) {
-    ++stats_.append_failures;
     ++metrics.append_failures;
     record_error(status);
     return;
   }
-  ++stats_.appends;
   ++metrics.appends;
   metrics.bytes.set(static_cast<double>(writer_.bytes()));
   metrics.live_keys.set(static_cast<double>(live_.size()));
@@ -205,7 +203,6 @@ Status CompileJournal::compact() {
   }
   last_compaction_epoch_ms_ = now_ms();
   auto& metrics = JournalMetrics::get();
-  ++stats_.compactions;
   ++metrics.compactions;
   metrics.bytes.set(static_cast<double>(writer_.bytes()));
   metrics.live_keys.set(static_cast<double>(live_.size()));
@@ -275,7 +272,15 @@ void CompileJournal::record_error(const Status& status) {
 double replay_entries(
     const std::vector<JournalEntry>& entries, const ReplayOptions& options,
     const std::function<Status(const std::string& line)>& submit,
-    ReplayStats& stats, const std::function<bool()>& stop) {
+    const std::function<bool()>& stop) {
+  static auto& reg = obs::MetricsRegistry::global();
+  static obs::Counter& replayed = reg.counter("tydi.service.replay.replayed");
+  static obs::Counter& skipped_stale =
+      reg.counter("tydi.service.replay.skipped_stale");
+  static obs::Counter& shed = reg.counter("tydi.service.replay.shed");
+  static obs::Counter& failed = reg.counter("tydi.service.replay.failed");
+  static obs::Counter& budget_expired =
+      reg.counter("tydi.service.replay.budget_expired");
   const Clock::time_point start = Clock::now();
   auto elapsed_ms = [&start] {
     return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -283,26 +288,23 @@ double replay_entries(
   };
   std::size_t attempted = 0;
   for (const JournalEntry& entry : entries) {
-    if (stop && stop()) {
-      stats.budget_expired += entries.size() - attempted;
-      break;
-    }
-    if (options.budget_ms > 0.0 && elapsed_ms() >= options.budget_ms) {
-      stats.budget_expired += entries.size() - attempted;
+    if ((stop && stop()) ||
+        (options.budget_ms > 0.0 && elapsed_ms() >= options.budget_ms)) {
+      budget_expired += entries.size() - attempted;
       break;
     }
     ++attempted;
     if (options.verify_stamps && !entry_is_current(entry)) {
-      ++stats.skipped_stale;
+      ++skipped_stale;
       continue;
     }
     const Status status = submit(entry.request);
     if (status.is_ok()) {
-      ++stats.replayed;
+      ++replayed;
     } else if (status.code() == StatusCode::kUnavailable) {
-      ++stats.shed;  // live traffic won; rewarming yields
+      ++shed;  // live traffic won; rewarming yields
     } else {
-      ++stats.failed;
+      ++failed;
     }
   }
   return elapsed_ms();

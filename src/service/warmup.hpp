@@ -41,7 +41,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/support/counters.hpp"
 #include "src/support/journal.hpp"
 #include "src/support/status.hpp"
 
@@ -77,15 +76,9 @@ struct JournalEntry {
 /// a missing/unreadable file is stale, never an error.
 [[nodiscard]] bool entry_is_current(const JournalEntry& entry);
 
-/// Counters of one journal's lifetime (relaxed atomics — read by
-/// HEALTH/STATS from transport threads while workers append).
-struct JournalStats {
-  support::RelaxedCounter appends;
-  support::RelaxedCounter append_failures;
-  support::RelaxedCounter compactions;
-};
-
-/// The durable key set of one daemon. All methods are thread-safe.
+/// The durable key set of one daemon. All methods are thread-safe. Appends,
+/// append failures, compactions and recovery outcomes count into the
+/// process-wide `tydi.journal.*` registry metrics.
 class CompileJournal {
  public:
   /// Recovers `path` (longest valid prefix; torn/corrupt tails truncated
@@ -121,7 +114,6 @@ class CompileJournal {
   [[nodiscard]] bool recovered_corrupt() const;
   /// Rendered status of the most recent journal I/O failure ("" if none).
   [[nodiscard]] std::string last_error() const;
-  [[nodiscard]] const JournalStats& stats() const { return stats_; }
 
   /// Fault plan for the writer + snapshot path (tests only).
   void set_fault_plan(const support::IoFaultPlan& plan);
@@ -142,7 +134,6 @@ class CompileJournal {
   bool recovered_corrupt_ = false;
   double last_compaction_epoch_ms_ = -1.0;  ///< steady-clock ms, -1 = never
   std::string last_error_;
-  JournalStats stats_;
 };
 
 /// Replay pacing knobs.
@@ -155,25 +146,18 @@ struct ReplayOptions {
   bool verify_stamps = true;
 };
 
-/// Outcome of one replay run (all relaxed atomics: HEALTH reads them live
-/// while the replay thread is still working).
-struct ReplayStats {
-  support::RelaxedCounter replayed;       ///< compiled ok
-  support::RelaxedCounter skipped_stale;  ///< stamps no longer match
-  support::RelaxedCounter shed;           ///< admission control said no
-  support::RelaxedCounter failed;         ///< compiled with an error
-  support::RelaxedCounter budget_expired; ///< not attempted: budget ran out
-};
-
 /// Replays `entries` through `submit` (one normalized request line per
 /// call; the caller wraps it in its own envelope — the service uses
 /// "PRIO batch" so live interactive traffic always wins). `submit` returns
-/// the request's classification; kUnavailable counts as shed, any other
-/// error as failed. `stop` (optional) is polled between entries so a drain
-/// aborts replay promptly. Returns wall-clock ms spent.
+/// the request's classification. Each entry counts, as it finishes, into
+/// one of the `tydi.service.replay.*` counters: `replayed` (ok),
+/// `skipped_stale` (stamps no longer match), `shed` (kUnavailable),
+/// `failed` (any other error) or `budget_expired` (not attempted). `stop`
+/// (optional) is polled between entries so a drain aborts replay promptly.
+/// Returns wall-clock ms spent.
 [[nodiscard]] double replay_entries(
     const std::vector<JournalEntry>& entries, const ReplayOptions& options,
     const std::function<support::Status(const std::string& line)>& submit,
-    ReplayStats& stats, const std::function<bool()>& stop = nullptr);
+    const std::function<bool()>& stop = nullptr);
 
 }  // namespace tydi::service::warmup

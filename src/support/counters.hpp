@@ -1,9 +1,9 @@
 // Copyable relaxed atomic counters for stats structs that are shared
 // across concurrent compiles.
 //
-// The compile stack reports cache behaviour through small value structs
-// (elab::InstantiationStats, elab::MemoStats) that are incremented on hot
-// paths, aggregated with `+=`, and copied into results. With the template
+// The compile stack reports per-compile cache behaviour through small value
+// structs (elab::InstantiationStats) that are incremented on hot paths,
+// aggregated with `+=`, and copied into results. With the template
 // memo and the session caches now serving concurrent compiles, those
 // counters are bumped from many threads at once; `RelaxedCounter` keeps the
 // value-struct ergonomics (copy, `++`, `+=`, implicit read) while making

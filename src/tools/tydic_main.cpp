@@ -120,8 +120,6 @@ void print_cache_report(std::ostream& out) {
       << rate("tydi.elab.instantiation_hits", "tydi.elab.instantiation_misses")
       << " | parse "
       << rate("tydi.parse.cache_hits", "tydi.parse.cache_misses")
-      << " | types "
-      << rate("tydi.lower.type_cache_hits", "tydi.lower.type_cache_misses")
       << " | ports "
       << rate("tydi.vhdl.port_cache_hits", "tydi.vhdl.port_cache_misses")
       << "\n";

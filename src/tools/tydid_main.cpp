@@ -55,10 +55,11 @@
 //
 // METRICS returns the process obs::MetricsRegistry snapshot (counters,
 // gauges, histograms under tydi.<subsystem>.*, stable key order); HEALTH
-// returns a small liveness JSON (status, uptime_ms, in_flight, queue_depth,
-// workers, draining, shed_total, requests, failures, memo_hit_rate,
-// result_cache_hits, result_cache_bytes, last_abort). Both execute inline — never queued — so they stay
-// responsive while the worker pool is saturated.
+// returns the status fields as a small liveness JSON (status, uptime_ms,
+// in_flight, queue_depth, workers, draining, registry counts such as
+// requests and shed_total, journal/replay state, last_abort) and STATS the
+// numeric ones as "name value" lines. All three execute inline — never
+// queued — so they stay responsive while the worker pool is saturated.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -66,6 +67,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
 #include "src/support/retry.hpp"
@@ -353,7 +355,9 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << status.render() << "\n";
     return status.exit_code();
   }
-  std::cerr << "tydid: shut down after " << service.requests_served()
-            << " request(s), " << service.requests_shed() << " shed\n";
+  auto& reg = tydi::obs::MetricsRegistry::global();
+  std::cerr << "tydid: shut down after "
+            << reg.counter("tydi.service.requests").value() << " request(s), "
+            << reg.counter("tydi.service.shed_total").value() << " shed\n";
   return 0;
 }

@@ -150,10 +150,6 @@ void EmitSession::clear() {
   std::unique_lock lock(impl_->mu);
   impl_->ports.clear();
 }
-std::size_t EmitSession::size() const {
-  std::shared_lock lock(impl_->mu);
-  return impl_->ports.size();
-}
 
 namespace {
 

@@ -52,7 +52,6 @@ class EmitSession {
   EmitSession& operator=(const EmitSession&) = delete;
 
   void clear();
-  [[nodiscard]] std::size_t size() const;
 
   struct Impl;
   [[nodiscard]] Impl& impl() { return *impl_; }

@@ -31,12 +31,39 @@ namespace {
 using service::warmup::CompileJournal;
 using service::warmup::JournalEntry;
 using service::warmup::ReplayOptions;
-using service::warmup::ReplayStats;
 using service::warmup::SourceStampRecord;
 using support::IoFaultPlan;
 using support::RecoveredJournal;
 using support::Status;
 using support::StatusCode;
+
+/// A process-wide registry counter. Every journal and service in this
+/// process counts into the same registry, so the tests compare deltas.
+std::uint64_t counter(const std::string& name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// Deltas of the tydi.service.replay.* counters since construction.
+struct ReplayDeltas {
+  const std::uint64_t replayed0 = replay("replayed");
+  const std::uint64_t skipped_stale0 = replay("skipped_stale");
+  const std::uint64_t shed0 = replay("shed");
+  const std::uint64_t failed0 = replay("failed");
+  const std::uint64_t budget_expired0 = replay("budget_expired");
+
+  static std::uint64_t replay(const std::string& name) {
+    return counter("tydi.service.replay." + name);
+  }
+  std::uint64_t replayed() const { return replay("replayed") - replayed0; }
+  std::uint64_t skipped_stale() const {
+    return replay("skipped_stale") - skipped_stale0;
+  }
+  std::uint64_t shed() const { return replay("shed") - shed0; }
+  std::uint64_t failed() const { return replay("failed") - failed0; }
+  std::uint64_t budget_expired() const {
+    return replay("budget_expired") - budget_expired0;
+  }
+};
 
 std::string temp_path(const std::string& tag) {
   return "/tmp/tydi_journal_" + std::to_string(::getpid()) + "_" + tag;
@@ -367,6 +394,8 @@ TEST(CompileJournalTest, DedupCompactReopen) {
 
   JournalEntry q6{"TPCH 6 vhdl", {}};
   JournalEntry q3{"TPCH 3 ir", {}};
+  const std::uint64_t appends0 = counter("tydi.journal.appends");
+  const std::uint64_t compactions0 = counter("tydi.journal.compactions");
   {
     CompileJournal journal;
     ASSERT_TRUE(journal.open(path).is_ok());
@@ -377,7 +406,7 @@ TEST(CompileJournalTest, DedupCompactReopen) {
     journal.record(q6);  // duplicate key, identical stamps: no append
     EXPECT_EQ(journal.journal_bytes(), bytes_after_two);
     EXPECT_EQ(journal.live_keys(), 2u);
-    EXPECT_EQ(journal.stats().appends.get(), 2u);
+    EXPECT_EQ(counter("tydi.journal.appends") - appends0, 2u);
 
     // Re-record with changed stamps: the key is re-journaled.
     JournalEntry q6_edited = q6;
@@ -388,7 +417,7 @@ TEST(CompileJournalTest, DedupCompactReopen) {
 
     ASSERT_TRUE(journal.compact().is_ok());
     EXPECT_GE(journal.last_compaction_ms(), 0.0);
-    EXPECT_EQ(journal.stats().compactions.get(), 1u);
+    EXPECT_EQ(counter("tydi.journal.compactions") - compactions0, 1u);
   }
   {
     // Reopen: the compacted live set comes back, later-record-wins.
@@ -446,7 +475,7 @@ TEST(ReplayEntries, ClassifiesAndSkipsStale) {
   entries.push_back(JournalEntry{"SHED_ME", {}});
   entries.push_back(JournalEntry{"FAIL_ME", {}});
 
-  ReplayStats stats;
+  const ReplayDeltas stats;
   std::vector<std::string> submitted;
   (void)service::warmup::replay_entries(
       entries, ReplayOptions{},
@@ -459,22 +488,21 @@ TEST(ReplayEntries, ClassifiesAndSkipsStale) {
           return Status::error(StatusCode::kInternal, "svc", "boom");
         }
         return Status::ok();
-      },
-      stats);
+      });
   EXPECT_EQ(submitted,
             (std::vector<std::string>{"OK_NO_STAMPS", "OK_FRESH", "SHED_ME",
                                       "FAIL_ME"}));
-  EXPECT_EQ(stats.replayed.get(), 2u);
-  EXPECT_EQ(stats.skipped_stale.get(), 2u);
-  EXPECT_EQ(stats.shed.get(), 1u);
-  EXPECT_EQ(stats.failed.get(), 1u);
-  EXPECT_EQ(stats.budget_expired.get(), 0u);
+  EXPECT_EQ(stats.replayed(), 2u);
+  EXPECT_EQ(stats.skipped_stale(), 2u);
+  EXPECT_EQ(stats.shed(), 1u);
+  EXPECT_EQ(stats.failed(), 1u);
+  EXPECT_EQ(stats.budget_expired(), 0u);
   ::unlink(fresh_path.c_str());
 }
 
 TEST(ReplayEntries, BudgetBoundsTheLoop) {
   std::vector<JournalEntry> entries(3, JournalEntry{"SLOW", {}});
-  ReplayStats stats;
+  const ReplayDeltas stats;
   ReplayOptions options;
   options.budget_ms = 5.0;
   const double elapsed = service::warmup::replay_entries(
@@ -482,22 +510,20 @@ TEST(ReplayEntries, BudgetBoundsTheLoop) {
       [](const std::string&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return Status::ok();
-      },
-      stats);
+      });
   EXPECT_GE(elapsed, 5.0);
-  EXPECT_EQ(stats.replayed.get(), 1u);  // budget noticed after entry #1
-  EXPECT_EQ(stats.budget_expired.get(), 2u);
+  EXPECT_EQ(stats.replayed(), 1u);  // budget noticed after entry #1
+  EXPECT_EQ(stats.budget_expired(), 2u);
 }
 
 TEST(ReplayEntries, StopAbortsPromptly) {
   std::vector<JournalEntry> entries(5, JournalEntry{"NEVER", {}});
-  ReplayStats stats;
+  const ReplayDeltas stats;
   (void)service::warmup::replay_entries(
       entries, ReplayOptions{},
-      [](const std::string&) { return Status::ok(); }, stats,
-      [] { return true; });
-  EXPECT_EQ(stats.replayed.get(), 0u);
-  EXPECT_EQ(stats.budget_expired.get(), 5u);
+      [](const std::string&) { return Status::ok(); }, [] { return true; });
+  EXPECT_EQ(stats.replayed(), 0u);
+  EXPECT_EQ(stats.budget_expired(), 5u);
 }
 
 // The tentpole end to end, in process: compile through a journaled
@@ -537,11 +563,12 @@ TEST(ServiceWarmRestart, ReplayRewarmsByteIdentically) {
     EXPECT_EQ(svc.journal()->recovered_records(), 2u);
     EXPECT_FALSE(svc.journal()->recovered_corrupt());
 
+    const ReplayDeltas replay;
     svc.start_replay();
     svc.wait_replay();
     EXPECT_TRUE(svc.replay_done());
-    EXPECT_EQ(svc.replay_stats().replayed.get(), 2u);
-    EXPECT_EQ(svc.replay_stats().failed.get(), 0u);
+    EXPECT_EQ(replay.replayed(), 2u);
+    EXPECT_EQ(replay.failed(), 0u);
 
     // Byte-identical to the first daemon's outputs.
     obs::Counter& result_hits = obs::MetricsRegistry::global().counter(
@@ -562,11 +589,13 @@ TEST(ServiceWarmRestart, ReplayRewarmsByteIdentically) {
     const std::string health = svc.handle_line("HEALTH").payload();
     EXPECT_NE(health.find("\"journal_enabled\":true"), std::string::npos);
     EXPECT_NE(health.find("\"replay_done\":true"), std::string::npos);
-    EXPECT_NE(health.find("\"replayed\":2"), std::string::npos);
+    const std::string replayed =
+        std::to_string(counter("tydi.service.replay.replayed"));
+    EXPECT_NE(health.find("\"replayed\":" + replayed), std::string::npos);
     EXPECT_NE(health.find("\"journal_error\":\"\""), std::string::npos);
     const std::string stats = svc.handle_line("STATS").payload();
     EXPECT_NE(stats.find("journal_enabled 1"), std::string::npos);
-    EXPECT_NE(stats.find("replayed 2"), std::string::npos);
+    EXPECT_NE(stats.find("replayed " + replayed + "\n"), std::string::npos);
     svc.drain();
   }
   ::unlink(journal_path.c_str());
@@ -620,10 +649,11 @@ TEST(ServiceWarmRestart, StaleFileStampsAreSkippedOnReplay) {
     service::CompileService svc(config);
     ASSERT_NE(svc.journal(), nullptr);
     EXPECT_EQ(svc.journal()->recovered_records(), 1u);
+    const ReplayDeltas replay;
     svc.start_replay();
     svc.wait_replay();
-    EXPECT_EQ(svc.replay_stats().replayed.get(), 0u);
-    EXPECT_EQ(svc.replay_stats().skipped_stale.get(), 1u);
+    EXPECT_EQ(replay.replayed(), 0u);
+    EXPECT_EQ(replay.skipped_stale(), 1u);
     svc.drain();
   }
   ::unlink(journal_path.c_str());

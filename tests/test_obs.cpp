@@ -163,6 +163,32 @@ TEST(Trace, ArgsWithQuotesAndNewlinesStayValidJson) {
   EXPECT_TRUE(obs::json_valid(tracer.export_chrome_json()));
 }
 
+// One escaper serves the registry, HEALTH and the trace export: every byte
+// value comes out as valid JSON, and span args are spelled exactly as
+// append_json_string spells them.
+TEST(Trace, SpanArgsUseTheSharedJsonEscaper) {
+  std::string every_byte;
+  for (int c = 1; c < 256; ++c) every_byte += static_cast<char>(c);
+  std::string quoted;
+  obs::append_json_string(quoted, every_byte);
+  EXPECT_TRUE(obs::json_valid(quoted)) << quoted;
+
+  const std::string_view value = "a\"b\\c\nd\te";
+  std::string expected = "\"args\":{";
+  obs::append_json_string(expected, "path");
+  expected += ':';
+  obs::append_json_string(expected, value);
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
+  {
+    obs::Span span(tracer, "escape");
+    span.arg("path", value);
+  }
+  const std::string json = tracer.export_chrome_json();
+  EXPECT_TRUE(obs::json_valid(json)) << json;
+  EXPECT_NE(json.find(expected + "}"), std::string::npos) << json;
+}
+
 TEST(Trace, RingOverwritesOldestWhenFull) {
   obs::SpanTracer tracer(/*ring_capacity=*/8);
   tracer.set_enabled(true);

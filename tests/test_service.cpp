@@ -6,10 +6,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,21 @@
 
 namespace tydi {
 namespace {
+
+/// A process-wide registry counter. Every service in this process counts
+/// into the same registry, so the tests compare deltas.
+std::uint64_t counter(const std::string& name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// The number after `"key":` in a flat JSON object such as HEALTH (-1 when
+/// the key is missing).
+double json_field(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + at + needle.size(), nullptr);
+}
 
 TEST(ServiceProtocol, PingPong) {
   service::CompileService svc;
@@ -41,6 +59,7 @@ TEST(ServiceProtocol, ShutdownFlagsTransport) {
 
 TEST(ServiceProtocol, MalformedRequestsAreInvalidArgument) {
   service::CompileService svc;
+  const std::uint64_t failures0 = counter("tydi.service.failures");
   for (const char* line :
        {"", "   ", "FROBNICATE", "TPCH", "TPCH 6", "TPCH 6 vhdl nonsense",
         "TPCH 99 vhdl", "TPCH 6 pdf", "FILE only_two args"}) {
@@ -49,7 +68,7 @@ TEST(ServiceProtocol, MalformedRequestsAreInvalidArgument) {
     EXPECT_EQ(r.status.code(), support::StatusCode::kInvalidArgument)
         << "line: '" << line << "'";
   }
-  EXPECT_EQ(svc.requests_failed(), 9u);
+  EXPECT_EQ(counter("tydi.service.failures") - failures0, 9u);
 }
 
 TEST(ServiceProtocol, MissingFileIsIoError) {
@@ -93,10 +112,12 @@ TEST(ServiceProtocol, TpchCompileMatchesInProcessCompile) {
 
 TEST(ServiceProtocol, StatsReportsSessionCounters) {
   service::CompileService svc;
+  const std::uint64_t requests0 = counter("tydi.service.requests");
   ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
   service::Response stats = svc.handle_line("STATS");
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats.payload().find("requests 2"), std::string::npos)
+  EXPECT_NE(stats.payload().find("requests " + std::to_string(requests0 + 2)),
+            std::string::npos)
       << stats.payload();
   EXPECT_NE(stats.payload().find("memo_impls"), std::string::npos);
   service::Response inval = svc.handle_line("INVALIDATE");
@@ -105,6 +126,76 @@ TEST(ServiceProtocol, StatsReportsSessionCounters) {
   EXPECT_NE(stats2.payload().find("memo_impls 0"), std::string::npos)
       << stats2.payload();
   EXPECT_NE(stats2.payload().find("parse_cache 0"), std::string::npos);
+}
+
+// STATS is the numeric view of the HEALTH fields: every line is
+// `name <number>`, so a `>> name >> value` reader sees all of them.
+TEST(ServiceProtocol, EveryStatsLineIsNumeric) {
+  service::CompileService svc;
+  ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+  const std::string stats = svc.handle_line("STATS").payload();
+  std::istringstream lines(stats);
+  std::string line;
+  std::vector<std::string> names;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string name;
+    double value = 0.0;
+    std::string rest;
+    EXPECT_TRUE(fields >> name >> value) << "line: '" << line << "'";
+    EXPECT_FALSE(fields >> rest) << "line: '" << line << "'";
+    names.push_back(name);
+  }
+  for (const char* key : {"parse_cache", "memo_impls", "requests",
+                          "shed_total", "draining", "replay_done"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), key), names.end())
+        << "missing " << key << " in:\n" << stats;
+  }
+  EXPECT_EQ(std::find(names.begin(), names.end(), "status"), names.end());
+  EXPECT_NE(stats.find("memo_impls "), std::string::npos);
+  EXPECT_EQ(stats.find("memo_impls 0\n"), std::string::npos) << stats;
+}
+
+// With no traffic in flight, HEALTH reports exactly the registry counters.
+TEST(ServiceProtocol, HealthMatchesTheRegistryWhenIdle) {
+  service::CompileService svc;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(svc.handle_line("TPCH 6 ir").ok());
+  EXPECT_FALSE(svc.handle_line("TPCH 99 ir").ok());
+  svc.begin_drain();
+  EXPECT_EQ(svc.handle_line("TPCH 6 ir").status.code(),
+            support::StatusCode::kUnavailable);
+  const std::string health = svc.handle_line("HEALTH").payload();
+  ASSERT_TRUE(obs::json_valid(health)) << health;
+  for (const auto& [key, name] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"requests", "tydi.service.requests"},
+           {"failures", "tydi.service.failures"},
+           {"shed_total", "tydi.service.shed_total"},
+           {"replayed", "tydi.service.replay.replayed"},
+           {"result_cache_hits", "tydi.service.result_cache.hits"}}) {
+    EXPECT_EQ(json_field(health, key), static_cast<double>(counter(name)))
+        << key << " in " << health;
+  }
+  EXPECT_GE(json_field(health, "shed_total"), 1.0);
+  EXPECT_GE(json_field(health, "result_cache_hits"), 1.0);
+  EXPECT_NE(health.find("\"status\":\"draining\""), std::string::npos);
+}
+
+// String fields go through the shared JSON escaper.
+TEST(ServiceProtocol, HealthEscapesStringFields) {
+  const std::string abort_text = "[watchdog] aborted: \"a\\b\"\nnext\tline";
+  const std::vector<service::StatusField> fields = {
+      {"status", std::string("ok")},
+      {"draining", false},
+      {"requests", 3.0},
+      {"last_abort", abort_text},
+  };
+  const std::string health = service::render_health(fields);
+  EXPECT_TRUE(obs::json_valid(health)) << health;
+  const std::string escaped =
+      R"("last_abort":"[watchdog] aborted: \"a\\b\"\nnext\u0009line")";
+  EXPECT_NE(health.find(escaped), std::string::npos) << health;
+  EXPECT_EQ(service::render_stats(fields), "draining 0\nrequests 3\n");
 }
 
 TEST(ServiceProtocol, ResponseSerializeParseRoundTrip) {
@@ -352,9 +443,7 @@ TEST(ServiceServer, MetricsAndHealthDuringConcurrentFileRequests) {
 // ---------------------------------------------------------------------------
 
 std::uint64_t result_cache_counter(const char* name) {
-  return obs::MetricsRegistry::global()
-      .counter(std::string("tydi.service.result_cache.") + name)
-      .value();
+  return counter(std::string("tydi.service.result_cache.") + name);
 }
 
 /// Q6 materialized as two files for the FILE verb, plus the session-free
@@ -528,9 +617,10 @@ TEST(ServiceResultCache, JournalRecoveredKeyHitsOnFirstLiveRequest) {
     svc.drain();
   }
   service::CompileService svc(config);
+  const std::uint64_t replayed0 = counter("tydi.service.replay.replayed");
   svc.start_replay();
   svc.wait_replay();
-  ASSERT_EQ(svc.replay_stats().replayed.get(), 1u);
+  ASSERT_EQ(counter("tydi.service.replay.replayed") - replayed0, 1u);
   EXPECT_EQ(svc.result_cache().entries(), 1u);  // replay admitted the key
   const std::uint64_t hits0 = result_cache_counter("hits");
   service::Response r = svc.handle_line(files.request());

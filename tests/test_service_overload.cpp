@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/service/queue.hpp"
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
@@ -34,6 +35,12 @@ namespace tydi {
 namespace {
 
 using support::StatusCode;
+
+/// A process-wide registry counter. Every service in this process counts
+/// into the same registry, so the tests compare deltas.
+std::uint64_t counter(const std::string& name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
 
 /// Polls `pred` every 2ms for up to `ms`; true when it held.
 bool wait_until(const std::function<bool()>& pred, double ms = 2000.0) {
@@ -113,9 +120,10 @@ TEST(ServiceEnvelope, MalformedEnvelopeIsInvalidArgument) {
   service::ServiceConfig config;
   config.workers = 1;
   service::CompileService svc(config);
+  const std::uint64_t failures0 = counter("tydi.service.failures");
   service::Response r = svc.handle_line("PRIO sideways PING");
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(svc.requests_failed(), 1u);
+  EXPECT_EQ(counter("tydi.service.failures") - failures0, 1u);
 }
 
 TEST(ServiceOverload, ShedsWithRetryAfterWhenQueueFull) {
@@ -123,6 +131,7 @@ TEST(ServiceOverload, ShedsWithRetryAfterWhenQueueFull) {
   config.workers = 1;
   config.queue_capacity = 1;
   service::CompileService svc(config);
+  const std::uint64_t shed0 = counter("tydi.service.shed_total");
 
   // Occupy the single worker, then fill the single queue slot.
   service::PendingRequest running = svc.submit("SLEEP 250");
@@ -136,12 +145,15 @@ TEST(ServiceOverload, ShedsWithRetryAfterWhenQueueFull) {
   EXPECT_EQ(shed.status.exit_code(), 12);
   EXPECT_GT(shed.retry_after_ms, 0.0);
   EXPECT_NE(shed.payload().find("queue full"), std::string::npos);
-  EXPECT_EQ(svc.requests_shed(), 1u);
+  EXPECT_EQ(counter("tydi.service.shed_total") - shed0, 1u);
 
   // Meta verbs are never shed: introspection works while saturated.
   service::Response health = svc.handle_line("HEALTH");
   ASSERT_TRUE(health.ok());
-  EXPECT_NE(health.payload().find("\"shed_total\":1"), std::string::npos);
+  EXPECT_NE(health.payload().find("\"shed_total\":" +
+                                  std::to_string(shed0 + 1)),
+            std::string::npos)
+      << health.payload();
 
   // The shed response round-trips its retry-after hint over the wire.
   service::Response parsed;
@@ -311,6 +323,7 @@ TEST(ServiceOverload, SaturationPreservesByteIdentity) {
   config.workers = 2;
   config.queue_capacity = 2;
   service::CompileService svc(config);
+  const std::uint64_t shed0 = counter("tydi.service.shed_total");
 
   constexpr int kClients = 8;
   std::atomic<int> accepted{0};
@@ -348,7 +361,8 @@ TEST(ServiceOverload, SaturationPreservesByteIdentity) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_GT(accepted.load(), 0);
-  EXPECT_EQ(svc.requests_shed(), static_cast<std::uint64_t>(shed.load()));
+  EXPECT_EQ(counter("tydi.service.shed_total") - shed0,
+            static_cast<std::uint64_t>(shed.load()));
 }
 
 // ---------------------------------------------------------------------------
@@ -514,6 +528,7 @@ TEST(ServiceServerOverload, DisconnectedClientAbortsInFlightCompile) {
   service::ServiceConfig config;
   config.workers = 1;
   TestDaemon daemon(config);
+  const std::uint64_t failures0 = counter("tydi.service.failures");
 
   // Raw client: send a long SLEEP, then hang up without reading the reply.
   {
@@ -547,7 +562,8 @@ TEST(ServiceServerOverload, DisconnectedClientAbortsInFlightCompile) {
   ASSERT_TRUE(s.is_ok()) << s.render();
   EXPECT_TRUE(r.ok()) << r.payload();
   EXPECT_LT(elapsed, 5000.0);
-  EXPECT_EQ(daemon.service.requests_failed(), 1u);  // the aborted sleep
+  // The aborted sleep.
+  EXPECT_EQ(counter("tydi.service.failures") - failures0, 1u);
 }
 
 TEST(ServiceServerOverload, SigtermDrainsAndUnlinksSocket) {
