@@ -170,7 +170,7 @@ constexpr double kPreOverhaulHitRate = 0.104;
 
 /// One batch round (all TPC-H queries through one session pass).
 struct RoundMetrics {
-  tydi::driver::PhaseTimings phases;
+  tydi::support::PhaseTimings phases;
   tydi::elab::InstantiationStats cache;
   std::size_t bytes = 0;                    ///< IR + VHDL bytes emitted
   std::uint64_t emission_chunk_allocs = 0;  ///< CodeWriter chunks allocated

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "src/obs/metrics.hpp"
+#include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
 #include "src/parser/parser.hpp"
 #include "src/stdlib/stdlib.hpp"
@@ -23,45 +24,6 @@ std::vector<SourceStamp> source_stamps(
     stamps.push_back(SourceStamp{source.name, elab::source_hash(source.text)});
   }
   return stamps;
-}
-
-void PhaseTimings::add(std::string_view phase, double ms) {
-  for (Entry& e : entries_) {
-    if (e.phase == phase) {
-      e.ms += ms;
-      return;
-    }
-  }
-  entries_.push_back(Entry{std::string(phase), ms});
-}
-
-bool PhaseTimings::contains(std::string_view phase) const {
-  for (const Entry& e : entries_) {
-    if (e.phase == phase) return true;
-  }
-  return false;
-}
-
-double PhaseTimings::at(std::string_view phase) const {
-  for (const Entry& e : entries_) {
-    if (e.phase == phase) return e.ms;
-  }
-  return 0.0;
-}
-
-double PhaseTimings::total_ms() const {
-  double total = 0.0;
-  for (const Entry& e : entries_) total += e.ms;
-  return total;
-}
-
-std::string PhaseTimings::render() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (i > 0) out << " | ";
-    out << entries_[i].phase << " " << entries_[i].ms << "ms";
-  }
-  return out.str();
 }
 
 CompileResult::CompileResult()
@@ -97,43 +59,6 @@ support::Status CompileResult::status() const {
 }
 
 namespace {
-
-class PhaseTimer {
- public:
-  PhaseTimer(PhaseTimings& out, std::string phase)
-      : out_(out),
-        phase_(std::move(phase)),
-        start_(std::chrono::steady_clock::now()) {
-    if (obs::SpanTracer::global().enabled()) {
-      span_start_ns_ = obs::SpanTracer::now_ns();
-    }
-  }
-  ~PhaseTimer() {
-    auto end = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(end - start_).count();
-    out_.add(phase_, ms);
-    // Mirror into the registry: one histogram per pipeline phase, plus a
-    // tracer span covering the same interval. Both are no-ops per
-    // observation beyond a shared-lock name lookup — phases are coarse.
-    obs::MetricsRegistry::global()
-        .histogram("tydi.compile.phase_ms." + phase_)
-        .observe(ms);
-    if (span_start_ns_ >= 0 && obs::SpanTracer::global().enabled()) {
-      obs::SpanTracer::global().record(
-          "compile.phase." + phase_, span_start_ns_,
-          obs::SpanTracer::now_ns() - span_start_ns_);
-    }
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  PhaseTimings& out_;
-  std::string phase_;
-  std::chrono::steady_clock::time_point start_;
-  std::int64_t span_start_ns_ = -1;
-};
 
 /// Publishes one finished compile's telemetry to the process registry on
 /// every exit path (early error returns included): outcome counters,
@@ -208,7 +133,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
 
   auto program = std::make_shared<elab::Program>();
   {
-    PhaseTimer t(result.phase_ms, "parse");
+    obs::PhaseTimer t(result.phase_ms, "compile", "parse");
     // Registers + hashes a source, then parses it — or, with a session,
     // reuses a previously parsed AST when (file id, name, content hash)
     // match, so the AST's Locs resolve identically in this compile.
@@ -265,7 +190,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   if (aborted()) return result;
 
   {
-    PhaseTimer t(result.phase_ms, "elaborate");
+    obs::PhaseTimer t(result.phase_ms, "compile", "elaborate");
     elab::MemoHook hook;
     if (session != nullptr) {
       hook.memo = &session->memo_;
@@ -280,7 +205,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   if (aborted()) return result;
 
   if (options.sugaring) {
-    PhaseTimer t(result.phase_ms, "sugar");
+    obs::PhaseTimer t(result.phase_ms, "compile", "sugar");
     result.sugar_stats =
         sugar::apply_sugaring(result.design, options.sugar, *result.diags);
   }
@@ -289,23 +214,23 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   // Lower once, unconditionally: every backend (DRC, IR text, VHDL) and any
   // caller-side consumer (e.g. the fletchgen manifest) reads result.ir.
   {
-    PhaseTimer t(result.phase_ms, "lower");
+    obs::PhaseTimer t(result.phase_ms, "compile", "lower");
     result.ir = ir::lower(result.design);
   }
   if (aborted()) return result;
 
   if (options.run_drc) {
-    PhaseTimer t(result.phase_ms, "drc");
+    obs::PhaseTimer t(result.phase_ms, "compile", "drc");
     result.drc_report = drc::check(result.ir, options.drc, *result.diags);
     if (aborted()) return result;
   }
 
   if (options.emit_ir) {
-    PhaseTimer t(result.phase_ms, "ir");
+    obs::PhaseTimer t(result.phase_ms, "compile", "ir");
     result.ir_text = ir::emit(result.ir);
   }
   if (options.emit_vhdl) {
-    PhaseTimer t(result.phase_ms, "vhdl");
+    obs::PhaseTimer t(result.phase_ms, "compile", "vhdl");
     result.vhdl_text =
         vhdl::emit(result.ir, options.vhdl, *result.diags,
                    session != nullptr ? &session->vhdl_cache_ : nullptr);
@@ -479,7 +404,7 @@ BatchResult compile_batch(CompileSession& session,
   // Deterministic aggregation in job order, whatever the schedule was.
   for (const BatchEntry& entry : out.entries) {
     if (!entry.success) ++out.failures;
-    for (const PhaseTimings::Entry& p : entry.phase_ms.entries()) {
+    for (const support::PhaseTimings::Entry& p : entry.phase_ms.entries()) {
       out.phase_ms.add(p.phase, p.ms);
     }
     out.template_cache += entry.template_cache;

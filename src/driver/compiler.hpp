@@ -23,6 +23,7 @@
 #include "src/ir/ir.hpp"
 #include "src/sugar/sugar.hpp"
 #include "src/support/diagnostic.hpp"
+#include "src/support/phase_timings.hpp"
 #include "src/support/source.hpp"
 #include "src/support/status.hpp"
 #include "src/vhdl/vhdl.hpp"
@@ -82,38 +83,6 @@ struct CompileOptions {
   std::function<bool()> cancelled;
 };
 
-/// Wall-clock per pipeline phase. Stored as an ordered vector of
-/// {phase, ms} so reports print in pipeline order (parse, elaborate, sugar,
-/// lower, drc, ir, vhdl) instead of the alphabetical order a
-/// std::map<std::string, double> imposed.
-class PhaseTimings {
- public:
-  struct Entry {
-    std::string phase;
-    double ms = 0.0;
-  };
-
-  /// Accumulates `ms` into `phase`, appending on first sight (insertion
-  /// order is pipeline order because the driver times phases in order).
-  void add(std::string_view phase, double ms);
-
-  [[nodiscard]] bool contains(std::string_view phase) const;
-  /// Milliseconds recorded for `phase`; 0.0 when absent.
-  [[nodiscard]] double at(std::string_view phase) const;
-  [[nodiscard]] double total_ms() const;
-
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-  [[nodiscard]] auto begin() const { return entries_.begin(); }
-  [[nodiscard]] auto end() const { return entries_.end(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  /// "parse 0.12ms | elaborate 0.48ms | ..." in pipeline order.
-  [[nodiscard]] std::string render() const;
-
- private:
-  std::vector<Entry> entries_;
-};
-
 class CompileResult {
  public:
   CompileResult();
@@ -135,7 +104,7 @@ class CompileResult {
   std::string vhdl_text;
   /// Wall-clock per phase in pipeline order: parse, elaborate, sugar,
   /// lower, drc, ir, vhdl (phases that did not run are absent).
-  PhaseTimings phase_ms;
+  support::PhaseTimings phase_ms;
   /// Template-instantiation cache counters of the elaborator.
   elab::InstantiationStats template_cache;
 
@@ -264,7 +233,7 @@ struct BatchJob {
 struct BatchEntry {
   std::string name;
   bool success = false;
-  PhaseTimings phase_ms;
+  support::PhaseTimings phase_ms;
   elab::InstantiationStats template_cache;
   std::size_t vhdl_bytes = 0;
   std::size_t ir_bytes = 0;
@@ -297,7 +266,7 @@ struct BatchResult {
   std::vector<BatchEntry> entries;
   /// Aggregate wall-clock per phase, pipeline order (seeded canonically so
   /// jobs that skip phases cannot reorder the report).
-  PhaseTimings phase_ms;
+  support::PhaseTimings phase_ms;
   elab::InstantiationStats template_cache;
   std::size_t failures = 0;
   std::size_t bytes_emitted = 0;  ///< IR + VHDL bytes across all jobs

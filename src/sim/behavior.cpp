@@ -1,5 +1,6 @@
 #include "src/sim/behavior.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -451,16 +452,28 @@ struct Instr {
                   kBindLocal };
   Op op{};
   int port = -1;                 // port index (ack/send); -1 = unresolved
+  int slot = -1;                 // state slot (set); -1 = undeclared
   Symbol name = support::kNoSymbol;  // state var (set) or local var (bind)
   const lang::Expr* expr = nullptr;  // payload / delay / condition / value
   std::size_t target = 0;        // jump target
   /// kBindLocal: the pre-evaluated loop value. For the other expression
   /// ops: the expression's value when it is a literal (`delay(7)`,
   /// `set s = "busy"`), folded at compile time so execution skips scope
-  /// construction and the evaluator entirely (`expr` is nulled then).
+  /// construction and the evaluator entirely. A literal `set` stores the
+  /// value's string form here (what the state scope binds) and its
+  /// interned symbol in `value_sym`, so the write interns nothing.
   eval::Value bind_value;
+  Symbol value_sym = support::kNoSymbol;
   bool constant = false;
 };
+
+/// The string form a `set` gives its state variable.
+std::string state_text(const eval::Value& v) {
+  return v.is_string() ? v.as_string() : v.to_display();
+}
+
+/// Resolves a `set` target to its state slot (-1 when undeclared).
+using StateResolver = std::function<int(Symbol, support::Loc)>;
 
 /// Folds literal expressions into the instruction (engine-side constant
 /// propagation; anything with identifiers still evaluates at run time).
@@ -488,13 +501,14 @@ void fold_literal(Instr& instr) {
 }
 
 // Compiles handler actions to a flat instruction list, resolving port names
-// against `streamlet` once. `consts` carries the captured elaboration
-// constants plus enclosing sim-for loop bindings; sim-for loops unroll at
-// compile time (their iterables must be constant) with the loop variable
-// bound per iteration via kBindLocal.
+// against `streamlet` and `set` targets through `resolve_state` once.
+// `consts` carries the captured elaboration constants plus enclosing sim-for
+// loop bindings; sim-for loops unroll at compile time (their iterables must
+// be constant) with the loop variable bound per iteration via kBindLocal.
 void compile_actions(const std::vector<lang::SimAction>& actions,
                      const Streamlet& streamlet, std::vector<Instr>& out,
                      const std::map<std::string, eval::Value>& consts,
+                     const StateResolver& resolve_state,
                      support::DiagnosticEngine& diags) {
   auto resolve_port = [&](const std::string& port_name,
                           support::Loc loc) -> int {
@@ -533,8 +547,14 @@ void compile_actions(const std::vector<lang::SimAction>& actions,
             Instr instr;
             instr.op = Instr::Op::kSet;
             instr.name = support::intern(n.state_var);
+            instr.slot = resolve_state(instr.name, a.loc);
             instr.expr = n.value.get();
             fold_literal(instr);
+            if (instr.constant) {
+              std::string text = state_text(instr.bind_value);
+              instr.value_sym = support::intern(text);
+              instr.bind_value = eval::Value(std::move(text));
+            }
             out.push_back(std::move(instr));
           } else if constexpr (std::is_same_v<T, lang::ActFor>) {
             eval::Scope scope;
@@ -558,7 +578,8 @@ void compile_actions(const std::vector<lang::SimAction>& actions,
                 out.push_back(std::move(bind));
                 std::map<std::string, eval::Value> inner = consts;
                 inner.insert_or_assign(n.var, element);
-                compile_actions(n.body, streamlet, out, inner, diags);
+                compile_actions(n.body, streamlet, out, inner, resolve_state,
+                                diags);
               }
             } catch (const eval::EvalError& e) {
               diags.error("sim",
@@ -574,7 +595,8 @@ void compile_actions(const std::vector<lang::SimAction>& actions,
             cond.expr = n.cond.get();
             fold_literal(cond);
             out.push_back(std::move(cond));
-            compile_actions(n.then_body, streamlet, out, consts, diags);
+            compile_actions(n.then_body, streamlet, out, consts, resolve_state,
+                            diags);
             if (n.else_body.empty()) {
               out[cond_index].target = out.size();
             } else {
@@ -583,7 +605,8 @@ void compile_actions(const std::vector<lang::SimAction>& actions,
               jump.op = Instr::Op::kJump;
               out.push_back(std::move(jump));
               out[cond_index].target = out.size();
-              compile_actions(n.else_body, streamlet, out, consts, diags);
+              compile_actions(n.else_body, streamlet, out, consts,
+                              resolve_state, diags);
               out[jump_index].target = out.size();
             }
           }
@@ -615,6 +638,23 @@ class SimBlockBehavior : public Behavior {
       state_.push_back(StateVar{sym, support::intern(s.initial)});
       state_scope_.assign(sym, eval::Value(s.initial));
     }
+    // Undeclared `set` targets warn once per variable here and are
+    // skipped at run time.
+    std::vector<Symbol> undeclared;
+    StateResolver resolve_state = [&](Symbol var, support::Loc loc) {
+      for (std::size_t i = 0; i < state_.size(); ++i) {
+        if (state_[i].name == var) return static_cast<int>(i);
+      }
+      if (std::find(undeclared.begin(), undeclared.end(), var) ==
+          undeclared.end()) {
+        undeclared.push_back(var);
+        diags_.warning("sim",
+                       "set of undeclared state variable '" +
+                           support::symbol_name(var) + "'",
+                       loc);
+      }
+      return -1;
+    };
     payload_sym_ = support::intern("payload");
     payload_last_sym_ = support::intern("payload_last");
     for (std::size_t i = 0; i < streamlet.ports.size(); ++i) {
@@ -635,7 +675,7 @@ class SimBlockBehavior : public Behavior {
         compiled.wait_ports.push_back(port);
       }
       compile_actions(h.actions, streamlet, compiled.code, program.captured,
-                      diags_);
+                      resolve_state, diags_);
       handlers_.push_back(std::move(compiled));
     }
   }
@@ -767,22 +807,25 @@ class SimBlockBehavior : public Behavior {
     return scope;
   }
 
-  void set_state(Kernel& engine, int self, Symbol var,
-                 const std::string& to) {
-    for (StateVar& s : state_) {
-      if (s.name != var) continue;
-      Symbol to_sym = support::intern(to);
-      if (s.value_sym != to_sym) {
-        engine.record_state_transition(self, var, s.value_sym, to_sym);
-        s.value_sym = to_sym;
-        state_scope_.assign(var, eval::Value(to));
-      }
-      return;
-    }
-    diags_.warning("sim",
-                   "set of undeclared state variable '" +
-                       support::symbol_name(var) + "'",
-                   {});
+  /// Literal `set`: the symbol and the scope value were folded when the
+  /// handler was compiled, so the write interns and builds nothing.
+  void set_state(Kernel& engine, int self, const Instr& instr) {
+    StateVar& s = state_[instr.slot];
+    if (s.value_sym == instr.value_sym) return;
+    engine.record_state_transition(self, s.name, s.value_sym,
+                                   instr.value_sym);
+    s.value_sym = instr.value_sym;
+    state_scope_.assign(s.name, instr.bind_value);
+  }
+
+  /// Expression-valued `set`: interns the evaluated string form.
+  void set_state(Kernel& engine, int self, int slot, std::string to) {
+    StateVar& s = state_[slot];
+    Symbol to_sym = support::intern(to);
+    if (s.value_sym == to_sym) return;
+    engine.record_state_transition(self, s.name, s.value_sym, to_sym);
+    s.value_sym = to_sym;
+    state_scope_.assign(s.name, eval::Value(std::move(to)));
   }
 
   // Conversions for compile-time-folded literals, mirroring the
@@ -858,20 +901,18 @@ class SimBlockBehavior : public Behavior {
             engine.schedule_timer(delay, self, token);
             return;  // resumes via on_timer
           }
-          case Instr::Op::kSet: {
-            if (instr.constant) {
-              const eval::Value& v = instr.bind_value;
-              set_state(engine, self, instr.name,
-                        v.is_string() ? v.as_string() : v.to_display());
-            } else {
-              eval::Value v = eval::evaluate(
-                  *instr.expr, build_scope(engine, self, trigger, locals));
-              set_state(engine, self, instr.name,
-                        v.is_string() ? v.as_string() : v.to_display());
+          case Instr::Op::kSet:
+            // An undeclared target (slot -1) warned at construction.
+            if (instr.slot >= 0 && instr.constant) {
+              set_state(engine, self, instr);
+            } else if (instr.slot >= 0) {
+              set_state(engine, self, instr.slot,
+                        state_text(eval::evaluate(
+                            *instr.expr,
+                            build_scope(engine, self, trigger, locals))));
             }
             ++pc;
             break;
-          }
           case Instr::Op::kCondJumpFalse: {
             bool cond =
                 instr.constant

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "src/obs/phase_timer.hpp"
 #include "src/sim/behavior.hpp"
 #include "src/sim/kernel.hpp"
 #include "src/sim/shard/runtime.hpp"
@@ -47,6 +48,14 @@ TraceEvent SimResult::trace_event(std::size_t i) const {
   ev.is_top_output = c.top_output;
   ev.top_port = c.top_port;
   return ev;
+}
+
+StateTransition StateTransitionTable::operator[](std::size_t i) const {
+  const TransitionRow& r = rows_[i];
+  return StateTransition{r.time_ns, component_path(r.component),
+                         support::symbol_name(r.variable),
+                         support::symbol_name(r.from),
+                         support::symbol_name(r.to)};
 }
 
 double SimResult::throughput(const std::string& top_port) const {
@@ -424,12 +433,24 @@ Engine::Engine(const Design& design, support::DiagnosticEngine& diags)
 
 SimResult Engine::run(const SimOptions& options) {
   SimGraph graph;
-  if (!build_sim_graph(design_, options, diags_, graph)) return SimResult{};
+  support::PhaseTimings phases;
+  bool built = false;
+  {
+    obs::PhaseTimer timer(phases, "sim", "build_graph");
+    built = build_sim_graph(design_, options, diags_, graph);
+  }
 
   // Always route through the sharded driver: its single-shard path is the
   // plain single-queue loop, and keeping one entry point means the
   // watchdog and the event/wall-clock/RSS budgets guard every run shape.
-  return shard::run_sharded(graph, options, diags_);
+  SimResult result;
+  if (built) result = shard::run_sharded(graph, options, diags_);
+  // The driver's stages follow build_graph in execution order.
+  for (const support::PhaseTimings::Entry& e : result.phase_ms) {
+    phases.add(e.phase, e.ms);
+  }
+  result.phase_ms = std::move(phases);
+  return result;
 }
 
 }  // namespace tydi::sim

@@ -29,7 +29,9 @@
 // byte-identical `SimResult`s.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -42,6 +44,7 @@
 #include "src/sim/trace.hpp"
 #include "src/support/diagnostic.hpp"
 #include "src/support/intern.hpp"
+#include "src/support/phase_timings.hpp"
 #include "src/support/status.hpp"
 
 namespace tydi::sim {
@@ -165,13 +168,89 @@ struct TraceEvent {
 };
 
 /// One state-variable transition of a sim-block component (Sec. V-B "record
-/// the state-transition table of each implementation").
+/// the state-transition table of each implementation"), materialized from
+/// the columnar StateTransitionTable on demand (reports, debugging — not
+/// the storage format).
 struct StateTransition {
   double time_ns = 0.0;
   std::string component;
   std::string variable;
   std::string from;
   std::string to;
+};
+
+/// One recorded transition: the POD row kernels append and the result
+/// stores. `variable`, `from` and `to` are interned symbols; `component` is
+/// the flattened component index.
+struct TransitionRow {
+  double time_ns = 0.0;
+  std::int32_t component = -1;
+  Symbol variable = support::kNoSymbol;
+  Symbol from = support::kNoSymbol;
+  Symbol to = support::kNoSymbol;
+};
+
+/// The state-transition table as columns of symbols: one TransitionRow per
+/// transition in canonical (time, component) order, plus the path of every
+/// component that has rows. Recording and merging never build a string;
+/// operator[] and iteration materialize a StateTransition per row, the way
+/// SimResult::trace_event(i) does for the trace. Plain vector members, so
+/// a moved-from table is empty.
+class StateTransitionTable {
+ public:
+  /// By-value iterator: dereferencing materializes the row.
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = StateTransition;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = StateTransition;
+
+    Iterator() = default;
+    Iterator(const StateTransitionTable* table, std::size_t index)
+        : table_(table), index_(index) {}
+    StateTransition operator*() const { return (*table_)[index_]; }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++index_;
+      return before;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    const StateTransitionTable* table_ = nullptr;
+    std::size_t index_ = 0;
+  };
+
+  StateTransitionTable() = default;
+  /// `rows` must be in canonical order; `paths` is indexed by component
+  /// and needs an entry for every component the rows name.
+  StateTransitionTable(std::vector<TransitionRow> rows,
+                       std::vector<std::string> paths)
+      : rows_(std::move(rows)), paths_(std::move(paths)) {}
+
+  [[nodiscard]] std::size_t size() const { return rows_.size(); }
+  [[nodiscard]] bool empty() const { return rows_.empty(); }
+  [[nodiscard]] const TransitionRow& row(std::size_t i) const {
+    return rows_[i];
+  }
+  [[nodiscard]] const std::string& component_path(std::int32_t component)
+      const {
+    return paths_[static_cast<std::size_t>(component)];
+  }
+  /// Materializes row `i` with the component path and symbol names.
+  [[nodiscard]] StateTransition operator[](std::size_t i) const;
+  [[nodiscard]] Iterator begin() const { return Iterator(this, 0); }
+  [[nodiscard]] Iterator end() const { return Iterator(this, size()); }
+
+ private:
+  std::vector<TransitionRow> rows_;
+  std::vector<std::string> paths_;
 };
 
 /// Per-shard end-of-run snapshot: what each shard was doing when the run
@@ -233,11 +312,17 @@ struct SimResult {
   /// names and boundary info live in `channels`. Use trace_event(i) for a
   /// materialized per-event view.
   TraceBuffer trace;
-  std::vector<StateTransition> state_transitions;
+  /// Columnar state-transition table in canonical (time, component) order.
+  StateTransitionTable state_transitions;
   /// Events dispatched per flattened component index (delivers at the sink,
   /// timers, pokes). Feed back into SimOptions::component_weights to
   /// profile-weight the partitioner.
   std::vector<std::uint64_t> component_events;
+  /// Wall clock per sim stage in execution order: build_graph (Engine::run
+  /// only), partition, process (seeding plus the event loop or the shard
+  /// round loop), merge (merge_results). Mirrored into the
+  /// `tydi.sim.phase_ms.*` histograms.
+  support::PhaseTimings phase_ms;
 
   /// Materializes trace entry `i` with the channel name / boundary fields
   /// resolved through `channels`.

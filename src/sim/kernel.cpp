@@ -481,8 +481,7 @@ void Kernel::poke(int component) {
 
 void Kernel::record_state_transition(int component, Symbol variable,
                                      Symbol from, Symbol to) {
-  transitions_.push_back(
-      PendingTransition{now_, component, variable, from, to});
+  transitions_.push_back(TransitionRow{now_, component, variable, from, to});
 }
 
 namespace {
@@ -656,24 +655,36 @@ SimResult merge_results(SimGraph& graph, const std::vector<Kernel*>& kernels,
 
   // State transitions: canonical order is (time, component), with a
   // component's own transitions kept in its execution order (a component
-  // runs on exactly one shard, so the stable sort preserves it).
-  std::vector<Kernel::PendingTransition> pending;
-  for (const Kernel* k : kernels) {
-    pending.insert(pending.end(), k->transitions().begin(),
-                   k->transitions().end());
+  // runs on exactly one shard, so the stable sort preserves it). A single
+  // kernel's rows are stolen; an out-of-order run (several components
+  // transitioning at one timestamp out of index order) is stable-sorted.
+  std::vector<TransitionRow> rows;
+  if (kernels.size() == 1) {
+    rows = std::move(kernels.front()->transitions());
+  } else {
+    std::size_t total = 0;
+    for (Kernel* k : kernels) total += k->transitions().size();
+    rows.reserve(total);
+    for (Kernel* k : kernels) {
+      rows.insert(rows.end(), k->transitions().begin(),
+                  k->transitions().end());
+    }
   }
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const Kernel::PendingTransition& a,
-                      const Kernel::PendingTransition& b) {
-                     if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-                     return a.component < b.component;
-                   });
-  for (const Kernel::PendingTransition& t : pending) {
-    result.state_transitions.push_back(StateTransition{
-        t.time_ns, graph.components[t.component].path,
-        support::symbol_name(t.variable), support::symbol_name(t.from),
-        support::symbol_name(t.to)});
+  auto canonical = [](const TransitionRow& a, const TransitionRow& b) {
+    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
+    return a.component < b.component;
+  };
+  if (!std::is_sorted(rows.begin(), rows.end(), canonical)) {
+    std::stable_sort(rows.begin(), rows.end(), canonical);
   }
+  // One path per transitioning component, not one per row.
+  std::vector<std::string> paths(graph.components.size());
+  for (const TransitionRow& row : rows) {
+    std::string& path = paths[static_cast<std::size_t>(row.component)];
+    if (path.empty()) path = graph.components[row.component].path;
+  }
+  result.state_transitions =
+      StateTransitionTable(std::move(rows), std::move(paths));
 
   // Warnings. Sharded kernels deferred their first-hit warnings to keep the
   // diagnostic engine off worker threads; emit them now in shard order.

@@ -110,7 +110,7 @@ class Kernel {
                           : graph_.default_period_ns;
   }
   /// `from`/`to` are interned state values (state alphabets are small, so
-  /// recording a transition is three integer stores, no string copies).
+  /// recording a transition appends one POD row, no string copies).
   void record_state_transition(int component, Symbol variable, Symbol from,
                                Symbol to);
   /// Re-evaluates a component's firing conditions (called by behaviours
@@ -208,14 +208,9 @@ class Kernel {
   [[nodiscard]] const std::vector<std::uint64_t>& component_events() const {
     return component_events_;
   }
-  struct PendingTransition {
-    double time_ns;
-    std::int32_t component;
-    Symbol variable;
-    Symbol from;
-    Symbol to;
-  };
-  [[nodiscard]] const std::vector<PendingTransition>& transitions() const {
+  /// Recorded rows in this shard's execution order; merge_results moves or
+  /// copies them into the result's columnar table.
+  [[nodiscard]] std::vector<TransitionRow>& transitions() {
     return transitions_;
   }
   /// First-hit warning sites in local emission order (deferred mode).
@@ -283,7 +278,7 @@ class Kernel {
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   TraceBuffer trace_;
-  std::vector<PendingTransition> transitions_;
+  std::vector<TransitionRow> transitions_;
   /// Events dispatched per component (deliver at the sink, timer, poke) —
   /// the measured activity weights of profile-guided partitioning.
   std::vector<std::uint64_t> component_events_;

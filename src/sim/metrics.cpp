@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "src/support/text.hpp"
 
@@ -69,18 +70,35 @@ std::string render_bottleneck_report(const SimResult& result,
   return out.str();
 }
 
-std::string render_state_table(const SimResult& result) {
-  std::map<std::string, std::vector<const StateTransition*>> by_component;
-  for (const StateTransition& t : result.state_transitions) {
-    by_component[t.component].push_back(&t);
+namespace {
+
+/// Row indices of a transition table grouped by component path (sorted by
+/// path), each group in table order. Keys view the table's path strings.
+std::map<std::string_view, std::vector<std::size_t>> rows_by_component(
+    const StateTransitionTable& table) {
+  std::map<std::string_view, std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    groups[table.component_path(table.row(i).component)].push_back(i);
   }
+  return groups;
+}
+
+bool same_symbols(const TransitionRow& a, const TransitionRow& b) {
+  return a.variable == b.variable && a.from == b.from && a.to == b.to;
+}
+
+}  // namespace
+
+std::string render_state_table(const SimResult& result) {
+  const StateTransitionTable& table = result.state_transitions;
   std::ostringstream out;
   out << "State-transition table\n";
-  for (const auto& [component, transitions] : by_component) {
+  for (const auto& [component, rows] : rows_by_component(table)) {
     out << "  " << component << ":\n";
-    for (const StateTransition* t : transitions) {
-      out << "    " << support::format_fixed(t->time_ns, 1) << " ns: "
-          << t->variable << ": \"" << t->from << "\" -> \"" << t->to
+    for (std::size_t i : rows) {
+      const StateTransition t = table[i];
+      out << "    " << support::format_fixed(t.time_ns, 1) << " ns: "
+          << t.variable << ": \"" << t.from << "\" -> \"" << t.to
           << "\"\n";
     }
   }
@@ -154,14 +172,16 @@ bool results_identical(const SimResult& a, const SimResult& b,
       return fail("trace differs at event " + std::to_string(i));
     }
   }
-  if (a.state_transitions.size() != b.state_transitions.size()) {
-    return fail("state transition count differs");
-  }
-  for (std::size_t i = 0; i < a.state_transitions.size(); ++i) {
-    const StateTransition& sa = a.state_transitions[i];
-    const StateTransition& sb = b.state_transitions[i];
-    if (sa.time_ns != sb.time_ns || sa.component != sb.component ||
-        sa.variable != sb.variable || sa.from != sb.from || sa.to != sb.to) {
+  const StateTransitionTable& ta = a.state_transitions;
+  const StateTransitionTable& tb = b.state_transitions;
+  if (ta.size() != tb.size()) return fail("state transition count differs");
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    // Row compare: symbols are process-wide, so equal names are equal
+    // integers; component indices may differ, their paths must not.
+    const TransitionRow& ra = ta.row(i);
+    const TransitionRow& rb = tb.row(i);
+    if (ra.time_ns != rb.time_ns || !same_symbols(ra, rb) ||
+        ta.component_path(ra.component) != tb.component_path(rb.component)) {
       return fail("state transition differs at " + std::to_string(i));
     }
   }
@@ -242,27 +262,22 @@ bool results_functionally_equivalent(const SimResult& a, const SimResult& b,
 
   // State-transition sequences grouped per component (cross-component
   // interleaving is timing, the per-component order is causality).
-  auto group = [](const SimResult& r) {
-    std::map<std::string, std::vector<const StateTransition*>> by_component;
-    for (const StateTransition& t : r.state_transitions) {
-      by_component[t.component].push_back(&t);
-    }
-    return by_component;
-  };
-  auto ga = group(a);
-  auto gb = group(b);
+  const StateTransitionTable& ta = a.state_transitions;
+  const StateTransitionTable& tb = b.state_transitions;
+  auto ga = rows_by_component(ta);
+  auto gb = rows_by_component(tb);
   if (ga.size() != gb.size()) return fail("transitioning component sets differ");
   for (const auto& [component, seq] : ga) {
     auto it = gb.find(component);
     if (it == gb.end() || it->second.size() != seq.size()) {
-      return fail("state transition count differs for '" + component + "'");
+      return fail("state transition count differs for '" +
+                  std::string(component) + "'");
     }
     for (std::size_t i = 0; i < seq.size(); ++i) {
-      if (seq[i]->variable != it->second[i]->variable ||
-          seq[i]->from != it->second[i]->from ||
-          seq[i]->to != it->second[i]->to) {
-        return fail("state transition sequence differs for '" + component +
-                    "' at step " + std::to_string(i));
+      if (!same_symbols(ta.row(seq[i]), tb.row(it->second[i]))) {
+        return fail("state transition sequence differs for '" +
+                    std::string(component) + "' at step " +
+                    std::to_string(i));
       }
     }
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/obs/metrics.hpp"
+#include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/fault.hpp"
 #include "src/sim/guard.hpp"
@@ -414,23 +415,29 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
                       support::DiagnosticEngine& diags) {
   obs::Span run_span("sim.run");
   run_span.arg("shards", static_cast<std::int64_t>(options.shards));
-  PartitionStats stats = partition_graph(
-      graph, options.shards, options.auto_partition,
-      options.component_weights.empty() ? nullptr
-                                        : &options.component_weights);
+  support::PhaseTimings phases;
+  PartitionStats stats;
+  bool credit = false;
+  {
+    obs::PhaseTimer timer(phases, "sim", "partition");
+    stats = partition_graph(graph, options.shards, options.auto_partition,
+                            options.component_weights.empty()
+                                ? nullptr
+                                : &options.component_weights);
 
-  // Credit negotiation (AckMode::kCredit): every cut channel gets a
-  // window-sized send budget; the register protocol stays in place for
-  // shard-local channels, so a single-shard run is the exact engine either
-  // way.
-  const bool credit = options.ack_mode == AckMode::kCredit &&
-                      graph.shard_count > 1 && stats.cross_channels > 0;
-  if (credit) {
-    std::int32_t window = std::max(1, options.credit_window);
-    for (Channel& c : graph.channels) {
-      if (c.cross_shard()) {
-        c.credit = true;
-        c.credits = window;
+    // Credit negotiation (AckMode::kCredit): every cut channel gets a
+    // window-sized send budget; the register protocol stays in place for
+    // shard-local channels, so a single-shard run is the exact engine
+    // either way.
+    credit = options.ack_mode == AckMode::kCredit && graph.shard_count > 1 &&
+             stats.cross_channels > 0;
+    if (credit) {
+      std::int32_t window = std::max(1, options.credit_window);
+      for (Channel& c : graph.channels) {
+        if (c.cross_shard()) {
+          c.credit = true;
+          c.credits = window;
+        }
       }
     }
   }
@@ -446,8 +453,9 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     // watchdog and the event/wall-clock/RSS budgets still apply.
     Kernel kernel(graph, options, diags, /*shard=*/0, /*router=*/nullptr);
     kernel.set_guard(&guard, options.max_events);
-    kernel.seed();
     {
+      obs::PhaseTimer timer(phases, "sim", "process");
+      kernel.seed();
       Watchdog watchdog(guard, wd_config);
       kernel.process_events(kInfiniteTime, /*inclusive=*/false,
                             options.max_time_ns);
@@ -456,7 +464,12 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     double end_time =
         kernel.capped() ? options.max_time_ns : kernel.last_event_time();
     std::vector<Kernel*> kernels{&kernel};
-    SimResult result = merge_results(graph, kernels, end_time, diags, aborted);
+    SimResult result;
+    {
+      obs::PhaseTimer timer(phases, "sim", "merge");
+      result = merge_results(graph, kernels, end_time, diags, aborted);
+    }
+    result.phase_ms = std::move(phases);
     if (aborted) {
       result.aborted = true;
       result.abort_reason = std::string(to_string(guard.cause()));
@@ -486,11 +499,11 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     kernels[s]->set_guard(&guard, options.max_events);
     if (faulty) kernels[s]->set_fault_injector(injectors[s].get());
   }
-  // Seed single-threaded (behaviour on_start may post cross-shard traffic;
-  // the mailboxes are drained at the first round).
-  for (auto& kernel : kernels) kernel->seed();
-
   {
+    obs::PhaseTimer timer(phases, "sim", "process");
+    // Seed single-threaded (behaviour on_start may post cross-shard
+    // traffic; the mailboxes are drained at the first round).
+    for (auto& kernel : kernels) kernel->seed();
     Watchdog watchdog(guard, wd_config);
     std::vector<std::thread> threads;
     threads.reserve(shards);
@@ -518,8 +531,12 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
   std::vector<Kernel*> kernel_ptrs;
   kernel_ptrs.reserve(shards);
   for (auto& kernel : kernels) kernel_ptrs.push_back(kernel.get());
-  SimResult result =
-      merge_results(graph, kernel_ptrs, end_time, diags, aborted);
+  SimResult result;
+  {
+    obs::PhaseTimer timer(phases, "sim", "merge");
+    result = merge_results(graph, kernel_ptrs, end_time, diags, aborted);
+  }
+  result.phase_ms = std::move(phases);
   if (aborted) {
     result.aborted = true;
     result.abort_reason = std::string(to_string(guard.cause()));

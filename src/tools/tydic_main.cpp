@@ -13,7 +13,8 @@
 //   --summary              print the design inventory
 //   --timings              print per-phase wall clock (pipeline order),
 //                          cache hit rates, and bytes emitted (from the
-//                          process metrics registry)
+//                          process metrics registry); with --sim also the
+//                          sim stage wall clock (SimResult::phase_ms)
 //   --metrics-out <path>   write the metrics registry snapshot (counters /
 //                          gauges / histograms, stable-sorted JSON) on exit
 //   --trace-profile <path> enable span tracing and write a Chrome
@@ -220,6 +221,7 @@ struct SimCliOptions {
   double budget_ms = 0.0;
   std::uint64_t max_events = 0;
   std::uint64_t rss_mb = 0;
+  bool timings = false;
 };
 
 int run_simulation(const tydi::driver::CompileResult& result,
@@ -255,6 +257,9 @@ int run_simulation(const tydi::driver::CompileResult& result,
   }
   tydi::sim::SimResult sim_result = engine.run(options);
   std::cerr << diags.render();
+  if (cli.timings) {
+    std::cerr << "sim phases: " << sim_result.phase_ms.render() << "\n";
+  }
   std::cout << sim_result.summary() << "\n"
             << tydi::sim::render_bottleneck_report(sim_result, 10);
   if (!cli.trace_out.empty()) {
@@ -464,7 +469,10 @@ int run(int argc, char** argv, std::string& metrics_out,
       return 1;
     }
   }
-  if (simulate) return run_simulation(result, sim_cli);
+  if (simulate) {
+    sim_cli.timings = timings;
+    return run_simulation(result, sim_cli);
+  }
   return 0;
 }
 

@@ -297,6 +297,52 @@ impl top of s {
   EXPECT_GT(slow[1].first, slow[0].first);
 }
 
+TEST(BehaviorSimBlock, SetRecordsLiteralAndExpressionValues) {
+  // A literal `set` is folded to its string form when the handler is
+  // compiled; an expression-valued `set` records the evaluated string.
+  constexpr std::string_view source = R"(
+type t = Stream(Bit(32), d=1, c=2);
+streamlet s { feed: t in, done: t out, }
+impl tracker of process_unit_s<type t, type t> @ external {
+  sim {
+    state n = "none";
+    state last = "none";
+    on in_.receive {
+      set n = 3;
+      set last = payload * 2;
+      send(out);
+      ack(in_);
+    }
+  }
+}
+impl top of s {
+  instance k(tracker),
+  feed => k.in_,
+  k.out => done,
+}
+)";
+  auto setup = run(source, "top",
+                   {{"feed", {sim::Packet{5, false}, sim::Packet{7, true}}}});
+  std::vector<sim::StateTransition> seen(
+      setup.result.state_transitions.begin(),
+      setup.result.state_transitions.end());
+  // Packet 5: n none -> 3, last none -> 10. Packet 7: n stays 3 (no
+  // transition), last 10 -> 14.
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].component, "k");
+  EXPECT_EQ(seen[0].variable, "n");
+  EXPECT_EQ(seen[0].from, "none");
+  EXPECT_EQ(seen[0].to, "3");
+  EXPECT_EQ(seen[1].variable, "last");
+  EXPECT_EQ(seen[1].from, "none");
+  EXPECT_EQ(seen[1].to, "10");
+  EXPECT_EQ(seen[2].variable, "last");
+  EXPECT_EQ(seen[2].from, "10");
+  EXPECT_EQ(seen[2].to, "14");
+  EXPECT_GT(seen[2].time_ns, seen[1].time_ns);
+  EXPECT_EQ(setup.result.state_transitions[2].to, "14");
+}
+
 TEST(Testbench, IrAndVhdlConsistentWithTrace) {
   constexpr std::string_view source = R"(
 type t = Stream(Bit(16), d=1, c=2);

@@ -5,7 +5,10 @@
 // channel accounting, boundary channels never cut).
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "src/driver/compiler.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/kernel.hpp"
 #include "src/sim/metrics.hpp"
@@ -286,6 +289,183 @@ TEST(SimShardPartition, ShardCountClampsToComponentCount) {
   std::vector<std::string> errors;
   EXPECT_TRUE(sim::shard::validate_partition(graph, stats, errors))
       << (errors.empty() ? "" : errors.front());
+}
+
+
+// ---------------------------------------------------------------------------
+// Columnar state-transition table
+// ---------------------------------------------------------------------------
+
+// parallelize_c8 (kParallelizeSource) with 10 generic packets: every pu
+// instance goes idle -> busy -> idle per packet; instances 0 and 1 take two
+// packets. Recorded from the row-per-transition representation this table
+// replaced, so the columnar table must render it byte for byte.
+constexpr std::string_view kParallelizeStateTable =
+    "State-transition table\n"
+    "  par.pu_inst_0:\n"
+    "    20.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    90.0 ns: s: \"busy\" -> \"idle\"\n"
+    "    100.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    170.0 ns: s: \"busy\" -> \"idle\"\n"
+    "  par.pu_inst_1:\n"
+    "    30.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    100.0 ns: s: \"busy\" -> \"idle\"\n"
+    "    110.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    180.0 ns: s: \"busy\" -> \"idle\"\n"
+    "  par.pu_inst_2:\n"
+    "    40.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    110.0 ns: s: \"busy\" -> \"idle\"\n"
+    "  par.pu_inst_3:\n"
+    "    50.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    120.0 ns: s: \"busy\" -> \"idle\"\n"
+    "  par.pu_inst_4:\n"
+    "    60.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    130.0 ns: s: \"busy\" -> \"idle\"\n"
+    "  par.pu_inst_5:\n"
+    "    70.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    140.0 ns: s: \"busy\" -> \"idle\"\n"
+    "  par.pu_inst_6:\n"
+    "    80.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    150.0 ns: s: \"busy\" -> \"idle\"\n"
+    "  par.pu_inst_7:\n"
+    "    90.0 ns: s: \"idle\" -> \"busy\"\n"
+    "    160.0 ns: s: \"busy\" -> \"idle\"\n";
+
+TEST(SimStateTable, RenderedTableIdenticalAcrossShardsAndGolden) {
+  driver::CompileResult compiled = compile(kParallelizeSource, "partest_top");
+  for (int shards : {1, 2, 4, 7}) {
+    support::DiagnosticEngine diags;
+    sim::Engine engine(compiled.design, diags);
+    sim::SimResult result =
+        engine.run(generic_options(compiled.design, 10, shards, true));
+    EXPECT_EQ(sim::render_state_table(result), kParallelizeStateTable)
+        << shards << " shard(s)";
+  }
+}
+
+TEST(SimStateTable, ResultsIdenticalReportsDifferingToSymbol) {
+  driver::CompileResult compiled = compile(kParallelizeSource, "partest_top");
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  sim::SimResult reference =
+      engine.run(generic_options(compiled.design, 10, 1, true));
+  sim::SimResult altered =
+      engine.run(generic_options(compiled.design, 10, 2, true));
+  ASSERT_TRUE(sim::results_identical(reference, altered));
+
+  const sim::StateTransitionTable& table = altered.state_transitions;
+  ASSERT_GT(table.size(), 3u);
+  std::vector<sim::TransitionRow> rows;
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const sim::TransitionRow& row = table.row(i);
+    rows.push_back(row);
+    auto index = static_cast<std::size_t>(row.component);
+    if (paths.size() <= index) paths.resize(index + 1);
+    paths[index] = table.component_path(row.component);
+  }
+  rows[3].to = support::intern("stalled");
+  altered.state_transitions =
+      sim::StateTransitionTable(std::move(rows), std::move(paths));
+  std::string why;
+  EXPECT_FALSE(sim::results_identical(reference, altered, &why));
+  EXPECT_EQ(why, "state transition differs at 3");
+}
+
+TEST(SimStateTable, MovedFromTableIsEmpty) {
+  driver::CompileResult compiled = compile(kParallelizeSource, "partest_top");
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  sim::SimResult result =
+      engine.run(generic_options(compiled.design, 10, 1, true));
+  const std::size_t rows = result.state_transitions.size();
+  ASSERT_EQ(rows, 20u);
+
+  sim::StateTransitionTable moved(std::move(result.state_transitions));
+  EXPECT_EQ(moved.size(), rows);
+  EXPECT_EQ(result.state_transitions.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(result.state_transitions.empty());
+
+  sim::StateTransitionTable assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), rows);
+  EXPECT_EQ(moved.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned.begin(), assigned.begin());
+  EXPECT_EQ(std::distance(assigned.begin(), assigned.end()),
+            static_cast<std::ptrdiff_t>(rows));
+}
+
+constexpr std::string_view kUndeclaredSetSource = R"tydi(
+package undeclared;
+type t_data = Stream(Bit(64), d=1, c=2);
+impl pu_typo of process_unit_s<type t_data, type t_data> @ external {
+  sim {
+    state s = "idle";
+    on in_.receive {
+      set s = "busy";
+      set mode = "typo";
+      delay(2);
+      send(out);
+      ack(in_);
+      set mode = payload;
+      set s = "idle";
+    }
+  }
+}
+streamlet undeclared_top_s { feed: t_data in, result: t_data out, }
+impl undeclared_top of undeclared_top_s {
+  instance par(parallelize_i<type t_data, type t_data, impl pu_typo, 4>),
+  feed => par.in_,
+  par.out => result,
+}
+)tydi";
+
+TEST(SimStateTable, UndeclaredSetTargetWarnsOncePerBehavior) {
+  driver::CompileResult compiled = compile(kUndeclaredSetSource,
+                                           "undeclared_top");
+  for (int packets : {1, 40}) {
+    for (int shards : {1, 2, 4}) {
+      support::DiagnosticEngine diags;
+      sim::Engine engine(compiled.design, diags);
+      sim::SimResult result =
+          engine.run(generic_options(compiled.design, packets, shards, true));
+      EXPECT_TRUE(result.status().is_ok()) << result.summary();
+      std::size_t warnings = 0;
+      for (const support::Diagnostic& d : diags.diagnostics()) {
+        if (d.message.find("undeclared state variable 'mode'") !=
+            std::string::npos) {
+          ++warnings;
+        }
+      }
+      // One behaviour per pu_typo instance; the declared `s` still records.
+      EXPECT_EQ(warnings, 4u) << packets << " packet(s), " << shards
+                              << " shard(s)";
+      EXPECT_EQ(result.state_transitions.size(),
+                2u * static_cast<std::size_t>(packets));
+    }
+  }
+}
+
+TEST(SimPhaseTimings, StagesRecordedInOrderAndMirrored) {
+  driver::CompileResult compiled = compile(kParallelizeSource, "partest_top");
+  obs::Histogram& merge_ms =
+      obs::MetricsRegistry::global().histogram("tydi.sim.phase_ms.merge");
+  for (int shards : {1, 2}) {
+    support::DiagnosticEngine diags;
+    sim::Engine engine(compiled.design, diags);
+    const std::uint64_t merges_before = merge_ms.count();
+    sim::SimResult result =
+        engine.run(generic_options(compiled.design, 16, shards, true));
+    std::vector<std::string> order;
+    for (const support::PhaseTimings::Entry& e : result.phase_ms) {
+      order.push_back(e.phase);
+      EXPECT_GE(e.ms, 0.0) << e.phase;
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{"build_graph", "partition",
+                                               "process", "merge"}))
+        << shards << " shard(s)";
+    EXPECT_EQ(merge_ms.count(), merges_before + 1);
+  }
 }
 
 }  // namespace
