@@ -16,7 +16,8 @@
 // credit-batched acks on a *saturated* pipeline chain — the regime where
 // the exact protocol degrades to per-timestamp ack-fixpoint rounds — and
 // gates on: credit functionally equivalent to exact, credit events/sec >=
-// exact events/sec at 2+ shards, and columnar-trace slab allocations
+// exact events/sec at 2+ shards in the medians of interleaved runs (the
+// JSON records both quartile spreads), and columnar-trace slab allocations
 // staying chunked (<= 1 per 1024 traced events).
 //
 // The fault-injection sweep (BENCH_sim.json "sim_fault_sweep") re-runs the
@@ -33,9 +34,13 @@
 // at >= 0.95 of the untraced rate, plus a check that the metrics registry
 // mirrors (tydi.sim.runs, tydi.sim.last.events) agree with SimResult.
 //
+// Sanitizer builds print the credit >= exact gate without enforcing it
+// (see kCreditGateEnforced); every other gate holds in every build.
+//
 // With `--json <path>` the measurements are upserted into the BENCH_sim.json
 // trajectory array. `--packets <n>` shrinks the measured run for smoke use;
 // `--fault-seeds <n>` sets the sweep width (default 64).
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -55,6 +60,20 @@
 #include "src/tpch/tpch.hpp"
 
 namespace {
+
+/// The credit >= exact gate holds only in an uninstrumented build. Under
+/// TSan every event costs ~20x more, which buries the synchronization cost
+/// it compares: six runs of TSan builds on a 4-vCPU host read the ratio at
+/// 0.97-1.18, both sides of the threshold. A sanitizer build measures one
+/// pair per shard count and prints it without gating.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kCreditGateEnforced = false;
+#else
+constexpr bool kCreditGateEnforced = true;
+#endif
+
+/// Interleaved exact/credit pairs per shard count in the credit section.
+constexpr int kCreditPairs = kCreditGateEnforced ? 15 : 1;
 
 std::string parallelize_source(int channels) {
   std::string source = R"tydi(
@@ -204,35 +223,50 @@ Measurement measure(Workload& workload, int shards,
   return m;
 }
 
-/// Exact vs credit at one shard count on the saturated chain (best of
-/// `reps` each; events/sec comparisons on shared CI runners need the min
-/// wall clock, not a single sample).
+/// Lower quartile, median and upper quartile of a sample.
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+Quartiles quartiles(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  auto at = [&](double q) {  // linear interpolation between ranks
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] +
+           (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+  };
+  return Quartiles{at(0.25), at(0.5), at(0.75)};
+}
+
+/// Exact vs credit events/sec at one shard count on the saturated chain,
+/// over `pairs` interleaved exact/credit runs. One wall-clock sample of a
+/// few-ms threaded run on a shared host varies by 2x and more, so the gate
+/// compares the two medians and the JSON records both quartile spreads.
 struct CreditComparison {
   int shards = 1;
-  Measurement exact;
-  Measurement credit;
+  int pairs = 0;
+  Quartiles exact;
+  Quartiles credit;
   [[nodiscard]] double ratio() const {
-    double base = exact.events_per_sec();
-    return base > 0.0 ? credit.events_per_sec() / base : 0.0;
+    return exact.median > 0.0 ? credit.median / exact.median : 0.0;
   }
 };
 
-CreditComparison compare_credit(Workload& workload, int shards, int reps) {
-  CreditComparison cmp;
-  cmp.shards = shards;
-  for (int r = 0; r < reps; ++r) {
-    Measurement exact =
-        measure(workload, shards, tydi::sim::AckMode::kExact, 1.0);
-    Measurement credit =
-        measure(workload, shards, tydi::sim::AckMode::kCredit, 1.0);
-    if (r == 0 || exact.wall_seconds < cmp.exact.wall_seconds) {
-      cmp.exact = exact;
-    }
-    if (r == 0 || credit.wall_seconds < cmp.credit.wall_seconds) {
-      cmp.credit = credit;
-    }
+CreditComparison compare_credit(Workload& workload, int shards, int pairs) {
+  std::vector<double> exact, credit;
+  for (int r = 0; r < pairs; ++r) {
+    exact.push_back(measure(workload, shards, tydi::sim::AckMode::kExact, 1.0)
+                        .events_per_sec());
+    credit.push_back(
+        measure(workload, shards, tydi::sim::AckMode::kCredit, 1.0)
+            .events_per_sec());
   }
-  return cmp;
+  return CreditComparison{shards, pairs, quartiles(std::move(exact)),
+                          quartiles(std::move(credit))};
 }
 
 void check_determinism(Workload& workload, int packets) {
@@ -428,11 +462,11 @@ int main(int argc, char** argv) {
   {
     (void)compare_credit(chain, 1, 1);  // warm-up
     for (int shards : {1, 2, 4}) {
-      credit_runs.push_back(compare_credit(chain, shards, 2));
+      credit_runs.push_back(compare_credit(chain, shards, kCreditPairs));
     }
   }
   // The gate: batched acks must never lose to per-timestamp fixpoint
-  // rounds once something is actually cut (2+ shards).
+  // rounds once something is actually cut (2+ shards), median to median.
   bool credit_fast = true;
   for (const CreditComparison& cmp : credit_runs) {
     if (cmp.shards >= 2 && cmp.ratio() < 1.0) credit_fast = false;
@@ -582,18 +616,23 @@ int main(int argc, char** argv) {
     }
   }
   tydi::support::TextTable credit_table;
-  credit_table.header({"shards", "exact ev/s", "credit ev/s", "ratio"});
+  credit_table.header({"shards", "exact ev/s (q1-q3)", "credit ev/s (q1-q3)",
+                       "ratio"});
+  auto spread = [](const Quartiles& q) {
+    return tydi::support::format_fixed(q.median, 0) + " (" +
+           tydi::support::format_fixed(q.q1, 0) + "-" +
+           tydi::support::format_fixed(q.q3, 0) + ")";
+  };
   for (const CreditComparison& cmp : credit_runs) {
-    credit_table.row(
-        {std::to_string(cmp.shards),
-         tydi::support::format_fixed(cmp.exact.events_per_sec(), 0),
-         tydi::support::format_fixed(cmp.credit.events_per_sec(), 0),
-         tydi::support::format_fixed(cmp.ratio(), 2)});
+    credit_table.row({std::to_string(cmp.shards), spread(cmp.exact),
+                      spread(cmp.credit),
+                      tydi::support::format_fixed(cmp.ratio(), 2)});
   }
   std::cout << "sharded simulation scaling (" << cores
             << " hardware thread(s))\n\n"
             << table.render() << "\n"
-            << "credit vs exact ack protocol (saturated_chain_48)\n\n"
+            << "credit vs exact ack protocol (saturated_chain_48, median of "
+            << kCreditPairs << " interleaved pair(s))\n\n"
             << credit_table.render() << "\n"
             << "partition invariants: "
             << (partition_errors.empty() ? "ok" : "VIOLATED") << "\n"
@@ -602,7 +641,9 @@ int main(int argc, char** argv) {
             << "credit functional equivalence: "
             << (credit_equivalent ? "ok" : "VIOLATED " + credit_why) << "\n"
             << "credit >= exact at 2+ shards: "
-            << (credit_fast ? "ok" : "VIOLATED") << "\n"
+            << (credit_fast ? "ok" : "VIOLATED")
+            << (kCreditGateEnforced ? "" : " (not gated in a sanitizer build)")
+            << "\n"
             << "trace slab allocs: " << trace_slab_allocs << " for "
             << trace_events << " traced event(s) "
             << (trace_allocs_ok ? "(ok)" : "(VIOLATED)") << "\n"
@@ -668,6 +709,8 @@ int main(int argc, char** argv) {
                << (credit_equivalent ? "true" : "false") << ",\n"
                << "    \"credit_not_slower_ok\": "
                << (credit_fast ? "true" : "false") << ",\n"
+               << "    \"timing_gated\": " << (kCreditGateEnforced ? "true" : "false")
+               << ",\n"
                << "    \"trace_events\": " << trace_events << ",\n"
                << "    \"trace_slab_allocs\": " << trace_slab_allocs << ",\n"
                << "    \"trace_allocs_ok\": "
@@ -675,12 +718,16 @@ int main(int argc, char** argv) {
                << "    \"runs\": [";
     for (std::size_t i = 0; i < credit_runs.size(); ++i) {
       const CreditComparison& cmp = credit_runs[i];
+      auto quartile_json = [&](const char* name, const Quartiles& q) {
+        credit_out << ", \"" << name << "_events_per_sec\": " << q.median
+                   << ", \"" << name << "_q1\": " << q.q1 << ", \"" << name
+                   << "_q3\": " << q.q3;
+      };
       credit_out << (i == 0 ? "" : ", ") << "{\"shards\": " << cmp.shards
-                 << ", \"exact_events_per_sec\": "
-                 << cmp.exact.events_per_sec()
-                 << ", \"credit_events_per_sec\": "
-                 << cmp.credit.events_per_sec()
-                 << ", \"ratio\": " << cmp.ratio() << "}";
+                 << ", \"pairs\": " << cmp.pairs;
+      quartile_json("exact", cmp.exact);
+      quartile_json("credit", cmp.credit);
+      credit_out << ", \"ratio\": " << cmp.ratio() << "}";
     }
     credit_out << "]\n"
                << "  }";
@@ -731,8 +778,9 @@ int main(int argc, char** argv) {
   }
 
   return partition_errors.empty() && determinism_ok && credit_equivalent &&
-                 credit_fast && trace_allocs_ok && fault_sweep_ok &&
-                 watchdog_ok && obs_overhead_ok && obs_registry_ok
+                 (credit_fast || !kCreditGateEnforced) && trace_allocs_ok &&
+                 fault_sweep_ok && watchdog_ok && obs_overhead_ok &&
+                 obs_registry_ok
              ? 0
              : 1;
 }

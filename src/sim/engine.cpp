@@ -78,7 +78,9 @@ std::string ShardForensics::summary() const {
       << " events=" << events_processed << " queue=" << queue_depth
       << " mailbox=" << mailbox_depth << " credits=" << credit_balance
       << " unacked=" << unacked
-      << " pending_ack_batches=" << pending_ack_batches;
+      << " pending_ack_batches=" << pending_ack_batches
+      << " exchanges=" << exchanges << " barrier_wait=" << barrier_wait_ms
+      << "ms";
   return out.str();
 }
 

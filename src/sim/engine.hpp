@@ -23,8 +23,8 @@
 // (src/sim/kernel.hpp) runs the deliver/timer/poke/stimulus event loop over
 // a subset of that graph. The single-threaded engine drives one kernel over
 // the whole graph; the sharded engine (src/sim/shard/) partitions the graph
-// and drives K kernels on K threads under a conservative time-window
-// barrier. Event ordering is a canonical (time, kind, channel/component)
+// and drives K kernels on K threads in conservative time-window rounds.
+// Event ordering is a canonical (time, kind, channel/component)
 // key — independent of insertion interleaving — so both drivers produce
 // byte-identical `SimResult`s.
 #pragma once
@@ -75,7 +75,7 @@ enum class AckMode : std::uint8_t {
   kExact = 0,
   /// Credit-based batching: every cross-shard channel gets a
   /// `credit_window`-deep send budget at partition time; sinks return acks
-  /// in one batch per barrier round instead of per timestamp, and the
+  /// in one batch per round instead of per timestamp, and the
   /// runtime drops the zero-lookahead ack ready-path entirely. Ack (and
   /// therefore backpressure-release) timestamps shift by up to one window,
   /// so results are *functionally* equivalent to exact mode (same packets,
@@ -97,8 +97,8 @@ struct SimOptions {
   /// Record the full packet trace (needed for testbench generation).
   bool record_trace = true;
   /// Number of simulation shards (worker threads). 1 = the single-queue
-  /// engine; >1 partitions the flattened graph and runs the shards under a
-  /// conservative time-window barrier (src/sim/shard/). Results are
+  /// engine; >1 partitions the flattened graph and runs the shards in
+  /// conservative time-window rounds (src/sim/shard/). Results are
   /// byte-identical for any shard count.
   int shards = 1;
   /// Partitioning strategy: true = balanced BFS partition that minimizes
@@ -109,7 +109,7 @@ struct SimOptions {
   /// runs have no cut channels, so both modes are the single-queue engine).
   AckMode ack_mode = AckMode::kExact;
   /// Send credits per cross-shard channel in AckMode::kCredit (clamped to
-  /// >= 1). Larger windows amortize more acks per barrier round at the
+  /// >= 1). Larger windows amortize more acks per round at the
   /// price of longer backpressure-release latency.
   int credit_window = 8;
   /// Measured per-component activity weights for the partitioner (indexed
@@ -278,6 +278,11 @@ struct ShardForensics {
   /// Consumed acks batched but not yet flushed to their source shards —
   /// nonzero here is the signature of a withheld-ack hang.
   std::int64_t pending_ack_batches = 0;
+  /// Step exchanges this shard entered (0 for a single-shard run) and the
+  /// wall time it spent waiting in them for its peers: the shard's
+  /// synchronization cost, next to the work in `events_processed`.
+  std::uint64_t exchanges = 0;
+  double barrier_wait_ms = 0.0;
 
   [[nodiscard]] std::string summary() const;
 };
@@ -389,10 +394,6 @@ struct Channel {
   /// the ack sanity check never reads source-owned state across threads.
   bool delivered_pending = false;
   Packet in_flight;
-  /// Delivery time of the in-flight packet (valid while occupied). The
-  /// sharded runtime uses it as the earliest time the remote sink could
-  /// acknowledge (the ack-risk bound of the time-window protocol).
-  double deliver_time_ns = 0.0;
   /// Shard owning the register + outbox (the source side). 0 in
   /// single-shard runs.
   std::int32_t src_shard = 0;

@@ -3,15 +3,15 @@
 //
 // A 1-core container never exercises the scheduling pathologies a real
 // multi-core box produces: threads descheduled mid-round, mailbox posts
-// landing "late" in wall-clock, one shard racing far ahead of the barrier.
+// landing "late" in wall-clock, one shard racing far ahead of its peers.
 // A `FaultPlan` recreates those pathologies on purpose — and deterministic
 // protocols must shrug them off:
 //
-//  - *wall-clock* faults (delayed mailbox posts, jittered barrier arrival,
+//  - *wall-clock* faults (delayed mailbox posts, jittered exchange entry,
 //    stalled-shard windows) perturb only thread timing. The exact protocol
 //    must stay byte-identical and the credit protocol functionally
-//    equivalent, because every control decision derives from barrier-reduced
-//    values, never from arrival order;
+//    equivalent, because every control decision derives from
+//    exchange-reduced values, never from arrival order;
 //  - *protocol* faults (withheld credit grants) defer the credit-mode ack
 //    batch flush by whole rounds. Ack timestamps shift further, so only the
 //    functional-equivalence contract applies — and only credit mode honours
@@ -41,8 +41,8 @@ struct FaultPlan {
   /// being written. Wall-clock only: the message still lands in the same
   /// protocol round.
   double delay_delivery_p = 0.0;
-  /// Probability [0,1] of spinning before each barrier arrival (models a
-  /// thread descheduled on the way into the barrier).
+  /// Probability [0,1] of spinning before entering each step exchange
+  /// (models a thread descheduled on the way into the synchronization).
   double barrier_jitter_p = 0.0;
   /// Probability [0,1] that a shard stalls (yield-loop) at the start of a
   /// round's processing phase (models a long preemption window).

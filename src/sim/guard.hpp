@@ -1,14 +1,15 @@
 // Run guard + watchdog for the simulation runtime.
 //
 // A `RunGuard` is the single stop-signal shared by every shard thread, the
-// barrier, and the watchdog: one atomic flag plus the cause that raised it.
-// Kernels contribute to a global processed-event counter and poll the flag
-// every few hundred events, so a stop request (budget exceeded, watchdog
-// fired) drains the run within microseconds instead of at the next barrier.
+// step exchange, and the watchdog: one atomic flag plus the cause that
+// raised it. Kernels add to a processed-event counter of their own and
+// poll the flag every few hundred events, so a stop request (budget
+// exceeded, watchdog fired) drains the run within microseconds instead of
+// at the next exchange.
 //
 // The `Watchdog` is a monitor thread that polls the guard:
-//  - *no-progress*: the global event counter has not moved for
-//    `watchdog_timeout_ms`. Barrier rounds alone do NOT count as progress —
+//  - *no-progress*: the run's event count has not moved for
+//    `watchdog_timeout_ms`. Rounds alone do NOT count as progress —
 //    the canonical livelock (withheld acks in credit mode) spins rounds
 //    forever while processing zero events, and a round-based monitor would
 //    never fire;
@@ -17,17 +18,20 @@
 //    getrusage; best-effort — ru_maxrss is a high-water mark).
 //
 // When any trigger fires the watchdog calls `request_stop(cause)`; shard
-// threads and the abortable barrier observe the flag, unwind cooperatively,
-// and the runtime converts the partial state into SimResult::aborted with
-// per-shard forensics. The watchdog never kills threads.
+// threads and the abortable exchange spin observe the flag, unwind
+// cooperatively, and the runtime converts the partial state into
+// SimResult::aborted with per-shard forensics. The watchdog never kills
+// threads.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace tydi::sim {
 
@@ -45,15 +49,27 @@ enum class StopCause : std::uint8_t {
 /// Shared stop-signal for one simulation run. All methods are thread-safe.
 class RunGuard {
  public:
-  /// Adds processed events to the global counter and returns the new total.
-  /// Relaxed: the counter is monotonic telemetry, not a synchronization
-  /// point.
-  std::uint64_t add_events(std::uint64_t n) {
-    return events_.fetch_add(n, std::memory_order_relaxed) + n;
+  /// One event counter per shard thread (`shards` >= 1).
+  explicit RunGuard(int shards = 1)
+      : counters_(static_cast<std::size_t>(std::max(shards, 1))) {}
+
+  /// Adds processed events to `shard`'s counter. Each counter has a single
+  /// writer on a cache line of its own, so this is a load and a store, not
+  /// a read-modify-write the shards would contend on. Relaxed: the counts
+  /// are monotonic telemetry, not a synchronization point.
+  void add_events(int shard, std::uint64_t n) {
+    std::atomic<std::uint64_t>& events = counters_[shard].events;
+    events.store(events.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
   }
 
+  /// Events processed by every shard so far.
   [[nodiscard]] std::uint64_t events() const {
-    return events_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Counter& c : counters_) {
+      total += c.events.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
   /// First caller wins; later causes are ignored so forensics report the
@@ -74,9 +90,12 @@ class RunGuard {
   }
 
  private:
+  struct alignas(64) Counter {
+    std::atomic<std::uint64_t> events{0};
+  };
   std::atomic<bool> stop_{false};
   std::atomic<StopCause> cause_{StopCause::kNone};
-  std::atomic<std::uint64_t> events_{0};
+  std::vector<Counter> counters_;
 };
 
 /// Monitor thread enforcing the no-progress timeout and the run budgets.

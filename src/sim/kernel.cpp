@@ -27,6 +27,9 @@ Kernel::Kernel(SimGraph& graph, const SimOptions& options,
       cross_dst_channels_.push_back(static_cast<std::int32_t>(i));
     }
   }
+  if (!cross_src_channels_.empty()) {
+    cut_deliver_ns_.assign(graph_.channels.size(), kInfiniteTime);
+  }
   component_events_.assign(graph_.components.size(), 0);
 }
 
@@ -62,16 +65,16 @@ void Kernel::seed() {
 }
 
 void Kernel::process_events(double limit, bool inclusive, double max_time_ns) {
-  // Guard sync granularity: one relaxed fetch_add + one acquire load every
-  // 256 events keeps the stop latency in the microseconds without touching
-  // shared cache lines per event.
+  // Guard sync granularity: one store to this shard's counter + one acquire
+  // load every 256 events (and once per call) keeps the stop latency in the
+  // microseconds without writing a cache line another shard writes.
   constexpr std::uint64_t kGuardStride = 256;
   std::uint64_t unsynced = 0;
   auto sync_guard = [&] {
     if (guard_ == nullptr || unsynced == 0) return false;
-    std::uint64_t total = guard_->add_events(unsynced);
+    guard_->add_events(shard_, unsynced);
     unsynced = 0;
-    if (max_events_ != 0 && total >= max_events_) {
+    if (max_events_ != 0 && guard_->events() >= max_events_) {
       guard_->request_stop(StopCause::kMaxEvents);
     }
     return guard_->stop_requested();
@@ -236,9 +239,10 @@ void Kernel::start_channel_transfer(std::size_t channel_index, Packet packet) {
   Channel& c = graph_.channels[channel_index];
   c.occupied = true;
   c.in_flight = packet;
-  c.deliver_time_ns = now_ + c.latency_ns;
   if (c.dst_shard != shard_) {
-    router_->post_deliver(c.dst_shard, c.deliver_time_ns,
+    const double deliver_ns = now_ + c.latency_ns;
+    cut_deliver_ns_[channel_index] = deliver_ns;
+    router_->post_deliver(c.dst_shard, deliver_ns,
                           static_cast<std::int32_t>(channel_index), packet);
   } else {
     push_event(c.latency_ns, EventKind::kDeliver,
@@ -407,6 +411,7 @@ void Kernel::complete_remote_ack(std::size_t channel_index) {
   Channel& c = graph_.channels[channel_index];
   if (!c.occupied) return;  // protocol violation; tolerate
   c.occupied = false;
+  cut_deliver_ns_[channel_index] = kInfiniteTime;
   notify_output_acked(c.src);
   drain_outbox(channel_index);
 }
@@ -468,8 +473,7 @@ std::int64_t Kernel::unacked_total() const {
 double Kernel::ack_risk_bound() const {
   double bound = kInfiniteTime;
   for (std::int32_t ch : cross_src_channels_) {
-    const Channel& c = graph_.channels[ch];
-    if (c.occupied && c.deliver_time_ns < bound) bound = c.deliver_time_ns;
+    bound = std::min(bound, cut_deliver_ns_[ch]);
   }
   return bound;
 }

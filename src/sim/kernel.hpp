@@ -13,7 +13,7 @@
 // execution that feeds a kernel the same event set therefore pops it in the
 // same order, which is what makes the K-shard run byte-identical to the
 // single-queue run: cross-shard messages merely move event insertion to a
-// barrier, they cannot reorder the canonical key.
+// step exchange, they cannot reorder the canonical key.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +71,8 @@ class CrossRouter {
   /// The sink acknowledged `count` packets of `channel` at `time`; the
   /// source shard replenishes the register/credits, notifies the source
   /// behaviour and drains the outbox. Exact mode always posts count 1 at
-  /// the consumption timestamp; credit mode posts one batch per barrier
-  /// round stamped at the window boundary.
+  /// the consumption timestamp; credit mode posts one batch per round
+  /// stamped at the window boundary.
   virtual void post_ack(int to_shard, double time, std::int32_t channel,
                         std::int32_t count) = 0;
 };
@@ -140,7 +140,9 @@ class Kernel {
 
   /// Earliest time a remote sink could acknowledge one of this shard's
   /// occupied cross-shard source channels (kInfiniteTime when none is
-  /// occupied). The runtime clamps the round horizon to this bound.
+  /// occupied). The runtime clamps the round horizon to this bound. Reads
+  /// only kernel-local state, never the shared `Channel` structs the sink
+  /// shard writes next to.
   [[nodiscard]] double ack_risk_bound() const;
 
   /// Absolute-time event insertion for mailbox drains. Credit-mode cut
@@ -168,7 +170,7 @@ class Kernel {
   void flush_ack_batches(double time, bool force = false);
 
   /// Sum of accumulated-but-unflushed ack batches over this shard's
-  /// sink-side cut channels. Nonzero at an otherwise-idle barrier means the
+  /// sink-side cut channels. Nonzero at an otherwise-idle round means the
   /// run is NOT quiescent: sources are still owed credits.
   [[nodiscard]] std::int64_t pending_ack_batches() const;
   /// Remaining send credits over this shard's source-side cut channels.
@@ -178,10 +180,10 @@ class Kernel {
   [[nodiscard]] std::int64_t unacked_total() const;
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
-  /// Attaches the run's stop-signal. The event loop contributes to the
-  /// guard's global event counter and polls its stop flag every few hundred
+  /// Attaches the run's stop-signal. The event loop adds to this shard's
+  /// event counter in the guard and polls its stop flag every few hundred
   /// events; `max_events` > 0 additionally trips the kMaxEvents budget when
-  /// the global counter crosses it.
+  /// the run-wide count crosses it.
   void set_guard(RunGuard* guard, std::uint64_t max_events) {
     guard_ = guard;
     max_events_ = max_events;
@@ -287,6 +289,10 @@ class Kernel {
   /// Channel indices of cross-shard channels whose source side this shard
   /// owns (precomputed for ack_risk_bound).
   std::vector<std::int32_t> cross_src_channels_;
+  /// Exact mode: delivery time of the packet occupying each owned cut source
+  /// channel, by channel index (kInfiniteTime when free). Set in
+  /// start_channel_transfer, cleared in complete_remote_ack.
+  std::vector<double> cut_deliver_ns_;
   /// Channel indices of cross-shard channels whose sink side this shard
   /// owns (credit-mode ack-batch flushing).
   std::vector<std::int32_t> cross_dst_channels_;

@@ -19,46 +19,6 @@ namespace tydi::sim::shard {
 
 namespace {
 
-/// Sense-reversing barrier: bounded spin, then yield (stays correct and
-/// non-pathological when shards exceed hardware cores). A phase transition
-/// publishes with release/acquire ordering, so everything a thread wrote
-/// before arriving is visible to every thread after leaving — the mailbox
-/// cells and reduction slots need no locks of their own.
-///
-/// The barrier is *abortable*: once the run guard's stop flag is raised,
-/// every wait (current and future) returns immediately, so a watchdog abort
-/// cannot strand threads waiting for a partner that already unwound. After
-/// the flag is up, threads must not rely on barrier separation — they only
-/// ever check the flag and exit their round loops.
-class SpinBarrier {
- public:
-  SpinBarrier(int parties, const RunGuard& guard)
-      : parties_(parties), guard_(guard) {}
-
-  void arrive_and_wait() {
-    if (guard_.stop_requested()) return;
-    std::uint32_t phase = phase_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      phase_.fetch_add(1, std::memory_order_acq_rel);
-      return;
-    }
-    int spins = 0;
-    while (phase_.load(std::memory_order_acquire) == phase) {
-      if (++spins > 512) {
-        if (guard_.stop_requested()) return;
-        std::this_thread::yield();
-      }
-    }
-  }
-
- private:
-  const int parties_;
-  const RunGuard& guard_;
-  std::atomic<int> arrived_{0};
-  std::atomic<std::uint32_t> phase_{0};
-};
-
 struct Msg {
   double time = 0.0;
   std::int32_t channel = -1;
@@ -72,25 +32,29 @@ struct Msg {
   bool is_ack = false;
 };
 
-/// K×K single-producer cells. Cell (src, dst) is written only by shard
-/// `src` during a processing phase and drained only by shard `dst` during a
-/// drain phase; the two phases are always separated by a barrier, so plain
+/// K×K single-producer cells, double-buffered by step parity. Cell
+/// (parity, src, dst) is written only by shard `src` during a step that
+/// posts into `parity` and drained only by shard `dst` during the next
+/// step; the step exchange orders the two (see StepExchange), so plain
 /// vectors suffice.
 class Mailboxes {
  public:
   explicit Mailboxes(int shards)
-      : shards_(shards), cells_(static_cast<std::size_t>(shards) * shards) {}
+      : shards_(shards),
+        cells_(2 * static_cast<std::size_t>(shards) * shards) {}
 
-  std::vector<Msg>& cell(int src, int dst) {
-    return cells_[static_cast<std::size_t>(src) * shards_ + dst].msgs;
+  std::vector<Msg>& cell(int parity, int src, int dst) {
+    const std::size_t row = static_cast<std::size_t>(parity) * shards_ + src;
+    return cells_[row * shards_ + dst].msgs;
   }
 
-  /// Drains every inbound cell of `dst` (in source-shard order) into the
-  /// kernel's queue. The canonical event order makes the drain order
-  /// irrelevant, but keeping it fixed makes runs reproducible to the byte.
-  void drain_into(int dst, Kernel& kernel) {
+  /// Drains every inbound cell of `dst` of one parity (in source-shard
+  /// order) into the kernel's queue. The canonical event order makes the
+  /// drain order irrelevant, but keeping it fixed makes runs reproducible
+  /// to the byte.
+  void drain_into(int parity, int dst, Kernel& kernel) {
     for (int src = 0; src < shards_; ++src) {
-      std::vector<Msg>& box = cell(src, dst);
+      std::vector<Msg>& box = cell(parity, src, dst);
       for (const Msg& msg : box) {
         if (msg.is_ack) {
           kernel.enqueue_remote_ack(msg.time, msg.channel, msg.count);
@@ -102,11 +66,15 @@ class Mailboxes {
     }
   }
 
-  /// Messages parked in `dst`'s inbound cells. Forensics only — called
-  /// after the worker threads have joined.
+  /// Messages parked in `dst`'s inbound cells of both parities. Forensics
+  /// only — called after the worker threads have joined.
   [[nodiscard]] std::size_t inbound_depth(int dst) {
     std::size_t total = 0;
-    for (int src = 0; src < shards_; ++src) total += cell(src, dst).size();
+    for (int parity = 0; parity < 2; ++parity) {
+      for (int src = 0; src < shards_; ++src) {
+        total += cell(parity, src, dst).size();
+      }
+    }
     return total;
   }
 
@@ -126,20 +94,31 @@ class ShardRouter : public CrossRouter {
   void post_deliver(int to_shard, double time, std::int32_t channel,
                     Packet packet) override {
     delay_fault();
-    mail_.cell(from_, to_shard)
+    earliest_post_ = std::min(earliest_post_, time);
+    mail_.cell(parity_, from_, to_shard)
         .push_back(Msg{time, channel, 0, packet, false});
   }
   void post_ack(int to_shard, double time, std::int32_t channel,
                 std::int32_t count) override {
     delay_fault();
-    mail_.cell(from_, to_shard)
+    earliest_post_ = std::min(earliest_post_, time);
+    mail_.cell(parity_, from_, to_shard)
         .push_back(Msg{time, channel, count, Packet{}, true});
+  }
+
+  /// Earliest timestamp posted since the last begin_step (kInfiniteTime
+  /// when nothing was posted).
+  [[nodiscard]] double earliest_post() const { return earliest_post_; }
+  /// Points later posts at the cells of `parity` and resets earliest_post.
+  void begin_step(int parity) {
+    parity_ = parity;
+    earliest_post_ = kInfiniteTime;
   }
 
  private:
   /// Wall-clock-only fault: the post is held back in real time but still
-  /// lands in the same protocol round (the mailbox cell is drained only
-  /// after the next barrier), so results must not change.
+  /// lands in the same step's cells (drained only after the next exchange),
+  /// so results must not change.
   void delay_fault() {
     if (fault_ != nullptr &&
         fault_->fires(FaultInjector::Site::kMailboxPost)) {
@@ -150,11 +129,17 @@ class ShardRouter : public CrossRouter {
   Mailboxes& mail_;
   const int from_;
   FaultInjector* fault_;
+  /// The seed step ends with exchange 1, so seeding posts into parity 1.
+  int parity_ = 1;
+  double earliest_post_ = kInfiniteTime;
 };
 
-/// Cache-line-isolated per-shard reduction slot. Written by its shard
-/// before a barrier, read by every shard after it.
-struct alignas(64) Slot {
+/// One shard's contribution to a step's reduction. Exact mode fills
+/// next_time, ack_bound and acks_posted; credit mode fills next_time,
+/// pending_batches and last_time. The other mode's fields keep their
+/// neutral values, so one reduction serves both.
+struct Vote {
+  /// min(queue head after the step, earliest message posted in it).
   double next_time = kInfiniteTime;
   double ack_bound = kInfiniteTime;
   std::uint32_t acks_posted = 0;
@@ -165,18 +150,87 @@ struct alignas(64) Slot {
   double last_time = 0.0;
 };
 
+/// The step exchange: every shard publishes its vote and waits for every
+/// peer's, with no shared read-modify-write. Shard s owns one cache line
+/// per parity; exchange n (1-based) writes line (s, n & 1): the vote, then
+/// a release-store of `epoch = n`. A shard then acquire-spins on each
+/// peer's line until it reads epoch n, and folds the peers' votes.
+///
+/// Race freedom (the same argument covers the mailbox cells):
+///  - Vote lines. Line (s, q) written at exchange n is next written at
+///    exchange n + 2. Shard s can only enter n + 2 after finishing n + 1,
+///    i.e. after acquiring every peer's epoch n + 1; a peer publishes n + 1
+///    only after it has folded line (s, q) of exchange n. So every read of
+///    exchange n happens-before its overwrite, and a spinning shard never
+///    sees epoch n + 2 on a line it is waiting on.
+///  - Mailbox cells. The step ending in exchange n posts into cells n & 1;
+///    the sink drains them in the next step, after acquiring the poster's
+///    epoch n (posts happen-before the release). The poster writes those
+///    cells again only in the step ending in exchange n + 2, which starts
+///    after it acquired the sink's epoch n + 1 — published after the drain.
+///  - The reduced next_time. Each vote carries min(queue head, earliest
+///    post of the step), and every post is drained into its sink's queue at
+///    the start of the next step, so the reduced value is the global
+///    minimum of the *post-drain* queue heads — what a drain followed by a
+///    second synchronization would have computed.
+///
+/// The exchange is abortable: once the run guard's stop flag is raised, a
+/// waiting shard returns a neutral vote (after its bounded spin), so a
+/// watchdog abort cannot strand it behind a peer that already unwound.
+/// Callers re-check the flag and leave their step loop.
+class StepExchange {
+ public:
+  StepExchange(int shards, const RunGuard& guard)
+      : shards_(shards), guard_(guard), lines_(2 * shards) {}
+
+  Vote exchange(int me, std::uint64_t epoch, const Vote& mine) {
+    const std::size_t parity = epoch & 1;
+    Line& own = lines_[2 * static_cast<std::size_t>(me) + parity];
+    own.vote = mine;
+    own.epoch.store(epoch, std::memory_order_release);
+    Vote reduced = mine;
+    for (int s = 0; s < shards_; ++s) {
+      if (s == me) continue;
+      const Line& peer = lines_[2 * static_cast<std::size_t>(s) + parity];
+      int spins = 0;
+      while (peer.epoch.load(std::memory_order_acquire) < epoch) {
+        if (++spins > 512) {
+          if (guard_.stop_requested()) return Vote{};
+          std::this_thread::yield();
+        }
+      }
+      const Vote& v = peer.vote;
+      reduced.next_time = std::min(reduced.next_time, v.next_time);
+      reduced.ack_bound = std::min(reduced.ack_bound, v.ack_bound);
+      reduced.acks_posted += v.acks_posted;
+      reduced.pending_batches += v.pending_batches;
+      reduced.last_time = std::max(reduced.last_time, v.last_time);
+    }
+    return reduced;
+  }
+
+ private:
+  struct alignas(64) Line {
+    std::atomic<std::uint64_t> epoch{0};
+    Vote vote;
+  };
+  const int shards_;
+  const RunGuard& guard_;
+  std::vector<Line> lines_;
+};
+
 /// Per-shard observability accumulators, written only by the owning shard
 /// thread during the run and read on the main thread after join — no
 /// atomics needed, cache-line isolated so the writes never false-share.
 struct alignas(64) ObsSlot {
   std::int64_t barrier_wait_ns = 0;
   std::uint64_t rounds = 0;
+  std::uint64_t exchanges = 0;
 };
 
 struct RoundState {
-  SpinBarrier barrier;
+  StepExchange exchange;
   Mailboxes mail;
-  std::vector<Slot> slots;
   std::vector<ObsSlot> obs;
   double lookahead_ns;
   double max_time_ns;
@@ -184,124 +238,80 @@ struct RoundState {
   std::atomic<bool> capped{false};
 
   RoundState(int shards, double lookahead, double max_time, RunGuard& g)
-      : barrier(shards, g),
+      : exchange(shards, g),
         mail(shards),
-        slots(shards),
         obs(shards),
         lookahead_ns(lookahead),
         max_time_ns(max_time),
         guard(g) {}
 };
 
-/// Credit-mode round loop: no ack-risk bound, no same-timestamp fixpoint.
-/// Every round is a window round with H = T + lookahead — the credit
-/// horizon guarantees no shard needs a remote ack inside the window
-/// (exhausted credits queue in the outbox instead of blocking the round) —
-/// and the acks consumed during the round flush as one batch per channel at
-/// the window boundary. The degenerate H == T case (a zero-latency cut
-/// channel) processes single timestamps but still batches acks, so time
-/// never runs backwards: an ack consumed at T is processed by the source at
-/// T in the next round.
-///
-/// Quiescence needs two conditions, not one: every queue idle (t == inf)
-/// AND no ack batch left unflushed. Fault injection can withhold a flush
-/// past the round that filled it, so an idle barrier with outstanding
-/// batches force-flushes and goes around — except under the deliberate
-/// hang fault, which keeps withholding until the watchdog aborts the run.
-void shard_main_credit(int me, int shards, Kernel& kernel, RoundState& state,
-                       FaultInjector& inject) {
-  auto arrive = [&] {
+/// The round loop of both ack modes, one step per exchange; the round rules
+/// are in src/sim/shard/README.md. What the code does not show:
+///  - Every branch reads only reduced votes, so all shards take it together.
+///  - A window [T, H) is safe: no remote ack lands before the ack bound, and
+///    every cross-shard delivery posted inside it lands at >= T + W.
+///  - Credit mode needs no bound: a source with exhausted credits queues in
+///    its outbox, so no shard waits on a remote ack inside the window.
+void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
+                RoundState& state, FaultInjector& inject) {
+  ObsSlot& obs = state.obs[me];
+  std::uint64_t epoch = 1;  // the seed step ends with exchange 1
+  // Publishes this step's vote (only the current mode's fields: the credit
+  // ones scan every cut sink channel) and returns the reduction.
+  auto exchange = [&]() {
+    Vote mine;
+    mine.next_time = std::min(kernel.next_time(), router.earliest_post());
+    if (credit) {
+      mine.pending_batches = kernel.pending_ack_batches();
+      mine.last_time = kernel.last_event_time();
+    } else {
+      mine.ack_bound = kernel.ack_risk_bound();
+      mine.acks_posted = kernel.take_acks_posted();
+    }
     if (inject.fires(FaultInjector::Site::kBarrierArrive)) {
       inject.spin_delay();
     }
-    // Two steady_clock reads per wait: the wait itself spins/yields, so the
-    // clock cost disappears into it (gated by the sim obs-overhead bench).
+    ++obs.exchanges;
+    // Two steady_clock reads per exchange: the wait itself spins/yields, so
+    // the clock cost disappears into it (gated by the sim obs-overhead
+    // bench).
     const auto wait_start = std::chrono::steady_clock::now();
-    state.barrier.arrive_and_wait();
-    state.obs[me].barrier_wait_ns +=
+    Vote reduced = state.exchange.exchange(me, epoch, mine);
+    obs.barrier_wait_ns +=
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wait_start)
             .count();
+    ++epoch;
+    router.begin_step(static_cast<int>(epoch & 1));
+    return reduced;
   };
+
+  Vote vote = exchange();  // the seed step: queue heads + on_start posts
+  bool fixpoint = false;   // the last step processed timestep `t`
+  double t = 0.0;
   for (;;) {
     if (state.guard.stop_requested()) return;
-    ++state.obs[me].rounds;
-    state.mail.drain_into(me, kernel);
-    state.slots[me].next_time = kernel.next_time();
-    state.slots[me].pending_batches = kernel.pending_ack_batches();
-    state.slots[me].last_time = kernel.last_event_time();
-    arrive();
-    if (state.guard.stop_requested()) return;
-
-    double t = kInfiniteTime;
-    std::int64_t pending = 0;
-    double flush_time = 0.0;
-    for (int s = 0; s < shards; ++s) {
-      t = std::min(t, state.slots[s].next_time);
-      pending += state.slots[s].pending_batches;
-      flush_time = std::max(flush_time, state.slots[s].last_time);
-    }
-    if (t == kInfiniteTime) {
-      if (pending == 0) break;  // global quiescence: idle AND no batch owed
-      // Idle queues but withheld batches: force-flush the stragglers at
-      // the latest dispatched time and go around (all reduced values, so
-      // every shard picks the same timestamp). Under the hang fault the
-      // flush is a no-op and this loop spins at zero processed events —
-      // exactly the livelock the watchdog converts into an abort.
-      kernel.flush_ack_batches(flush_time, /*force=*/true);
-      arrive();  // flush posts before the next round's drains
+    state.mail.drain_into(static_cast<int>((epoch - 1) & 1), me, kernel);
+    if (fixpoint && vote.acks_posted > 0) {
+      kernel.process_events(t, /*inclusive=*/true, state.max_time_ns);
+      vote = exchange();
       continue;
     }
-    if (t > state.max_time_ns) {
-      if (me == 0) state.capped.store(true, std::memory_order_relaxed);
-      break;
+    fixpoint = false;
+    ++obs.rounds;
+    t = vote.next_time;
+    if (t == kInfiniteTime) {
+      if (vote.pending_batches == 0) break;  // quiescent (exact: always)
+      // Idle queues but withheld batches: force-flush the stragglers at the
+      // latest dispatched time (a reduced value, so every shard picks the
+      // same timestamp) and go around. Under the hang fault the flush is a
+      // no-op and this loop spins at zero processed events — exactly the
+      // livelock the watchdog converts into an abort.
+      kernel.flush_ack_batches(vote.last_time, /*force=*/true);
+      vote = exchange();
+      continue;
     }
-
-    if (inject.fires(FaultInjector::Site::kRoundStall)) inject.spin_delay();
-
-    double horizon = t + state.lookahead_ns;
-    if (horizon > t) {
-      kernel.process_events(horizon, /*inclusive=*/false, state.max_time_ns);
-      kernel.flush_ack_batches(horizon);
-    } else {
-      kernel.process_events(t, /*inclusive=*/true, state.max_time_ns);
-      kernel.flush_ack_batches(t);
-    }
-    arrive();
-  }
-}
-
-void shard_main(int me, int shards, Kernel& kernel, RoundState& state,
-                FaultInjector& inject) {
-  auto arrive = [&] {
-    if (inject.fires(FaultInjector::Site::kBarrierArrive)) {
-      inject.spin_delay();
-    }
-    // Two steady_clock reads per wait: the wait itself spins/yields, so the
-    // clock cost disappears into it (gated by the sim obs-overhead bench).
-    const auto wait_start = std::chrono::steady_clock::now();
-    state.barrier.arrive_and_wait();
-    state.obs[me].barrier_wait_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count();
-  };
-  for (;;) {
-    if (state.guard.stop_requested()) return;
-    ++state.obs[me].rounds;
-    state.mail.drain_into(me, kernel);
-    state.slots[me].next_time = kernel.next_time();
-    state.slots[me].ack_bound = kernel.ack_risk_bound();
-    arrive();
-    if (state.guard.stop_requested()) return;
-
-    double t = kInfiniteTime;
-    double bound = kInfiniteTime;
-    for (int s = 0; s < shards; ++s) {
-      t = std::min(t, state.slots[s].next_time);
-      bound = std::min(bound, state.slots[s].ack_bound);
-    }
-    if (t == kInfiniteTime) break;  // global quiescence
     if (t > state.max_time_ns) {
       // Same t on every thread: all conclude the cutoff together.
       if (me == 0) state.capped.store(true, std::memory_order_relaxed);
@@ -310,33 +320,20 @@ void shard_main(int me, int shards, Kernel& kernel, RoundState& state,
 
     if (inject.fires(FaultInjector::Site::kRoundStall)) inject.spin_delay();
 
-    double horizon = std::min(t + state.lookahead_ns, bound);
+    // Credit mode votes no ack bound, so its horizon is T + W.
+    const double horizon = std::min(t + state.lookahead_ns, vote.ack_bound);
     if (horizon > t) {
-      // Window round: no remote ack can land before `horizon`, and every
-      // cross-shard delivery posted now lands at ≥ t + lookahead.
       kernel.process_events(horizon, /*inclusive=*/false, state.max_time_ns);
-      arrive();
-      continue;
-    }
-
-    // Timestep round: a cross-shard channel could be acknowledged at `t`.
-    // Process exactly this timestamp, then iterate same-time ack exchange
-    // to a fixpoint so the source sees the ack at the same timestamp the
-    // single-queue engine would.
-    kernel.process_events(t, /*inclusive=*/true, state.max_time_ns);
-    state.slots[me].acks_posted = kernel.take_acks_posted();
-    arrive();
-    for (;;) {
-      if (state.guard.stop_requested()) return;
-      std::uint32_t acks = 0;
-      for (int s = 0; s < shards; ++s) acks += state.slots[s].acks_posted;
-      if (acks == 0) break;
-      state.mail.drain_into(me, kernel);
-      arrive();  // drains before the next posts
+      if (credit) kernel.flush_ack_batches(horizon);
+    } else {
       kernel.process_events(t, /*inclusive=*/true, state.max_time_ns);
-      state.slots[me].acks_posted = kernel.take_acks_posted();
-      arrive();
+      if (credit) {
+        kernel.flush_ack_batches(t);
+      } else {
+        fixpoint = true;
+      }
     }
+    vote = exchange();
   }
 }
 
@@ -345,7 +342,7 @@ void shard_main(int me, int shards, Kernel& kernel, RoundState& state,
 /// aborts: a healthy run's end-state (queue/mailbox depths, credit
 /// occupancy) is the baseline the abort snapshots are read against.
 void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
-                       Mailboxes* mail) {
+                       RoundState* state) {
   result.shard_forensics.clear();
   for (std::size_t s = 0; s < kernels.size(); ++s) {
     const Kernel& k = *kernels[s];
@@ -355,8 +352,12 @@ void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
     f.last_event_time_ns = k.last_event_time();
     f.events_processed = k.events_processed();
     f.queue_depth = k.queue_depth();
-    f.mailbox_depth =
-        mail != nullptr ? mail->inbound_depth(static_cast<int>(s)) : 0;
+    if (state != nullptr) {
+      f.mailbox_depth = state->mail.inbound_depth(static_cast<int>(s));
+      f.exchanges = state->obs[s].exchanges;
+      f.barrier_wait_ms =
+          static_cast<double>(state->obs[s].barrier_wait_ns) / 1.0e6;
+    }
     f.credit_balance = k.credit_balance();
     f.unacked = k.unacked_total();
     f.pending_ack_batches = k.pending_ack_batches();
@@ -365,16 +366,17 @@ void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
 }
 
 /// Publishes the finished run to the process registry: outcome counters,
-/// round/barrier telemetry, and `tydi.sim.last.*` gauges aggregated from
+/// round/exchange/wait telemetry, and `tydi.sim.last.*` gauges aggregated from
 /// the forensics snapshots (last-run-wins, the live-introspection view).
-void publish_run_metrics(const SimResult& result, const RoundState* state,
-                         int shards) {
+void publish_run_metrics(const SimResult& result, const RoundState* state) {
+  const int shards = static_cast<int>(result.shard_forensics.size());
   auto& reg = obs::MetricsRegistry::global();
   static obs::Counter& runs = reg.counter("tydi.sim.runs");
   static obs::Counter& aborted = reg.counter("tydi.sim.aborted");
   static obs::Counter& deadlocks = reg.counter("tydi.sim.deadlocks");
   static obs::Counter& events = reg.counter("tydi.sim.events");
   static obs::Counter& rounds = reg.counter("tydi.sim.rounds");
+  static obs::Counter& exchanges = reg.counter("tydi.sim.exchanges");
   ++runs;
   if (result.aborted) ++aborted;
   if (result.deadlock) ++deadlocks;
@@ -382,12 +384,15 @@ void publish_run_metrics(const SimResult& result, const RoundState* state,
   if (state != nullptr) {
     obs::Histogram& wait_us = reg.histogram("tydi.sim.barrier_wait_us");
     std::uint64_t total_rounds = 0;
+    std::uint64_t total_exchanges = 0;
     for (int s = 0; s < shards; ++s) {
       total_rounds = std::max(total_rounds, state->obs[s].rounds);
+      total_exchanges = std::max(total_exchanges, state->obs[s].exchanges);
       wait_us.observe(static_cast<double>(state->obs[s].barrier_wait_ns) /
                       1000.0);
     }
     rounds += total_rounds;
+    exchanges += total_exchanges;
   }
   double queue_depth = 0, mailbox_depth = 0, credit_balance = 0, unacked = 0,
          pending_batches = 0;
@@ -407,6 +412,29 @@ void publish_run_metrics(const SimResult& result, const RoundState* state,
   reg.gauge("tydi.sim.last.events").set(
       static_cast<double>(result.events_processed));
   reg.gauge("tydi.sim.last.aborted").set(result.aborted ? 1.0 : 0.0);
+}
+
+/// The tail of every run: merges the kernels' buffers, then attaches the
+/// stage timings, the abort verdict and the forensics, and publishes the
+/// registry metrics. `state` is null for a single-shard run.
+SimResult finish_run(SimGraph& graph, const std::vector<Kernel*>& kernels,
+                     double end_time, const RunGuard& guard,
+                     support::PhaseTimings& phases,
+                     support::DiagnosticEngine& diags, RoundState* state) {
+  const bool aborted = guard.cause() != StopCause::kNone;
+  SimResult result;
+  {
+    obs::PhaseTimer timer(phases, "sim", "merge");
+    result = merge_results(graph, kernels, end_time, diags, aborted);
+  }
+  result.phase_ms = std::move(phases);
+  if (aborted) {
+    result.aborted = true;
+    result.abort_reason = std::string(to_string(guard.cause()));
+  }
+  collect_forensics(result, kernels, state);
+  publish_run_metrics(result, state);
+  return result;
 }
 
 }  // namespace
@@ -442,7 +470,7 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     }
   }
 
-  RunGuard guard;
+  RunGuard guard(graph.shard_count);
   Watchdog::Config wd_config;
   wd_config.timeout_ms = options.watchdog_timeout_ms;
   wd_config.wall_clock_budget_ms = options.wall_clock_budget_ms;
@@ -460,23 +488,10 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
       kernel.process_events(kInfiniteTime, /*inclusive=*/false,
                             options.max_time_ns);
     }
-    const bool aborted = guard.cause() != StopCause::kNone;
-    double end_time =
+    const double end_time =
         kernel.capped() ? options.max_time_ns : kernel.last_event_time();
-    std::vector<Kernel*> kernels{&kernel};
-    SimResult result;
-    {
-      obs::PhaseTimer timer(phases, "sim", "merge");
-      result = merge_results(graph, kernels, end_time, diags, aborted);
-    }
-    result.phase_ms = std::move(phases);
-    if (aborted) {
-      result.aborted = true;
-      result.abort_reason = std::string(to_string(guard.cause()));
-    }
-    collect_forensics(result, kernels, /*mail=*/nullptr);
-    publish_run_metrics(result, /*state=*/nullptr, /*shards=*/1);
-    return result;
+    return finish_run(graph, {&kernel}, end_time, guard, phases, diags,
+                      /*state=*/nullptr);
   }
 
   const int shards = graph.shard_count;
@@ -502,7 +517,8 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
   {
     obs::PhaseTimer timer(phases, "sim", "process");
     // Seed single-threaded (behaviour on_start may post cross-shard
-    // traffic; the mailboxes are drained at the first round).
+    // traffic; each shard votes it in its first exchange and drains it in
+    // the first round).
     for (auto& kernel : kernels) kernel->seed();
     Watchdog watchdog(guard, wd_config);
     std::vector<std::thread> threads;
@@ -512,14 +528,13 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
         obs::Span span("sim.shard");
         span.arg("shard", static_cast<std::int64_t>(s))
             .arg("mode", credit ? "credit" : "exact");
-        (credit ? shard_main_credit : shard_main)(s, shards, *kernels[s],
-                                                  state, *injectors[s]);
+        shard_main(s, credit, *kernels[s], *routers[s], state,
+                   *injectors[s]);
       });
     }
     for (std::thread& thread : threads) thread.join();
   }  // watchdog joined: forensics below read a quiet world
 
-  const bool aborted = guard.cause() != StopCause::kNone;
   double end_time = 0.0;
   if (state.capped.load(std::memory_order_relaxed)) {
     end_time = options.max_time_ns;
@@ -531,19 +546,8 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
   std::vector<Kernel*> kernel_ptrs;
   kernel_ptrs.reserve(shards);
   for (auto& kernel : kernels) kernel_ptrs.push_back(kernel.get());
-  SimResult result;
-  {
-    obs::PhaseTimer timer(phases, "sim", "merge");
-    result = merge_results(graph, kernel_ptrs, end_time, diags, aborted);
-  }
-  result.phase_ms = std::move(phases);
-  if (aborted) {
-    result.aborted = true;
-    result.abort_reason = std::string(to_string(guard.cause()));
-  }
-  collect_forensics(result, kernel_ptrs, &state.mail);
-  publish_run_metrics(result, &state, shards);
-  return result;
+  return finish_run(graph, kernel_ptrs, end_time, guard, phases, diags,
+                    &state);
 }
 
 }  // namespace tydi::sim::shard

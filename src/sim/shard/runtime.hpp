@@ -1,27 +1,12 @@
-// Sharded simulation runtime: K kernels on K threads under a conservative
-// time-window barrier.
+// Sharded simulation runtime: K kernels on K threads under conservative
+// time-window rounds, synchronized by one exchange per protocol step. The
+// protocol is in src/sim/shard/README.md; the exchange's race-freedom
+// argument is on StepExchange in runtime.cpp.
 //
-// Protocol (see src/sim/shard/README.md for the full argument):
-//  - All threads advance in lockstep *rounds*. A round starts by draining
-//    the shard mailboxes and reducing the global next-event time T and the
-//    global ack-risk bound over a barrier.
-//  - When no cross-shard channel could be acknowledged inside the window
-//    (bound > T), every shard freely processes events in [T, H) with
-//    H = min(T + W, bound), W = the partition's minimum cross-shard channel
-//    latency. Any cross-shard delivery posted inside the window lands at
-//    ≥ T + W, i.e. in a later round — no shard can affect another within
-//    the window.
-//  - Otherwise the round degrades to a single timestamp: shards process
-//    events at exactly T, exchange same-time acknowledgements, and iterate
-//    to a fixpoint before advancing. This preserves the single-queue
-//    engine's synchronous ack semantics (a sink's ack frees the source
-//    register *at the same timestamp*), which has zero lookahead and is
-//    exactly the part a pure window scheme cannot cut.
-//
-// Determinism: every control decision (T, H, fixpoint continuation) derives
-// from barrier-reduced values all threads compute identically, and kernels
-// pop events in the canonical interleaving-independent order, so the run is
-// reproducible and byte-identical to the single-queue engine.
+// Determinism: every control decision derives from exchange-reduced values
+// all threads compute identically, and kernels pop events in the canonical
+// interleaving-independent order, so a run is byte-identical to the
+// single-queue engine at any shard count.
 #pragma once
 
 #include "src/sim/engine.hpp"

@@ -53,7 +53,7 @@
 //                          Feeds the tydid smoke test and ad-hoc
 //                          --batch-manifest runs
 //   --sim-fault-seed <n>   deterministic fault-injection plan derived from
-//                          one seed (delayed mailbox posts, barrier jitter,
+//                          one seed (delayed mailbox posts, exchange jitter,
 //                          shard stalls, withheld credit flushes); results
 //                          must match a fault-free run (implies --sim)
 //   --sim-fault-plan <s>   explicit plan "seed=..,delay=..,jitter=..,

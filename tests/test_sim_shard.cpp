@@ -10,6 +10,7 @@
 #include "src/driver/compiler.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/engine.hpp"
+#include "src/sim/guard.hpp"
 #include "src/sim/kernel.hpp"
 #include "src/sim/metrics.hpp"
 #include "src/sim/shard/partition.hpp"
@@ -201,6 +202,130 @@ TEST(SimShardDeterminism, RepeatedShardedRunsIdentical) {
   sim::SimResult second = engine.run(options);
   std::string why;
   EXPECT_TRUE(sim::results_identical(first, second, &why)) << why;
+}
+
+TEST(SimShardDeterminism, CappedMidTrafficIdenticalAcrossShardCounts) {
+  // A max_time_ns cutoff in the middle of traffic stops every shard at the
+  // same reduced timestamp: in-flight packets, parked outboxes and the
+  // blocked report must match the single-queue engine's cut byte for byte.
+  for (auto [source, top] :
+       {std::pair{kParallelizeSource, "partest_top"},
+        std::pair{kPipelineSource, "demo_top"}}) {
+    driver::CompileResult compiled = compile(source, top);
+    support::DiagnosticEngine diags;
+    sim::Engine engine(compiled.design, diags);
+    sim::SimOptions full = generic_options(compiled.design, 64, 1, true);
+    sim::SimResult uncapped = engine.run(full);
+    ASSERT_GT(uncapped.end_time_ns, 0.0) << top;
+
+    sim::SimOptions capped = full;
+    capped.max_time_ns = uncapped.end_time_ns / 2.0;
+    sim::SimResult reference = engine.run(capped);
+    EXPECT_EQ(reference.end_time_ns, capped.max_time_ns) << top;
+    EXPECT_LT(reference.events_processed, uncapped.events_processed) << top;
+    EXPECT_GT(reference.events_processed, 0u) << top;
+    // Packets are still in flight or parked at the cutoff.
+    EXPECT_FALSE(reference.blocked_report.empty()) << top;
+    for (int shards : {2, 4, 7}) {
+      capped.shards = shards;
+      sim::SimResult sharded = engine.run(capped);
+      std::string why;
+      EXPECT_TRUE(sim::results_identical(reference, sharded, &why))
+          << top << " capped at " << capped.max_time_ns << " ns with "
+          << shards << " shards: " << why;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Step exchange: one synchronization per protocol step
+// ---------------------------------------------------------------------------
+
+TEST(SimShardExchange, ExchangeCountIdenticalAcrossShardsAndRepeats) {
+  // Exchanges are protocol steps, decided from reduced votes only: every
+  // shard makes the same number, a repeated run makes the same number, and
+  // the registry counter advances by it. Credit mode has no fixpoint steps,
+  // so it makes at most one exchange per round plus the seed exchange.
+  driver::CompileResult compiled = compile(kPipelineSource, "demo_top");
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::Counter& rounds = reg.counter("tydi.sim.rounds");
+  obs::Counter& exchanges = reg.counter("tydi.sim.exchanges");
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  for (sim::AckMode mode : {sim::AckMode::kExact, sim::AckMode::kCredit}) {
+    for (int shards : {2, 4, 7}) {
+      sim::SimOptions options =
+          generic_options(compiled.design, 64, shards, true);
+      options.ack_mode = mode;
+      std::uint64_t first_run = 0;
+      for (int run = 0; run < 2; ++run) {
+        const double rounds_before = rounds.value();
+        const double exchanges_before = exchanges.value();
+        sim::SimResult result = engine.run(options);
+        const bool credit = mode == sim::AckMode::kCredit;
+        const std::string what = std::string(credit ? "credit" : "exact") +
+                                 ", " + std::to_string(shards) +
+                                 " shards, run " + std::to_string(run);
+        ASSERT_FALSE(result.aborted) << what;
+        ASSERT_EQ(result.shard_forensics.size(),
+                  static_cast<std::size_t>(shards))
+            << what;
+        const std::uint64_t n = result.shard_forensics.front().exchanges;
+        EXPECT_GT(n, 0u) << what;
+        for (const sim::ShardForensics& f : result.shard_forensics) {
+          EXPECT_EQ(f.exchanges, n) << what << ", shard " << f.shard;
+          EXPECT_GE(f.barrier_wait_ms, 0.0) << what;
+        }
+        if (run == 0) first_run = n;
+        EXPECT_EQ(n, first_run) << what;
+        EXPECT_EQ(exchanges.value() - exchanges_before,
+                  static_cast<double>(n))
+            << what;
+        if (credit) {
+          EXPECT_LE(static_cast<double>(n),
+                    rounds.value() - rounds_before + 1.0)
+              << what;
+        }
+      }
+    }
+  }
+  // A single shard runs no protocol: no exchanges, no wait.
+  sim::SimResult single =
+      engine.run(generic_options(compiled.design, 64, 1, true));
+  ASSERT_EQ(single.shard_forensics.size(), 1u);
+  EXPECT_EQ(single.shard_forensics.front().exchanges, 0u);
+  EXPECT_EQ(single.shard_forensics.front().barrier_wait_ms, 0.0);
+}
+
+TEST(SimShardExchange, CreditHangAbortsOnEveryShard) {
+  // The withheld-ack hang livelocks the credit round loop with every shard
+  // spinning in the exchange; the stop check inside that spin must release
+  // all of them, with several peers to wait on.
+  driver::CompileResult compiled = compile(kPipelineSource, "demo_top");
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  for (int shards : {4, 7}) {
+    sim::SimOptions options =
+        generic_options(compiled.design, 64, shards, true);
+    options.ack_mode = sim::AckMode::kCredit;
+    options.fault.seed = 1;
+    options.fault.withhold_acks_forever = true;
+    options.watchdog_timeout_ms = 150.0;
+    sim::SimResult result = engine.run(options);
+    ASSERT_TRUE(result.aborted) << shards << " shards";
+    EXPECT_EQ(result.abort_reason,
+              sim::to_string(sim::StopCause::kWatchdogNoProgress));
+    ASSERT_EQ(result.shard_forensics.size(),
+              static_cast<std::size_t>(shards));
+    std::int64_t pending = 0;
+    for (const sim::ShardForensics& f : result.shard_forensics) {
+      EXPECT_GT(f.exchanges, 0u) << "shard " << f.shard;
+      EXPECT_NE(f.summary().find("exchanges="), std::string::npos);
+      pending += f.pending_ack_batches;
+    }
+    EXPECT_GT(pending, 0) << shards << " shards";
+    EXPECT_NE(result.summary().find("ABORTED"), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------
