@@ -30,8 +30,8 @@
 // per-shard forensics.
 //
 // The obs section (BENCH_sim.json "sim_obs_overhead") interleaves traced
-// and untraced runs of the grid workload and gates the traced events/sec
-// at >= 0.95 of the untraced rate, plus a check that the metrics registry
+// and untraced runs of the grid workload and gates the median per-pair
+// traced/untraced events/sec ratio at >= 0.95, plus a check that the metrics registry
 // mirrors (tydi.sim.runs, tydi.sim.last.events) agree with SimResult.
 //
 // Sanitizer builds print the credit >= exact gate without enforcing it
@@ -552,15 +552,23 @@ int main(int argc, char** argv) {
   // --- Observability overhead: span tracing on vs off -------------------
   // The sim publishes metrics once per run and times barrier waits with
   // two clock reads per wait regardless; the only per-run delta a user can
-  // toggle is span emission. Interleaved (ABAB...) min-of-N events/sec on
-  // the grid workload, gated at >= 0.95 of the untraced rate. The same
-  // pass checks the registry mirrors: tydi.sim.runs must advance per run
-  // and the tydi.sim.last.events gauge must equal the run's event count.
+  // toggle is span emission. A pair is kObsRunsPerSide traced and as many
+  // untraced runs of the grid workload, interleaved (the side that starts
+  // alternates per pair), each side scored by its best events/sec:
+  // interference only ever slows a run down. The gate takes the median of
+  // kObsPairs per-pair traced/untraced ratios, >= 0.95, and the JSON
+  // records its quartiles and both rates' quartiles (a single min-of-3
+  // comparison flipped on unchanged code). The same pass checks the
+  // registry mirrors: tydi.sim.runs must advance per run and the
+  // tydi.sim.last.events gauge must equal the run's event count.
   bool obs_overhead_ok = true;
   bool obs_registry_ok = true;
-  double obs_traced_eps = 0.0;
-  double obs_untraced_eps = 0.0;
+  Quartiles obs_traced;
+  Quartiles obs_untraced;
+  Quartiles obs_ratio;  ///< per-pair traced/untraced
   constexpr double kMinObsRatio = 0.95;
+  constexpr int kObsPairs = 15;
+  constexpr int kObsRunsPerSide = 3;
   {
     tydi::obs::SpanTracer& tracer = tydi::obs::SpanTracer::global();
     auto& reg = tydi::obs::MetricsRegistry::global();
@@ -573,32 +581,28 @@ int main(int argc, char** argv) {
         reg.gauge("tydi.sim.last.events").value() ==
             static_cast<double>(probe.events);
 
-    constexpr int kReps = 3;
-    double traced_s = 0.0;
-    double untraced_s = 0.0;
-    std::uint64_t events = 0;
-    for (int r = 0; r < 2 * kReps; ++r) {
-      const bool traced = r % 2 == 0;
-      tracer.clear();
-      tracer.set_enabled(traced);
-      Measurement m = measure(grid, 2);
-      events = m.events;
-      if (traced) {
-        if (traced_s == 0.0 || m.wall_seconds < traced_s) {
-          traced_s = m.wall_seconds;
-        }
-      } else if (untraced_s == 0.0 || m.wall_seconds < untraced_s) {
-        untraced_s = m.wall_seconds;
+    std::vector<double> traced_eps;
+    std::vector<double> untraced_eps;
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kObsPairs; ++pair) {
+      double eps[2] = {0.0, 0.0};  // best untraced, best traced
+      for (int k = 0; k < 2 * kObsRunsPerSide; ++k) {
+        const bool traced = (k % 2 == 0) == (pair % 2 == 0);
+        tracer.clear();
+        tracer.set_enabled(traced);
+        double& best = eps[traced ? 1 : 0];
+        best = std::max(best, measure(grid, 2).events_per_sec());
       }
+      untraced_eps.push_back(eps[0]);
+      traced_eps.push_back(eps[1]);
+      ratios.push_back(eps[0] > 0.0 ? eps[1] / eps[0] : 0.0);
     }
     tracer.set_enabled(false);
     tracer.clear();
-    obs_traced_eps =
-        traced_s > 0.0 ? static_cast<double>(events) / traced_s : 0.0;
-    obs_untraced_eps =
-        untraced_s > 0.0 ? static_cast<double>(events) / untraced_s : 0.0;
-    obs_overhead_ok = obs_untraced_eps > 0.0 &&
-                      obs_traced_eps / obs_untraced_eps >= kMinObsRatio;
+    obs_traced = quartiles(std::move(traced_eps));
+    obs_untraced = quartiles(std::move(untraced_eps));
+    obs_ratio = quartiles(std::move(ratios));
+    obs_overhead_ok = obs_ratio.median >= kMinObsRatio;
   }
 
   unsigned cores = std::thread::hardware_concurrency();
@@ -652,12 +656,12 @@ int main(int argc, char** argv) {
             << (fault_sweep_ok ? "ok" : "VIOLATED " + fault_why) << "\n"
             << "watchdog converts withheld-ack hang into abort: "
             << (watchdog_ok ? "ok" : "VIOLATED " + watchdog_why) << "\n"
-            << "obs overhead (traced/untraced events/s on grid): "
-            << tydi::support::format_fixed(
-                   obs_untraced_eps > 0.0
-                       ? obs_traced_eps / obs_untraced_eps
-                       : 0.0,
-                   3)
+            << "obs overhead (traced/untraced median events/s on grid, "
+            << kObsPairs << " interleaved pair(s)): "
+            << tydi::support::format_fixed(obs_ratio.median, 3) << " ("
+            << tydi::support::format_fixed(obs_ratio.q1, 3) << "-"
+            << tydi::support::format_fixed(obs_ratio.q3, 3) << "); traced "
+            << spread(obs_traced) << ", untraced " << spread(obs_untraced)
             << (obs_overhead_ok ? " (ok)" : " (VIOLATED)") << "\n"
             << "obs registry mirrors sim results: "
             << (obs_registry_ok ? "ok" : "VIOLATED") << "\n";
@@ -756,13 +760,18 @@ int main(int argc, char** argv) {
     obs_out << "  {\n"
             << "    \"benchmark\": \"sim_obs_overhead\",\n"
             << "    \"workload\": \"pipeline_grid_16x8\",\n"
-            << "    \"untraced_events_per_sec\": " << obs_untraced_eps
+            << "    \"pairs\": " << kObsPairs << ",\n"
+            << "    \"untraced_events_per_sec\": " << obs_untraced.median
             << ",\n"
-            << "    \"traced_events_per_sec\": " << obs_traced_eps << ",\n"
-            << "    \"ratio\": "
-            << (obs_untraced_eps > 0.0 ? obs_traced_eps / obs_untraced_eps
-                                       : 0.0)
+            << "    \"untraced_q1\": " << obs_untraced.q1 << ",\n"
+            << "    \"untraced_q3\": " << obs_untraced.q3 << ",\n"
+            << "    \"traced_events_per_sec\": " << obs_traced.median
             << ",\n"
+            << "    \"traced_q1\": " << obs_traced.q1 << ",\n"
+            << "    \"traced_q3\": " << obs_traced.q3 << ",\n"
+            << "    \"ratio\": " << obs_ratio.median << ",\n"
+            << "    \"ratio_q1\": " << obs_ratio.q1 << ",\n"
+            << "    \"ratio_q3\": " << obs_ratio.q3 << ",\n"
             << "    \"min_ratio\": " << kMinObsRatio << ",\n"
             << "    \"overhead_ok\": "
             << (obs_overhead_ok ? "true" : "false") << ",\n"

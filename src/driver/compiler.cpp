@@ -94,14 +94,118 @@ struct CompilePublisher {
   }
 };
 
+/// The built-in standard library's content hash, taken once per process.
+std::uint64_t stdlib_hash() {
+  static const std::uint64_t hash = elab::source_hash(stdlib::stdlib_source());
+  return hash;
+}
+
+/// `top` plus the ordered source names: the key of a footprint ring.
+std::string compile_identity(const std::vector<NamedSource>& sources,
+                             const CompileOptions& options) {
+  std::string identity = options.top;
+  for (const NamedSource& source : sources) {
+    identity += '\0';
+    identity += source.name;
+  }
+  return identity;
+}
+
 }  // namespace
+
+void CompileSession::invalidate() {
+  memo_.invalidate();
+  {
+    std::unique_lock lock(parse_mu_);
+    parses_.clear();
+  }
+  vhdl_cache_.clear();
+  std::unordered_map<std::string, Ring> dropped;
+  {
+    std::lock_guard lock(retain_mu_);
+    dropped.swap(rings_);
+  }
+}
+
+void CompileSession::sweep() {
+  memo_.sweep();
+  {
+    std::unique_lock lock(parse_mu_);
+    std::erase_if(parses_,
+                  [](const CachedParse& c) { return c.ast.expired(); });
+  }
+  vhdl_cache_.sweep();
+}
+
+std::size_t CompileSession::parse_cache_size() const {
+  std::shared_lock lock(parse_mu_);
+  return static_cast<std::size_t>(
+      std::count_if(parses_.begin(), parses_.end(),
+                    [](const CachedParse& c) { return !c.ast.expired(); }));
+}
+
+std::size_t CompileSession::retained_compiles() const {
+  std::lock_guard lock(retain_mu_);
+  std::size_t n = 0;
+  for (const auto& [identity, ring] : rings_) n += ring.size();
+  return n;
+}
+
+void CompileSession::for_each_retained(
+    const std::function<void(const elab::MemoFootprint&)>& fn) const {
+  std::lock_guard lock(retain_mu_);
+  for (const auto& [identity, ring] : rings_) {
+    for (const auto& footprint : ring) fn(footprint->memo);
+  }
+}
+
+void CompileSession::retain(const std::string& identity,
+                            std::shared_ptr<const Footprint> footprint) {
+  std::shared_ptr<const Footprint> dropped;
+  {
+    std::lock_guard lock(retain_mu_);
+    Ring& ring = rings_[identity];
+    auto slot = std::find_if(ring.begin(), ring.end(), [&](const auto& f) {
+      return f->sources == footprint->sources;
+    });
+    if (slot == ring.end() && ring.size() == kRetainedCompiles) {
+      slot = ring.begin();
+    }
+    if (slot != ring.end()) {
+      dropped = std::move(*slot);
+      ring.erase(slot);
+    }
+    ring.push_back(std::move(footprint));
+  }
+  // `dropped` releases its references here, outside the lock.
+}
 
 CompileResult compile_with_session(const std::vector<NamedSource>& sources,
                                    const CompileOptions& options,
-                                   CompileSession* session) {
+                                   CompileSession* session,
+                                   const std::vector<std::uint64_t>* source_hashes) {
   CompileResult result;
   elab::SourceHashes hashes;
   CompilePublisher publisher{result};
+  // With a session, the footprint of a successful compile enters its
+  // identity's ring when the compile returns. A failed or aborted compile
+  // touched only part of what its sources need, so it evicts nothing.
+  struct Retainer {
+    CompileSession* session;
+    const CompileResult& result;
+    const std::vector<NamedSource>& sources;
+    const CompileOptions& options;
+    std::shared_ptr<CompileSession::Footprint> footprint;
+    ~Retainer() {
+      if (session != nullptr && result.success()) {
+        session->retain(compile_identity(sources, options),
+                        std::move(footprint));
+      }
+    }
+  } retainer{session, result, sources, options,
+             session != nullptr
+                 ? std::make_shared<CompileSession::Footprint>()
+                 : nullptr};
   obs::Span compile_span("compile");
   compile_span.arg("top", options.top);
 
@@ -134,55 +238,82 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   auto program = std::make_shared<elab::Program>();
   {
     obs::PhaseTimer t(result.phase_ms, "compile", "parse");
-    // Registers + hashes a source, then parses it — or, with a session,
-    // reuses a previously parsed AST when (file id, name, content hash)
-    // match, so the AST's Locs resolve identically in this compile.
-    auto add_and_parse = [&](const std::string& name, std::string text) {
+    // Registers a source, then parses it — or, with a session, reuses a
+    // live previously parsed AST when (file id, name, content hash) match,
+    // so the AST's Locs resolve identically in this compile. Only session
+    // compiles need the content hash (memo stamps and the parse-cache key).
+    auto add_and_parse = [&](const std::string& name, std::string text,
+                             std::uint64_t hash) {
       support::FileId id = result.sources->add(name, std::move(text));
       std::string_view stored = result.sources->text(id);
-      const std::uint64_t hash = elab::source_hash(stored);
+      if (session == nullptr) {
+        program->files.push_back(std::make_shared<const lang::SourceFile>(
+            lang::parse(stored, id, *result.diags)));
+        return;
+      }
       if (hashes.size() <= id.value) hashes.resize(id.value + 1, 0);
       hashes[id.value] = hash;
       static obs::Counter& parse_hits =
           obs::MetricsRegistry::global().counter("tydi.parse.cache_hits");
       static obs::Counter& parse_misses =
           obs::MetricsRegistry::global().counter("tydi.parse.cache_misses");
-      if (session != nullptr) {
+      auto matches = [&](const CompileSession::CachedParse& c) {
+        return c.file_value == id.value && c.hash == hash && c.name == name;
+      };
+      {
         std::shared_lock lock(session->parse_mu_);
         for (const CompileSession::CachedParse& c : session->parses_) {
-          if (c.file_value == id.value && c.hash == hash && c.name == name) {
-            program->files.push_back(c.ast);
+          if (!matches(c)) continue;
+          if (auto ast = c.ast.lock()) {
+            program->files.push_back(std::move(ast));
             ++parse_hits;
             return;
           }
         }
       }
-      if (session != nullptr) ++parse_misses;
+      ++parse_misses;
       const std::size_t diags_before = result.diags->diagnostics().size();
       auto ast = std::make_shared<const lang::SourceFile>(
           lang::parse(stored, id, *result.diags));
       program->files.push_back(ast);
       // Cache only diagnostic-free parses (cached reuse replays no diags).
-      if (session != nullptr &&
-          result.diags->diagnostics().size() == diags_before) {
+      if (result.diags->diagnostics().size() == diags_before) {
         std::unique_lock lock(session->parse_mu_);
-        // Re-scan under the exclusive lock: a concurrent compile of the
-        // same sources may have published this parse while we parsed.
-        for (const CompileSession::CachedParse& c : session->parses_) {
-          if (c.file_value == id.value && c.hash == hash && c.name == name) {
-            return;
-          }
+        // Publishing prunes the slots whose ASTs no retained compile holds
+        // any more, and re-checks for a live match: a concurrent compile of
+        // the same sources may have published this parse while we parsed.
+        std::erase_if(session->parses_,
+                      [](const CompileSession::CachedParse& c) {
+                        return c.ast.expired();
+                      });
+        if (std::none_of(session->parses_.begin(), session->parses_.end(),
+                         matches)) {
+          session->parses_.push_back(
+              CompileSession::CachedParse{name, hash, id.value, ast});
         }
-        session->parses_.push_back(CompileSession::CachedParse{
-            name, hash, id.value, std::move(ast)});
       }
     };
     if (options.include_stdlib) {
       add_and_parse(std::string(stdlib::stdlib_file_name()),
-                    std::string(stdlib::stdlib_source()));
+                    std::string(stdlib::stdlib_source()),
+                    session != nullptr ? stdlib_hash() : 0);
     }
-    for (const NamedSource& src : sources) {
-      add_and_parse(src.name, src.text);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const NamedSource& src = sources[i];
+      std::uint64_t hash = 0;
+      if (session != nullptr) {
+        hash = source_hashes != nullptr && i < source_hashes->size()
+                   ? (*source_hashes)[i]
+                   : elab::source_hash(src.text);
+      }
+      add_and_parse(src.name, src.text, hash);
+    }
+  }
+  if (retainer.footprint != nullptr) {
+    retainer.footprint->program = program;
+    for (const std::uint64_t hash : hashes) {
+      retainer.footprint->sources =
+          (retainer.footprint->sources ^ hash) * 1099511628211ULL;
     }
   }
   result.program = program;
@@ -195,6 +326,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
     if (session != nullptr) {
       hook.memo = &session->memo_;
       hook.hashes = &hashes;
+      hook.footprint = &retainer.footprint->memo;
     }
     elab::Elaborator elaborator(program, *result.diags, hook);
     result.design = options.top.empty() ? elaborator.run_all()
@@ -240,7 +372,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
 
 CompileResult compile(const std::vector<NamedSource>& sources,
                       const CompileOptions& options) {
-  return compile_with_session(sources, options, nullptr);
+  return compile_with_session(sources, options, nullptr, nullptr);
 }
 
 CompileResult compile_source(std::string text, const CompileOptions& options) {

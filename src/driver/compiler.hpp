@@ -15,6 +15,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/drc/drc.hpp"
@@ -129,9 +130,14 @@ class CompileSession;
 
 /// Internal pipeline entry point shared by `compile` (no session) and
 /// `CompileSession::compile`; declared here only to be befriendable.
+/// `source_hashes` (optional) are the sources' precomputed content hashes.
 [[nodiscard]] CompileResult compile_with_session(
     const std::vector<NamedSource>& sources, const CompileOptions& options,
-    CompileSession* session);
+    CompileSession* session, const std::vector<std::uint64_t>* source_hashes);
+
+/// How many compiles of one compile identity a session keeps the cache
+/// entries of (see CompileSession).
+inline constexpr std::size_t kRetainedCompiles = 2;
 
 /// A sequence of compiles sharing the process-wide caches of the compile
 /// hot path:
@@ -151,6 +157,20 @@ class CompileSession;
 /// stamps, see src/elab/memo.hpp), so editing any involved source between
 /// compiles re-elaborates instead of serving stale results. `invalidate()`
 /// drops every cache wholesale.
+///
+/// Retention: a cached parse, memo version or port-emission entry stays
+/// alive while a retained compile used it; the session retains at most
+/// kRetainedCompiles compiles per compile identity — `top` plus the
+/// ordered source-name list. Each compile collects a footprint (its Program, i.e. the ASTs it parsed or
+/// reused, and every memo version it hit, replayed or inserted); when a
+/// compile succeeds, its footprint enters its identity's ring, replacing
+/// the footprint of an earlier compile of the same source bytes, else the
+/// oldest one. So a ring holds the latest compile of each of the last K
+/// source versions, whatever order concurrent compiles finish in. The
+/// caches themselves hold weak references, so what no retained footprint
+/// holds expires: parses and memo versions directly, emission entries with
+/// the last memo payload holding their port type. K = 2 keeps an edit
+/// followed by an undo, or two alternating variants, warm.
 ///
 /// Concurrency: any number of threads may call `compile` on one session
 /// simultaneously (parallel `compile_batch` workers, `tydid` request
@@ -173,38 +193,66 @@ class CompileSession {
   /// Same contract as driver::compile, plus session cache reuse.
   [[nodiscard]] CompileResult compile(const std::vector<NamedSource>& sources,
                                       const CompileOptions& options) {
-    return compile_with_session(sources, options, this);
+    return compile_with_session(sources, options, this, nullptr);
+  }
+  /// Same, with `source_hashes[i]` the elab::source_hash of `sources[i]`
+  /// (e.g. from the durable key tydid already stamped), so no source is
+  /// hashed twice.
+  [[nodiscard]] CompileResult compile(
+      const std::vector<NamedSource>& sources, const CompileOptions& options,
+      const std::vector<std::uint64_t>& source_hashes) {
+    return compile_with_session(sources, options, this, &source_hashes);
   }
 
-  /// Drops every cached parse, memo entry and per-port emission string.
-  /// Safe to call while compiles are in flight: they keep the shared
-  /// payloads they already hold and re-elaborate on their next lookup.
-  void invalidate() {
-    memo_.invalidate();
-    {
-      std::unique_lock lock(parse_mu_);
-      parses_.clear();
-    }
-    vhdl_cache_.clear();
-  }
+  /// Drops every cached parse, memo entry, per-port emission string and
+  /// retained footprint. Safe to call while compiles are in flight: they
+  /// keep the shared payloads they already hold and re-elaborate on their
+  /// next lookup.
+  void invalidate();
+
+  /// Prunes the expired slots of every cache now (publishes otherwise
+  /// prune as they go).
+  void sweep();
 
   [[nodiscard]] const elab::TemplateMemo& memo() const { return memo_; }
-  [[nodiscard]] std::size_t parse_cache_size() const {
-    std::shared_lock lock(parse_mu_);
-    return parses_.size();
+  /// Live cached parses.
+  [[nodiscard]] std::size_t parse_cache_size() const;
+  [[nodiscard]] const vhdl::EmitSession& emit_cache() const {
+    return vhdl_cache_;
   }
+  /// Footprints held across all compile identities (<= kRetainedCompiles
+  /// per identity).
+  [[nodiscard]] std::size_t retained_compiles() const;
+  /// Calls `fn` with the memo footprint of every retained compile.
+  void for_each_retained(
+      const std::function<void(const elab::MemoFootprint&)>& fn) const;
 
  private:
   friend CompileResult compile_with_session(
       const std::vector<NamedSource>& sources, const CompileOptions& options,
-      CompileSession* session);
+      CompileSession* session,
+      const std::vector<std::uint64_t>* source_hashes);
 
   struct CachedParse {
     std::string name;
     std::uint64_t hash = 0;
     std::uint32_t file_value = 0;  ///< FileId the AST's Locs refer to
-    std::shared_ptr<const lang::SourceFile> ast;
+    std::weak_ptr<const lang::SourceFile> ast;
   };
+  /// What one compile used: the footprint a ring slot holds.
+  struct Footprint {
+    elab::ProgramRef program;  ///< the ASTs it parsed or reused
+    elab::MemoFootprint memo;
+    std::uint64_t sources = 0;  ///< combined content hash of its sources
+  };
+  /// At most kRetainedCompiles footprints, oldest first.
+  using Ring = std::vector<std::shared_ptr<const Footprint>>;
+
+  /// Installs `footprint` in `identity`'s ring. It replaces the footprint
+  /// of an earlier compile of the same source bytes, else the oldest one
+  /// once the ring is full.
+  void retain(const std::string& identity,
+              std::shared_ptr<const Footprint> footprint);
 
   elab::TemplateMemo memo_;
   /// Guards `parses_` (the other caches synchronize themselves).
@@ -213,6 +261,9 @@ class CompileSession {
   /// Per-port emission strings reused by the "vhdl" phase (see
   /// vhdl::EmitSession).
   vhdl::EmitSession vhdl_cache_;
+  /// Guards `rings_`.
+  mutable std::mutex retain_mu_;
+  std::unordered_map<std::string, Ring> rings_;
 };
 
 /// One unit of a batch compile: a named source set with its own options.

@@ -1,5 +1,6 @@
 #include "src/elab/design.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace tydi::elab {
@@ -73,6 +74,13 @@ std::shared_ptr<const Streamlet> Design::share_streamlet(Symbol sym) const {
 std::shared_ptr<const Impl> Design::share_impl(Symbol sym) const {
   auto it = impl_index_.find(sym);
   return it != impl_index_.end() ? impls_[it->second] : nullptr;
+}
+
+void Design::pin(std::shared_ptr<const void> ast) {
+  if (ast != nullptr && std::find(pins_.begin(), pins_.end(), ast) ==
+                            pins_.end()) {
+    pins_.push_back(std::move(ast));
+  }
 }
 
 Impl& Design::impl_mutable(std::size_t index) {

@@ -25,8 +25,9 @@ namespace tydi::elab {
 using support::Symbol;
 
 /// The parsed program (all source files of a compilation: standard library,
-/// Fletcher interfaces, user code). The Design keeps it alive because
-/// simulation programs point into the AST. Files are held by shared_ptr so a
+/// Fletcher interfaces, user code), in FileId order: `files[i]` is the AST
+/// of FileId i + 1. The Design keeps it alive because simulation programs
+/// point into the AST. Files are held by shared_ptr so a
 /// driver::CompileSession can reuse a parsed file across compiles (the
 /// standard library parses once per session, not once per compile) and so
 /// the template memo can pin the ASTs its cached impls point into.
@@ -215,6 +216,11 @@ class Design {
       Symbol sym) const;
   [[nodiscard]] std::shared_ptr<const Impl> share_impl(Symbol sym) const;
 
+  /// Keeps `ast` alive as long as this design: a memo-replayed impl's sim
+  /// block points into the AST of the compile that elaborated it (null and
+  /// repeated pins are ignored).
+  void pin(std::shared_ptr<const void> ast);
+
   /// Mutable access for the sugaring pass; clones the payload first when
   /// the slot is shared with a memo or another design (copy-on-write).
   [[nodiscard]] Impl& impl_mutable(std::size_t index);
@@ -239,6 +245,7 @@ class Design {
 
  private:
   ProgramRef program_;
+  std::vector<std::shared_ptr<const void>> pins_;
   // Payload objects always originate from make_shared<T> in the by-value
   // add_* overloads (shared inserts only recirculate such objects), so the
   // unique-slot const_cast in impl_mutable never touches a genuinely const

@@ -160,6 +160,13 @@ SourceStamp Elaborator::stamp_for(support::Loc loc) const {
   return stamp;
 }
 
+std::shared_ptr<const void> Elaborator::ast_of(support::FileId file) const {
+  if (file.valid() && file.value <= program_->files.size()) {
+    return program_->files[file.value - 1];
+  }
+  return program_;
+}
+
 bool Elaborator::materialize_memo_impl(const TemplateMemo::ImplEntry& e) {
   // Entities the original elaboration referenced but did not insert must
   // already be present; otherwise re-elaborate so the current compile's
@@ -179,20 +186,19 @@ bool Elaborator::materialize_memo_impl(const TemplateMemo::ImplEntry& e) {
   // snapshot below is inserted wholesale or not at all.
   std::vector<std::pair<Symbol, std::shared_ptr<const Streamlet>>>
       streamlet_window;
-  std::vector<std::pair<Symbol, std::shared_ptr<const Impl>>> impl_window;
   for (MemoRef ref : e.dep_streamlets) {
     if (design_.find_streamlet(ref.sym) != nullptr) continue;
-    std::shared_ptr<const Streamlet> payload =
-        memo_.memo->valid_streamlet(ref, *memo_.hashes);
+    std::shared_ptr<const Streamlet> payload = memo_.valid_streamlet(ref);
     if (payload == nullptr) return false;
     streamlet_window.emplace_back(ref.sym, std::move(payload));
   }
+  std::vector<std::shared_ptr<const TemplateMemo::ImplEntry>> impl_window;
   for (MemoRef ref : e.dep_impls) {
     if (design_.find_impl(ref.sym) != nullptr) continue;
-    std::shared_ptr<const Impl> payload =
-        memo_.memo->valid_impl(ref, *memo_.hashes);
-    if (payload == nullptr) return false;
-    impl_window.emplace_back(ref.sym, std::move(payload));
+    std::shared_ptr<const TemplateMemo::ImplEntry> entry =
+        memo_.valid_impl(ref);
+    if (entry == nullptr) return false;
+    impl_window.push_back(std::move(entry));
   }
   // Replay in recorded insertion order (skipping already-present members)
   // so a warm compile reproduces the cold compile's emission order exactly.
@@ -203,12 +209,16 @@ bool Elaborator::materialize_memo_impl(const TemplateMemo::ImplEntry& e) {
       design_.add_streamlet(std::move(payload));
     }
   }
-  for (auto& [sym, payload] : impl_window) {
-    if (design_.find_impl(sym) == nullptr) {
-      design_.add_impl(std::move(payload));
+  // Replayed payloads with sim blocks point into the ASTs of the compiles
+  // that elaborated them; the design pins those ASTs.
+  for (const auto& entry : impl_window) {
+    if (design_.find_impl(entry->payload->sym) == nullptr) {
+      design_.add_impl(entry->payload);
+      design_.pin(entry->sim_ast);
     }
   }
   design_.add_impl(e.payload);
+  design_.pin(e.sim_ast);
   return true;
 }
 
@@ -653,7 +663,7 @@ std::string Elaborator::elaborate_streamlet(
   const std::uint64_t shape = memo_.enabled() ? arg_shape(args) : 0;
   if (memo_.enabled()) {
     if (std::shared_ptr<const Streamlet> cached =
-            memo_.memo->find_streamlet({mangled_sym, shape}, *memo_.hashes)) {
+            memo_.find_streamlet({mangled_sym, shape})) {
       design_.add_streamlet(std::move(cached));
       ++stats_.streamlet_hits;
       ++stats_.session_streamlet_hits;
@@ -776,9 +786,9 @@ std::string Elaborator::elaborate_streamlet(
   if (memo_.enabled() && diags_.error_count() == errors_before) {
     SourceStamp stamp = stamp_for(decl.loc);
     if (stamp.file.valid()) {
-      memo_.memo->put_streamlet(mangled_sym,
-                                design_.share_streamlet(mangled_sym), stamp,
-                                dep_stack_.back().sources);
+      memo_.put_streamlet(mangled_sym,
+                          {design_.share_streamlet(mangled_sym), stamp,
+                           dep_stack_.back().sources});
     }
   }
   return mangled;
@@ -826,7 +836,7 @@ std::string Elaborator::elaborate_impl(
   const std::uint64_t shape = memo_.enabled() ? arg_shape(args) : 0;
   if (memo_.enabled()) {
     if (std::shared_ptr<const TemplateMemo::ImplEntry> entry =
-            memo_.memo->find_impl({mangled_sym, shape}, *memo_.hashes)) {
+            memo_.find_impl({mangled_sym, shape})) {
       if (materialize_memo_impl(*entry)) {
         ++stats_.impl_hits;
         ++stats_.session_impl_hits;
@@ -1006,7 +1016,8 @@ std::string Elaborator::elaborate_impl(
           frame.ref_streamlets, entry.dep_streamlets, support::kNoSymbol);
       entry.required_impls =
           outside_window(frame.ref_impls, entry.dep_impls, mangled_sym);
-      memo_.memo->put_impl(mangled_sym, std::move(entry), program_);
+      if (decl.sim) entry.sim_ast = ast_of(decl.loc.file);
+      memo_.put_impl(mangled_sym, std::move(entry));
     }
   }
   return mangled;

@@ -128,6 +128,9 @@ class Elaborator {
   /// Validity stamp of a decl's defining file, or an invalid stamp when the
   /// file is unknown to the current compile (memoization is then skipped).
   [[nodiscard]] SourceStamp stamp_for(support::Loc loc) const;
+  /// The parsed file `file` refers to (Program::files is in FileId order),
+  /// or the whole program when the id is not one of its files.
+  [[nodiscard]] std::shared_ptr<const void> ast_of(support::FileId file) const;
   /// Replays a memoized impl's insertion window into the design. Validates
   /// every window member first; returns false (inserting nothing) when any
   /// member is stale, so the caller re-elaborates normally.

@@ -1,5 +1,6 @@
 #include "src/elab/memo.hpp"
 
+#include <algorithm>
 #include <mutex>
 
 #include "src/obs/metrics.hpp"
@@ -42,6 +43,13 @@ std::uint64_t source_hash(std::string_view text) {
 
 namespace {
 
+/// Below this many slots a whole-map sweep is not worth running.
+constexpr std::size_t kMinSweepSlots = 64;
+
+template <typename Entry>
+using VersionTable =
+    std::unordered_map<Symbol, std::vector<std::weak_ptr<const Entry>>>;
+
 /// True when the entry has the requested shape and its own stamp and every
 /// dependency stamp match the current compile's sources.
 template <typename Entry>
@@ -55,16 +63,46 @@ bool entry_current(const Entry& entry, std::uint64_t shape,
   return true;
 }
 
-/// The version of `shape` whose stamps all match the current source hashes,
-/// or nullptr. At most one such version's *own* stamp can match (a file id
-/// has one current hash), so the scan is deterministic.
-const TemplateMemo::ImplEntry* current_impl_version(
-    const std::vector<std::shared_ptr<const TemplateMemo::ImplEntry>>& versions,
+/// The live version of `shape` whose stamps all match the current source
+/// hashes, or nullptr. At most one such version's *own* stamp can match (a
+/// file id has one current hash), so the scan is deterministic.
+template <typename Entry>
+std::shared_ptr<const Entry> current_version(
+    const std::vector<std::weak_ptr<const Entry>>& versions,
     std::uint64_t shape, const SourceHashes& hashes) {
-  for (const auto& entry : versions) {
-    if (entry_current(*entry, shape, hashes)) return entry.get();
+  for (const auto& slot : versions) {
+    std::shared_ptr<const Entry> entry = slot.lock();
+    if (entry != nullptr && entry_current(*entry, shape, hashes)) {
+      return entry;
+    }
   }
   return nullptr;
+}
+
+/// Counted lookup shared by find_streamlet and find_impl.
+template <typename Entry>
+std::shared_ptr<const Entry> counted_find(const VersionTable<Entry>& table,
+                                          MemoRef ref,
+                                          const SourceHashes& hashes,
+                                          obs::Counter& hits) {
+  auto it = table.find(ref.sym);
+  if (it == table.end()) {
+    ++MemoCounters::get().misses;
+    return nullptr;
+  }
+  std::shared_ptr<const Entry> entry =
+      current_version(it->second, ref.shape, hashes);
+  ++(entry != nullptr ? hits : MemoCounters::get().stale);
+  return entry;
+}
+
+template <typename Entry>
+std::shared_ptr<const Entry> valid_version(const VersionTable<Entry>& table,
+                                           MemoRef ref,
+                                           const SourceHashes& hashes) {
+  auto it = table.find(ref.sym);
+  return it == table.end() ? nullptr
+                           : current_version(it->second, ref.shape, hashes);
 }
 
 /// Same version identity as the lookup: stamp and payload shape.
@@ -74,105 +112,168 @@ bool same_version(const Entry& a, const Entry& b) {
          a.payload->arg_shape == b.payload->arg_shape;
 }
 
+template <typename Table>
+std::size_t live_names(const Table& table) {
+  std::size_t n = 0;
+  for (const auto& [sym, versions] : table) {
+    n += std::any_of(versions.begin(), versions.end(),
+                     [](const auto& slot) { return !slot.expired(); })
+             ? 1
+             : 0;
+  }
+  return n;
+}
+
+template <typename Table>
+std::size_t live_versions(const Table& table) {
+  std::size_t n = 0;
+  for (const auto& [sym, versions] : table) {
+    n += static_cast<std::size_t>(
+        std::count_if(versions.begin(), versions.end(),
+                      [](const auto& slot) { return !slot.expired(); }));
+  }
+  return n;
+}
+
+/// Erases expired slots and emptied names; returns the slots left.
+template <typename Table>
+std::size_t prune(Table& table) {
+  std::size_t left = 0;
+  for (auto it = table.begin(); it != table.end();) {
+    std::erase_if(it->second, [](const auto& slot) { return slot.expired(); });
+    left += it->second.size();
+    it = it->second.empty() ? table.erase(it) : std::next(it);
+  }
+  return left;
+}
+
 }  // namespace
 
-std::shared_ptr<const Streamlet> TemplateMemo::find_streamlet(
-    MemoRef ref, const SourceHashes& hashes) {
+std::shared_ptr<const TemplateMemo::StreamletEntry>
+TemplateMemo::find_streamlet(MemoRef ref, const SourceHashes& hashes) {
   std::shared_lock lock(mu_);
-  auto it = streamlets_.find(ref.sym);
-  if (it == streamlets_.end()) {
-    ++MemoCounters::get().misses;
-    return nullptr;
-  }
-  for (const StreamletEntry& entry : it->second) {
-    if (entry_current(entry, ref.shape, hashes)) {
-      ++MemoCounters::get().streamlet_hits;
-      return entry.payload;
-    }
-  }
-  ++MemoCounters::get().stale;
-  return nullptr;
+  return counted_find(streamlets_, ref, hashes,
+                      MemoCounters::get().streamlet_hits);
 }
 
 std::shared_ptr<const TemplateMemo::ImplEntry> TemplateMemo::find_impl(
     MemoRef ref, const SourceHashes& hashes) {
   std::shared_lock lock(mu_);
-  auto it = impls_.find(ref.sym);
-  if (it == impls_.end()) {
-    ++MemoCounters::get().misses;
-    return nullptr;
-  }
-  for (const auto& entry : it->second) {
-    if (entry_current(*entry, ref.shape, hashes)) {
-      ++MemoCounters::get().impl_hits;
-      return entry;
-    }
-  }
-  ++MemoCounters::get().stale;
-  return nullptr;
+  return counted_find(impls_, ref, hashes, MemoCounters::get().impl_hits);
 }
 
-std::shared_ptr<const Streamlet> TemplateMemo::valid_streamlet(
+std::shared_ptr<const TemplateMemo::StreamletEntry>
+TemplateMemo::valid_streamlet(MemoRef ref, const SourceHashes& hashes) const {
+  std::shared_lock lock(mu_);
+  return valid_version(streamlets_, ref, hashes);
+}
+
+std::shared_ptr<const TemplateMemo::ImplEntry> TemplateMemo::valid_impl(
     MemoRef ref, const SourceHashes& hashes) const {
   std::shared_lock lock(mu_);
-  auto it = streamlets_.find(ref.sym);
-  if (it == streamlets_.end()) return nullptr;
-  for (const StreamletEntry& entry : it->second) {
-    if (entry_current(entry, ref.shape, hashes)) return entry.payload;
-  }
-  return nullptr;
+  return valid_version(impls_, ref, hashes);
 }
 
-std::shared_ptr<const Impl> TemplateMemo::valid_impl(
-    MemoRef ref, const SourceHashes& hashes) const {
-  std::shared_lock lock(mu_);
-  auto it = impls_.find(ref.sym);
-  if (it == impls_.end()) return nullptr;
-  const ImplEntry* entry = current_impl_version(it->second, ref.shape, hashes);
-  return entry != nullptr ? entry->payload : nullptr;
-}
-
-void TemplateMemo::put_streamlet(Symbol sym,
-                                 std::shared_ptr<const Streamlet> payload,
-                                 SourceStamp stamp,
-                                 std::vector<SourceStamp> dep_sources) {
-  StreamletEntry entry{std::move(payload), stamp, std::move(dep_sources)};
+template <typename Entry>
+std::shared_ptr<const Entry> TemplateMemo::publish(
+    std::unordered_map<Symbol, Versions<Entry>>& table, Symbol sym,
+    std::shared_ptr<const Entry> entry) {
   std::unique_lock lock(mu_);
-  std::vector<StreamletEntry>& versions = streamlets_[sym];
-  for (StreamletEntry& existing : versions) {
-    if (same_version(existing, entry)) {
-      existing = std::move(entry);
-      return;
-    }
-  }
-  versions.push_back(std::move(entry));
-}
-
-void TemplateMemo::put_impl(Symbol sym, ImplEntry entry, ProgramRef pin) {
-  auto shared = std::make_shared<const ImplEntry>(std::move(entry));
-  std::unique_lock lock(mu_);
-  std::vector<std::shared_ptr<const ImplEntry>>& versions = impls_[sym];
+  Versions<Entry>& versions = table[sym];
+  slots_ -= versions.size();
+  std::erase_if(versions, [](const auto& slot) { return slot.expired(); });
   bool placed = false;
-  for (auto& existing : versions) {
-    if (same_version(*existing, *shared)) {
-      // Replace the version in place; concurrent readers holding the old
-      // snapshot keep it alive until they are done with it.
-      existing = shared;
+  for (auto& slot : versions) {
+    std::shared_ptr<const Entry> existing = slot.lock();
+    if (existing != nullptr && same_version(*existing, *entry)) {
+      // Replace the version in place; readers and footprints holding the
+      // old snapshot keep it alive until they are done with it.
+      slot = entry;
       placed = true;
       break;
     }
   }
-  if (!placed) versions.push_back(std::move(shared));
-  if (pin != nullptr && (pinned_.empty() || pinned_.back() != pin)) {
-    pinned_.push_back(std::move(pin));
-  }
+  if (!placed) versions.push_back(entry);
+  slots_ += versions.size();
+  if (slots_ >= sweep_at_) sweep_locked();
+  return entry;
+}
+
+std::shared_ptr<const TemplateMemo::StreamletEntry>
+TemplateMemo::put_streamlet(Symbol sym, StreamletEntry entry) {
+  return publish(streamlets_, sym,
+                 std::make_shared<const StreamletEntry>(std::move(entry)));
+}
+
+std::shared_ptr<const TemplateMemo::ImplEntry> TemplateMemo::put_impl(
+    Symbol sym, ImplEntry entry) {
+  return publish(impls_, sym,
+                 std::make_shared<const ImplEntry>(std::move(entry)));
+}
+
+void TemplateMemo::sweep_locked() {
+  slots_ = prune(streamlets_) + prune(impls_);
+  sweep_at_ = std::max(kMinSweepSlots, 2 * slots_);
+}
+
+void TemplateMemo::sweep() {
+  std::unique_lock lock(mu_);
+  sweep_locked();
 }
 
 void TemplateMemo::invalidate() {
   std::unique_lock lock(mu_);
   streamlets_.clear();
   impls_.clear();
-  pinned_.clear();
+  slots_ = 0;
+  sweep_at_ = 0;
+}
+
+std::size_t TemplateMemo::impl_count() const {
+  std::shared_lock lock(mu_);
+  return live_names(impls_);
+}
+
+std::size_t TemplateMemo::version_count() const {
+  std::shared_lock lock(mu_);
+  return live_versions(streamlets_) + live_versions(impls_);
+}
+
+std::shared_ptr<const Streamlet> MemoHook::find_streamlet(MemoRef ref) const {
+  auto entry = memo->find_streamlet(ref, *hashes);
+  if (entry == nullptr) return nullptr;
+  footprint->streamlets.push_back(entry);
+  return entry->payload;
+}
+
+std::shared_ptr<const TemplateMemo::ImplEntry> MemoHook::find_impl(
+    MemoRef ref) const {
+  auto entry = memo->find_impl(ref, *hashes);
+  if (entry != nullptr) footprint->impls.push_back(entry);
+  return entry;
+}
+
+std::shared_ptr<const Streamlet> MemoHook::valid_streamlet(MemoRef ref) const {
+  auto entry = memo->valid_streamlet(ref, *hashes);
+  if (entry == nullptr) return nullptr;
+  footprint->streamlets.push_back(entry);
+  return entry->payload;
+}
+
+std::shared_ptr<const TemplateMemo::ImplEntry> MemoHook::valid_impl(
+    MemoRef ref) const {
+  auto entry = memo->valid_impl(ref, *hashes);
+  if (entry != nullptr) footprint->impls.push_back(entry);
+  return entry;
+}
+
+void MemoHook::put_streamlet(Symbol sym,
+                             TemplateMemo::StreamletEntry entry) const {
+  footprint->streamlets.push_back(memo->put_streamlet(sym, std::move(entry)));
+}
+
+void MemoHook::put_impl(Symbol sym, TemplateMemo::ImplEntry entry) const {
+  footprint->impls.push_back(memo->put_impl(sym, std::move(entry)));
 }
 
 }  // namespace tydi::elab

@@ -43,14 +43,35 @@
 //    current compile — editing a type/const in file B invalidates entries
 //    declared in untouched file A that resolved through it.
 //
+// Retention — what stays cached. The memo does not own its versions: the
+// version vectors hold weak_ptrs, and every compile collects strong
+// references to the versions it hits, replays or inserts (a MemoFootprint,
+// filled through MemoHook). A driver::CompileSession keeps the footprints of
+// the latest compiles of each compile identity (top + ordered source names;
+// the latest successful compile of each of its last K = 2 source versions,
+// see src/driver/compiler.hpp), so a version stays alive exactly while one
+// of those compiles used it. An edit followed by an undo, or two variants
+// that alternate, therefore stay warm, while the versions only an older
+// edit needed die with its footprint. A lookup upgrades a slot with
+// `lock()`; an expired slot is pruned when its symbol is next published,
+// and a whole-map sweep runs only once the slot count has doubled since the
+// last sweep (amortised O(1) per publish). Eviction only costs hits, never
+// output: a replay window whose member has expired is rejected by
+// valid_impl/valid_streamlet and the impl re-elaborates.
+//
+// An impl payload with a sim block points into the AST it was elaborated
+// from; its ImplEntry pins that AST, and a Design that replays the entry
+// pins it too (Design::pin), so a design simulated after its compile keeps
+// the AST alive after the footprint that held the entry is gone.
+//
 // `invalidate()` remains the wholesale escape hatch.
 //
 // Concurrency: the memo is shared by every concurrent compile of a session
 // (parallel `compile_batch` workers, `tydid` request handlers). A
 // shared_mutex guards the tables — lookups take the shared side, publishes
 // and invalidation the exclusive side — and lookups count into the
-// process-wide registry (tydi.memo.*). Impl entries are handed out as
-// `shared_ptr<const ImplEntry>` snapshots, so a reader replaying a window is
+// process-wide registry (tydi.memo.*). Versions are handed out as
+// `shared_ptr<const ...>` snapshots, so a reader replaying a window is
 // never invalidated by a concurrent upsert or `invalidate()`: the payloads
 // it captured stay alive until it drops them. Two compiles racing to publish
 // the same entry both upsert; last writer wins and both payloads are
@@ -97,6 +118,12 @@ struct MemoRef {
 
 class TemplateMemo {
  public:
+  struct StreamletEntry {
+    std::shared_ptr<const Streamlet> payload;  ///< shared, never copied
+    SourceStamp stamp;
+    std::vector<SourceStamp> dep_sources;  ///< see ImplEntry::dep_sources
+  };
+
   struct ImplEntry {
     /// Shared with every Design that elaborated or replayed this impl —
     /// never value-copied. The sugaring pass copies-on-write before
@@ -119,80 +146,101 @@ class TemplateMemo {
     /// re-elaborates so insertion order matches a cold compile.
     std::vector<Symbol> required_streamlets;
     std::vector<Symbol> required_impls;
+    /// The AST `payload->sim` points into; null without a sim block.
+    std::shared_ptr<const void> sim_ast;
   };
 
-  /// Valid payload lookups: nullptr on miss *or* stale stamp / other shape.
-  /// Each lookup counts into `tydi.memo.{streamlet_hits,impl_hits,misses,
-  /// stale}` (stale: the entry exists but no version matches the current
-  /// sources and shape). Payloads are returned as shared handles so a hit
-  /// inserts into the current Design without copying; the impl entry is a
-  /// shared snapshot that outlives any concurrent upsert/invalidate.
-  [[nodiscard]] std::shared_ptr<const Streamlet> find_streamlet(
+  /// Valid version lookups: nullptr on miss *or* stale stamp / other shape
+  /// *or* an expired version. Each lookup counts into
+  /// `tydi.memo.{streamlet_hits,impl_hits,misses,stale}` (stale: the entry
+  /// exists but no live version matches the current sources and shape).
+  /// Versions are returned as shared snapshots that outlive any concurrent
+  /// upsert/invalidate; payloads insert into the current Design without
+  /// copying.
+  [[nodiscard]] std::shared_ptr<const StreamletEntry> find_streamlet(
       MemoRef ref, const SourceHashes& hashes);
   [[nodiscard]] std::shared_ptr<const ImplEntry> find_impl(
       MemoRef ref, const SourceHashes& hashes);
 
-  /// Stamp- and shape-checked payload reads for window replay (not
-  /// counted).
-  [[nodiscard]] std::shared_ptr<const Streamlet> valid_streamlet(
+  /// Stamp- and shape-checked reads for window replay (not counted).
+  [[nodiscard]] std::shared_ptr<const StreamletEntry> valid_streamlet(
       MemoRef ref, const SourceHashes& hashes) const;
-  [[nodiscard]] std::shared_ptr<const Impl> valid_impl(
+  [[nodiscard]] std::shared_ptr<const ImplEntry> valid_impl(
       MemoRef ref, const SourceHashes& hashes) const;
 
   /// Inserts or replaces the version of the same stamp and payload shape (a
-  /// re-elaboration after a stale lookup replaces). Payloads are shared
-  /// with the inserting Design, not copied.
-  void put_streamlet(Symbol sym, std::shared_ptr<const Streamlet> payload,
-                     SourceStamp stamp,
-                     std::vector<SourceStamp> dep_sources);
-  void put_impl(Symbol sym, ImplEntry entry, ProgramRef pin);
+  /// re-elaboration after a stale lookup replaces) and returns it. The memo
+  /// keeps only a weak reference: the caller's footprint must hold the
+  /// returned version for it to stay cached.
+  [[nodiscard]] std::shared_ptr<const StreamletEntry> put_streamlet(
+      Symbol sym, StreamletEntry entry);
+  [[nodiscard]] std::shared_ptr<const ImplEntry> put_impl(Symbol sym,
+                                                          ImplEntry entry);
 
-  /// Explicit invalidation: drops every entry (and the pinned ASTs).
+  /// Explicit invalidation: drops every version slot.
   void invalidate();
+  /// Prunes every expired version slot and every name left without one.
+  void sweep();
 
-  /// Distinct mangled names memoized (not counting per-stamp versions).
-  [[nodiscard]] std::size_t streamlet_count() const {
-    std::shared_lock lock(mu_);
-    return streamlets_.size();
-  }
-  [[nodiscard]] std::size_t impl_count() const {
-    std::shared_lock lock(mu_);
-    return impls_.size();
-  }
+  /// Distinct impl names with at least one live version.
+  [[nodiscard]] std::size_t impl_count() const;
+  /// Live versions across streamlets and impls.
+  [[nodiscard]] std::size_t version_count() const;
 
  private:
-  struct StreamletEntry {
-    std::shared_ptr<const Streamlet> payload;  ///< shared, never copied
-    SourceStamp stamp;
-    std::vector<SourceStamp> dep_sources;  ///< see ImplEntry::dep_sources
-  };
+  template <typename Entry>
+  using Versions = std::vector<std::weak_ptr<const Entry>>;
+
+  template <typename Entry>
+  std::shared_ptr<const Entry> publish(
+      std::unordered_map<Symbol, Versions<Entry>>& table, Symbol sym,
+      std::shared_ptr<const Entry> entry);
+  void sweep_locked();
 
   // One version per distinct (source stamp, shape) (at most one can be
-  // current for a lookup: a file id has exactly one current hash). Version
-  // vectors stay tiny — one per source variant of a decl seen by the
-  // session. Impl
-  // versions are shared_ptr'd so a lookup returns a stable snapshot while
-  // writers replace versions in place.
-  std::unordered_map<Symbol, std::vector<StreamletEntry>> streamlets_;
-  std::unordered_map<Symbol, std::vector<std::shared_ptr<const ImplEntry>>>
-      impls_;
-  /// Programs whose ASTs memoized impls point into (sim blocks); kept alive
-  /// for the memo lifetime.
-  std::vector<ProgramRef> pinned_;
-  /// Guards the three containers above. Lookups shared, publishes and
+  // current for a lookup: a file id has exactly one current hash).
+  std::unordered_map<Symbol, Versions<StreamletEntry>> streamlets_;
+  std::unordered_map<Symbol, Versions<ImplEntry>> impls_;
+  /// Version slots across both tables, expired ones included, and the
+  /// count at which the next whole-map sweep runs (twice the live count
+  /// the last sweep left).
+  std::size_t slots_ = 0;
+  std::size_t sweep_at_ = 0;
+  /// Guards the members above. Lookups shared, publishes, sweeps and
   /// invalidation exclusive; never held while elaborating.
   mutable std::shared_mutex mu_;
 };
 
-/// The elaborator's optional view of a session memo: both pointers must be
-/// set for memoization to engage (the plain `driver::compile` passes none).
+/// Strong references to every memo version one compile hit, replayed or
+/// inserted: what keeps those versions cached (see TemplateMemo).
+struct MemoFootprint {
+  std::vector<std::shared_ptr<const TemplateMemo::StreamletEntry>> streamlets;
+  std::vector<std::shared_ptr<const TemplateMemo::ImplEntry>> impls;
+};
+
+/// The elaborator's optional view of a session memo: all three pointers
+/// must be set for memoization to engage (the plain `driver::compile`
+/// passes none). Every version the memo hands out or accepts through the
+/// hook is recorded in `footprint`.
 struct MemoHook {
   TemplateMemo* memo = nullptr;
   const SourceHashes* hashes = nullptr;
+  MemoFootprint* footprint = nullptr;
 
   [[nodiscard]] bool enabled() const {
-    return memo != nullptr && hashes != nullptr;
+    return memo != nullptr && hashes != nullptr && footprint != nullptr;
   }
+
+  [[nodiscard]] std::shared_ptr<const Streamlet> find_streamlet(
+      MemoRef ref) const;
+  [[nodiscard]] std::shared_ptr<const TemplateMemo::ImplEntry> find_impl(
+      MemoRef ref) const;
+  [[nodiscard]] std::shared_ptr<const Streamlet> valid_streamlet(
+      MemoRef ref) const;
+  [[nodiscard]] std::shared_ptr<const TemplateMemo::ImplEntry> valid_impl(
+      MemoRef ref) const;
+  void put_streamlet(Symbol sym, TemplateMemo::StreamletEntry entry) const;
+  void put_impl(Symbol sym, TemplateMemo::ImplEntry entry) const;
 };
 
 }  // namespace tydi::elab

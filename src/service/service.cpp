@@ -716,6 +716,7 @@ Response CompileService::sleep_request(double ms,
 
 Response CompileService::compile_request(
     const std::vector<driver::NamedSource>& sources,
+    const std::vector<std::uint64_t>& source_hashes,
     driver::CompileOptions options, const std::string& emit,
     double budget_ms, PendingRequest::State& state) {
   if (emit == "vhdl") {
@@ -744,7 +745,7 @@ Response CompileService::compile_request(
   };
   driver::CompileResult result = [&] {
     sim::Watchdog watchdog(guard, watchdog_config);
-    return session_.compile(sources, options);
+    return session_.compile(sources, options, source_hashes);
   }();
 
   Response r;
@@ -861,8 +862,13 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
     sources = tpch::query_sources(*query);
     options = tpch::query_options(*query);
   }
-  Response r = compile_request(sources, std::move(options), emit, budget_ms,
-                               state);
+  // The key's stamps hash each FILE source once; the compile reuses them.
+  std::vector<std::uint64_t> source_hashes;
+  for (const warmup::SourceStampRecord& stamp : key.stamps) {
+    source_hashes.push_back(stamp.hash);
+  }
+  Response r = compile_request(sources, source_hashes, std::move(options),
+                               emit, budget_ms, state);
   if (r.ok()) {
     if (cached.admit) result_cache_.insert(key_text, r.body);
     journal_success(key);
@@ -951,7 +957,10 @@ std::vector<StatusField> CompileService::status_fields() const {
       {"failures", count("tydi.service.failures")},
       {"memo_hit_rate", memo_lookups == 0.0 ? 0.0 : memo_hits / memo_lookups},
       {"memo_impls", num(session_.memo().impl_count())},
+      {"memo_versions", num(session_.memo().version_count())},
       {"parse_cache", num(session_.parse_cache_size())},
+      {"emit_port_entries", num(session_.emit_cache().live_entries())},
+      {"retained_compiles", num(session_.retained_compiles())},
       {"result_cache_hits", count("tydi.service.result_cache.hits")},
       {"result_cache_bytes",
        reg.gauge("tydi.service.result_cache.bytes").value()},

@@ -316,8 +316,11 @@ class CompileService {
   void worker_main();
   void execute(const std::shared_ptr<PendingRequest::State>& state);
   [[nodiscard]] Response dispatch_queued(PendingRequest::State& state);
+  /// `source_hashes` are the sources' content hashes when the key already
+  /// took them (FILE), else empty and the compile hashes the sources.
   [[nodiscard]] Response compile_request(
       const std::vector<driver::NamedSource>& sources,
+      const std::vector<std::uint64_t>& source_hashes,
       driver::CompileOptions options, const std::string& emit,
       double budget_ms, PendingRequest::State& state);
   [[nodiscard]] Response sleep_request(double ms,

@@ -1,5 +1,6 @@
 #include "src/vhdl/vhdl.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -98,13 +99,16 @@ std::shared_ptr<const PortEmit> build_port_emit(const IrPort& p) {
 
 }  // namespace
 
-/// Session-lifetime port-emission cache, keyed by (port name symbol,
-/// logical-type identity, direction). Entries self-pin their TypeRef so the
-/// pointer key stays valid for the session lifetime. Thread-safe: lookups
-/// take the shared lock; a miss builds the PortEmit outside any lock and
-/// publishes under the exclusive lock (first writer wins), so concurrent
-/// emits of a session share entries without blocking each other's string
-/// building.
+/// Session port-emission cache, keyed by (port name symbol, logical-type
+/// identity, direction). An entry holds a weak pin on its TypeRef and hits
+/// only while the pin is live: a live object's address cannot be reused, so
+/// the pointer key stays correct, and an entry lives exactly as long as
+/// something else (a retained memo payload) keeps its type. Expired entries
+/// are replaced when their key is published again and swept once the map
+/// has doubled since the last sweep. Thread-safe: lookups take the shared
+/// lock; a miss builds the PortEmit outside any lock and publishes under the
+/// exclusive lock (first live writer wins), so concurrent emits of a session
+/// share entries without blocking each other's string building.
 struct EmitSession::Impl {
   struct Key {
     support::Symbol name_sym = support::kNoSymbol;
@@ -121,26 +125,39 @@ struct EmitSession::Impl {
     }
   };
   struct Entry {
-    types::TypeRef pin;
+    std::weak_ptr<const types::LogicalType> pin;
     std::shared_ptr<const PortEmit> emit;
   };
+  /// Below this many entries a whole-map sweep is not worth running.
+  static constexpr std::size_t kMinSweepEntries = 256;
+
   std::unordered_map<Key, Entry, KeyHash> ports;
+  std::size_t sweep_at = kMinSweepEntries;
   mutable std::shared_mutex mu;
 
   [[nodiscard]] std::shared_ptr<const PortEmit> find(const Key& key) const {
     std::shared_lock lock(mu);
     auto it = ports.find(key);
-    return it != ports.end() ? it->second.emit : nullptr;
+    return it != ports.end() && !it->second.pin.expired() ? it->second.emit
+                                                          : nullptr;
   }
   /// Publishes `emit` for `key` unless another thread got there first, and
   /// returns the entry that ended up cached.
   [[nodiscard]] std::shared_ptr<const PortEmit> publish(
-      const Key& key, types::TypeRef pin,
+      const Key& key, const types::TypeRef& pin,
       std::shared_ptr<const PortEmit> emit) {
     std::unique_lock lock(mu);
-    auto [it, inserted] =
-        ports.try_emplace(key, Entry{std::move(pin), std::move(emit)});
-    return it->second.emit;
+    auto [it, inserted] = ports.try_emplace(key, Entry{pin, emit});
+    if (!inserted && it->second.pin.expired()) {
+      it->second = Entry{pin, emit};  // the address now names a new type
+    }
+    std::shared_ptr<const PortEmit> cached = it->second.emit;
+    if (ports.size() >= sweep_at) sweep_locked();
+    return cached;
+  }
+  void sweep_locked() {
+    std::erase_if(ports, [](const auto& kv) { return kv.second.pin.expired(); });
+    sweep_at = std::max(kMinSweepEntries, 2 * ports.size());
   }
 };
 
@@ -149,6 +166,28 @@ EmitSession::~EmitSession() = default;
 void EmitSession::clear() {
   std::unique_lock lock(impl_->mu);
   impl_->ports.clear();
+  impl_->sweep_at = Impl::kMinSweepEntries;
+}
+
+void EmitSession::sweep() {
+  std::unique_lock lock(impl_->mu);
+  impl_->sweep_locked();
+}
+
+std::size_t EmitSession::live_entries() const {
+  std::shared_lock lock(impl_->mu);
+  return static_cast<std::size_t>(std::count_if(
+      impl_->ports.begin(), impl_->ports.end(),
+      [](const auto& kv) { return !kv.second.pin.expired(); }));
+}
+
+std::vector<const types::LogicalType*> EmitSession::live_types() const {
+  std::shared_lock lock(impl_->mu);
+  std::vector<const types::LogicalType*> out;
+  for (const auto& [key, entry] : impl_->ports) {
+    if (!entry.pin.expired()) out.push_back(key.type);
+  }
+  return out;
 }
 
 namespace {

@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/ir/ir.hpp"
 #include "src/support/diagnostic.hpp"
@@ -36,14 +37,15 @@ struct VhdlOptions {
   bool generate_stdlib_rtl = true;
 };
 
-/// Session-lifetime emission cache. A port's emission products — its entity
-/// port lines and per-net name/type fragments — are pure functions of the
-/// port's name, logical type identity and direction; a
-/// driver::CompileSession hands warm compiles the same TypeRefs, so the
-/// emitter reuses the strings built by earlier compiles instead of
-/// rebuilding them per module. Opaque: the payload type lives in vhdl.cpp.
-/// Owned by the session; thread-safe (shared-lock reads, exclusive
-/// publishes) so concurrent compiles emit through one cache.
+/// Session emission cache. A port's emission products — its entity port
+/// lines and per-net name/type fragments — are pure functions of the port's
+/// name, logical type identity and direction; a driver::CompileSession
+/// hands warm compiles the same TypeRefs, so the emitter reuses the strings
+/// built by earlier compiles instead of rebuilding them per module. Entries
+/// pin their type weakly: one lives while something else holds its type.
+/// Opaque: the payload type lives in vhdl.cpp. Owned by the session;
+/// thread-safe (shared-lock reads, exclusive publishes) so concurrent
+/// compiles emit through one cache.
 class EmitSession {
  public:
   EmitSession();
@@ -52,6 +54,11 @@ class EmitSession {
   EmitSession& operator=(const EmitSession&) = delete;
 
   void clear();
+  /// Drops every entry whose type has expired.
+  void sweep();
+  /// Entries whose type is still alive, and those types.
+  [[nodiscard]] std::size_t live_entries() const;
+  [[nodiscard]] std::vector<const types::LogicalType*> live_types() const;
 
   struct Impl;
   [[nodiscard]] Impl& impl() { return *impl_; }

@@ -7,12 +7,17 @@
 // emission caches is actually enforced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
+#include <regex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "src/driver/compiler.hpp"
+#include "src/sim/engine.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace tydi {
@@ -270,6 +275,361 @@ TEST(ConcurrentCompile, ExhaustedBudgetClassifiesAsAborted) {
       session.compile(tpch::query_sources(*q), options);
   EXPECT_FALSE(r.success());
   EXPECT_EQ(r.status().code(), support::StatusCode::kAborted);
+}
+
+// ---------------------------------------------------------------------------
+// Session retention: the caches keep only what the retained compiles of
+// each compile identity (top + ordered source names) used, at most
+// kRetainedCompiles per identity.
+
+/// An editable token of a query source, found the way the edit_loop
+/// benchmark finds them: a `const` threshold, an integer threshold passed
+/// to const_compare_int_i, or its comparison operator.
+struct EditSpot {
+  std::size_t offset = 0;
+  std::size_t length = 0;
+  std::string value;
+  std::int64_t lo = 0;               ///< numeric spots: new value range
+  std::int64_t hi = 0;
+  std::vector<std::string> choices;  ///< operator spots
+};
+
+std::vector<EditSpot> edit_spots(const std::string& source) {
+  std::vector<EditSpot> spots;
+  auto scan = [&](const char* pattern, bool numeric) {
+    const std::regex re(pattern);
+    for (std::sregex_iterator it(source.begin(), source.end(), re), end;
+         it != end; ++it) {
+      EditSpot spot;
+      spot.offset = static_cast<std::size_t>(it->position(1));
+      spot.length = static_cast<std::size_t>(it->length(1));
+      spot.value = it->str(1);
+      if (numeric) {
+        const std::int64_t v = std::stoll(spot.value);
+        spot.lo = std::max<std::int64_t>(0, v / 2);
+        spot.hi = v * 2 + 1000;
+      } else {
+        spot.choices = {"<", "<=", ">", ">="};
+      }
+      spots.push_back(std::move(spot));
+    }
+  };
+  scan(R"(const \w+ = (\d+);)", true);
+  scan(R"(type std_bool, (\d+), "[<>=]+">)", true);
+  scan(R"re(const_compare_int_i<[^>]*, "([<>]=?)">)re", false);
+  return spots;
+}
+
+/// One seeded edit: 1-3 spots moved to new values.
+std::string edit_source(const std::string& source,
+                        const std::vector<EditSpot>& spots,
+                        std::mt19937_64& rng) {
+  auto below = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  std::vector<std::pair<const EditSpot*, std::string>> edits;
+  const std::size_t count = 1 + below(3);
+  for (std::size_t i = 0; i < count; ++i) {
+    const EditSpot& spot = spots[below(spots.size())];
+    if (std::any_of(edits.begin(), edits.end(),
+                    [&](const auto& e) { return e.first == &spot; })) {
+      continue;
+    }
+    std::string v = spot.value;
+    while (v == spot.value) {
+      v = spot.choices.empty()
+              ? std::to_string(std::uniform_int_distribution<std::int64_t>(
+                    spot.lo, spot.hi)(rng))
+              : spot.choices[below(spot.choices.size())];
+    }
+    edits.emplace_back(&spot, std::move(v));
+  }
+  std::sort(edits.begin(), edits.end(), [](const auto& a, const auto& b) {
+    return a.first->offset > b.first->offset;
+  });
+  std::string out = source;
+  for (const auto& [spot, v] : edits) out.replace(spot->offset, spot->length, v);
+  return out;
+}
+
+/// The five FILE-reachable TPC-H queries with their edit spots.
+struct EditableQuery {
+  const tpch::QueryCase* query = nullptr;
+  std::string name;  ///< "q6"
+  std::vector<EditSpot> spots;
+};
+
+std::vector<EditableQuery> editable_queries() {
+  std::vector<EditableQuery> out;
+  for (const char* n : {"1", "3", "5", "6", "19"}) {
+    const tpch::QueryCase* q = tpch::find_query(std::string("TPC-H ") + n);
+    EXPECT_NE(q, nullptr);
+    if (q == nullptr) continue;
+    out.push_back({q, std::string("q") + n,
+                   edit_spots(std::string(q->source))});
+  }
+  return out;
+}
+
+/// The query's sources with its logic file replaced by `text` under the
+/// edit file name `edit/<name>.td` (one compile identity per query).
+std::vector<driver::NamedSource> edit_sources(const EditableQuery& q,
+                                              std::string text) {
+  std::vector<driver::NamedSource> sources = tpch::query_sources(*q.query);
+  sources.back() = {"edit/" + q.name + ".td", std::move(text)};
+  return sources;
+}
+
+/// Checks the retention rule's bounds for `identities` compile identities.
+void expect_retention_bounds(driver::CompileSession& session,
+                             std::size_t identities) {
+  constexpr std::size_t kK = driver::kRetainedCompiles;
+  EXPECT_LE(session.retained_compiles(), kK * identities);
+  EXPECT_LE(session.parse_cache_size(), 2 + kK * identities);
+  session.sweep();
+  std::unordered_set<const void*> versions;
+  std::unordered_set<const types::LogicalType*> port_types;
+  session.for_each_retained([&](const elab::MemoFootprint& f) {
+    for (const auto& s : f.streamlets) {
+      versions.insert(s.get());
+      for (const elab::Port& p : s->payload->ports) {
+        port_types.insert(p.type.get());
+      }
+    }
+    for (const auto& i : f.impls) versions.insert(i.get());
+  });
+  EXPECT_EQ(session.memo().version_count(), versions.size());
+  const std::vector<const types::LogicalType*> live =
+      session.emit_cache().live_types();
+  EXPECT_EQ(session.emit_cache().live_entries(), live.size());
+  for (const types::LogicalType* type : live) {
+    EXPECT_TRUE(port_types.contains(type))
+        << "emission entry outlives every retained port type";
+  }
+}
+
+// 2000 seeded edits over the five queries, drawn like the edit_loop
+// benchmark's (a shuffled 20-card deck weighted 5/4/3/6/2): the caches hold
+// exactly what the retained footprints hold, never more.
+TEST(SessionRetention, EditLoopKeepsCachesBounded) {
+  const std::vector<EditableQuery> queries = editable_queries();
+  ASSERT_EQ(queries.size(), 5u);
+  driver::CompileSession session;
+  for (const EditableQuery& q : queries) {
+    ASSERT_TRUE(tpch::compile_query(*q.query, session).success());
+  }
+  const std::size_t identities = 2 * queries.size();  // base + edit file
+  std::mt19937_64 rng(21);
+  std::vector<std::size_t> deck;
+  for (int i = 0; i < 2000; ++i) {
+    if (deck.empty()) {
+      const int weights[] = {5, 4, 3, 6, 2};
+      for (std::size_t q = 0; q < 5; ++q) deck.insert(deck.end(), weights[q], q);
+      std::shuffle(deck.begin(), deck.end(), rng);
+    }
+    const EditableQuery& q = queries[deck.back()];
+    deck.pop_back();
+    (void)session.compile(
+        edit_sources(q, edit_source(std::string(q.query->source), q.spots,
+                                    rng)),
+        tpch::query_options(*q.query));
+    if ((i + 1) % 500 == 0) {
+      SCOPED_TRACE("after edit " + std::to_string(i + 1));
+      expect_retention_bounds(session, identities);
+    }
+  }
+}
+
+// Edit → revert → edit → revert, then enough edits to evict the reverted
+// version, then a Bit(n) width edit: every session compile is byte-identical
+// to a session-free compile, warm or evicted.
+TEST(SessionRetention, EvictionNeverChangesOutput) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const driver::CompileOptions options = tpch::query_options(*q);
+  const std::string base(q->source);
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = base;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  const std::string qty = "const qty_hi = 24;";
+  const std::vector<std::string> sequence = {
+      base,
+      with(qty, "const qty_hi = 25;"),
+      base,
+      with(qty, "const qty_hi = 26;"),
+      base,
+      with(qty, "const qty_hi = 27;"),
+      with(qty, "const qty_hi = 28;"),
+      with(qty, "const qty_hi = 29;"),
+      base,  // its version left the ring two compiles ago
+      with("type t_q6_mul = Stream(Bit(100)", "type t_q6_mul = Stream(Bit(64)"),
+      base,
+  };
+  driver::CompileSession session;
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    std::vector<driver::NamedSource> sources = tpch::query_sources(*q);
+    sources.back().text = sequence[i];
+    driver::CompileResult cold = driver::compile(sources, options);
+    ASSERT_TRUE(cold.success()) << cold.report();
+    driver::CompileResult warm = session.compile(sources, options);
+    ASSERT_TRUE(warm.success()) << warm.report();
+    EXPECT_TRUE(warm.vhdl_text == cold.vhdl_text) << "compile " << i;
+    EXPECT_TRUE(warm.ir_text == cold.ir_text) << "compile " << i;
+    if (i == 2) {
+      // An undo right after an edit is fully warm.
+      EXPECT_EQ(warm.template_cache.misses(), 0u);
+    }
+    if (i == 8) {
+      // Three edits later the base version's own entries are gone.
+      EXPECT_GT(warm.template_cache.misses(), 0u);
+    }
+  }
+}
+
+// Four threads each edit their own query while a fifth compiles the
+// unedited queries, all through one session: every output matches its
+// cold compile.
+TEST(SessionRetention, ConcurrentEditorsMatchColdCompiles) {
+  const std::vector<EditableQuery> queries = editable_queries();
+  ASSERT_EQ(queries.size(), 5u);
+  std::vector<std::string> goldens;
+  for (const EditableQuery& q : queries) goldens.push_back(golden_vhdl(*q.query));
+  driver::CompileSession session;
+  constexpr int kEdits = 12;
+  std::vector<std::string> failures(5);
+  {
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < 4; ++t) {
+      pool.emplace_back([&, t]() {
+        const EditableQuery& q = queries[t];
+        const driver::CompileOptions options = tpch::query_options(*q.query);
+        std::mt19937_64 rng(100 + t);
+        for (int i = 0; i < kEdits && failures[t].empty(); ++i) {
+          const std::vector<driver::NamedSource> sources = edit_sources(
+              q, edit_source(std::string(q.query->source), q.spots, rng));
+          driver::CompileResult warm = session.compile(sources, options);
+          driver::CompileResult cold = driver::compile(sources, options);
+          if (warm.success() != cold.success() ||
+              warm.vhdl_text != cold.vhdl_text) {
+            failures[t] = q.name + " edit " + std::to_string(i) +
+                          " differs from its cold compile";
+          }
+        }
+      });
+    }
+    pool.emplace_back([&]() {
+      for (int round = 0; round < kEdits / 2 && failures[4].empty(); ++round) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          driver::CompileResult r = tpch::compile_query(*queries[i].query,
+                                                        session);
+          if (r.vhdl_text != goldens[i]) {
+            failures[4] = queries[i].name + " round " + std::to_string(round) +
+                          " differs from its cold compile";
+          }
+        }
+      }
+    });
+    for (std::thread& th : pool) th.join();
+  }
+  for (const std::string& failure : failures) {
+    EXPECT_TRUE(failure.empty()) << failure;
+  }
+}
+
+// A kept CompileResult whose design replayed a sim-block impl from another
+// identity's compile stays simulatable after every footprint holding that
+// impl left its ring; the AST it points into lives exactly as long as the
+// result. Meant for the ASan job: a missing pin is a use-after-free.
+TEST(SessionRetention, KeptDesignOutlivesItsFootprints) {
+  const std::string source = R"tydi(
+package keep;
+
+type t_data = Stream(Bit(16), d=1, c=2);
+
+impl worker_i of process_unit_s<type t_data, type t_data> @ external {
+  sim {
+    state s = "idle";
+    on in_.receive {
+      set s = "busy";
+      delay(2);
+      send(out);
+      ack(in_);
+      set s = "idle";
+    }
+  }
+}
+
+streamlet keep_top_s {
+  feed: t_data in,
+  result: t_data out,
+}
+
+impl keep_top of keep_top_s {
+  instance par(parallelize_i<type t_data, type t_data, impl worker_i, 2>),
+  feed => par.in_,
+  par.out => result,
+}
+)tydi";
+  auto variant = [&](int channels) {
+    std::string text = source;
+    const std::string needle = "impl worker_i, 2>";
+    text.replace(text.find(needle), needle.size(),
+                 "impl worker_i, " + std::to_string(channels) + ">");
+    return text;
+  };
+  driver::CompileOptions options;
+  options.top = "keep_top";
+  options.emit_vhdl = false;
+  driver::CompileSession session;
+
+  // Same bytes under two names: b.td's compile replays worker_i from
+  // a.td's elaboration, whose sim block points into a.td's AST.
+  std::weak_ptr<const lang::SourceFile> a_ast;
+  {
+    driver::CompileResult a = session.compile({{"a.td", source}}, options);
+    ASSERT_TRUE(a.success()) << a.report();
+    a_ast = a.program->files.back();
+  }
+  driver::CompileResult kept = session.compile({{"b.td", source}}, options);
+  ASSERT_TRUE(kept.success()) << kept.report();
+  EXPECT_GT(kept.template_cache.session_hits(), 0u);
+
+  // K + 1 edits of both identities evict every footprint holding worker_i.
+  for (int edit = 0; edit <= static_cast<int>(driver::kRetainedCompiles);
+       ++edit) {
+    for (const char* name : {"a.td", "b.td"}) {
+      ASSERT_TRUE(
+          session.compile({{name, variant(3 + edit)}}, options).success());
+    }
+  }
+  session.sweep();
+  EXPECT_FALSE(a_ast.expired()) << "the kept design must pin a.td's AST";
+
+  support::DiagnosticEngine diags;
+  sim::Engine engine(kept.design, diags);
+  sim::SimOptions sim_options;
+  sim_options.max_time_ns = 1.0e6;
+  sim::Stimulus stim;
+  stim.port = "feed";
+  constexpr int kPackets = 16;
+  for (int i = 0; i < kPackets; ++i) {
+    sim::Packet p;
+    p.value = i;
+    p.last = i == kPackets - 1;
+    stim.packets.emplace_back(10.0 * i, p);
+  }
+  sim_options.stimuli.push_back(std::move(stim));
+  sim::SimResult result = engine.run(sim_options);
+  ASSERT_TRUE(result.top_outputs.contains("result"));
+  EXPECT_EQ(result.top_outputs.at("result").size(),
+            static_cast<std::size_t>(kPackets));
+
+  kept = driver::CompileResult();
+  EXPECT_TRUE(a_ast.expired()) << "nothing else may keep a.td's AST alive";
 }
 
 }  // namespace
