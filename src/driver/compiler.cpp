@@ -111,7 +111,43 @@ std::string compile_identity(const std::vector<NamedSource>& sources,
   return identity;
 }
 
+/// Calls `fn` on every cache of `memo`, in pipeline order.
+template <typename Memo, typename Fn>
+void for_each_cache(Memo& memo, const Fn& fn) {
+  fn(memo.sugar.impls);
+  fn(memo.sugar.stdlib);
+  fn(memo.lower.streamlets);
+  fn(memo.lower.impls);
+  fn(memo.emit.streamlets);
+  fn(memo.emit.instances);
+  fn(memo.emit.impls);
+}
+
 }  // namespace
+
+void BackEndMemo::clear() {
+  for_each_cache(*this, [](support::IdentityCacheBase& c) { c.clear(); });
+}
+
+void BackEndMemo::sweep() {
+  for_each_cache(*this, [](support::IdentityCacheBase& c) { c.sweep(); });
+}
+
+std::size_t BackEndMemo::live_entries() const {
+  std::size_t n = 0;
+  for_each_cache(*this, [&n](const support::IdentityCacheBase& c) {
+    n += c.live_entries();
+  });
+  return n;
+}
+
+void BackEndMemo::for_each_live(
+    const std::function<void(const support::IdentityKey&, const void*)>& fn)
+    const {
+  for_each_cache(*this, [&fn](const support::IdentityCacheBase& c) {
+    c.for_each_live(fn);
+  });
+}
 
 void CompileSession::invalidate() {
   memo_.invalidate();
@@ -119,7 +155,7 @@ void CompileSession::invalidate() {
     std::unique_lock lock(parse_mu_);
     parses_.clear();
   }
-  vhdl_cache_.clear();
+  backend_.clear();
   std::unordered_map<std::string, Ring> dropped;
   {
     std::lock_guard lock(retain_mu_);
@@ -134,7 +170,7 @@ void CompileSession::sweep() {
     std::erase_if(parses_,
                   [](const CachedParse& c) { return c.ast.expired(); });
   }
-  vhdl_cache_.sweep();
+  backend_.sweep();
 }
 
 std::size_t CompileSession::parse_cache_size() const {
@@ -152,10 +188,11 @@ std::size_t CompileSession::retained_compiles() const {
 }
 
 void CompileSession::for_each_retained(
-    const std::function<void(const elab::MemoFootprint&)>& fn) const {
+    const std::function<void(const elab::MemoFootprint&,
+                             const support::CacheHold&)>& fn) const {
   std::lock_guard lock(retain_mu_);
   for (const auto& [identity, ring] : rings_) {
-    for (const auto& footprint : ring) fn(footprint->memo);
+    for (const auto& footprint : ring) fn(footprint->memo, footprint->backend);
   }
 }
 
@@ -336,10 +373,16 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   if (result.diags->has_errors()) return result;
   if (aborted()) return result;
 
+  // With a session, the back-end phases reuse what earlier compiles derived
+  // from the same payloads; what this compile uses joins its footprint.
+  support::CacheHold* hold =
+      session != nullptr ? &retainer.footprint->backend : nullptr;
+  BackEndMemo* backend = session != nullptr ? &session->backend_ : nullptr;
   if (options.sugaring) {
     obs::PhaseTimer t(result.phase_ms, "compile", "sugar");
-    result.sugar_stats =
-        sugar::apply_sugaring(result.design, options.sugar, *result.diags);
+    result.sugar_stats = sugar::apply_sugaring(
+        result.design, options.sugar, *result.diags,
+        backend != nullptr ? &backend->sugar : nullptr, hold);
   }
   if (aborted()) return result;
 
@@ -347,7 +390,8 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
   // caller-side consumer (e.g. the fletchgen manifest) reads result.ir.
   {
     obs::PhaseTimer t(result.phase_ms, "compile", "lower");
-    result.ir = ir::lower(result.design);
+    result.ir = ir::lower(result.design,
+                          backend != nullptr ? &backend->lower : nullptr, hold);
   }
   if (aborted()) return result;
 
@@ -365,7 +409,7 @@ CompileResult compile_with_session(const std::vector<NamedSource>& sources,
     obs::PhaseTimer t(result.phase_ms, "compile", "vhdl");
     result.vhdl_text =
         vhdl::emit(result.ir, options.vhdl, *result.diags,
-                   session != nullptr ? &session->vhdl_cache_ : nullptr);
+                   backend != nullptr ? &backend->emit : nullptr, hold);
   }
   return result;
 }

@@ -139,6 +139,25 @@ class CompileSession;
 /// entries of (see CompileSession).
 inline constexpr std::size_t kRetainedCompiles = 2;
 
+/// The session's back-end memo: sugaring, lowering and VHDL emission of a
+/// compile reuse what an earlier compile derived from the same elaborated
+/// payloads (the template memo hands warm compiles the same objects), so an
+/// edit pays only for the impls it changed. Every entry is keyed on payload
+/// identities (src/support/identity_cache.hpp).
+struct BackEndMemo {
+  sugar::SugarMemo sugar;
+  ir::LowerMemo lower;
+  vhdl::EmitMemo emit;
+
+  void clear();
+  void sweep();
+  [[nodiscard]] std::size_t live_entries() const;
+  /// Calls `fn` with every live entry's key and value address.
+  void for_each_live(
+      const std::function<void(const support::IdentityKey&, const void*)>&
+          fn) const;
+};
+
 /// A sequence of compiles sharing the process-wide caches of the compile
 /// hot path:
 ///
@@ -148,7 +167,10 @@ inline constexpr std::size_t kRetainedCompiles = 2;
 ///    defining sources are byte-identical;
 ///  - the parse cache: a source file whose (file id, name, content hash)
 ///    triple matches a previous compile reuses that compile's AST, so the
-///    standard library parses once per session, not once per compile.
+///    standard library parses once per session, not once per compile;
+///  - the back-end memo (BackEndMemo): per-impl sugaring, lowered
+///    streamlets/impls and rendered VHDL blocks, keyed on the identity of
+///    the payloads they derive from.
 ///
 /// Compiles through a session produce byte-identical IR/VHDL to standalone
 /// `driver::compile` calls (covered by the golden tests). Memo entries are
@@ -158,24 +180,24 @@ inline constexpr std::size_t kRetainedCompiles = 2;
 /// compiles re-elaborates instead of serving stale results. `invalidate()`
 /// drops every cache wholesale.
 ///
-/// Retention: a cached parse, memo version or port-emission entry stays
-/// alive while a retained compile used it; the session retains at most
+/// Retention: a cached parse, memo version or back-end entry stays alive
+/// while a retained compile used it; the session retains at most
 /// kRetainedCompiles compiles per compile identity — `top` plus the
-/// ordered source-name list. Each compile collects a footprint (its Program, i.e. the ASTs it parsed or
-/// reused, and every memo version it hit, replayed or inserted); when a
+/// ordered source-name list. Each compile collects a footprint (its
+/// Program, i.e. the ASTs it parsed or reused, every memo version it hit,
+/// replayed or inserted, and every back-end entry it hit or inserted); when a
 /// compile succeeds, its footprint enters its identity's ring, replacing
 /// the footprint of an earlier compile of the same source bytes, else the
 /// oldest one. So a ring holds the latest compile of each of the last K
 /// source versions, whatever order concurrent compiles finish in. The
 /// caches themselves hold weak references, so what no retained footprint
-/// holds expires: parses and memo versions directly, emission entries with
-/// the last memo payload holding their port type. K = 2 keeps an edit
-/// followed by an undo, or two alternating variants, warm.
+/// holds expires. K = 2 keeps an edit followed by an undo, or two
+/// alternating variants, warm.
 ///
 /// Concurrency: any number of threads may call `compile` on one session
 /// simultaneously (parallel `compile_batch` workers, `tydid` request
 /// handlers). Each cache synchronizes itself — the template memo and the
-/// emission cache via shared_mutex with shared-lock lookups, the
+/// back-end caches via shared_mutex with shared-lock lookups, the
 /// parse cache via the session's own lock — and every cache serves
 /// immutable shared payloads, so compiles never block each other outside
 /// the brief publish sections. Outputs are byte-identical whatever the
@@ -204,8 +226,8 @@ class CompileSession {
     return compile_with_session(sources, options, this, &source_hashes);
   }
 
-  /// Drops every cached parse, memo entry, per-port emission string and
-  /// retained footprint. Safe to call while compiles are in flight: they
+  /// Drops every cached parse, memo entry, back-end entry and retained
+  /// footprint. Safe to call while compiles are in flight: they
   /// keep the shared payloads they already hold and re-elaborate on their
   /// next lookup.
   void invalidate();
@@ -217,15 +239,15 @@ class CompileSession {
   [[nodiscard]] const elab::TemplateMemo& memo() const { return memo_; }
   /// Live cached parses.
   [[nodiscard]] std::size_t parse_cache_size() const;
-  [[nodiscard]] const vhdl::EmitSession& emit_cache() const {
-    return vhdl_cache_;
-  }
+  [[nodiscard]] const BackEndMemo& backend() const { return backend_; }
   /// Footprints held across all compile identities (<= kRetainedCompiles
   /// per identity).
   [[nodiscard]] std::size_t retained_compiles() const;
-  /// Calls `fn` with the memo footprint of every retained compile.
+  /// Calls `fn` with the memo versions and back-end entries of every
+  /// retained compile.
   void for_each_retained(
-      const std::function<void(const elab::MemoFootprint&)>& fn) const;
+      const std::function<void(const elab::MemoFootprint&,
+                               const support::CacheHold&)>& fn) const;
 
  private:
   friend CompileResult compile_with_session(
@@ -243,6 +265,7 @@ class CompileSession {
   struct Footprint {
     elab::ProgramRef program;  ///< the ASTs it parsed or reused
     elab::MemoFootprint memo;
+    support::CacheHold backend;  ///< back-end entries it hit or inserted
     std::uint64_t sources = 0;  ///< combined content hash of its sources
   };
   /// At most kRetainedCompiles footprints, oldest first.
@@ -258,9 +281,7 @@ class CompileSession {
   /// Guards `parses_` (the other caches synchronize themselves).
   mutable std::shared_mutex parse_mu_;
   std::vector<CachedParse> parses_;
-  /// Per-port emission strings reused by the "vhdl" phase (see
-  /// vhdl::EmitSession).
-  vhdl::EmitSession vhdl_cache_;
+  BackEndMemo backend_;
   /// Guards `rings_`.
   mutable std::mutex retain_mu_;
   std::unordered_map<std::string, Ring> rings_;

@@ -41,17 +41,23 @@ std::string TemplateArgValue::display() const {
   return "?";
 }
 
-const Streamlet& Design::add_streamlet(Streamlet s) {
+std::shared_ptr<const Streamlet> make_streamlet(Streamlet s) {
   s.sym = support::intern(s.name);
   for (Port& p : s.ports) p.sym = support::intern(p.name);
-  // make_shared<Streamlet>, not <const Streamlet>: the payload object must
-  // not be genuinely const (impl_mutable const_casts unique slots).
-  return add_streamlet(std::make_shared<Streamlet>(std::move(s)));
+  return std::make_shared<const Streamlet>(std::move(s));
+}
+
+std::shared_ptr<const Impl> make_impl(Impl i) {
+  i.sym = support::intern(i.name);
+  return std::make_shared<const Impl>(std::move(i));
+}
+
+const Streamlet& Design::add_streamlet(Streamlet s) {
+  return add_streamlet(make_streamlet(std::move(s)));
 }
 
 const Impl& Design::add_impl(Impl i) {
-  i.sym = support::intern(i.name);
-  return add_impl(std::make_shared<Impl>(std::move(i)));
+  return add_impl(make_impl(std::move(i)));
 }
 
 const Streamlet& Design::add_streamlet(std::shared_ptr<const Streamlet> s) {
@@ -83,18 +89,9 @@ void Design::pin(std::shared_ptr<const void> ast) {
   }
 }
 
-Impl& Design::impl_mutable(std::size_t index) {
-  std::shared_ptr<const Impl>& slot = impls_[index];
-  // Copy-on-write, unconditionally: the payload may be shared with a
-  // template-memo entry or another design replaying it, and the memo must
-  // keep the pristine pre-sugar elaboration. A `use_count() == 1` in-place
-  // fast path would be a data race: use_count() is a relaxed load, so a
-  // concurrent reader releasing its reference (e.g. a memo invalidation
-  // racing this compile) is not ordered before the in-place mutation.
-  // Callers that mutate repeatedly should clone once and keep the
-  // reference — the pointee is heap-stable until this slot is replaced.
-  slot = std::make_shared<Impl>(*slot);
-  return const_cast<Impl&>(*slot);  // originated as make_shared<Impl>
+void Design::replace_impl(std::size_t index,
+                          std::shared_ptr<const Impl> impl) {
+  impls_[index] = std::move(impl);
 }
 
 const Streamlet* Design::find_streamlet(std::string_view name) const {

@@ -174,6 +174,10 @@ class SharedView {
   [[nodiscard]] const T& operator[](std::size_t i) const {
     return *(*slots_)[i];
   }
+  /// The shared payload handle behind element `i`.
+  [[nodiscard]] const std::shared_ptr<const T>& slot(std::size_t i) const {
+    return (*slots_)[i];
+  }
   [[nodiscard]] std::size_t size() const { return slots_->size(); }
   [[nodiscard]] bool empty() const { return slots_->empty(); }
 
@@ -181,17 +185,23 @@ class SharedView {
   const Slots* slots_;
 };
 
+/// A fresh shared payload with its name (and port) symbols interned — what
+/// the by-value Design::add_* overloads insert, for passes that build
+/// payloads before inserting them (the sugaring memo).
+[[nodiscard]] std::shared_ptr<const Streamlet> make_streamlet(Streamlet s);
+[[nodiscard]] std::shared_ptr<const Impl> make_impl(Impl i);
+
 /// The fully elaborated design. Insertion order is preserved so emitted IR /
 /// VHDL is deterministic (children appear before their parents).
 ///
 /// Streamlet/Impl payloads live behind shared_ptr slots so the template
 /// memo can *share* them across warm compiles instead of value-copying the
-/// whole standard library into every Design (see elab::TemplateMemo). The
-/// only post-insertion mutator, the sugaring pass, goes through
-/// `impl_mutable`, which copies-on-write when the slot is shared — a memo
-/// therefore always holds the pristine pre-sugar payload. A pleasant side
-/// effect: payload addresses are stable under insertion (the old by-value
-/// vectors invalidated references on growth).
+/// whole standard library into every Design (see elab::TemplateMemo).
+/// Payloads are immutable once inserted: the sugaring pass rewrites an impl
+/// by building a new payload and swapping it into the slot
+/// (`replace_impl`), so a memo always holds the pristine pre-sugar payload.
+/// Payload addresses are stable under insertion, and the back-end memo keys
+/// on them (src/support/identity_cache.hpp).
 class Design {
  public:
   explicit Design(ProgramRef program = nullptr)
@@ -221,9 +231,9 @@ class Design {
   /// repeated pins are ignored).
   void pin(std::shared_ptr<const void> ast);
 
-  /// Mutable access for the sugaring pass; clones the payload first when
-  /// the slot is shared with a memo or another design (copy-on-write).
-  [[nodiscard]] Impl& impl_mutable(std::size_t index);
+  /// Swaps the payload of impl slot `index` for `impl` (same name): how the
+  /// sugaring pass installs a rewritten impl.
+  void replace_impl(std::size_t index, std::shared_ptr<const Impl> impl);
 
   [[nodiscard]] SharedView<Streamlet> streamlets() const {
     return SharedView<Streamlet>(streamlets_);
@@ -246,10 +256,6 @@ class Design {
  private:
   ProgramRef program_;
   std::vector<std::shared_ptr<const void>> pins_;
-  // Payload objects always originate from make_shared<T> in the by-value
-  // add_* overloads (shared inserts only recirculate such objects), so the
-  // unique-slot const_cast in impl_mutable never touches a genuinely const
-  // object.
   std::vector<std::shared_ptr<const Streamlet>> streamlets_;
   std::vector<std::shared_ptr<const Impl>> impls_;
   // Flat symbol-keyed indexes: lookups intern once and hash an integer

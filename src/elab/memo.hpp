@@ -126,8 +126,8 @@ class TemplateMemo {
 
   struct ImplEntry {
     /// Shared with every Design that elaborated or replayed this impl —
-    /// never value-copied. The sugaring pass copies-on-write before
-    /// mutating (Design::impl_mutable), so the memo's view stays the
+    /// never value-copied. The sugaring pass installs rewritten impls as
+    /// new payloads (Design::replace_impl), so the memo's view stays the
     /// pristine pre-sugar elaboration.
     std::shared_ptr<const Impl> payload;
     SourceStamp stamp;

@@ -1,6 +1,6 @@
 #include "src/eval/value.hpp"
 
-#include <sstream>
+#include "src/support/text.hpp"
 
 namespace tydi::eval {
 
@@ -25,33 +25,41 @@ std::string_view Value::type_name() const {
 }
 
 std::string Value::to_display() const {
-  std::ostringstream out;
+  std::string out;
+  append_display(out);
+  return out;
+}
+
+void Value::append_display(std::string& out) const {
   std::visit(
       [&out](const auto& v) {
         using T = std::decay_t<decltype(v)>;
         if constexpr (std::is_same_v<T, std::monostate>) {
-          out << "<none>";
+          out += "<none>";
         } else if constexpr (std::is_same_v<T, std::int64_t>) {
-          out << v;
+          out += std::to_string(v);
         } else if constexpr (std::is_same_v<T, double>) {
-          out << v;
+          support::append_general(out, v);
         } else if constexpr (std::is_same_v<T, std::string>) {
-          out << '"' << v << '"';
+          out += '"';
+          out += v;
+          out += '"';
         } else if constexpr (std::is_same_v<T, bool>) {
-          out << (v ? "true" : "false");
+          out += v ? "true" : "false";
         } else if constexpr (std::is_same_v<T, ClockDomain>) {
-          out << "clockdomain(" << v.name << ")";
+          out += "clockdomain(";
+          out += v.name;
+          out += ')';
         } else {
-          out << "[";
+          out += '[';
           for (std::size_t i = 0; i < v.size(); ++i) {
-            if (i > 0) out << ", ";
-            out << v[i].to_display();
+            if (i > 0) out += ", ";
+            v[i].append_display(out);
           }
-          out << "]";
+          out += ']';
         }
       },
       storage_);
-  return out.str();
 }
 
 bool operator==(const Value& a, const Value& b) {

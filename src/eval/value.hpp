@@ -84,6 +84,8 @@ class Value {
 
   /// Display form for diagnostics and name mangling, e.g. `8`, `"MED BAG"`.
   [[nodiscard]] std::string to_display() const;
+  /// Appends the display form to `out` (no stream, no per-level temporary).
+  void append_display(std::string& out) const;
 
   /// Structural equality; int/float compare numerically.
   friend bool operator==(const Value& a, const Value& b);

@@ -1,6 +1,7 @@
 #include "src/ir/ir.hpp"
 
 #include "src/elab/design.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/support/text.hpp"
 
 namespace tydi::ir {
@@ -43,7 +44,8 @@ Index Module::impl_index(Symbol sym) const {
 }
 
 const IrStreamlet* Module::streamlet_of(const IrImpl& impl) const {
-  return impl.streamlet != kNoIndex ? &streamlets[impl.streamlet] : nullptr;
+  return impl.streamlet != kNoIndex ? streamlets[impl.streamlet].get()
+                                    : nullptr;
 }
 
 const IrPort* Module::resolve(const IrImpl& impl,
@@ -65,7 +67,7 @@ void Module::rebuild_index() {
   streamlet_index_.reserve(streamlets.size());
   impl_index_.reserve(impls.size());
   for (std::size_t i = 0; i < streamlets.size(); ++i) {
-    streamlet_index_[streamlets[i].sym] = static_cast<Index>(i);
+    streamlet_index_[streamlets[i]->sym] = static_cast<Index>(i);
   }
   for (std::size_t i = 0; i < impls.size(); ++i) {
     impl_index_[impls[i].sym] = static_cast<Index>(i);
@@ -137,115 +139,169 @@ IrPort lower_port(const elab::Port& p, TypeLowerings& lowered) {
   return out;
 }
 
+IrStreamlet lower_streamlet(const std::shared_ptr<const elab::Streamlet>& slot,
+                            TypeLowerings& lowered) {
+  const elab::Streamlet& s = *slot;
+  IrStreamlet is;
+  is.sym = s.sym != support::kNoSymbol ? s.sym : support::intern(s.name);
+  is.name = s.name;
+  is.display_name = s.display_name;
+  is.loc = s.loc;
+  is.ports.reserve(s.ports.size());
+  for (const elab::Port& p : s.ports) {
+    is.ports.push_back(lower_port(p, lowered));
+  }
+  is.origin = support::Identity(slot);
+  return is;
+}
+
+/// An impl with every name interned and every module-relative index
+/// (streamlet, instance impls, endpoint resolution) still unset.
+IrImpl lower_impl_shell(const std::shared_ptr<const elab::Impl>& slot) {
+  const elab::Impl& i = *slot;
+  IrImpl ii;
+  ii.sym = i.sym != support::kNoSymbol ? i.sym : support::intern(i.name);
+  ii.name = i.name;
+  ii.vhdl = support::sanitize_identifier(i.name);
+  ii.display_name = i.display_name;
+  ii.streamlet_sym = support::intern(i.streamlet_name);
+  ii.external = i.external;
+  if (!i.template_name.empty()) {
+    ii.family_sym = support::intern(i.template_name);
+    ii.template_family = i.template_name;
+  }
+  ii.template_args.reserve(i.template_args.size());
+  for (const elab::TemplateArgValue& a : i.template_args) {
+    ii.template_args.push_back(lower_template_arg(a));
+  }
+  ii.instances.reserve(i.instances.size());
+  for (const elab::Instance& inst : i.instances) {
+    IrInstance ir_inst;
+    ir_inst.sym = support::intern(inst.name);
+    ir_inst.name = inst.name;
+    ir_inst.vhdl = support::sanitize_identifier(inst.name);
+    ir_inst.impl_sym = support::intern(inst.impl_name);
+    ir_inst.loc = inst.loc;
+    ii.instances.push_back(std::move(ir_inst));
+  }
+  auto endpoint = [](const elab::Endpoint& ep) {
+    IrEndpoint out;
+    out.loc = ep.loc;
+    out.port_sym = support::intern(ep.port);
+    if (!ep.instance.empty()) out.instance_sym = support::intern(ep.instance);
+    return out;
+  };
+  ii.connections.reserve(i.connections.size());
+  for (const elab::Connection& c : i.connections) {
+    IrConnection ic;
+    ic.src = endpoint(c.src);
+    ic.dst = endpoint(c.dst);
+    ic.structural = c.structural;
+    ic.loc = c.loc;
+    ii.connections.push_back(std::move(ic));
+  }
+  ii.has_simulation = i.sim.has_value();
+  ii.loc = i.loc;
+  ii.origin = support::Identity(slot);
+  return ii;
+}
+
 /// Resolves one endpoint of a connection inside `impl` to dense indices.
-IrEndpoint lower_endpoint(const Module& m, const IrImpl& impl,
-                          const elab::Endpoint& ep) {
-  IrEndpoint out;
-  out.loc = ep.loc;
-  out.port_sym = support::intern(ep.port);
-  if (ep.instance.empty()) {
-    if (impl.streamlet == kNoIndex) {
-      out.status = EndpointStatus::kUnknownStreamlet;
-      return out;
+void resolve_endpoint(const Module& m, const IrImpl& impl, IrEndpoint& ep) {
+  ep.instance = kNoIndex;
+  ep.port = kNoIndex;
+  ep.status = EndpointStatus::kOk;
+  Index streamlet = impl.streamlet;
+  if (ep.is_self()) {
+    if (streamlet == kNoIndex) {
+      ep.status = EndpointStatus::kUnknownStreamlet;
+      return;
     }
-    out.port = m.streamlets[impl.streamlet].port_index(out.port_sym);
-    if (out.port == kNoIndex) out.status = EndpointStatus::kUnknownPort;
-    return out;
+  } else {
+    ep.instance = impl.instance_index(ep.instance_sym);
+    if (ep.instance == kNoIndex) {
+      ep.status = EndpointStatus::kUnknownInstance;
+      return;
+    }
+    const IrInstance& inst = impl.instances[ep.instance];
+    streamlet = inst.impl != kNoIndex ? m.impls[inst.impl].streamlet : kNoIndex;
+    if (streamlet == kNoIndex) {
+      ep.status = EndpointStatus::kUnresolvedImpl;
+      return;
+    }
   }
-  out.instance_sym = support::intern(ep.instance);
-  out.instance = impl.instance_index(out.instance_sym);
-  if (out.instance == kNoIndex) {
-    out.status = EndpointStatus::kUnknownInstance;
-    return out;
-  }
-  const IrInstance& inst = impl.instances[out.instance];
-  Index child_streamlet =
-      inst.impl != kNoIndex ? m.impls[inst.impl].streamlet : kNoIndex;
-  if (child_streamlet == kNoIndex) {
-    out.status = EndpointStatus::kUnresolvedImpl;
-    return out;
-  }
-  out.port = m.streamlets[child_streamlet].port_index(out.port_sym);
-  if (out.port == kNoIndex) out.status = EndpointStatus::kUnknownPort;
-  return out;
+  ep.port = m.streamlets[streamlet]->port_index(ep.port_sym);
+  if (ep.port == kNoIndex) ep.status = EndpointStatus::kUnknownPort;
+}
+
+/// Memo lookups of one lower() call, published to the registry once.
+struct Lookups {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
+/// Looks `slot`'s lowering up in `cache` (when given), else builds and
+/// publishes it.
+template <typename T, typename Payload, typename Build>
+std::shared_ptr<const T> lowered_once(support::IdentityCache<T>* cache,
+                                      support::CacheHold* hold,
+                                      const std::shared_ptr<Payload>& slot,
+                                      Lookups& lookups, const Build& build) {
+  if (cache == nullptr) return std::make_shared<const T>(build());
+  support::IdentityKey key;
+  key.parts.emplace_back(slot);
+  bool hit = false;
+  auto lowered = cache->find_or_build(std::move(key), *hold, build, &hit);
+  ++(hit ? lookups.hits : lookups.misses);
+  return lowered;
 }
 
 }  // namespace
 
-Module lower(const elab::Design& design) {
+Module lower(const elab::Design& design, LowerMemo* memo,
+             support::CacheHold* hold) {
+  if (hold == nullptr) memo = nullptr;
   Module m;
   m.streamlets.reserve(design.streamlets().size());
   m.impls.reserve(design.impls().size());
 
   TypeLowerings lowered;
-  for (const elab::Streamlet& s : design.streamlets()) {
-    IrStreamlet is;
-    is.sym = s.sym != support::kNoSymbol ? s.sym : support::intern(s.name);
-    is.name = s.name;
-    is.display_name = s.display_name;
-    is.loc = s.loc;
-    is.ports.reserve(s.ports.size());
-    for (const elab::Port& p : s.ports) {
-      is.ports.push_back(lower_port(p, lowered));
-    }
-    m.streamlets.push_back(std::move(is));
+  Lookups lookups;
+  for (std::size_t i = 0; i < design.streamlets().size(); ++i) {
+    const auto& slot = design.streamlets().slot(i);
+    m.streamlets.push_back(lowered_once(
+        memo != nullptr ? &memo->streamlets : nullptr, hold, slot, lookups,
+        [&] { return lower_streamlet(slot, lowered); }));
   }
-
-  // First pass: impl shells with instance references, so connection
-  // endpoints can resolve instances of any impl regardless of order.
-  for (const elab::Impl& i : design.impls()) {
-    IrImpl ii;
-    ii.sym = i.sym != support::kNoSymbol ? i.sym : support::intern(i.name);
-    ii.name = i.name;
-    ii.display_name = i.display_name;
-    ii.streamlet_sym = support::intern(i.streamlet_name);
-    ii.external = i.external;
-    if (!i.template_name.empty()) {
-      ii.family_sym = support::intern(i.template_name);
-      ii.template_family = i.template_name;
-    }
-    ii.template_args.reserve(i.template_args.size());
-    for (const elab::TemplateArgValue& a : i.template_args) {
-      ii.template_args.push_back(lower_template_arg(a));
-    }
-    ii.instances.reserve(i.instances.size());
-    for (const elab::Instance& inst : i.instances) {
-      IrInstance ir_inst;
-      ir_inst.sym = support::intern(inst.name);
-      ir_inst.name = inst.name;
-      ir_inst.vhdl = support::sanitize_identifier(inst.name);
-      ir_inst.impl_sym = support::intern(inst.impl_name);
-      ir_inst.loc = inst.loc;
-      ii.instances.push_back(std::move(ir_inst));
-    }
-    ii.has_simulation = i.sim.has_value();
-    ii.loc = i.loc;
-    m.impls.push_back(std::move(ii));
+  for (std::size_t i = 0; i < design.impls().size(); ++i) {
+    const auto& slot = design.impls().slot(i);
+    m.impls.push_back(*lowered_once(memo != nullptr ? &memo->impls : nullptr,
+                                    hold, slot, lookups,
+                                    [&] { return lower_impl_shell(slot); }));
+  }
+  if (memo != nullptr) {
+    static obs::Counter& hits =
+        obs::MetricsRegistry::global().counter("tydi.lower.memo_hits");
+    static obs::Counter& misses =
+        obs::MetricsRegistry::global().counter("tydi.lower.memo_misses");
+    hits += lookups.hits;
+    misses += lookups.misses;
   }
   m.rebuild_index();
 
-  // Second pass: resolve every cross-reference to dense indices (all of
-  // them, before any endpoint is resolved — an endpoint may point at an
-  // instance of an impl that appears later in the table).
+  // Resolve every cross-reference to dense indices (all of them, before any
+  // endpoint is resolved — an endpoint may point at an instance of an impl
+  // that appears later in the table).
   for (IrImpl& ii : m.impls) {
     ii.streamlet = m.streamlet_index(ii.streamlet_sym);
     for (IrInstance& inst : ii.instances) {
       inst.impl = m.impl_index(inst.impl_sym);
     }
   }
-
-  // Third pass: lower connections with endpoint resolution baked in.
-  std::size_t impl_idx = 0;
-  for (const elab::Impl& i : design.impls()) {
-    IrImpl& ii = m.impls[impl_idx++];
-    ii.connections.reserve(i.connections.size());
-    for (const elab::Connection& c : i.connections) {
-      IrConnection ic;
-      ic.src = lower_endpoint(m, ii, c.src);
-      ic.dst = lower_endpoint(m, ii, c.dst);
-      ic.structural = c.structural;
-      ic.loc = c.loc;
-      ii.connections.push_back(std::move(ic));
+  for (IrImpl& ii : m.impls) {
+    for (IrConnection& c : ii.connections) {
+      resolve_endpoint(m, ii, c.src);
+      resolve_endpoint(m, ii, c.dst);
     }
   }
 
@@ -261,7 +317,8 @@ std::string emit(const Module& module) {
   w.line("// Tydi-IR generated by tydi-cpp");
   if (!module.top_name.empty()) w.line("// top: ", module.top_name);
   w.line();
-  for (const IrStreamlet& s : module.streamlets) {
+  for (const auto& slot : module.streamlets) {
+    const IrStreamlet& s = *slot;
     if (s.display_name != s.name) w.line("// ", s.display_name);
     w.open("streamlet ", s.name, " {");
     for (const IrPort& p : s.ports) {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/ast/ast.hpp"
+#include "src/support/identity_cache.hpp"
 #include "src/support/intern.hpp"
 #include "src/support/source.hpp"
 #include "src/types/logical_type.hpp"
@@ -79,6 +80,9 @@ struct IrStreamlet {
   std::string display_name;  ///< original template spelling
   support::Loc loc;
   std::vector<IrPort> ports;
+  /// The elaborated payload this was lowered from, held weakly: what the
+  /// session caches downstream of lowering key on (empty when hand-built).
+  support::Identity origin;
 
   /// Index of the port with symbol `port_sym` in `ports`, or kNoIndex.
   [[nodiscard]] Index port_index(Symbol port_sym) const;
@@ -144,6 +148,7 @@ struct IrTemplateArg {
 struct IrImpl {
   Symbol sym = support::kNoSymbol;
   std::string name;              ///< mangled
+  std::string vhdl;              ///< sanitized entity identifier, cached
   std::string display_name;      ///< original spelling with arguments
   Symbol streamlet_sym = support::kNoSymbol;
   Index streamlet = kNoIndex;    ///< index into Module::streamlets
@@ -155,6 +160,8 @@ struct IrImpl {
   std::vector<IrConnection> connections;
   bool has_simulation = false;
   support::Loc loc;
+  /// See IrStreamlet::origin.
+  support::Identity origin;
 
   /// Index of the instance with symbol `instance_sym`, or kNoIndex.
   [[nodiscard]] Index instance_index(Symbol instance_sym) const;
@@ -163,9 +170,13 @@ struct IrImpl {
 /// The lowered design. `streamlets` and `impls` are flat tables in design
 /// insertion order (children before parents — emission order is
 /// deterministic); the symbol indexes give O(1) integer-keyed lookup.
+/// Streamlets are shared: a session hands every compile that lowers the
+/// same payload the same IrStreamlet. Impls are per module because their
+/// cross-references (`streamlet`, `IrInstance::impl`, endpoint ports) are
+/// module-relative.
 class Module {
  public:
-  std::vector<IrStreamlet> streamlets;
+  std::vector<std::shared_ptr<const IrStreamlet>> streamlets;
   std::vector<IrImpl> impls;
   /// Top-level impl (index into `impls`), kNoIndex if none was set.
   Index top = kNoIndex;
@@ -198,8 +209,21 @@ class Module {
                       : (dir == lang::PortDir::kOut);
 }
 
-/// Lowers an elaborated design to the IR. Runs once per compile.
-[[nodiscard]] Module lower(const elab::Design& design);
+/// Session lowering cache: lowered streamlets, and impls with their
+/// module-relative indices unset, keyed on the payload they were lowered
+/// from (see src/support/identity_cache.hpp).
+struct LowerMemo {
+  support::IdentityCache<IrStreamlet> streamlets;
+  support::IdentityCache<IrImpl> impls;
+};
+
+/// Lowers an elaborated design to the IR. Runs once per compile. With a
+/// memo (and the compile's `hold`), payloads lowered by an earlier compile
+/// of the session are reused; only module-relative indices are resolved
+/// per compile.
+[[nodiscard]] Module lower(const elab::Design& design,
+                           LowerMemo* memo = nullptr,
+                           support::CacheHold* hold = nullptr);
 
 /// Emits the IR as deterministic Tydi-IR text (just another consumer of the
 /// module — the backends do not depend on this form).

@@ -17,7 +17,7 @@
 //    lock;
 //  - instrument *registration* takes the registry's shared_mutex: lookups
 //    shared-lock, first-sight creation double-checks under the exclusive
-//    lock (the same discipline as TemplateMemo / EmitSession).
+//    lock (the same discipline as TemplateMemo / IdentityCache).
 //    Instruments are heap-allocated and never destroyed while the registry
 //    lives, so a `Counter&` captured once (the intended pattern is a
 //    function-local `static obs::Counter& c = ...;`) stays valid and

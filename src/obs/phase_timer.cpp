@@ -1,9 +1,40 @@
 #include "src/obs/phase_timer.hpp"
 
+#include <string>
+#include <vector>
+
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 
 namespace tydi::obs {
+
+namespace {
+
+/// The `tydi.<subsystem>.phase_ms.<phase>` histogram, resolved through the
+/// registry once per thread and (subsystem, phase): timers run on every
+/// request, and the name build plus registry lookup would otherwise cost
+/// more than a short stage itself.
+Histogram& phase_histogram(std::string_view subsystem, std::string_view phase) {
+  struct Slot {
+    std::string subsystem;
+    std::string phase;
+    Histogram* histogram;
+  };
+  thread_local std::vector<Slot> slots;
+  for (const Slot& slot : slots) {
+    if (slot.subsystem == subsystem && slot.phase == phase) {
+      return *slot.histogram;
+    }
+  }
+  std::string name = "tydi.";
+  name.append(subsystem).append(".phase_ms.").append(phase);
+  Histogram& histogram = MetricsRegistry::global().histogram(name);
+  slots.push_back(
+      Slot{std::string(subsystem), std::string(phase), &histogram});
+  return histogram;
+}
+
+}  // namespace
 
 PhaseTimer::PhaseTimer(support::PhaseTimings& out, std::string_view subsystem,
                        std::string_view phase)
@@ -20,10 +51,7 @@ PhaseTimer::~PhaseTimer() {
                         .count();
   out_.add(phase_, ms);
   // One histogram per phase plus a tracer span over the same interval.
-  // Both cost a shared-lock name lookup at most — phases are coarse.
-  std::string name = "tydi.";
-  name.append(subsystem_).append(".phase_ms.").append(phase_);
-  MetricsRegistry::global().histogram(name).observe(ms);
+  phase_histogram(subsystem_, phase_).observe(ms);
   if (span_start_ns_ >= 0 && SpanTracer::global().enabled()) {
     std::string span(subsystem_);
     span.append(".phase.").append(phase_);

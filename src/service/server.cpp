@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/obs/metrics.hpp"
+#include "src/obs/phase_timer.hpp"
 
 namespace tydi::service {
 
@@ -206,7 +207,13 @@ void serve_connection(int fd, CompileService& service,
       }
     }
     Response response = pending.take();
-    if (!write_response(fd, response)) {
+    bool written = false;
+    {
+      support::PhaseTimings stages;
+      obs::PhaseTimer t(stages, "service", "reply");
+      written = write_response(fd, response);
+    }
+    if (!written) {
       tracker.remove(fd);
       ::close(fd);
       return;

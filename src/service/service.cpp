@@ -8,6 +8,7 @@
 
 #include "src/elab/memo.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/guard.hpp"
 #include "src/tpch/tpch.hpp"
@@ -782,7 +783,10 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
 
   // TPCH and FILE both come down to sources + options + the durable key
   // (normalized request + per-source content stamps), built once here: it
-  // keys the result cache and is what the journal records.
+  // keys the result cache and is what the journal records. Each stage is
+  // timed as tydi.service.phase_ms.<stage> (read, key, cache, compile,
+  // journal; the transport times reply).
+  support::PhaseTimings stages;
   const tpch::QueryCase* query = nullptr;  ///< TPCH: sources built on a miss
   std::vector<driver::NamedSource> sources;
   driver::CompileOptions options;
@@ -822,17 +826,20 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
     }
     // Comma-separated file list, compiled in list order (each file keeps
     // its own `package` header) — same convention as the batch manifest.
-    std::istringstream paths(path);
-    std::string one;
-    while (std::getline(paths, one, ',')) {
-      if (one.empty()) continue;
-      std::ifstream file(one, std::ios::binary);
-      if (!file) {
-        return error_response(StatusCode::kIoError, "cannot read " + one);
+    {
+      obs::PhaseTimer t(stages, "service", "read");
+      std::istringstream paths(path);
+      std::string one;
+      while (std::getline(paths, one, ',')) {
+        if (one.empty()) continue;
+        std::ifstream file(one, std::ios::binary);
+        if (!file) {
+          return error_response(StatusCode::kIoError, "cannot read " + one);
+        }
+        sources.push_back(driver::NamedSource{
+            one, std::string((std::istreambuf_iterator<char>(file)),
+                             std::istreambuf_iterator<char>())});
       }
-      sources.push_back(driver::NamedSource{
-          one, std::string((std::istreambuf_iterator<char>(file)),
-                           std::istreambuf_iterator<char>())});
     }
     if (sources.empty()) {
       return error_response(StatusCode::kInvalidArgument,
@@ -843,16 +850,24 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
     // an edited file is a different key, and replay skips the key when any
     // file on disk no longer matches.
     key.request = "FILE " + path + " " + top + " " + emit;
-    for (const driver::SourceStamp& stamp : driver::source_stamps(sources)) {
-      key.stamps.push_back(warmup::SourceStampRecord{stamp.name, stamp.hash});
-    }
   } else {
     return error_response(StatusCode::kInternal,
                           "verb '" + verb + "' queued but not dispatchable");
   }
 
-  const std::string key_text = key.serialize();
-  ResultCache::Lookup cached = result_cache_.lookup(key_text);
+  std::string key_text;
+  {
+    obs::PhaseTimer t(stages, "service", "key");
+    for (const driver::SourceStamp& stamp : driver::source_stamps(sources)) {
+      key.stamps.push_back(warmup::SourceStampRecord{stamp.name, stamp.hash});
+    }
+    key_text = key.serialize();
+  }
+  ResultCache::Lookup cached;
+  {
+    obs::PhaseTimer t(stages, "service", "cache");
+    cached = result_cache_.lookup(key_text);
+  }
   if (cached.hit != nullptr) {
     Response r;
     r.body = std::move(cached.hit);
@@ -867,10 +882,18 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
   for (const warmup::SourceStampRecord& stamp : key.stamps) {
     source_hashes.push_back(stamp.hash);
   }
-  Response r = compile_request(sources, source_hashes, std::move(options),
-                               emit, budget_ms, state);
+  Response r;
+  {
+    obs::PhaseTimer t(stages, "service", "compile");
+    r = compile_request(sources, source_hashes, std::move(options), emit,
+                        budget_ms, state);
+  }
   if (r.ok()) {
-    if (cached.admit) result_cache_.insert(key_text, r.body);
+    if (cached.admit) {
+      obs::PhaseTimer t(stages, "service", "cache");
+      result_cache_.insert(key_text, r.body);
+    }
+    obs::PhaseTimer t(stages, "service", "journal");
     journal_success(key);
   }
   return r;
@@ -959,7 +982,7 @@ std::vector<StatusField> CompileService::status_fields() const {
       {"memo_impls", num(session_.memo().impl_count())},
       {"memo_versions", num(session_.memo().version_count())},
       {"parse_cache", num(session_.parse_cache_size())},
-      {"emit_port_entries", num(session_.emit_cache().live_entries())},
+      {"backend_entries", num(session_.backend().live_entries())},
       {"retained_compiles", num(session_.retained_compiles())},
       {"result_cache_hits", count("tydi.service.result_cache.hits")},
       {"result_cache_bytes",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <sstream>
 
 namespace tydi::support {
@@ -184,6 +185,12 @@ std::string format_fixed(double value, int digits) {
   out.precision(digits);
   out << value;
   return out.str();
+}
+
+void append_general(std::string& out, double value) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%g", value);
+  out.append(buf, static_cast<std::size_t>(n));
 }
 
 std::vector<std::string_view> split_lines(std::string_view text) {

@@ -30,7 +30,7 @@ class CodeWriter {
   /// `~total / kChunkBytes` chunks instead of log2(total) doubling copies.
   static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
   /// First chunk of a writer (ramping up 8x per chunk to kChunkBytes), so
-  /// the many small sub-writers — cached component declarations, RTL
+  /// the many small sub-writers — per-impl blocks, instance lines, RTL
   /// bodies — do not each pin a full 64 KiB chunk.
   static constexpr std::size_t kFirstChunkBytes = std::size_t{1} << 10;
 
@@ -167,6 +167,10 @@ class TextTable {
 
 /// Formats a double with `digits` places (used by the bench tables).
 [[nodiscard]] std::string format_fixed(double value, int digits);
+
+/// Appends `value` the way `std::ostream << value` prints it by default
+/// (`%g`, precision 6), without a stream.
+void append_general(std::string& out, double value);
 
 /// Splits on '\n' (keeps empty segments, drops the trailing empty one).
 [[nodiscard]] std::vector<std::string_view> split_lines(std::string_view text);

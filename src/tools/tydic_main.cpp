@@ -121,8 +121,12 @@ void print_cache_report(std::ostream& out) {
       << rate("tydi.elab.instantiation_hits", "tydi.elab.instantiation_misses")
       << " | parse "
       << rate("tydi.parse.cache_hits", "tydi.parse.cache_misses")
-      << " | ports "
-      << rate("tydi.vhdl.port_cache_hits", "tydi.vhdl.port_cache_misses")
+      << " | sugar "
+      << rate("tydi.sugar.memo_hits", "tydi.sugar.memo_misses")
+      << " | lower "
+      << rate("tydi.lower.memo_hits", "tydi.lower.memo_misses")
+      << " | vhdl "
+      << rate("tydi.vhdl.memo_hits", "tydi.vhdl.memo_misses")
       << "\n";
   out << "bytes: ir " << reg.counter("tydi.ir.bytes_emitted").value()
       << " | vhdl " << reg.counter("tydi.vhdl.bytes_emitted").value()

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <string_view>
 
 #include "src/support/text.hpp"
@@ -47,40 +46,67 @@ std::int64_t LogicalType::bit_width() const {
 }
 
 std::string LogicalType::to_display() const {
-  std::ostringstream out;
+  std::string out;
+  append_display(out);
+  return out;
+}
+
+void LogicalType::append_display(std::string& out) const {
   std::visit(
-      [&out](const auto& n) {
+      [&](const auto& n) {
         using T = std::decay_t<decltype(n)>;
         if constexpr (std::is_same_v<T, NullT>) {
-          out << "Null";
+          out += "Null";
         } else if constexpr (std::is_same_v<T, BitT>) {
-          out << "Bit(" << n.width << ")";
+          out += "Bit(";
+          out += std::to_string(n.width);
+          out += ')';
         } else if constexpr (std::is_same_v<T, GroupT> ||
                              std::is_same_v<T, UnionT>) {
-          out << (std::is_same_v<T, GroupT> ? "Group{" : "Union{");
+          out += std::is_same_v<T, GroupT> ? "Group{" : "Union{";
           for (std::size_t i = 0; i < n.fields.size(); ++i) {
-            if (i > 0) out << ", ";
-            out << n.fields[i].name << ": " << n.fields[i].type->to_display();
+            if (i > 0) out += ", ";
+            out += n.fields[i].name;
+            out += ": ";
+            n.fields[i].type->append_display(out);
           }
-          out << "}";
+          out += '}';
         } else {  // StreamT
-          out << "Stream(" << n.element->to_display();
-          if (n.params.throughput != 1.0) out << ", t=" << n.params.throughput;
-          if (n.params.dimension != 0) out << ", d=" << n.params.dimension;
-          if (n.params.complexity != 1) out << ", c=" << n.params.complexity;
+          out += "Stream(";
+          n.element->append_display(out);
+          if (n.params.throughput != 1.0) {
+            out += ", t=";
+            support::append_general(out, n.params.throughput);
+          }
+          if (n.params.dimension != 0) {
+            out += ", d=";
+            out += std::to_string(n.params.dimension);
+          }
+          if (n.params.complexity != 1) {
+            out += ", c=";
+            out += std::to_string(n.params.complexity);
+          }
           if (n.params.synchronicity != Synchronicity::kSync) {
-            out << ", s=" << lang::to_string(n.params.synchronicity);
+            out += ", s=";
+            out += lang::to_string(n.params.synchronicity);
           }
           if (n.params.direction != StreamDir::kForward) {
-            out << ", r=" << lang::to_string(n.params.direction);
+            out += ", r=";
+            out += lang::to_string(n.params.direction);
           }
-          if (n.params.user) out << ", u=" << n.params.user->to_display();
-          out << ")";
+          if (n.params.user) {
+            out += ", u=";
+            n.params.user->append_display(out);
+          }
+          out += ')';
         }
       },
       node_);
-  if (!origin_.empty()) out << " [" << origin_ << "]";
-  return out.str();
+  if (!origin_.empty()) {
+    out += " [";
+    out += origin_;
+    out += ']';
+  }
 }
 
 TypeRef make_null() {

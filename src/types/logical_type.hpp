@@ -117,6 +117,8 @@ class LogicalType {
   /// Display form, e.g. `Group{data: Bit(32), ok: Bit(1)}` or
   /// `Stream(Bit(8), t=2, d=1, c=7)`.
   [[nodiscard]] std::string to_display() const;
+  /// Appends the display form to `out` (no stream, no per-level temporary).
+  void append_display(std::string& out) const;
 
  private:
   Node node_;

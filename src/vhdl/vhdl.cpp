@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "src/obs/metrics.hpp"
 #include "src/support/text.hpp"
@@ -43,24 +40,6 @@ std::string_view port_mode(const IrPort& p, const StreamLayout& layout,
   return is_in ? "in" : "out";
 }
 
-/// One physical net of a port: the `<suffix>_<signal>` name tail shared by
-/// the port name and every signal-bundle prefix, plus pre-rendered pieces
-/// for the per-instance emission sites (signal declarations and port maps),
-/// which repeat once per instance of the streamlet.
-struct Net {
-  std::string suffix_sig;
-  std::string decl_tail;  ///< "<suffix_sig> : <type>;"
-  std::string map_head;   ///< "<port><suffix_sig> => sig_"
-  bool reverse = false;
-};
-
-/// Emission products of one port — a pure function of (port name, logical
-/// type identity, direction), so a session can share them across compiles.
-struct PortEmit {
-  std::vector<Net> nets;                ///< flattened over (layout, signal)
-  std::vector<std::string> port_lines;  ///< entity/component port lines
-};
-
 /// "std_logic" for 1-bit valid/ready, "std_logic_vector(...)" otherwise,
 /// appended to `out` without a temporary.
 void append_signal_type(std::string& out, const PhysicalSignal& sig) {
@@ -73,258 +52,230 @@ void append_signal_type(std::string& out, const PhysicalSignal& sig) {
   }
 }
 
-std::shared_ptr<const PortEmit> build_port_emit(const IrPort& p) {
-  auto out = std::make_shared<PortEmit>();
-  for (const StreamLayout& layout : p.layouts) {
-    for (const PhysicalSignal& sig : layout.signals) {
-      Net net;
-      net.suffix_sig = layout.suffix + "_" + sig.name;
-      net.reverse = sig.reverse;
-      net.decl_tail = net.suffix_sig;
-      net.decl_tail += " : ";
-      append_signal_type(net.decl_tail, sig);
-      net.decl_tail += ';';
-      net.map_head = p.vhdl + net.suffix_sig + " => sig_";
-      std::string line = p.vhdl + net.suffix_sig;
-      line += " : ";
-      line += port_mode(p, layout, sig);
-      line += ' ';
-      append_signal_type(line, sig);
-      out->port_lines.push_back(std::move(line));
-      out->nets.push_back(std::move(net));
-    }
-  }
-  return out;
+void add_diag(std::vector<support::Diagnostic>& out, support::Severity sev,
+              std::string message, support::Loc loc) {
+  out.push_back(support::Diagnostic{sev, "vhdl", std::move(message), loc});
 }
 
 }  // namespace
 
-/// Session port-emission cache, keyed by (port name symbol, logical-type
-/// identity, direction). An entry holds a weak pin on its TypeRef and hits
-/// only while the pin is live: a live object's address cannot be reused, so
-/// the pointer key stays correct, and an entry lives exactly as long as
-/// something else (a retained memo payload) keeps its type. Expired entries
-/// are replaced when their key is published again and swept once the map
-/// has doubled since the last sweep. Thread-safe: lookups take the shared
-/// lock; a miss builds the PortEmit outside any lock and publishes under the
-/// exclusive lock (first live writer wins), so concurrent emits of a session
-/// share entries without blocking each other's string building.
-struct EmitSession::Impl {
-  struct Key {
-    support::Symbol name_sym = support::kNoSymbol;
-    const types::LogicalType* type = nullptr;
-    lang::PortDir dir = lang::PortDir::kIn;
-    friend bool operator==(const Key&, const Key&) = default;
+/// Everything the emitter writes per streamlet, built once per streamlet
+/// payload: the nets of every port and the component port list (clk/rst
+/// plus one line per net), which every parent architecture declares.
+struct StreamletEmit {
+  /// One physical net of a port: the `<suffix>_<signal>` name tail shared by
+  /// the port name and every signal-bundle prefix, its VHDL type and its
+  /// mode on the entity.
+  struct Net {
+    std::string suffix_sig;
+    std::string type;
+    std::string_view mode;  ///< "in" / "out"
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::size_t h = std::hash<const void*>()(k.type);
-      h ^= (static_cast<std::size_t>(k.name_sym) + 1) *
-           std::size_t{0x9e3779b97f4a7c15ULL};
-      return h + (k.dir == lang::PortDir::kIn ? 0 : 1);
-    }
-  };
-  struct Entry {
-    std::weak_ptr<const types::LogicalType> pin;
-    std::shared_ptr<const PortEmit> emit;
-  };
-  /// Below this many entries a whole-map sweep is not worth running.
-  static constexpr std::size_t kMinSweepEntries = 256;
 
-  std::unordered_map<Key, Entry, KeyHash> ports;
-  std::size_t sweep_at = kMinSweepEntries;
-  mutable std::shared_mutex mu;
-
-  [[nodiscard]] std::shared_ptr<const PortEmit> find(const Key& key) const {
-    std::shared_lock lock(mu);
-    auto it = ports.find(key);
-    return it != ports.end() && !it->second.pin.expired() ? it->second.emit
-                                                          : nullptr;
-  }
-  /// Publishes `emit` for `key` unless another thread got there first, and
-  /// returns the entry that ended up cached.
-  [[nodiscard]] std::shared_ptr<const PortEmit> publish(
-      const Key& key, const types::TypeRef& pin,
-      std::shared_ptr<const PortEmit> emit) {
-    std::unique_lock lock(mu);
-    auto [it, inserted] = ports.try_emplace(key, Entry{pin, emit});
-    if (!inserted && it->second.pin.expired()) {
-      it->second = Entry{pin, emit};  // the address now names a new type
-    }
-    std::shared_ptr<const PortEmit> cached = it->second.emit;
-    if (ports.size() >= sweep_at) sweep_locked();
-    return cached;
-  }
-  void sweep_locked() {
-    std::erase_if(ports, [](const auto& kv) { return kv.second.pin.expired(); });
-    sweep_at = std::max(kMinSweepEntries, 2 * ports.size());
-  }
+  std::vector<std::vector<Net>> ports;  ///< parallel to streamlet.ports
+  std::size_t net_count = 0;            ///< total nets across all ports
+  std::string component_ports;
 };
 
-EmitSession::EmitSession() : impl_(std::make_unique<Impl>()) {}
-EmitSession::~EmitSession() = default;
-void EmitSession::clear() {
-  std::unique_lock lock(impl_->mu);
-  impl_->ports.clear();
-  impl_->sweep_at = Impl::kMinSweepEntries;
-}
+/// One instance's lines in its parent's architecture — the signal bundle
+/// declarations and the instantiation — at architecture depth: a function
+/// of the instance name and the child impl and streamlet.
+struct InstanceBlock {
+  std::string signals;
+  std::string instantiation;
+};
 
-void EmitSession::sweep() {
-  std::unique_lock lock(impl_->mu);
-  impl_->sweep_locked();
-}
-
-std::size_t EmitSession::live_entries() const {
-  std::shared_lock lock(impl_->mu);
-  return static_cast<std::size_t>(std::count_if(
-      impl_->ports.begin(), impl_->ports.end(),
-      [](const auto& kv) { return !kv.second.pin.expired(); }));
-}
-
-std::vector<const types::LogicalType*> EmitSession::live_types() const {
-  std::shared_lock lock(impl_->mu);
-  std::vector<const types::LogicalType*> out;
-  for (const auto& [key, entry] : impl_->ports) {
-    if (!entry.pin.expired()) out.push_back(key.type);
-  }
-  return out;
-}
+/// One impl's block: library header, entity and architecture, plus the
+/// diagnostics rendering it reported (replayed on every use).
+struct RenderedImpl {
+  std::string text;
+  std::vector<support::Diagnostic> diags;
+};
 
 namespace {
 
-/// Per-module emission cache: every string that the old emitter rebuilt per
-/// use site — entity port lines, per-net `suffix_signal` name tails,
-/// sanitized impl names, rendered component declarations — is built at most
-/// once per module and written through the rope writer as `string_view`
-/// pieces. With a session, per-port products come from the session cache,
-/// so warm compiles skip the string building entirely.
-class EmitCache {
- public:
-  EmitCache(const Module& m, EmitSession::Impl* session)
-      : m_(m),
-        session_(session),
-        streamlets_(m.streamlets.size()),
-        impl_names_(m.impls.size()) {}
+using Net = StreamletEmit::Net;
 
-  /// Sanitized entity name of an impl, computed once per module.
-  const std::string& impl_name(Index impl) {
-    std::string& name = impl_names_[impl];
-    if (name.empty()) name = vhdl_name(m_.impls[impl].name);
-    return name;
+/// The writer's text with no spare capacity (cached texts live long).
+std::string take_exact(CodeWriter& w) {
+  std::string text = w.take();
+  text.shrink_to_fit();
+  return text;
+}
+
+/// Writes clk/rst and one `<port><suffix>_<sig> : <mode> <type>` line per
+/// net — the port list of an entity or component declaration.
+void write_port_list(CodeWriter& w, const IrStreamlet& s,
+                     const StreamletEmit& se) {
+  w.line("clk : in std_logic;");
+  w.line("rst : in std_logic;");
+  std::size_t written = 0;
+  for (std::size_t pi = 0; pi < s.ports.size(); ++pi) {
+    for (const Net& net : se.ports[pi]) {
+      ++written;
+      w.line(s.ports[pi].vhdl, net.suffix_sig, " : ", net.mode, " ", net.type,
+             written < se.net_count ? ";" : "");
+    }
   }
+}
 
-  struct StreamletEmit {
-    /// Parallel to streamlet.ports; shared with the session cache.
-    std::vector<std::shared_ptr<const PortEmit>> ports;
-    std::size_t net_count = 0;  ///< total nets across all ports
-  };
+StreamletEmit build_streamlet_emit(const IrStreamlet& s) {
+  StreamletEmit out;
+  out.ports.reserve(s.ports.size());
+  for (const IrPort& p : s.ports) {
+    std::vector<Net>& nets = out.ports.emplace_back();
+    for (const StreamLayout& layout : p.layouts) {
+      for (const PhysicalSignal& sig : layout.signals) {
+        Net& net = nets.emplace_back();
+        net.suffix_sig = layout.suffix + "_" + sig.name;
+        append_signal_type(net.type, sig);
+        net.mode = port_mode(p, layout, sig);
+        ++out.net_count;
+      }
+    }
+  }
+  CodeWriter w("  ", 3);
+  write_port_list(w, s, out);
+  out.component_ports = take_exact(w);
+  return out;
+}
+
+/// Per-compile view of the emission caches: streamlet products and impl
+/// blocks by module index, each looked up in the session memo (when there
+/// is one and the IR carries payload identities) before it is built.
+class EmitContext {
+ public:
+  EmitContext(const Module& m, const VhdlOptions& options, EmitMemo* memo,
+              support::CacheHold* hold)
+      : m_(m),
+        options_(options),
+        memo_(hold != nullptr ? memo : nullptr),
+        hold_(hold),
+        streamlets_(m.streamlets.size()) {}
 
   const StreamletEmit& streamlet(Index index) {
-    std::unique_ptr<StreamletEmit>& slot = streamlets_[index];
+    std::shared_ptr<const StreamletEmit>& slot = streamlets_[index];
     if (slot == nullptr) {
-      slot = std::make_unique<StreamletEmit>();
-      build(m_.streamlets[index], *slot);
+      const IrStreamlet& s = *m_.streamlets[index];
+      auto build = [&s] { return build_streamlet_emit(s); };
+      if (memo_ == nullptr || s.origin.id == nullptr) {
+        slot = std::make_shared<const StreamletEmit>(build());
+      } else {
+        support::IdentityKey key;
+        key.parts.push_back(s.origin);
+        slot = memo_->streamlets.find_or_build(std::move(key), *hold_, build);
+      }
     }
     return *slot;
   }
 
-  /// Fully rendered component declaration of an impl (depth 1 — component
-  /// declarations only ever appear in an architecture's declarative part).
-  /// Children recur across parent impls, so the block renders once per
-  /// module and later mentions are a single chunk-level write().
-  const std::string& component_decl(Index impl) {
-    if (component_decls_.empty()) component_decls_.resize(m_.impls.size());
-    std::string& text = component_decls_[impl];
-    if (text.empty()) {
-      CodeWriter w("  ", 1);
-      emit_component_decl_uncached(w, impl_name(impl),
-                                   streamlet(m_.impls[impl].streamlet));
-      text = w.take();
+  /// The block of impl `index` (whose streamlet is resolved).
+  std::shared_ptr<const RenderedImpl> impl(Index index);
+
+  /// The lines of instance `inst` (whose child impl and streamlet are
+  /// resolved) in its parent's architecture.
+  std::shared_ptr<const InstanceBlock> instance(const IrInstance& inst) {
+    const IrImpl& child = m_.impls[inst.impl];
+    const IrStreamlet& s = *m_.streamlets[child.streamlet];
+    auto build = [&] { return render_instance(inst, child, s); };
+    if (memo_ == nullptr || child.origin.id == nullptr ||
+        s.origin.id == nullptr) {
+      return std::make_shared<const InstanceBlock>(build());
     }
-    return text;
+    support::IdentityKey key;
+    key.parts = {child.origin, s.origin};
+    key.tag = inst.sym;
+    return memo_->instances.find_or_build(std::move(key), *hold_, build);
   }
 
-  static void emit_port_lines(CodeWriter& w, const StreamletEmit& se) {
-    std::size_t written = 0;
-    for (const auto& pe : se.ports) {
-      for (const std::string& line : pe->port_lines) {
-        ++written;
-        w.line(line, written < se.net_count ? ";" : "");
-      }
-    }
-  }
-
-  static void emit_component_decl_uncached(CodeWriter& w,
-                                           std::string_view name,
-                                           const StreamletEmit& se) {
-    w.open("component ", name, " is");
+  /// Writes the component declaration of impl `index` (depth 1 — component
+  /// declarations only appear in an architecture's declarative part).
+  void component_decl(CodeWriter& w, Index index) {
+    const IrImpl& impl = m_.impls[index];
+    w.open("component ", impl.vhdl, " is");
     w.open("port (");
-    w.line("clk : in std_logic;");
-    w.line("rst : in std_logic;");
-    emit_port_lines(w, se);
+    w.write(streamlet(impl.streamlet).component_ports);
     w.close(");");
     w.close("end component;");
   }
 
+  [[nodiscard]] const Module& module() const { return m_; }
+
+  /// Publishes this compile's block lookups to the registry (one add each).
+  void count_lookups() const {
+    if (memo_ == nullptr) return;
+    static obs::Counter& hits =
+        obs::MetricsRegistry::global().counter("tydi.vhdl.memo_hits");
+    static obs::Counter& misses =
+        obs::MetricsRegistry::global().counter("tydi.vhdl.memo_misses");
+    hits += hits_;
+    misses += misses_;
+  }
+
  private:
-  void build(const IrStreamlet& s, StreamletEmit& out) {
-    out.ports.reserve(s.ports.size());
-    for (const IrPort& p : s.ports) {
-      std::shared_ptr<const PortEmit> pe;
-      if (session_ != nullptr && p.type != nullptr) {
-        static obs::Counter& hits = obs::MetricsRegistry::global().counter(
-            "tydi.vhdl.port_cache_hits");
-        static obs::Counter& misses = obs::MetricsRegistry::global().counter(
-            "tydi.vhdl.port_cache_misses");
-        const EmitSession::Impl::Key key{p.sym, p.type.get(), p.dir};
-        pe = session_->find(key);
-        if (pe == nullptr) {
-          ++misses;
-          pe = session_->publish(key, p.type, build_port_emit(p));
-        } else {
-          ++hits;
-        }
-      } else {
-        pe = build_port_emit(p);
+  RenderedImpl render(Index index);
+
+  InstanceBlock render_instance(const IrInstance& inst, const IrImpl& child,
+                                const IrStreamlet& s) {
+    const StreamletEmit& se = streamlet(child.streamlet);
+    InstanceBlock out;
+    // The bundle prefix `sig_<inst>_<port>` is written as view pieces — no
+    // per-port prefix strings are built.
+    CodeWriter signals("  ", 1);
+    CodeWriter map("  ", 1);
+    map.open("u_", inst.vhdl, " : ", child.vhdl);
+    map.open("port map (");
+    map.line("clk => clk,");
+    map.line("rst => rst", se.net_count > 0 ? "," : "");
+    std::size_t written = 0;
+    for (std::size_t pi = 0; pi < s.ports.size(); ++pi) {
+      const std::string& port = s.ports[pi].vhdl;
+      for (const Net& net : se.ports[pi]) {
+        ++written;
+        signals.line("signal sig_", inst.vhdl, "_", port, net.suffix_sig,
+                     " : ", net.type, ";");
+        map.line(port, net.suffix_sig, " => sig_", inst.vhdl, "_", port,
+                 net.suffix_sig, written < se.net_count ? "," : "");
       }
-      out.net_count += pe->nets.size();
-      out.ports.push_back(std::move(pe));
     }
+    map.close(");");
+    map.dedent();
+    out.signals = take_exact(signals);
+    out.instantiation = take_exact(map);
+    return out;
   }
 
   const Module& m_;
-  EmitSession::Impl* session_;
-  std::vector<std::unique_ptr<StreamletEmit>> streamlets_;
-  std::vector<std::string> impl_names_;
-  std::vector<std::string> component_decls_;
+  const VhdlOptions& options_;
+  EmitMemo* memo_;
+  support::CacheHold* hold_;
+  std::vector<std::shared_ptr<const StreamletEmit>> streamlets_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
-/// Emits `entity <name> is port (...); end <name>;` off the cached lines.
-void emit_entity(CodeWriter& w, std::string_view name,
-                 const EmitCache::StreamletEmit& se) {
+/// Emits `entity <name> is port (...); end <name>;`.
+void emit_entity(CodeWriter& w, std::string_view name, const IrStreamlet& s,
+                 const StreamletEmit& se) {
   w.open("entity ", name, " is");
   w.open("port (");
-  w.line("clk : in std_logic;");
-  w.line("rst : in std_logic;");
-  EmitCache::emit_port_lines(w, se);
+  write_port_list(w, s, se);
   w.close(");");
   w.close("end entity ", name, ";");
 }
 
 class ArchitectureEmitter {
  public:
-  ArchitectureEmitter(CodeWriter& w, const Module& module, Index impl_index,
-                      EmitCache& cache, support::DiagnosticEngine& diags)
+  ArchitectureEmitter(CodeWriter& w, Index impl_index, EmitContext& cache,
+                      std::vector<support::Diagnostic>& diags)
       : w_(w),
-        module_(module),
-        impl_(module.impls[impl_index]),
-        impl_index_(impl_index),
+        module_(cache.module()),
+        impl_(module_.impls[impl_index]),
         cache_(cache),
         diags_(diags) {}
 
   void emit_structural() {
-    w_.open("architecture structural of ", cache_.impl_name(impl_index_),
-            " is");
+    w_.open("architecture structural of ", impl_.vhdl, " is");
     emit_component_decls();
     emit_signal_decls();
     w_.dedent();
@@ -338,9 +289,8 @@ class ArchitectureEmitter {
   CodeWriter& w_;
   const Module& module_;
   const IrImpl& impl_;
-  Index impl_index_;
-  EmitCache& cache_;
-  support::DiagnosticEngine& diags_;
+  EmitContext& cache_;
+  std::vector<support::Diagnostic>& diags_;
 
   /// Streamlet table index of an instance's child impl, or kNoIndex.
   [[nodiscard]] Index child_streamlet_index(const IrInstance& inst) const {
@@ -356,55 +306,33 @@ class ArchitectureEmitter {
       Index cs = child_streamlet_index(inst);
       if (cs == kNoIndex || declared[inst.impl]) continue;
       declared[inst.impl] = true;
-      w_.write(cache_.component_decl(inst.impl));
+      cache_.component_decl(w_, inst.impl);
     }
   }
 
+  /// The per-instance blocks, parallel to impl_.instances (null when the
+  /// instance's impl is unresolved).
+  std::vector<std::shared_ptr<const InstanceBlock>> instances_;
+
   void emit_signal_decls() {
     // One signal bundle per instance port; entity ports are used directly.
-    // The bundle prefix `sig_<inst>_<port>` is written as view pieces — no
-    // per-port prefix strings are built.
+    instances_.reserve(impl_.instances.size());
     for (const IrInstance& inst : impl_.instances) {
-      Index cs = child_streamlet_index(inst);
-      if (cs == kNoIndex) {
-        diags_.warning("vhdl",
-                       "instance '" + inst.name +
-                           "' has unresolved impl; skipped in VHDL",
-                       inst.loc);
+      if (child_streamlet_index(inst) == kNoIndex) {
+        add_diag(diags_, support::Severity::kWarning,
+                 "instance '" + inst.name +
+                     "' has unresolved impl; skipped in VHDL",
+                 inst.loc);
+        instances_.emplace_back();
         continue;
       }
-      const IrStreamlet& child = module_.streamlets[cs];
-      const EmitCache::StreamletEmit& se = cache_.streamlet(cs);
-      for (std::size_t pi = 0; pi < child.ports.size(); ++pi) {
-        const IrPort& p = child.ports[pi];
-        for (const Net& net : se.ports[pi]->nets) {
-          w_.line("signal sig_", inst.vhdl, "_", p.vhdl, net.decl_tail);
-        }
-      }
+      w_.write(instances_.emplace_back(cache_.instance(inst))->signals);
     }
   }
 
   void emit_instantiations() {
-    for (const IrInstance& inst : impl_.instances) {
-      Index cs = child_streamlet_index(inst);
-      if (cs == kNoIndex) continue;
-      const IrStreamlet& child = module_.streamlets[cs];
-      const EmitCache::StreamletEmit& se = cache_.streamlet(cs);
-      w_.open("u_", inst.vhdl, " : ", cache_.impl_name(inst.impl));
-      w_.open("port map (");
-      w_.line("clk => clk,");
-      w_.line("rst => rst", se.net_count > 0 ? "," : "");
-      std::size_t written = 0;
-      for (std::size_t pi = 0; pi < child.ports.size(); ++pi) {
-        const IrPort& p = child.ports[pi];
-        for (const Net& net : se.ports[pi]->nets) {
-          ++written;
-          w_.line(net.map_head, inst.vhdl, "_", p.vhdl, net.suffix_sig,
-                  written < se.net_count ? "," : "");
-        }
-      }
-      w_.close(");");
-      w_.dedent();
+    for (const auto& block : instances_) {
+      if (block != nullptr) w_.write(block->instantiation);
     }
   }
 
@@ -413,11 +341,12 @@ class ArchitectureEmitter {
   /// names, instance ports their declared internal bundle).
   struct Side {
     const IrPort* port = nullptr;
-    const PortEmit* nets = nullptr;
+    const std::vector<Net>* nets = nullptr;
     std::string_view lead;  // "sig_" or ""
     std::string_view inst;  // instance identifier or ""
     std::string_view sep;   // "_" or ""
     std::string_view name;  // port identifier
+    std::string_view inst_name;  // instance name or "" (for comments)
   };
 
   [[nodiscard]] bool resolve_side(const IrEndpoint& ep, Side& out) {
@@ -431,10 +360,11 @@ class ArchitectureEmitter {
       out.lead = "sig_";
       out.inst = inst.vhdl;
       out.sep = "_";
+      out.inst_name = inst.name;
     }
     if (cs == kNoIndex) return false;
-    out.port = &module_.streamlets[cs].ports[ep.port];
-    out.nets = cache_.streamlet(cs).ports[ep.port].get();
+    out.port = &module_.streamlets[cs]->ports[ep.port];
+    out.nets = &cache_.streamlet(cs).ports[ep.port];
     out.name = out.port->vhdl;
     return true;
   }
@@ -444,16 +374,16 @@ class ArchitectureEmitter {
       Side src;
       Side dst;
       if (!resolve_side(c.src, src) || !resolve_side(c.dst, dst)) {
-        diags_.warning("vhdl",
-                       "unresolved connection " + c.src.display() + " => " +
-                           c.dst.display() + "; skipped in VHDL",
-                       c.loc);
+        add_diag(diags_, support::Severity::kWarning,
+                 "unresolved connection " + c.src.display() + " => " +
+                     c.dst.display() + "; skipped in VHDL",
+                 c.loc);
         continue;
       }
       const auto& src_layouts = src.port->layouts;
       const auto& dst_layouts = dst.port->layouts;
       if (src_layouts.size() != dst_layouts.size()) continue;  // DRC reported
-      emit_endpoint_comment(c.src, c.dst);
+      emit_endpoint_comment(src, dst);
       std::size_t src_net = 0;
       std::size_t dst_net = 0;
       for (std::size_t s = 0; s < src_layouts.size(); ++s) {
@@ -464,7 +394,7 @@ class ArchitectureEmitter {
           const PhysicalSignal& sig = src_sigs[k];
           // src side: the cached `<suffix>_<sig>` tail; dst side keeps the
           // historical spelling `<dst suffix>_<src signal name>`.
-          const std::string& src_tail = src.nets->nets[src_net + k].suffix_sig;
+          const std::string& src_tail = (*src.nets)[src_net + k].suffix_sig;
           const std::string& dst_suffix = dst_layouts[s].suffix;
           if (sig.reverse) {
             // ready flows sink -> source.
@@ -483,25 +413,11 @@ class ArchitectureEmitter {
     }
   }
 
-  /// "-- src => dst" comment, written as interner-backed view pieces.
-  void emit_endpoint_comment(const IrEndpoint& src, const IrEndpoint& dst) {
-    auto named = [](support::Symbol sym) -> std::string_view {
-      return sym != support::kNoSymbol ? std::string_view(support::symbol_name(sym))
-                                       : std::string_view();
-    };
-    auto part = [&named](const IrEndpoint& ep,
-                         std::size_t piece) -> std::string_view {
-      if (ep.is_self()) {
-        return piece == 2 ? named(ep.port_sym) : std::string_view();
-      }
-      switch (piece) {
-        case 0: return named(ep.instance_sym);
-        case 1: return ".";
-        default: return named(ep.port_sym);
-      }
-    };
-    w_.line("-- ", part(src, 0), part(src, 1), part(src, 2), " => ",
-            part(dst, 0), part(dst, 1), part(dst, 2));
+  /// "-- src => dst" comment, written as view pieces.
+  void emit_endpoint_comment(const Side& src, const Side& dst) {
+    w_.line("-- ", src.inst_name, src.inst_name.empty() ? "" : ".",
+            src.port->name, " => ", dst.inst_name,
+            dst.inst_name.empty() ? "" : ".", dst.port->name);
   }
 };
 
@@ -509,7 +425,7 @@ void emit_external_architecture(CodeWriter& w, const IrImpl& impl,
                                 const IrStreamlet& streamlet,
                                 std::string_view name,
                                 const VhdlOptions& options,
-                                support::DiagnosticEngine& diags) {
+                                std::vector<support::Diagnostic>& diags) {
   std::optional<RtlBody> body;
   if (options.generate_stdlib_rtl) {
     body = generate_stdlib_rtl(impl, streamlet);
@@ -524,12 +440,12 @@ void emit_external_architecture(CodeWriter& w, const IrImpl& impl,
            "and verified via generated testbenches.");
     w.close("end architecture blackbox;");
     if (!impl.template_family.empty()) {
-      diags.note("vhdl",
-                 "external impl '" + impl.display_name +
-                     "' emitted as black box (no stdlib RTL generator for "
-                     "family '" +
-                     impl.template_family + "')",
-                 impl.loc);
+      add_diag(diags, support::Severity::kNote,
+               "external impl '" + impl.display_name +
+                   "' emitted as black box (no stdlib RTL generator for "
+                   "family '" +
+                   impl.template_family + "')",
+               impl.loc);
     }
     return;
   }
@@ -543,44 +459,90 @@ void emit_external_architecture(CodeWriter& w, const IrImpl& impl,
   w.close("end architecture behavioural;");
 }
 
+std::shared_ptr<const RenderedImpl> EmitContext::impl(Index index) {
+  // An external block reads only its impl, its streamlet and the options.
+  // A structural block is assembled from cached parts (port lists,
+  // per-instance lines) on every use, so an edited top — the only impl an
+  // edit re-elaborates in practice — holds no whole-block copy per version.
+  const IrImpl& impl = m_.impls[index];
+  const support::Identity& streamlet = m_.streamlets[impl.streamlet]->origin;
+  auto build = [&] { return render(index); };
+  if (memo_ == nullptr || !impl.external || impl.origin.id == nullptr ||
+      streamlet.id == nullptr) {
+    return std::make_shared<const RenderedImpl>(build());
+  }
+  support::IdentityKey key;
+  key.parts = {impl.origin, streamlet};
+  key.tag = options_.generate_stdlib_rtl ? 1 : 0;
+  bool hit = false;
+  auto block = memo_->impls.find_or_build(std::move(key), *hold_, build, &hit);
+  ++(hit ? hits_ : misses_);
+  return block;
+}
+
+RenderedImpl EmitContext::render(Index index) {
+  const IrImpl& impl = m_.impls[index];
+  const IrStreamlet& s = *m_.streamlets[impl.streamlet];
+  RenderedImpl out;
+  CodeWriter w;
+  w.line("library ieee;");
+  w.line("use ieee.std_logic_1164.all;");
+  w.line("use ieee.numeric_std.all;");
+  w.line();
+  w.line("-- ", impl.display_name, " of ", s.display_name);
+  emit_entity(w, impl.vhdl, s, streamlet(impl.streamlet));
+  w.line();
+  if (impl.external) {
+    emit_external_architecture(w, impl, s, impl.vhdl, options_, out.diags);
+  } else {
+    ArchitectureEmitter(w, index, *this, out.diags).emit_structural();
+  }
+  w.line();
+  out.text = impl.external ? take_exact(w) : w.take();
+  return out;
+}
+
 }  // namespace
 
 std::string emit(const Module& module, const VhdlOptions& options,
-                 support::DiagnosticEngine& diags, EmitSession* session) {
-  CodeWriter w;
-  EmitCache cache(module, session != nullptr ? &session->impl() : nullptr);
+                 support::DiagnosticEngine& diags, EmitMemo* memo,
+                 support::CacheHold* hold) {
+  EmitContext context(module, options, memo, hold);
+  std::vector<std::shared_ptr<const RenderedImpl>> blocks;
+  blocks.reserve(module.impls.size());
+  std::string header;
   if (options.emit_header) {
-    w.line("-- VHDL generated by tydi-cpp (Tydi-IR backend)");
-    if (!module.top_name.empty()) w.line("-- top: ", module.top_name);
-    w.line();
+    header = "-- VHDL generated by tydi-cpp (Tydi-IR backend)\n";
+    if (!module.top_name.empty()) {
+      header += "-- top: ";
+      header += module.top_name;
+      header += '\n';
+    }
+    header += '\n';
   }
+  std::size_t total = header.size();
   for (std::size_t i = 0; i < module.impls.size(); ++i) {
     const IrImpl& impl = module.impls[i];
-    const IrStreamlet* s = module.streamlet_of(impl);
-    if (s == nullptr) {
+    if (module.streamlet_of(impl) == nullptr) {
       diags.warning("vhdl",
                     "impl '" + impl.name +
                         "' has unresolved streamlet; skipped",
                     impl.loc);
       continue;
     }
-    const std::string& name = cache.impl_name(static_cast<Index>(i));
-    w.line("library ieee;");
-    w.line("use ieee.std_logic_1164.all;");
-    w.line("use ieee.numeric_std.all;");
-    w.line();
-    w.line("-- ", impl.display_name, " of ", s->display_name);
-    emit_entity(w, name, cache.streamlet(impl.streamlet));
-    w.line();
-    if (impl.external) {
-      emit_external_architecture(w, impl, *s, name, options, diags);
-    } else {
-      ArchitectureEmitter arch(w, module, static_cast<Index>(i), cache, diags);
-      arch.emit_structural();
+    const RenderedImpl& block = *blocks.emplace_back(
+        context.impl(static_cast<Index>(i)));
+    for (const support::Diagnostic& d : block.diags) {
+      diags.report(d.severity, d.phase, d.message, d.loc);
     }
-    w.line();
+    total += block.text.size();
   }
-  return w.take();
+  context.count_lookups();
+  std::string out;
+  out.reserve(total);
+  out += header;
+  for (const auto& block : blocks) out += block->text;
+  return out;
 }
 
 }  // namespace tydi::vhdl

@@ -18,6 +18,9 @@
 //  - External standard-library implementations get behavioural bodies from
 //    the hard-coded RTL generator (rtl_lib, Sec. IV-C); other externals are
 //    emitted as black boxes.
+//
+// Each impl renders into its own block of text; the file is the header
+// plus the blocks in table order, written into one exactly-reserved buffer.
 #pragma once
 
 #include <memory>
@@ -26,6 +29,7 @@
 
 #include "src/ir/ir.hpp"
 #include "src/support/diagnostic.hpp"
+#include "src/support/identity_cache.hpp"
 
 namespace tydi::vhdl {
 
@@ -37,43 +41,39 @@ struct VhdlOptions {
   bool generate_stdlib_rtl = true;
 };
 
-/// Session emission cache. A port's emission products — its entity port
-/// lines and per-net name/type fragments — are pure functions of the port's
-/// name, logical type identity and direction; a driver::CompileSession
-/// hands warm compiles the same TypeRefs, so the emitter reuses the strings
-/// built by earlier compiles instead of rebuilding them per module. Entries
-/// pin their type weakly: one lives while something else holds its type.
-/// Opaque: the payload type lives in vhdl.cpp. Owned by the session;
-/// thread-safe (shared-lock reads, exclusive publishes) so concurrent
-/// compiles emit through one cache.
-class EmitSession {
- public:
-  EmitSession();
-  ~EmitSession();
-  EmitSession(const EmitSession&) = delete;
-  EmitSession& operator=(const EmitSession&) = delete;
+/// Emission products of one streamlet (entity/component port lists, per-net
+/// name fragments), the rendered lines of one instance and the rendered
+/// block of one impl; defined in vhdl.cpp.
+struct StreamletEmit;
+struct InstanceBlock;
+struct RenderedImpl;
 
-  void clear();
-  /// Drops every entry whose type has expired.
-  void sweep();
-  /// Entries whose type is still alive, and those types.
-  [[nodiscard]] std::size_t live_entries() const;
-  [[nodiscard]] std::vector<const types::LogicalType*> live_types() const;
-
-  struct Impl;
-  [[nodiscard]] Impl& impl() { return *impl_; }
-
- private:
-  std::unique_ptr<Impl> impl_;
+/// Session emission cache, keyed on the identities of the payloads an
+/// entry reads (carried in the IR as `origin`):
+///  - an external impl's block — library header, entity and behavioural or
+///    black-box architecture — on its impl, its streamlet and the options;
+///  - a streamlet's emission products (per-net names, the entity and
+///    component port lists) on the streamlet;
+///  - an instance's lines in its parent's architecture (signal bundle and
+///    instantiation) on the instance name and the child impl and streamlet.
+/// A structural architecture (an edited top) is assembled from these parts
+/// on every compile. Entries live while a retained compile footprint holds
+/// them (src/support/identity_cache.hpp).
+struct EmitMemo {
+  support::IdentityCache<StreamletEmit> streamlets;
+  support::IdentityCache<InstanceBlock> instances;
+  support::IdentityCache<RenderedImpl> impls;
 };
 
 /// Emits the whole lowered design as one VHDL file (deterministic order:
-/// module table order, children before parents). `session` (optional)
-/// reuses per-port emission strings across compiles of a session.
+/// module table order, children before parents). With `memo` (and the
+/// compile's `hold`), blocks rendered by an earlier compile of the session
+/// are reused; output and diagnostics are byte-identical either way.
 [[nodiscard]] std::string emit(const ir::Module& module,
                                const VhdlOptions& options,
                                support::DiagnosticEngine& diags,
-                               EmitSession* session = nullptr);
+                               EmitMemo* memo = nullptr,
+                               support::CacheHold* hold = nullptr);
 
 /// VHDL-safe identifier for design names (lowercase, no '__' runs).
 [[nodiscard]] std::string vhdl_name(std::string_view name);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/driver/compiler.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/engine.hpp"
 #include "src/tpch/tpch.hpp"
 
@@ -380,32 +381,58 @@ std::vector<driver::NamedSource> edit_sources(const EditableQuery& q,
   return sources;
 }
 
-/// Checks the retention rule's bounds for `identities` compile identities.
-void expect_retention_bounds(driver::CompileSession& session,
-                             std::size_t identities) {
+/// Checks the retention rule's bounds for `identities` compile identities
+/// and returns the live back-end entries.
+std::size_t expect_retention_bounds(driver::CompileSession& session,
+                                    std::size_t identities) {
   constexpr std::size_t kK = driver::kRetainedCompiles;
   EXPECT_LE(session.retained_compiles(), kK * identities);
   EXPECT_LE(session.parse_cache_size(), 2 + kK * identities);
   session.sweep();
   std::unordered_set<const void*> versions;
-  std::unordered_set<const types::LogicalType*> port_types;
-  session.for_each_retained([&](const elab::MemoFootprint& f) {
-    for (const auto& s : f.streamlets) {
-      versions.insert(s.get());
-      for (const elab::Port& p : s->payload->ports) {
-        port_types.insert(p.type.get());
-      }
-    }
-    for (const auto& i : f.impls) versions.insert(i.get());
-  });
+  std::unordered_set<const void*> payloads;
+  std::unordered_set<const void*> held;
+  session.for_each_retained(
+      [&](const elab::MemoFootprint& f, const support::CacheHold& backend) {
+        for (const auto& s : f.streamlets) {
+          versions.insert(s.get());
+          payloads.insert(s->payload.get());
+        }
+        for (const auto& i : f.impls) {
+          versions.insert(i.get());
+          payloads.insert(i->payload.get());
+        }
+        for (const auto& entry : backend) held.insert(entry.get());
+      });
   EXPECT_EQ(session.memo().version_count(), versions.size());
-  const std::vector<const types::LogicalType*> live =
-      session.emit_cache().live_types();
-  EXPECT_EQ(session.emit_cache().live_entries(), live.size());
-  for (const types::LogicalType* type : live) {
-    EXPECT_TRUE(port_types.contains(type))
-        << "emission entry outlives every retained port type";
-  }
+
+  // The back-end memo holds exactly the entries retained footprints hold...
+  const driver::BackEndMemo& backend = session.backend();
+  std::unordered_set<const void*> live;
+  backend.for_each_live(
+      [&](const support::IdentityKey&, const void* value) { live.insert(value); });
+  EXPECT_EQ(backend.live_entries(), live.size());
+  EXPECT_TRUE(live == held) << live.size() << " live back-end entries, "
+                            << held.size() << " held by retained compiles";
+  // ...and each is keyed on payloads a retained footprint holds: memo
+  // payloads, or the rewritten impls and voiders/duplicators of a held
+  // sugaring entry (never a type, never a payload only an evicted edit used).
+  backend.sugar.impls.for_each_live(
+      [&](const support::IdentityKey&, const sugar::SugarEntry& entry) {
+        payloads.insert(entry.sugared.get());
+        for (const auto& m : entry.materialized) {
+          payloads.insert(m->streamlet.get());
+          payloads.insert(m->impl.get());
+        }
+      });
+  std::size_t unheld = 0;
+  backend.for_each_live([&](const support::IdentityKey& key, const void*) {
+    for (const support::Identity& part : key.parts) {
+      if (part.id != nullptr && !payloads.contains(part.id)) ++unheld;
+    }
+  });
+  EXPECT_EQ(unheld, 0u) << "back-end entries keyed on unretained payloads";
+  return backend.live_entries();
 }
 
 // 2000 seeded edits over the five queries, drawn like the edit_loop
@@ -419,6 +446,7 @@ TEST(SessionRetention, EditLoopKeepsCachesBounded) {
     ASSERT_TRUE(tpch::compile_query(*q.query, session).success());
   }
   const std::size_t identities = 2 * queries.size();  // base + edit file
+  std::size_t first_live = 0;
   std::mt19937_64 rng(21);
   std::vector<std::size_t> deck;
   for (int i = 0; i < 2000; ++i) {
@@ -435,7 +463,12 @@ TEST(SessionRetention, EditLoopKeepsCachesBounded) {
         tpch::query_options(*q.query));
     if ((i + 1) % 500 == 0) {
       SCOPED_TRACE("after edit " + std::to_string(i + 1));
-      expect_retention_bounds(session, identities);
+      // The back-end memo stays flat: what an evicted edit alone used (its
+      // top, its edited template instances) leaves with its footprint.
+      const std::size_t live = expect_retention_bounds(session, identities);
+      if (first_live == 0) first_live = live;
+      EXPECT_GT(live, 0u);
+      EXPECT_LE(live, first_live + first_live / 4);
     }
   }
 }
@@ -479,6 +512,8 @@ TEST(SessionRetention, EvictionNeverChangesOutput) {
     ASSERT_TRUE(warm.success()) << warm.report();
     EXPECT_TRUE(warm.vhdl_text == cold.vhdl_text) << "compile " << i;
     EXPECT_TRUE(warm.ir_text == cold.ir_text) << "compile " << i;
+    // Diagnostics too: replayed sugaring notes and emission notes match.
+    EXPECT_EQ(warm.report(), cold.report()) << "compile " << i;
     if (i == 2) {
       // An undo right after an edit is fully warm.
       EXPECT_EQ(warm.template_cache.misses(), 0u);
@@ -487,6 +522,72 @@ TEST(SessionRetention, EvictionNeverChangesOutput) {
       // Three edits later the base version's own entries are gone.
       EXPECT_GT(warm.template_cache.misses(), 0u);
     }
+  }
+}
+
+/// The block of the first entity whose name starts with `prefix`, from its
+/// entity line to the next library clause.
+std::string entity_block(const std::string& vhdl, const std::string& prefix) {
+  const std::size_t at = vhdl.find("\nentity " + prefix);
+  if (at == std::string::npos) return "";
+  const std::size_t end = vhdl.find("library ieee;", at);
+  return vhdl.substr(at, end == std::string::npos ? end : end - at);
+}
+
+// Type edits after warm compiles: a Bit(n) width edit and a stream
+// complexity edit change the payloads behind the typed template instances,
+// so their entities re-render — byte-identical to a session-free compile,
+// never the cached text of the previous type.
+TEST(SessionRetention, TypeEditsReRenderAffectedEntities) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const driver::CompileOptions options = tpch::query_options(*q);
+  auto sources_of = [&](const std::string& text) {
+    std::vector<driver::NamedSource> sources = tpch::query_sources(*q);
+    sources.back().text = text;
+    return sources;
+  };
+  std::string text(q->source);
+  driver::CompileSession session;
+  driver::CompileResult previous;
+  for (int round = 0; round < 2; ++round) {
+    previous = session.compile(sources_of(text), options);
+    ASSERT_TRUE(previous.success()) << previous.report();
+  }
+  obs::Counter& misses =
+      obs::MetricsRegistry::global().counter("tydi.vhdl.memo_misses");
+  struct Edit {
+    std::string from;
+    std::string to;
+    std::string entity;  ///< prefix of an entity the edit must change
+  };
+  // Complexity shows in the physical signals only with more than one lane,
+  // so the complexity edit runs on a two-lane t_q6_total.
+  const std::vector<Edit> edits = {
+      {"t_q6_mul = Stream(Bit(100)", "t_q6_mul = Stream(Bit(64)", "mul2_i"},
+      {"t_q6_total = Stream(Bit(100), d=1, c=2)",
+       "t_q6_total = Stream(Bit(100), t=2, d=1, c=2)", "accumulator_i"},
+      {"t=2, d=1, c=2", "t=2, d=1, c=6", "accumulator_i"},
+  };
+  for (const Edit& edit : edits) {
+    SCOPED_TRACE(edit.to);
+    const std::size_t at = text.find(edit.from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, edit.from.size(), edit.to);
+    const driver::CompileResult cold = driver::compile(sources_of(text), options);
+    ASSERT_TRUE(cold.success()) << cold.report();
+    const std::uint64_t misses_before = misses.value();
+    driver::CompileResult warm = session.compile(sources_of(text), options);
+    ASSERT_TRUE(warm.success()) << warm.report();
+    EXPECT_TRUE(warm.vhdl_text == cold.vhdl_text);
+    EXPECT_EQ(warm.report(), cold.report());
+    EXPECT_GT(misses.value(), misses_before) << "nothing re-rendered";
+    const std::string before = entity_block(previous.vhdl_text, edit.entity);
+    const std::string after = entity_block(warm.vhdl_text, edit.entity);
+    ASSERT_FALSE(after.empty());
+    EXPECT_NE(before, after) << "the edited type's entity kept its old text";
+    EXPECT_EQ(after, entity_block(cold.vhdl_text, edit.entity));
+    previous = std::move(warm);
   }
 }
 

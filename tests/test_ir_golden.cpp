@@ -469,7 +469,8 @@ TEST(DrcViaIr, HandBuiltModuleChecksWithoutElaboration) {
   p.clock_domain = "default";
   p.clock_sym = support::intern("default");
   s.ports.push_back(std::move(p));
-  m.streamlets.push_back(std::move(s));
+  m.streamlets.push_back(
+      std::make_shared<const ir::IrStreamlet>(std::move(s)));
 
   ir::IrImpl impl;
   impl.sym = support::intern("hand_i");
