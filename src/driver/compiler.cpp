@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -12,19 +11,10 @@
 #include "src/obs/trace.hpp"
 #include "src/parser/parser.hpp"
 #include "src/stdlib/stdlib.hpp"
+#include "src/support/source.hpp"
 #include "src/support/text.hpp"
 
 namespace tydi::driver {
-
-std::vector<SourceStamp> source_stamps(
-    const std::vector<NamedSource>& sources) {
-  std::vector<SourceStamp> stamps;
-  stamps.reserve(sources.size());
-  for (const NamedSource& source : sources) {
-    stamps.push_back(SourceStamp{source.name, elab::source_hash(source.text)});
-  }
-  return stamps;
-}
 
 CompileResult::CompileResult()
     : sources(std::make_unique<support::SourceManager>()),
@@ -427,12 +417,11 @@ support::Status load_batch_manifest(const std::string& path,
                                     std::vector<BatchJob>& jobs) {
   using support::Status;
   using support::StatusCode;
-  std::ifstream manifest(path);
-  if (!manifest) {
+  std::string text;
+  if (!support::read_file(path, text).is_ok()) {
     return Status::error(StatusCode::kIoError, "manifest",
                          "cannot read manifest " + path);
   }
-  std::string line;
   std::size_t line_no = 0;
   // One bad line poisons its own job, not the batch: the job is appended
   // with a preflight failure and compile_batch skips it while the rest of
@@ -444,9 +433,9 @@ support::Status load_batch_manifest(const std::string& path,
         code, "manifest", path + ":" + std::to_string(line_no) + ": " + what);
     jobs.push_back(std::move(job));
   };
-  while (std::getline(manifest, line)) {
+  for (std::string_view line : support::split_lines(text)) {
     ++line_no;
-    std::istringstream fields(line);
+    std::istringstream fields{std::string(line)};
     std::string source_path;
     std::string top;
     if (!(fields >> source_path)) continue;  // blank line
@@ -466,19 +455,15 @@ support::Status load_batch_manifest(const std::string& path,
     BatchJob job;
     job.name = source_path + ":" + top;
     bool ok = true;
-    std::istringstream paths(source_path);
-    std::string path;
-    while (std::getline(paths, path, ',')) {
-      if (path.empty()) continue;
-      std::ifstream source(path, std::ios::binary);
-      if (!source) {
-        skip(StatusCode::kIoError, "cannot read " + path);
+    for (std::string_view name : support::split_nonempty(source_path, ',')) {
+      NamedSource& source = job.sources.emplace_back();
+      source.name = name;
+      const Status read = support::read_file(source.name, source.text);
+      if (!read.is_ok()) {
+        skip(read.code(), read.message());
         ok = false;
         break;
       }
-      job.sources.push_back(NamedSource{
-          path, std::string((std::istreambuf_iterator<char>(source)),
-                            std::istreambuf_iterator<char>())});
     }
     if (!ok) continue;
     if (job.sources.empty()) {

@@ -42,21 +42,6 @@ struct NamedSource {
   std::string text;
 };
 
-/// One content stamp of a compile input: the source name plus the
-/// elab::source_hash of the exact bytes that compiled. This is the durable
-/// key shape the tydid compile journal persists (src/service/warmup.hpp):
-/// a restart replays a journaled compile only while every stamped source
-/// still hashes the same, so warm state is re-derived, never served stale.
-struct SourceStamp {
-  std::string name;
-  std::uint64_t hash = 0;
-};
-
-/// Stamps every source (same hash function as the session caches use for
-/// invalidation, so "stamp matches" and "memo entry still valid" agree).
-[[nodiscard]] std::vector<SourceStamp> source_stamps(
-    const std::vector<NamedSource>& sources);
-
 struct CompileOptions {
   /// Name of the top-level (non-template) impl to elaborate.
   std::string top;

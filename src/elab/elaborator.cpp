@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "src/eval/interp.hpp"
+#include "src/support/hash.hpp"
 #include "src/support/text.hpp"
 
 namespace tydi::elab {
@@ -17,11 +18,7 @@ namespace {
 /// FNV-1a 64-bit, rendered as 8 hex chars — disambiguates mangled names whose
 /// sanitized argument spellings collide (e.g. "MED BAG" vs "MED_BAG").
 std::string short_hash(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
+  const std::uint64_t h = support::fnv1a64(text);
   static const char* digits = "0123456789abcdef";
   std::string out(8, '0');
   for (int i = 0; i < 8; ++i) {

@@ -1,6 +1,7 @@
 #include "src/elab/memo.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 
 #include "src/obs/metrics.hpp"
@@ -30,14 +31,78 @@ struct MemoCounters {
   }
 };
 
+// XXH64 with seed 0, so any XXH64 implementation reproduces a stamp. Four
+// independent lanes take 32 bytes per step: the multiplies of one step do
+// not wait on each other, where FNV-1a waits on one multiply per byte.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+/// Little-endian loads whatever the host byte order; compilers merge the
+/// shifts into one plain load on little-endian hosts.
+std::uint64_t load_le64(const unsigned char* p) {
+  return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
+         std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24 |
+         std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
+         std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
+}
+
+std::uint64_t load_le32(const unsigned char* p) {
+  return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
+         std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24;
+}
+
+std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t merge_lane(std::uint64_t h, std::uint64_t lane) {
+  return (h ^ lane_round(0, lane)) * kPrime1 + kPrime4;
+}
+
 }  // namespace
 
 std::uint64_t source_hash(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
+  const auto* p = reinterpret_cast<const unsigned char*>(text.data());
+  const unsigned char* const end = p + text.size();
+  std::uint64_t h = 0;
+  if (text.size() >= 32) {
+    std::uint64_t v1 = kPrime1 + kPrime2;
+    std::uint64_t v2 = kPrime2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = lane_round(v1, load_le64(p));
+      v2 = lane_round(v2, load_le64(p + 8));
+      v3 = lane_round(v3, load_le64(p + 16));
+      v4 = lane_round(v4, load_le64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = merge_lane(h, v1);
+    h = merge_lane(h, v2);
+    h = merge_lane(h, v3);
+    h = merge_lane(h, v4);
+  } else {
+    h = kPrime5;
   }
+  h += text.size();
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ lane_round(0, load_le64(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (load_le32(p) * kPrime1), 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ (*p * kPrime5), 11) * kPrime1;
+  // Final avalanche: every input bit reaches every output bit.
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 

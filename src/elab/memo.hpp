@@ -90,7 +90,10 @@
 
 namespace tydi::elab {
 
-/// FNV-1a 64 over a source text — the per-file validity stamp of the memo.
+/// 64-bit content hash of a source text (XXH64, seed 0; 8 bytes per load) —
+/// the per-file validity stamp of the memo, the parse cache, result-cache
+/// keys and journal records: it stamps the exact bytes that compiled.
+/// Journals persist it, so changing it turns every journaled key stale.
 [[nodiscard]] std::uint64_t source_hash(std::string_view text);
 
 /// Current content hashes of a compile's sources, indexed by FileId value

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "src/elab/memo.hpp"
@@ -11,6 +9,8 @@
 #include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/guard.hpp"
+#include "src/support/source.hpp"
+#include "src/support/text.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace tydi::service {
@@ -125,17 +125,59 @@ std::string Response::serialize() const {
   return out;
 }
 
+namespace {
+
+/// The whitespace-separated tokens of a protocol line, as views into it.
+/// The separators are the ones `operator>>` skips: space, \t, \n, \v, \f,
+/// \r. The one tokenizer of request lines and response headers.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  /// The next token; empty at the end of the line.
+  std::string_view next() {
+    std::size_t b = 0;
+    while (b < rest_.size() && is_space(rest_[b])) ++b;
+    std::size_t e = b;
+    while (e < rest_.size() && !is_space(rest_[e])) ++e;
+    const std::string_view token = rest_.substr(b, e - b);
+    rest_.remove_prefix(e);
+    return token;
+  }
+  /// The unread rest of the line, separators included.
+  [[nodiscard]] std::string_view rest() const { return rest_; }
+
+ private:
+  static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  std::string_view rest_;
+};
+
+template <typename T>
+bool parse_number(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
+
 bool parse_response(std::string_view wire, Response& out) {
   const std::size_t eol = wire.find('\n');
   if (eol == std::string_view::npos) return false;
-  std::istringstream header(std::string(wire.substr(0, eol)));
-  std::string verdict;
+  Tokens header(wire.substr(0, eol));
+  const std::string_view verdict = header.next();
   int code = 0;
   std::size_t bytes = 0;
-  if (!(header >> verdict >> code >> bytes)) return false;
+  if (!parse_number(header.next(), code) ||
+      !parse_number(header.next(), bytes)) {
+    return false;
+  }
   if (verdict != "OK" && verdict != "ERR") return false;
   double retry_after = 0.0;
-  if (!(header >> retry_after)) retry_after = 0.0;
+  if (!parse_number(header.next(), retry_after)) retry_after = 0.0;
   std::string_view rest = wire.substr(eol + 1);
   if (rest.size() < bytes) return false;
   out.set_payload(std::string(rest.substr(0, bytes)));
@@ -152,54 +194,49 @@ bool parse_response(std::string_view wire, Response& out) {
   return true;
 }
 
-bool parse_envelope(const std::string& line, RequestEnvelope& out,
+bool parse_envelope(std::string_view line, RequestEnvelope& out,
                     std::string& error) {
   out = RequestEnvelope{};
-  std::istringstream fields(line);
-  std::string token;
-  while (fields >> token) {
+  Tokens fields(line);
+  for (std::string_view token = fields.next(); !token.empty();
+       token = fields.next()) {
     if (token == "PRIO") {
-      std::string value;
-      if (!(fields >> value) ||
-          (value != "interactive" && value != "batch")) {
+      const std::string_view value = fields.next();
+      if (value != "interactive" && value != "batch") {
         error = "usage: PRIO <interactive|batch>";
         return false;
       }
       out.priority =
           value == "batch" ? Priority::kBatch : Priority::kInteractive;
     } else if (token == "DEADLINE_MS") {
-      std::string value;
-      double ms = 0.0;
-      if (!(fields >> value)) {
+      const std::string_view value = fields.next();
+      if (value.empty()) {
         error = "usage: DEADLINE_MS <ms>";
         return false;
       }
-      auto [ptr, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), ms);
-      if (ec != std::errc{} || ptr != value.data() + value.size() ||
-          ms <= 0.0) {
-        error = "bad DEADLINE_MS '" + value + "'";
+      double ms = 0.0;
+      if (!parse_number(value, ms) || ms <= 0.0) {
+        error = "bad DEADLINE_MS '" + std::string(value) + "'";
         return false;
       }
       out.deadline_ms = ms;
     } else if (token == "ATTEMPT") {
       std::uint64_t n = 0;
-      if (!(fields >> n) || n == 0) {
+      if (!parse_number(fields.next(), n) || n == 0) {
         error = "usage: ATTEMPT <n>";
         return false;
       }
       out.attempt = n;
     } else {
-      // First non-envelope token: the verb. Everything from here on is
-      // the request proper.
-      std::string rest;
-      std::getline(fields, rest);
-      out.rest = token + rest;
+      // First non-envelope token: the verb. Everything from here to the
+      // end of the line is the request proper.
+      const std::string_view tail = fields.rest();
+      out.rest.assign(token.data(),
+                      token.size() + std::min(tail.find('\n'), tail.size()));
       return true;
     }
   }
-  out.rest.clear();  // envelope only / empty line
-  return true;
+  return true;  // envelope only / empty line
 }
 
 CompileService::CompileService(ServiceConfig config)
@@ -300,17 +337,7 @@ Response error_response(StatusCode code, const std::string& message) {
   return r;
 }
 
-bool parse_budget(const std::string& token, double& out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  double value = 0.0;
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end || value < 0.0) return false;
-  out = value;
-  return true;
-}
-
-bool is_queued_verb(const std::string& verb) {
+bool is_queued_verb(std::string_view verb) {
   return verb == "TPCH" || verb == "FILE" || verb == "SLEEP";
 }
 
@@ -420,11 +447,10 @@ PendingRequest CompileService::submit(const std::string& line) {
             std::chrono::duration<double, std::milli>(
                 state->envelope.deadline_ms));
   }
-  state->line = state->envelope.rest;
+  state->line = std::move(state->envelope.rest);
 
-  std::istringstream fields(state->line);
-  std::string verb;
-  if (!(fields >> verb)) {
+  const std::string_view verb = Tokens(state->line).next();
+  if (verb.empty()) {
     finish(state,
            error_response(StatusCode::kInvalidArgument, "empty request"));
     return pending;
@@ -434,7 +460,7 @@ PendingRequest CompileService::submit(const std::string& line) {
     // Meta verbs execute inline on the transport thread: cheap, and they
     // must stay responsive under overload (HEALTH during saturation is
     // exactly when an operator needs an answer).
-    finish(state, dispatch_meta(verb, state->line, state->request_id));
+    finish(state, dispatch_meta(verb, state->request_id));
     return pending;
   }
 
@@ -718,7 +744,7 @@ Response CompileService::sleep_request(double ms,
 Response CompileService::compile_request(
     const std::vector<driver::NamedSource>& sources,
     const std::vector<std::uint64_t>& source_hashes,
-    driver::CompileOptions options, const std::string& emit,
+    driver::CompileOptions options, std::string_view emit,
     double budget_ms, PendingRequest::State& state) {
   if (emit == "vhdl") {
     options.emit_ir = false;
@@ -728,7 +754,7 @@ Response CompileService::compile_request(
     options.emit_vhdl = false;
   } else {
     return error_response(StatusCode::kInvalidArgument,
-                          "unknown emit kind '" + emit +
+                          "unknown emit kind '" + std::string(emit) +
                               "' (expected vhdl|ir)");
   }
   exec_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -766,100 +792,120 @@ Response CompileService::compile_request(
   return r;
 }
 
-Response CompileService::dispatch_queued(PendingRequest::State& state) {
-  std::istringstream fields(state.line);
-  std::string verb;
-  fields >> verb;
+namespace {
 
-  if (verb == "SLEEP") {
-    std::string ms_token;
-    double ms = 0.0;
-    if (!(fields >> ms_token) || !parse_budget(ms_token, ms)) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "usage: SLEEP <ms>");
+/// The fields of a queued request line, as views into it.
+struct QueuedRequest {
+  std::string_view verb;
+  std::string_view subject;  ///< SLEEP ms, TPCH query number, FILE path list
+  std::vector<std::string_view> paths;  ///< FILE: the non-empty list entries
+  std::string_view top;                 ///< FILE
+  std::string_view emit;                ///< TPCH, FILE
+  double ms = 0.0;                      ///< SLEEP duration, else budget_ms
+};
+
+Status usage_error(std::string message) {
+  return Status::error(StatusCode::kInvalidArgument, "service",
+                       std::move(message));
+}
+
+/// Splits a queued verb's line into its fields; the errors are the replies
+/// a malformed line gets.
+Status parse_queued(std::string_view line, QueuedRequest& out) {
+  Tokens fields(line);
+  out.verb = fields.next();
+  out.subject = fields.next();
+  if (out.verb == "SLEEP") {
+    if (!parse_number(out.subject, out.ms) || out.ms < 0.0) {
+      return usage_error("usage: SLEEP <ms>");
     }
-    return sleep_request(ms, state);
+    return Status::ok();
   }
+  const bool file = out.verb == "FILE";
+  if (!file && out.verb != "TPCH") {
+    return Status::error(StatusCode::kInternal, "service",
+                         "verb '" + std::string(out.verb) +
+                             "' queued but not dispatchable");
+  }
+  if (file) out.top = fields.next();
+  out.emit = fields.next();
+  if (out.emit.empty()) {
+    return usage_error(file ? "usage: FILE <path> <top> <vhdl|ir> [budget_ms]"
+                            : "usage: TPCH <n> <vhdl|ir> [budget_ms]");
+  }
+  const std::string_view budget = fields.next();
+  if (!budget.empty() && (!parse_number(budget, out.ms) || out.ms < 0.0)) {
+    return usage_error("bad budget_ms '" + std::string(budget) + "'");
+  }
+  // Comma-separated file list, compiled in list order (each file keeps its
+  // own `package` header) — same convention as the batch manifest.
+  if (file) {
+    out.paths = support::split_nonempty(out.subject, ',');
+    if (out.paths.empty()) {
+      return usage_error("no source files in '" + std::string(out.subject) +
+                         "'");
+    }
+  }
+  return Status::ok();
+}
 
+}  // namespace
+
+Response CompileService::dispatch_queued(PendingRequest::State& state) {
   // TPCH and FILE both come down to sources + options + the durable key
   // (normalized request + per-source content stamps), built once here: it
   // keys the result cache and is what the journal records. Each stage is
-  // timed as tydi.service.phase_ms.<stage> (read, key, cache, compile,
-  // journal; the transport times reply).
+  // timed as tydi.service.phase_ms.<stage> (parse, read, key, cache,
+  // compile, journal; the transport times reply).
   support::PhaseTimings stages;
+  QueuedRequest request;
+  Status parsed;
+  {
+    obs::PhaseTimer t(stages, "service", "parse");
+    parsed = parse_queued(state.line, request);
+  }
+  if (!parsed.is_ok()) return error_response(parsed.code(), parsed.message());
+  if (request.verb == "SLEEP") return sleep_request(request.ms, state);
+
   const tpch::QueryCase* query = nullptr;  ///< TPCH: sources built on a miss
   std::vector<driver::NamedSource> sources;
   driver::CompileOptions options;
-  warmup::JournalEntry key;
-  std::string emit;
-  double budget_ms = 0.0;
-  std::string budget_token;
-  if (verb == "TPCH") {
-    std::string number;
-    if (!(fields >> number >> emit)) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "usage: TPCH <n> <vhdl|ir> [budget_ms]");
-    }
-    if (fields >> budget_token && !parse_budget(budget_token, budget_ms)) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "bad budget_ms '" + budget_token + "'");
-    }
-    query = tpch::find_query("TPC-H " + number);
-    if (query == nullptr) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "unknown TPC-H query '" + number + "'");
-    }
+  if (request.verb == "TPCH") {
     // TPCH sources are built into the binary: the key needs no stamps
     // (a different binary re-derives everything on replay anyway).
-    key.request = "TPCH " + number + " " + emit;
-  } else if (verb == "FILE") {
-    std::string path;
-    std::string top;
-    if (!(fields >> path >> top >> emit)) {
-      return error_response(
-          StatusCode::kInvalidArgument,
-          "usage: FILE <path> <top> <vhdl|ir> [budget_ms]");
-    }
-    if (fields >> budget_token && !parse_budget(budget_token, budget_ms)) {
+    query = tpch::find_query("TPC-H " + std::string(request.subject));
+    if (query == nullptr) {
       return error_response(StatusCode::kInvalidArgument,
-                            "bad budget_ms '" + budget_token + "'");
+                            "unknown TPC-H query '" +
+                                std::string(request.subject) + "'");
     }
-    // Comma-separated file list, compiled in list order (each file keeps
-    // its own `package` header) — same convention as the batch manifest.
-    {
-      obs::PhaseTimer t(stages, "service", "read");
-      std::istringstream paths(path);
-      std::string one;
-      while (std::getline(paths, one, ',')) {
-        if (one.empty()) continue;
-        std::ifstream file(one, std::ios::binary);
-        if (!file) {
-          return error_response(StatusCode::kIoError, "cannot read " + one);
-        }
-        sources.push_back(driver::NamedSource{
-            one, std::string((std::istreambuf_iterator<char>(file)),
-                             std::istreambuf_iterator<char>())});
-      }
-    }
-    if (sources.empty()) {
-      return error_response(StatusCode::kInvalidArgument,
-                            "no source files in '" + path + "'");
-    }
-    options.top = top;
-    // A content stamp per source, taken from the exact bytes that compile:
-    // an edited file is a different key, and replay skips the key when any
-    // file on disk no longer matches.
-    key.request = "FILE " + path + " " + top + " " + emit;
   } else {
-    return error_response(StatusCode::kInternal,
-                          "verb '" + verb + "' queued but not dispatchable");
+    obs::PhaseTimer t(stages, "service", "read");
+    sources.reserve(request.paths.size());
+    for (std::string_view path : request.paths) {
+      driver::NamedSource& source = sources.emplace_back();
+      source.name = path;
+      const Status read = support::read_file(source.name, source.text);
+      if (!read.is_ok()) return error_response(read.code(), read.message());
+    }
+    options.top = request.top;
   }
 
+  warmup::JournalEntry key;
   std::string key_text;
   {
+    // The normalized request (no envelope, no budget) plus a content stamp
+    // per source, taken from the exact bytes that compile: an edited file
+    // is a different key, and replay skips the key when any file on disk no
+    // longer matches.
     obs::PhaseTimer t(stages, "service", "key");
-    for (const driver::SourceStamp& stamp : driver::source_stamps(sources)) {
-      key.stamps.push_back(warmup::SourceStampRecord{stamp.name, stamp.hash});
+    key.request.append(request.verb).append(" ").append(request.subject);
+    if (!request.top.empty()) key.request.append(" ").append(request.top);
+    key.request.append(" ").append(request.emit);
+    key.stamps.reserve(sources.size());
+    for (const driver::NamedSource& source : sources) {
+      key.stamps.push_back(warmup::SourceStampRecord{
+          source.name, elab::source_hash(source.text)});
     }
     key_text = key.serialize();
   }
@@ -885,8 +931,8 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
   Response r;
   {
     obs::PhaseTimer t(stages, "service", "compile");
-    r = compile_request(sources, source_hashes, std::move(options), emit,
-                        budget_ms, state);
+    r = compile_request(sources, source_hashes, std::move(options),
+                        request.emit, request.ms, state);
   }
   if (r.ok()) {
     if (cached.admit) {
@@ -899,12 +945,10 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
   return r;
 }
 
-Response CompileService::dispatch_meta(const std::string& verb,
-                                       const std::string& rest,
+Response CompileService::dispatch_meta(std::string_view verb,
                                        std::uint64_t request_id) {
   obs::Span span("service.request");
   span.arg("verb", verb).arg("request_id", request_id);
-  (void)rest;
 
   if (verb == "PING") {
     Response r;
@@ -947,7 +991,7 @@ Response CompileService::dispatch_meta(const std::string& verb,
   }
 
   return error_response(StatusCode::kInvalidArgument,
-                        "unknown verb '" + verb + "'");
+                        "unknown verb '" + std::string(verb) + "'");
 }
 
 std::vector<StatusField> CompileService::status_fields() const {

@@ -211,7 +211,7 @@ struct RequestEnvelope {
 
 /// Splits envelope tokens off the front of `line`. Returns false (and sets
 /// `error`) on a malformed envelope token.
-[[nodiscard]] bool parse_envelope(const std::string& line,
+[[nodiscard]] bool parse_envelope(std::string_view line,
                                   RequestEnvelope& out, std::string& error);
 
 /// Handle to one submitted request. Meta verbs and sheds complete before
@@ -310,8 +310,7 @@ class CompileService {
   [[nodiscard]] Response shed_response(const std::string& reason);
 
  private:
-  [[nodiscard]] Response dispatch_meta(const std::string& verb,
-                                       const std::string& rest,
+  [[nodiscard]] Response dispatch_meta(std::string_view verb,
                                        std::uint64_t request_id);
   void worker_main();
   void execute(const std::shared_ptr<PendingRequest::State>& state);
@@ -321,7 +320,7 @@ class CompileService {
   [[nodiscard]] Response compile_request(
       const std::vector<driver::NamedSource>& sources,
       const std::vector<std::uint64_t>& source_hashes,
-      driver::CompileOptions options, const std::string& emit,
+      driver::CompileOptions options, std::string_view emit,
       double budget_ms, PendingRequest::State& state);
   [[nodiscard]] Response sleep_request(double ms,
                                        PendingRequest::State& state);

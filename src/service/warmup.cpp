@@ -2,11 +2,11 @@
 
 #include <charconv>
 #include <chrono>
-#include <fstream>
 #include <thread>
 
 #include "src/elab/memo.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/support/source.hpp"
 
 namespace tydi::service::warmup {
 
@@ -93,11 +93,10 @@ bool JournalEntry::parse(std::string_view payload, JournalEntry& out) {
 }
 
 bool entry_is_current(const JournalEntry& entry) {
+  std::string text;
   for (const SourceStampRecord& stamp : entry.stamps) {
-    std::ifstream file(stamp.path, std::ios::binary);
-    if (!file) return false;  // gone or unreadable: stale, not an error
-    const std::string text((std::istreambuf_iterator<char>(file)),
-                           std::istreambuf_iterator<char>());
+    // Gone, unreadable or not a regular file: stale, not an error.
+    if (!support::read_file(stamp.path, text).is_ok()) return false;
     if (elab::source_hash(text) != stamp.hash) return false;
   }
   return true;

@@ -11,7 +11,10 @@
 // are replayed through the normal compile path — the same admission
 // control, the same caches — so the rewarmed state is re-derived by the
 // current compiler from the current sources, and a key whose sources
-// changed on disk is simply skipped as stale.
+// changed on disk is simply skipped as stale. The same holds when the
+// stamp function itself changes: a journal written while the stamp was
+// FNV-1a 64 (it is XXH64 now) replays nothing after the upgrade — every
+// FILE stamp mismatches, so the first boot is cold once.
 //
 // Layering: support::journal (src/support/journal.hpp) owns bytes-on-disk
 // (CRC32C framing, torn-tail recovery, atomic snapshots); this file owns

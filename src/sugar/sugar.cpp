@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "src/obs/metrics.hpp"
+#include "src/support/hash.hpp"
 #include "src/support/text.hpp"
 
 namespace tydi::sugar {
@@ -34,15 +35,6 @@ SugarStats& SugarStats::operator+=(const SugarStats& other) {
 
 namespace {
 
-std::uint64_t fnv(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string hex8(std::uint64_t h) {
   static const char* digits = "0123456789abcdef";
   std::string out(8, '0');
@@ -56,7 +48,7 @@ std::string type_token(const types::LogicalType& type,
   std::string base = type.origin().empty()
                          ? "anon"
                          : support::sanitize_identifier(type.origin());
-  return base + "_" + hex8(fnv(display));
+  return base + "_" + hex8(support::fnv1a64(display));
 }
 
 /// What sugaring one impl reads: its payload, its streamlet and each
@@ -234,7 +226,8 @@ class EntryBuilder {
     support::IdentityKey key;
     bool publish = found == nullptr && memo_ != nullptr;
     if (publish) {
-      key.tag = fnv(impl_name) ^ (fnv(display) * 31);
+      key.tag = support::fnv1a64(impl_name) ^
+                (support::fnv1a64(display) * 31);
       found = memo_->stdlib.find(key, *hold_);
       if (found != nullptr && (found->impl->name != impl_name ||
                                found->type_display != display)) {

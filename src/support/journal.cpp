@@ -7,7 +7,8 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
+
+#include "src/support/source.hpp"
 
 namespace tydi::support {
 
@@ -163,14 +164,11 @@ std::uint64_t IoFaultInjector::pick(Site site, std::uint64_t bound) const {
 
 Status recover_journal(const std::string& path, RecoveredJournal& out) {
   out = RecoveredJournal{};
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
+  std::string bytes;
+  if (!read_file(path, bytes).is_ok()) {
     if (errno == ENOENT) return Status::ok();  // first boot: empty journal
-    return io_error("open " + path);
+    return io_error("cannot read " + path);
   }
-  std::string bytes((std::istreambuf_iterator<char>(file)),
-                    std::istreambuf_iterator<char>());
-  if (file.bad()) return io_error("read " + path);
   out.total_bytes = bytes.size();
 
   // Header: anything short of the magic recovers cold (valid_bytes 0 — the

@@ -1,10 +1,66 @@
 #include "src/support/source.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <cerrno>
 
 namespace tydi::support {
+
+namespace {
+
+/// read(2), retried on EINTR.
+ssize_t read_retrying(int fd, char* buf, std::size_t len) {
+  ssize_t n = 0;
+  do {
+    n = ::read(fd, buf, len);
+  } while (n < 0 && errno == EINTR);
+  return n;
+}
+
+}  // namespace
+
+Status read_file(const std::string& path, std::string& out) {
+  out.clear();
+  const auto fail = [&](int fd) {
+    const int saved = errno;
+    if (fd >= 0) ::close(fd);
+    errno = saved;
+    out.clear();
+    return Status::error(StatusCode::kIoError, "read", "cannot read " + path);
+  };
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return fail(fd);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return fail(fd);
+  if (!S_ISREG(st.st_mode)) {
+    errno = S_ISDIR(st.st_mode) ? EISDIR : EINVAL;
+    return fail(fd);
+  }
+  out.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = read_retrying(fd, out.data() + got, out.size() - got);
+    if (n < 0) return fail(fd);
+    if (n == 0) break;  // shrank since the fstat
+    got += static_cast<std::size_t>(n);
+  }
+  out.resize(got);
+  // Grew since the fstat (or the size was not known, as for /proc files):
+  // the rest goes through a stack buffer, so a file that did not grow costs
+  // one empty read and never a speculative larger string.
+  char tail[1024];
+  for (;;) {
+    const ssize_t n = read_retrying(fd, tail, sizeof tail);
+    if (n < 0) return fail(fd);
+    if (n == 0) break;
+    out.append(tail, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return Status::ok();
+}
 
 FileId SourceManager::add(std::string name, std::string text) {
   File f;
@@ -18,11 +74,9 @@ FileId SourceManager::add(std::string name, std::string text) {
 }
 
 FileId SourceManager::add_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return FileId{};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return add(path, ss.str());
+  std::string text;
+  if (!read_file(path, text).is_ok()) return FileId{};
+  return add(path, std::move(text));
 }
 
 const SourceManager::File* SourceManager::get(FileId id) const {

@@ -11,7 +11,18 @@
 #include <string_view>
 #include <vector>
 
+#include "src/support/status.hpp"
+
 namespace tydi::support {
+
+/// Reads the whole regular file at `path` into `out` (replacing it): open,
+/// fstat, then `read` into an exactly-sized string, looping on short reads
+/// and EINTR; a file that grew since the fstat is finished through a small
+/// stack buffer. Anything that is not a readable regular file (missing,
+/// unreadable, a directory, a FIFO) is kIoError "cannot read <path>", with
+/// errno left as the failing call set it (EISDIR for a directory). The one
+/// way the toolchain reads a file whole.
+[[nodiscard]] Status read_file(const std::string& path, std::string& out);
 
 /// Identifies a buffer registered with a SourceManager. Id 0 is reserved for
 /// "unknown" (synthesized nodes such as sugared duplicators).
@@ -50,7 +61,8 @@ class SourceManager {
   /// Registers `text` under `name` and returns its id. The text is copied.
   FileId add(std::string name, std::string text);
 
-  /// Loads a file from disk; returns an invalid FileId if it cannot be read.
+  /// Loads a file from disk (read_file); returns an invalid FileId if it
+  /// cannot be read.
   FileId add_file(const std::string& path);
 
   [[nodiscard]] std::string_view text(FileId id) const;

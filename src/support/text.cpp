@@ -208,6 +208,17 @@ std::vector<std::string_view> split_lines(std::string_view text) {
   return out;
 }
 
+std::vector<std::string_view> split_nonempty(std::string_view text,
+                                             char sep) {
+  std::vector<std::string_view> out;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find(sep), text.size());
+    if (end > 0) out.push_back(text.substr(0, end));
+    text.remove_prefix(std::min(end + 1, text.size()));
+  }
+  return out;
+}
+
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

@@ -175,6 +175,11 @@ void append_general(std::string& out, double value);
 /// Splits on '\n' (keeps empty segments, drops the trailing empty one).
 [[nodiscard]] std::vector<std::string_view> split_lines(std::string_view text);
 
+/// Splits on `sep`, dropping empty fields ("a,,b," -> {"a", "b"}): the
+/// comma-separated source lists of FILE requests and batch manifests.
+[[nodiscard]] std::vector<std::string_view> split_nonempty(
+    std::string_view text, char sep);
+
 /// Joins `parts` with `sep`.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);

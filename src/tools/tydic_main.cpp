@@ -79,6 +79,7 @@
 #include "src/sim/engine.hpp"
 #include "src/sim/metrics.hpp"
 #include "src/sim/trace.hpp"
+#include "src/support/source.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace {
@@ -421,14 +422,12 @@ int run(int argc, char** argv, std::string& metrics_out,
     } else if (arg == "--help" || arg == "-h") {
       return usage();
     } else {
-      std::ifstream in(arg, std::ios::binary);
-      if (!in) {
+      tydi::driver::NamedSource& source = sources.emplace_back();
+      source.name = arg;
+      if (!tydi::support::read_file(arg, source.text).is_ok()) {
         std::cerr << "error: cannot read " << arg << "\n";
         return 2;
       }
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      sources.push_back(tydi::driver::NamedSource{arg, std::move(text)});
     }
   }
   if (!dump_tpch_dir.empty()) return run_dump_tpch(dump_tpch_dir);

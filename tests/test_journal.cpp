@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +23,9 @@
 #include "src/obs/metrics.hpp"
 #include "src/service/service.hpp"
 #include "src/service/warmup.hpp"
+#include "src/support/hash.hpp"
 #include "src/support/journal.hpp"
+#include "src/support/source.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace tydi {
@@ -74,10 +77,11 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// The file's bytes; empty when it cannot be read.
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  std::string bytes;
+  (void)support::read_file(path, bytes);
+  return bytes;
 }
 
 /// A journal at `path` holding exactly `payloads`, written fault-free.
@@ -99,6 +103,54 @@ TEST(Crc32c, KnownAnswerAndBasics) {
   // Binary-safe: embedded NUL bytes count.
   EXPECT_NE(support::crc32c(std::string_view("a\0b", 3)),
             support::crc32c(std::string_view("ab", 2)));
+}
+
+// The content stamp journals persist (elab::source_hash, XXH64 seed 0).
+// Changing it silently would turn every journaled key stale, so its values
+// are pinned: any XXH64 implementation reproduces them.
+TEST(SourceStamp, KnownAnswers) {
+  EXPECT_EQ(elab::source_hash(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(elab::source_hash("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(elab::source_hash("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(elab::source_hash("streamlet s {}"), 0xDEDF2A052339F9F9ULL);
+  EXPECT_EQ(elab::source_hash("The quick brown fox jumps over the lazy dog"),
+            0x0B242D361FDA71BCULL);
+  std::string alphabet;
+  for (int i = 0; i < 100; ++i) alphabet += static_cast<char>('a' + i % 26);
+  EXPECT_EQ(elab::source_hash(alphabet), 0x79C9FA152BB53C71ULL);
+}
+
+TEST(SourceStamp, EverySingleByteEditOfATpchSourceChangesIt) {
+  std::vector<std::string> sources{std::string(tpch::fletcher_source())};
+  for (const tpch::QueryCase& q : tpch::queries()) {
+    sources.emplace_back(q.source);
+  }
+  for (const std::string& source : sources) {
+    const std::uint64_t base = elab::source_hash(source);
+    std::string edited = source;
+    for (std::size_t i = 0; i < edited.size(); ++i) {
+      for (const char delta : {'\x01', '\x80'}) {
+        edited[i] = static_cast<char>(source[i] ^ delta);
+        EXPECT_NE(elab::source_hash(edited), base)
+            << "offset " << i << " of " << source.size();
+        edited[i] = source[i];
+      }
+    }
+  }
+}
+
+TEST(SourceStamp, PrefixesAndTrailingNulsHashApart) {
+  const std::string text =
+      "type t = Stream(Bit(8), d=1);\n"
+      "streamlet s { i : t in, o : t out, p : t out; }\n";
+  ASSERT_GE(text.size(), 70u);
+  std::set<std::uint64_t> seen;
+  for (std::size_t len = 0; len <= 70; ++len) {
+    seen.insert(elab::source_hash(std::string_view(text).substr(0, len)));
+  }
+  EXPECT_EQ(seen.size(), 71u);
+  EXPECT_NE(elab::source_hash("a"), elab::source_hash(std::string("a\0", 2)));
+  EXPECT_NE(elab::source_hash(""), elab::source_hash(std::string(1, '\0')));
 }
 
 TEST(JournalFraming, AppendRecoverRoundTrip) {
@@ -656,6 +708,47 @@ TEST(ServiceWarmRestart, StaleFileStampsAreSkippedOnReplay) {
     EXPECT_EQ(replay.skipped_stale(), 1u);
     svc.drain();
   }
+  ::unlink(journal_path.c_str());
+  ::unlink(fletcher_path.c_str());
+  ::unlink(query_path.c_str());
+}
+
+TEST(ServiceWarmRestart, JournalWithFnvStampsReplaysNothingAndBoots) {
+  // A journal written while the content stamp was FNV-1a 64: after the
+  // upgrade its stamps mismatch the files, so the first boot is cold once.
+  const std::string journal_path = temp_path("svc_fnv.jnl");
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const std::string fletcher_path = temp_path("fnv_fletcher.td");
+  const std::string query_path = temp_path("fnv_q6.td");
+  write_file(fletcher_path, std::string(tpch::fletcher_source()));
+  write_file(query_path, std::string(q->source));
+  const std::string paths = fletcher_path + "," + query_path;
+  const JournalEntry old_entry{
+      "FILE " + paths + " " + q->top_impl + " vhdl",
+      {SourceStampRecord{fletcher_path,
+                         support::fnv1a64(tpch::fletcher_source())},
+       SourceStampRecord{query_path, support::fnv1a64(q->source)}}};
+  build_journal(journal_path, {old_entry.serialize()});
+
+  service::ServiceConfig config;
+  config.workers = 2;
+  config.journal_path = journal_path;
+  service::CompileService svc(config);
+  ASSERT_NE(svc.journal(), nullptr);
+  EXPECT_FALSE(svc.journal()->recovered_corrupt());
+  EXPECT_EQ(svc.journal()->recovered_records(), 1u);
+  const ReplayDeltas replay;
+  svc.start_replay();
+  svc.wait_replay();
+  EXPECT_EQ(replay.replayed(), 0u);
+  EXPECT_EQ(replay.skipped_stale(), 1u);
+  EXPECT_EQ(replay.failed(), 0u);
+  // The daemon serves the same key cold.
+  service::Response r =
+      svc.handle_line("FILE " + paths + " " + q->top_impl + " vhdl");
+  EXPECT_TRUE(r.ok()) << r.payload();
+  svc.drain();
   ::unlink(journal_path.c_str());
   ::unlink(fletcher_path.c_str());
   ::unlink(query_path.c_str());

@@ -21,6 +21,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
+#include "src/support/source.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace tydi {
@@ -77,6 +78,41 @@ TEST(ServiceProtocol, MissingFileIsIoError) {
       svc.handle_line("FILE /nonexistent/nope.td top vhdl");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status.code(), support::StatusCode::kIoError);
+}
+
+TEST(ServiceServer, FileOfADirectoryIsIoErrorAndTheDaemonServesOn) {
+  // Reading a directory used to throw out of the worker and abort the
+  // whole daemon; it is an ordinary kIoError reply now.
+  const std::string socket_path =
+      "/tmp/tydid_dir_test_" + std::to_string(::getpid()) + ".sock";
+  service::CompileService svc;
+  service::ServerConfig config;
+  config.socket_path = socket_path;
+  support::Status serve_status;
+  std::thread daemon([&]() { serve_status = service::serve(svc, config); });
+  service::Response ping;
+  support::Status up;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    up = service::request(socket_path, "PING", ping);
+    if (up.is_ok()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(up.is_ok()) << up.render();
+
+  for (const char* line : {"FILE /tmp top vhdl", "FILE /tmp,/tmp top ir"}) {
+    service::Response r;
+    ASSERT_TRUE(service::request(socket_path, line, r).is_ok()) << line;
+    EXPECT_FALSE(r.ok()) << line;
+    EXPECT_EQ(r.status.exit_code(), 3) << line;
+    EXPECT_EQ(r.status.code(), support::StatusCode::kIoError) << line;
+  }
+  ASSERT_TRUE(service::request(socket_path, "PING", ping).is_ok());
+  EXPECT_EQ(ping.payload(), "pong");
+
+  service::Response bye;
+  ASSERT_TRUE(service::request(socket_path, "SHUTDOWN", bye).is_ok());
+  daemon.join();
+  EXPECT_TRUE(serve_status.is_ok()) << serve_status.render();
 }
 
 TEST(ServiceProtocol, ParseErrorMapsToWireCode) {
@@ -470,9 +506,8 @@ struct Q6Files {
     out << text;
   }
   void edit_query(const std::string& from, const std::string& to) const {
-    std::ifstream in(query_path, std::ios::binary);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::string text;
+    ASSERT_TRUE(support::read_file(query_path, text).is_ok());
     const std::size_t at = text.find(from);
     ASSERT_NE(at, std::string::npos) << from;
     text.replace(at, from.size(), to);
@@ -484,10 +519,9 @@ struct Q6Files {
   [[nodiscard]] std::string golden() const {
     std::vector<driver::NamedSource> sources;
     for (const std::string& path : {fletcher_path, query_path}) {
-      std::ifstream in(path, std::ios::binary);
-      sources.push_back(driver::NamedSource{
-          path, std::string((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>())});
+      driver::NamedSource& source = sources.emplace_back();
+      source.name = path;
+      EXPECT_TRUE(support::read_file(path, source.text).is_ok()) << path;
     }
     driver::CompileOptions options;
     options.top = "q6_i";
@@ -585,6 +619,46 @@ TEST(ServiceResultCache, RewrittenSourceMissesAndCompilesTheNewText) {
   ASSERT_TRUE(r.ok()) << r.payload();
   EXPECT_TRUE(r.payload() == after);
   EXPECT_EQ(result_cache_counter("hits"), hits0);
+}
+
+TEST(ServiceResultCache, SameSizeRewriteIsANewKey) {
+  // A same-length edit keeps the file's size (and, within a second, its
+  // mtime): a hit trusts the bytes only, so the answer must follow them.
+  Q6Files files("samesize");
+  service::CompileService svc;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(svc.handle_line(files.request()).ok());
+  }
+  files.edit_query("const qty_hi = 24;", "const qty_hi = 25;");
+  const std::string after = files.golden();
+  const std::uint64_t hits0 = result_cache_counter("hits");
+  service::Response r = svc.handle_line(files.request());
+  ASSERT_TRUE(r.ok()) << r.payload();
+  EXPECT_TRUE(r.payload() == after);
+  EXPECT_EQ(result_cache_counter("hits"), hits0);
+}
+
+TEST(ServiceResultCache, EveryStageOfAFileRequestIsTimed) {
+  Q6Files files("stages");
+  service::CompileService svc;
+  auto count = [](const char* stage) {
+    return obs::MetricsRegistry::global()
+        .histogram(std::string("tydi.service.phase_ms.") + stage)
+        .count();
+  };
+  const std::vector<const char*> stages{"parse", "read", "key", "cache",
+                                        "compile"};
+  std::vector<std::uint64_t> before;
+  for (const char* stage : stages) before.push_back(count(stage));
+  ASSERT_TRUE(svc.handle_line(files.request()).ok());
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_GE(count(stages[i]), before[i] + 1) << stages[i];
+  }
+  // A malformed line is still parsed (and timed) before it is refused.
+  const std::uint64_t parses = count("parse");
+  EXPECT_EQ(svc.handle_line("FILE only_two args").status.code(),
+            support::StatusCode::kInvalidArgument);
+  EXPECT_EQ(count("parse"), parses + 1);
 }
 
 TEST(ServiceResultCache, InvalidateEmptiesTheCache) {

@@ -114,6 +114,21 @@ TEST(ServiceEnvelope, ParsesTokensInAnyOrder) {
   EXPECT_FALSE(service::parse_envelope("DEADLINE_MS nope PING", env, error));
   EXPECT_FALSE(service::parse_envelope("DEADLINE_MS -5 PING", env, error));
   EXPECT_FALSE(service::parse_envelope("ATTEMPT 0 PING", env, error));
+  EXPECT_FALSE(service::parse_envelope("ATTEMPT", env, error));
+  EXPECT_EQ(error, "usage: ATTEMPT <n>");
+  EXPECT_FALSE(service::parse_envelope("DEADLINE_MS", env, error));
+  EXPECT_EQ(error, "usage: DEADLINE_MS <ms>");
+  EXPECT_FALSE(service::parse_envelope("PRIO", env, error));
+  EXPECT_EQ(error, "usage: PRIO <interactive|batch>");
+
+  // Any whitespace separates tokens; the request keeps its own spacing up
+  // to the end of the line.
+  ASSERT_TRUE(service::parse_envelope("\tPRIO\tbatch  TPCH 6\tvhdl\r\nx",
+                                      env, error));
+  EXPECT_EQ(env.priority, service::Priority::kBatch);
+  EXPECT_EQ(env.rest, "TPCH 6\tvhdl\r");
+  ASSERT_TRUE(service::parse_envelope(" \t ", env, error));
+  EXPECT_EQ(env.rest, "");
 }
 
 TEST(ServiceEnvelope, MalformedEnvelopeIsInvalidArgument) {

@@ -3,9 +3,15 @@
 // allocation-count regression check), tables, and identifier sanitization.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <string>
 
 #include "src/support/diagnostic.hpp"
 #include "src/support/intern.hpp"
@@ -119,6 +125,67 @@ TEST(SourceManager, SynthesizedLocations) {
 TEST(SourceManager, MissingFileReturnsInvalidId) {
   SourceManager sm;
   EXPECT_FALSE(sm.add_file("/no/such/file.td").valid());
+}
+
+/// A scratch path unique to this test process.
+std::string scratch_path(const std::string& tag) {
+  return "/tmp/tydi_support_" + std::to_string(::getpid()) + "_" + tag;
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ReadFile, MissingFileIsIoError) {
+  std::string text = "stale";
+  const Status s = read_file("/no/such/file.td", text);
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_EQ(errno, ENOENT);
+  EXPECT_EQ(s.message(), "cannot read /no/such/file.td");
+  EXPECT_TRUE(text.empty());
+}
+
+TEST(ReadFile, EmptyFileReadsEmpty) {
+  const std::string path = scratch_path("empty.td");
+  write_bytes(path, "");
+  std::string text = "stale";
+  EXPECT_TRUE(read_file(path, text).is_ok());
+  EXPECT_TRUE(text.empty());
+  std::remove(path.c_str());
+}
+
+TEST(ReadFile, FileOver64KiBIsReadWholeAndExactlySized) {
+  const std::string path = scratch_path("big.td");
+  std::string bytes(200 * 1024 + 17, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131) ^ (i >> 9));  // NULs included
+  }
+  write_bytes(path, bytes);
+  std::string text;
+  ASSERT_TRUE(read_file(path, text).is_ok());
+  EXPECT_EQ(text, bytes);
+  // Sized by the fstat: no speculative page of growth room.
+  EXPECT_LT(text.capacity(), bytes.size() + 4096);
+  std::remove(path.c_str());
+}
+
+TEST(ReadFile, DirectoryIsIoErrorNotAnException) {
+  std::string text = "stale";
+  const Status s = read_file("/tmp", text);
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_EQ(errno, EISDIR);
+  EXPECT_EQ(s.message(), "cannot read /tmp");
+  EXPECT_TRUE(text.empty());
+  SourceManager sm;
+  EXPECT_FALSE(sm.add_file("/tmp").valid());
+}
+
+TEST(ReadFile, SizeUnknownToFstatIsReadThroughTheTail) {
+  // /proc files report size 0; the bytes arrive past the sized read.
+  std::string text;
+  ASSERT_TRUE(read_file("/proc/self/status", text).is_ok());
+  EXPECT_NE(text.find("Name:"), std::string::npos);
 }
 
 TEST(Diagnostics, CountsAndRendering) {
@@ -299,6 +366,11 @@ TEST(TextHelpers, FormatAndSplit) {
   EXPECT_EQ(lines[1], "");
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ", "), "");
+  using Views = std::vector<std::string_view>;
+  EXPECT_EQ(split_nonempty("a,,b,", ','), (Views{"a", "b"}));
+  EXPECT_EQ(split_nonempty(",x", ','), (Views{"x"}));
+  EXPECT_TRUE(split_nonempty(",,", ',').empty());
+  EXPECT_TRUE(split_nonempty("", ',').empty());
 }
 
 TEST(TextHelpers, SanitizeIdentifier) {
