@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <optional>
 #include <vector>
 
 #include "src/elab/memo.hpp"
@@ -32,6 +33,21 @@ double ms_since(Clock::time_point t) {
 /// response message and the metrics tell disconnects apart from drains).
 enum class CancelReason : std::uint8_t { kNone = 0, kClientGone, kDrain };
 
+/// A queued verb resolved at admission (CompileService::prepare): what the
+/// worker runs, so it never re-reads, re-hashes or re-parses anything.
+struct PreparedJob {
+  bool sleep = false;
+  double ms = 0.0;  ///< SLEEP duration, else the request's budget_ms
+  std::vector<driver::NamedSource> sources;
+  driver::CompileOptions options;  ///< emit kind already set
+  /// The durable key (its stamps hash the sources) and its serialization,
+  /// which keys the result cache.
+  warmup::JournalEntry key;
+  std::string key_text;
+  /// The result-cache lookup said: store a successful payload.
+  bool admit = false;
+};
+
 /// Shared state of one submitted request: the completion slot the
 /// transport waits on, plus everything a worker needs to execute it.
 struct PendingRequest::State {
@@ -54,6 +70,12 @@ struct PendingRequest::State {
   /// admitted + envelope.deadline_ms; only meaningful with has_deadline.
   Clock::time_point deadline;
   bool has_deadline = false;
+
+  // Written by prepare before the push; the worker that pops it owns them.
+  PreparedJob job;
+  /// Time spent in prepare; a worker adds it to request_ms.
+  double prepare_ms = 0.0;
+  Clock::time_point queued;
 
   [[nodiscard]] CancelReason cancel_reason() const {
     return static_cast<CancelReason>(cancel.load(std::memory_order_relaxed));
@@ -88,7 +110,7 @@ Response PendingRequest::take() {
   if (!state_) return Response{};
   std::unique_lock lock(state_->mu);
   state_->cv.wait(lock, [&] { return state_->done; });
-  return state_->response;
+  return std::move(state_->response);
 }
 
 void PendingRequest::cancel() {
@@ -424,6 +446,8 @@ PendingRequest CompileService::submit(const std::string& line) {
   static obs::Counter& retried_metric =
       reg.counter("tydi.service.retried_requests");
   static obs::Gauge& depth_gauge = reg.gauge("tydi.service.queue_depth");
+  static obs::Histogram& request_histogram =
+      reg.histogram("tydi.service.request_ms");
   ++requests_metric;
 
   auto state = std::make_shared<PendingRequest::State>();
@@ -477,6 +501,24 @@ PendingRequest CompileService::submit(const std::string& line) {
                          std::to_string(config_.rss_shed_mb) + " MiB"));
     return pending;
   }
+  // The parse → read → key → cache stages run here, on the thread that read
+  // the line: a hit or a refused line is answered without the queue, a
+  // miss is queued with its sources already read and stamped.
+  const Clock::time_point prepare_start = Clock::now();
+  std::optional<Response> answer;
+  {
+    obs::Span span("service.request");
+    span.arg("request_id", state->request_id)
+        .arg("prio", to_string(state->envelope.priority));
+    answer = prepare(*state);
+  }
+  state->prepare_ms = ms_since(prepare_start);
+  if (answer) {
+    request_histogram.observe(state->prepare_ms);
+    finish(state, std::move(*answer));
+    return pending;
+  }
+  state->queued = Clock::now();
   if (!queue_.try_push(state, state->envelope.priority)) {
     finish(state, shed_response(
                       "queue full (depth " +
@@ -645,7 +687,7 @@ void CompileService::execute(
       reg.counter("tydi.service.disconnect_aborts");
 
   depth_gauge.set(static_cast<double>(queue_.depth()));
-  wait_histogram.observe(ms_since(state->admitted));
+  wait_histogram.observe(ms_since(state->queued));
 
   // A dead client or an expired deadline means nobody is waiting: shed /
   // abort without executing.
@@ -674,11 +716,12 @@ void CompileService::execute(
     obs::Span span("service.request");
     span.arg("request_id", state->request_id)
         .arg("prio", to_string(state->envelope.priority));
-    response = dispatch_queued(*state);
+    response = run(*state);
   }
   const double exec_ms = ms_since(exec_start);
-  exec_histogram.observe(exec_ms);
-  // EWMA (alpha 1/4) feeding the retry-after hint.
+  exec_histogram.observe(state->prepare_ms + exec_ms);
+  // EWMA (alpha 1/4) of worker executions only, feeding the retry-after
+  // hint: hits answered at admission never hold a worker.
   const std::uint64_t prev =
       avg_exec_us_.load(std::memory_order_relaxed);
   const auto sample = static_cast<std::uint64_t>(exec_ms * 1000.0);
@@ -741,22 +784,8 @@ Response CompileService::sleep_request(double ms,
   return r;
 }
 
-Response CompileService::compile_request(
-    const std::vector<driver::NamedSource>& sources,
-    const std::vector<std::uint64_t>& source_hashes,
-    driver::CompileOptions options, std::string_view emit,
-    double budget_ms, PendingRequest::State& state) {
-  if (emit == "vhdl") {
-    options.emit_ir = false;
-    options.emit_vhdl = true;
-  } else if (emit == "ir") {
-    options.emit_ir = true;
-    options.emit_vhdl = false;
-  } else {
-    return error_response(StatusCode::kInvalidArgument,
-                          "unknown emit kind '" + std::string(emit) +
-                              "' (expected vhdl|ir)");
-  }
+Response CompileService::compile_request(PendingRequest::State& state) {
+  PreparedJob& job = state.job;
   exec_seq_.fetch_add(1, std::memory_order_relaxed);
 
   // Per-request watchdog: a dedicated guard + monitor thread enforcing the
@@ -766,13 +795,21 @@ Response CompileService::compile_request(
   // transport's disconnect cancel, so compiles for dead peers abort too.
   sim::RunGuard guard;
   sim::Watchdog::Config watchdog_config;
-  watchdog_config.wall_clock_budget_ms = effective_budget_ms(budget_ms, state);
+  watchdog_config.wall_clock_budget_ms = effective_budget_ms(job.ms, state);
+  driver::CompileOptions options = std::move(job.options);
   options.cancelled = [&guard, &state]() {
     return guard.stop_requested() || state.cancelled();
   };
+  // The key's stamps hashed each FILE source at admission; the compile
+  // reuses them (TPCH keys carry none, so the compile hashes its own).
+  std::vector<std::uint64_t> source_hashes;
+  source_hashes.reserve(job.key.stamps.size());
+  for (const warmup::SourceStampRecord& stamp : job.key.stamps) {
+    source_hashes.push_back(stamp.hash);
+  }
   driver::CompileResult result = [&] {
     sim::Watchdog watchdog(guard, watchdog_config);
-    return session_.compile(sources, options, source_hashes);
+    return session_.compile(job.sources, options, source_hashes);
   }();
 
   Response r;
@@ -833,6 +870,10 @@ Status parse_queued(std::string_view line, QueuedRequest& out) {
     return usage_error(file ? "usage: FILE <path> <top> <vhdl|ir> [budget_ms]"
                             : "usage: TPCH <n> <vhdl|ir> [budget_ms]");
   }
+  if (out.emit != "vhdl" && out.emit != "ir") {
+    return usage_error("unknown emit kind '" + std::string(out.emit) +
+                       "' (expected vhdl|ir)");
+  }
   const std::string_view budget = fields.next();
   if (!budget.empty() && (!parse_number(budget, out.ms) || out.ms < 0.0)) {
     return usage_error("bad budget_ms '" + std::string(budget) + "'");
@@ -851,12 +892,13 @@ Status parse_queued(std::string_view line, QueuedRequest& out) {
 
 }  // namespace
 
-Response CompileService::dispatch_queued(PendingRequest::State& state) {
+std::optional<Response> CompileService::prepare(PendingRequest::State& state) {
   // TPCH and FILE both come down to sources + options + the durable key
-  // (normalized request + per-source content stamps), built once here: it
-  // keys the result cache and is what the journal records. Each stage is
-  // timed as tydi.service.phase_ms.<stage> (parse, read, key, cache,
-  // compile, journal; the transport times reply).
+  // (normalized request + per-source content stamps), built once here from
+  // one read of each source: it keys the result cache and is what the
+  // journal records. Each stage is timed as tydi.service.phase_ms.<stage>
+  // (parse, read, key, cache here; compile and journal in run; the
+  // transport times reply).
   support::PhaseTimings stages;
   QueuedRequest request;
   Status parsed;
@@ -865,11 +907,14 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
     parsed = parse_queued(state.line, request);
   }
   if (!parsed.is_ok()) return error_response(parsed.code(), parsed.message());
-  if (request.verb == "SLEEP") return sleep_request(request.ms, state);
+  PreparedJob& job = state.job;
+  job.ms = request.ms;
+  if (request.verb == "SLEEP") {
+    job.sleep = true;
+    return std::nullopt;
+  }
 
   const tpch::QueryCase* query = nullptr;  ///< TPCH: sources built on a miss
-  std::vector<driver::NamedSource> sources;
-  driver::CompileOptions options;
   if (request.verb == "TPCH") {
     // TPCH sources are built into the binary: the key needs no stamps
     // (a different binary re-derives everything on replay anyway).
@@ -881,66 +926,69 @@ Response CompileService::dispatch_queued(PendingRequest::State& state) {
     }
   } else {
     obs::PhaseTimer t(stages, "service", "read");
-    sources.reserve(request.paths.size());
+    job.sources.reserve(request.paths.size());
     for (std::string_view path : request.paths) {
-      driver::NamedSource& source = sources.emplace_back();
+      driver::NamedSource& source = job.sources.emplace_back();
       source.name = path;
       const Status read = support::read_file(source.name, source.text);
       if (!read.is_ok()) return error_response(read.code(), read.message());
     }
-    options.top = request.top;
+    job.options.top = request.top;
   }
 
-  warmup::JournalEntry key;
-  std::string key_text;
   {
     // The normalized request (no envelope, no budget) plus a content stamp
     // per source, taken from the exact bytes that compile: an edited file
     // is a different key, and replay skips the key when any file on disk no
     // longer matches.
     obs::PhaseTimer t(stages, "service", "key");
+    warmup::JournalEntry& key = job.key;
     key.request.append(request.verb).append(" ").append(request.subject);
     if (!request.top.empty()) key.request.append(" ").append(request.top);
     key.request.append(" ").append(request.emit);
-    key.stamps.reserve(sources.size());
-    for (const driver::NamedSource& source : sources) {
+    key.stamps.reserve(job.sources.size());
+    for (const driver::NamedSource& source : job.sources) {
       key.stamps.push_back(warmup::SourceStampRecord{
           source.name, elab::source_hash(source.text)});
     }
-    key_text = key.serialize();
+    job.key_text = key.serialize();
   }
   ResultCache::Lookup cached;
   {
     obs::PhaseTimer t(stages, "service", "cache");
-    cached = result_cache_.lookup(key_text);
+    cached = result_cache_.lookup(job.key_text);
   }
   if (cached.hit != nullptr) {
     Response r;
     r.body = std::move(cached.hit);
     return r;
   }
+  job.admit = cached.admit;
   if (query != nullptr) {
-    sources = tpch::query_sources(*query);
-    options = tpch::query_options(*query);
+    job.sources = tpch::query_sources(*query);
+    job.options = tpch::query_options(*query);
   }
-  // The key's stamps hash each FILE source once; the compile reuses them.
-  std::vector<std::uint64_t> source_hashes;
-  for (const warmup::SourceStampRecord& stamp : key.stamps) {
-    source_hashes.push_back(stamp.hash);
-  }
+  job.options.emit_vhdl = request.emit == "vhdl";
+  job.options.emit_ir = !job.options.emit_vhdl;
+  return std::nullopt;
+}
+
+Response CompileService::run(PendingRequest::State& state) {
+  PreparedJob& job = state.job;
+  if (job.sleep) return sleep_request(job.ms, state);
+  support::PhaseTimings stages;
   Response r;
   {
     obs::PhaseTimer t(stages, "service", "compile");
-    r = compile_request(sources, source_hashes, std::move(options),
-                        request.emit, request.ms, state);
+    r = compile_request(state);
   }
   if (r.ok()) {
-    if (cached.admit) {
+    if (job.admit) {
       obs::PhaseTimer t(stages, "service", "cache");
-      result_cache_.insert(key_text, r.body);
+      result_cache_.insert(job.key_text, r.body);
     }
     obs::PhaseTimer t(stages, "service", "journal");
-    journal_success(key);
+    journal_success(job.key);
   }
   return r;
 }

@@ -8,14 +8,17 @@
 // behaviour is unit-testable without a socket.
 //
 // Overload safety (src/service/README.md has the full story): compile
-// verbs are not executed on the calling thread. They are *admitted* into a
-// bounded two-class priority queue (interactive FILE/TPCH vs. batch; see
-// queue.hpp) and executed by a fixed worker pool, so a burst of clients
-// can never pile up unbounded compile threads or memory. When the queue is
-// full, the process is out of RSS headroom, or the service is draining,
-// `submit` sheds immediately with StatusCode::kUnavailable and a
-// retry-after-ms hint instead of queueing — bounded latency for everyone
-// already admitted, an explicit machine-readable signal for everyone else.
+// verbs are not executed on the calling thread. Unless the service is
+// draining or out of RSS headroom (then `submit` sheds), the calling thread
+// parses the line, reads and stamps the sources and probes the result
+// cache; a hit is answered right there. A miss is *admitted* into a bounded
+// two-class priority queue (interactive FILE/TPCH vs. batch; see
+// queue.hpp), carrying its read sources, and compiled by a fixed worker
+// pool, so a burst of clients can never pile up unbounded compile threads
+// or memory. When the queue is full `submit` sheds immediately with
+// StatusCode::kUnavailable and a retry-after-ms hint instead of queueing —
+// bounded latency for everyone already admitted, an explicit
+// machine-readable signal for everyone else.
 // Meta verbs (PING/STATS/METRICS/HEALTH/INVALIDATE/SHUTDOWN) execute
 // inline on the calling thread so introspection stays responsive at any
 // load.
@@ -92,8 +95,9 @@
 // work for dead peers aborts instead of running to completion.
 //
 // Thread-safety: submit/handle_line may be called from any number of
-// transport threads concurrently — admission is a try_push on the bounded
-// queue, the underlying session caches synchronize themselves, and every
+// transport threads concurrently — admission is a result-cache probe (the
+// cache has its own mutex) and a try_push on the bounded queue, the
+// underlying session caches synchronize themselves, and every
 // count goes to the process-wide obs::MetricsRegistry (tydi.service.*),
 // which HEALTH and STATS read at call time.
 #pragma once
@@ -104,6 +108,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -214,8 +219,9 @@ struct RequestEnvelope {
 [[nodiscard]] bool parse_envelope(std::string_view line,
                                   RequestEnvelope& out, std::string& error);
 
-/// Handle to one submitted request. Meta verbs and sheds complete before
-/// `submit` returns; queued compile verbs complete when a worker finishes
+/// Handle to one submitted request. Meta verbs, result-cache hits, refused
+/// lines and sheds complete before `submit` returns; queued compile verbs
+/// complete when a worker finishes
 /// (or the request is cancelled/shed). Copyable — all copies share state.
 class PendingRequest {
  public:
@@ -225,7 +231,8 @@ class PendingRequest {
 
   /// Waits up to `ms` for completion; true when done.
   [[nodiscard]] bool wait_for(double ms) const;
-  /// Blocks until the response is ready and returns it.
+  /// Blocks until the response is ready and moves it out. Single use: a
+  /// second take() (through any copy) returns a moved-from Response.
   [[nodiscard]] Response take();
   /// Trips the request's cancellation hook (the transport calls this when
   /// the client disconnects): a still-queued request completes kAborted
@@ -249,9 +256,10 @@ class CompileService {
   CompileService& operator=(const CompileService&) = delete;
 
   /// Admits one request line (no trailing newline required). Never throws
-  /// and never blocks on compile work: meta verbs execute inline, compile
-  /// verbs are queued for the worker pool or shed (kUnavailable) when the
-  /// queue is full / RSS headroom is gone / the service is draining.
+  /// and never blocks on compile work: meta verbs and result-cache hits are
+  /// answered inline, other compile verbs are queued for the worker pool or
+  /// shed (kUnavailable) when the queue is full / RSS headroom is gone / the
+  /// service is draining.
   /// Malformed requests produce an ERR response with kInvalidArgument.
   [[nodiscard]] PendingRequest submit(const std::string& line);
 
@@ -314,14 +322,16 @@ class CompileService {
                                        std::uint64_t request_id);
   void worker_main();
   void execute(const std::shared_ptr<PendingRequest::State>& state);
-  [[nodiscard]] Response dispatch_queued(PendingRequest::State& state);
-  /// `source_hashes` are the sources' content hashes when the key already
-  /// took them (FILE), else empty and the compile hashes the sources.
-  [[nodiscard]] Response compile_request(
-      const std::vector<driver::NamedSource>& sources,
-      const std::vector<std::uint64_t>& source_hashes,
-      driver::CompileOptions options, std::string_view emit,
-      double budget_ms, PendingRequest::State& state);
+  /// The admission half of a queued verb, run by `submit` on the calling
+  /// thread: parse the line, read and stamp the sources, build the durable
+  /// key, probe the result cache. Returns the answer of a hit or a refused
+  /// request; nullopt when the request needs a worker, its job stored in
+  /// `state`.
+  [[nodiscard]] std::optional<Response> prepare(PendingRequest::State& state);
+  /// The worker half: compile the prepared job, store an admitted payload,
+  /// journal the key (or run a SLEEP).
+  [[nodiscard]] Response run(PendingRequest::State& state);
+  [[nodiscard]] Response compile_request(PendingRequest::State& state);
   [[nodiscard]] Response sleep_request(double ms,
                                        PendingRequest::State& state);
   /// Effective wall-clock budget: the request's (or default) budget,
@@ -348,8 +358,8 @@ class CompileService {
   ServiceConfig config_;
   int worker_count_ = 0;
   driver::CompileSession session_;
-  /// Whole-result cache served from dispatch_queued (src/service/README.md,
-  /// "Result cache").
+  /// Whole-result cache probed by prepare, filled by run
+  /// (src/service/README.md, "Result cache").
   ResultCache result_cache_;
   BoundedPriorityQueue<std::shared_ptr<PendingRequest::State>> queue_;
   std::vector<std::thread> workers_;

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/elab/memo.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/service/server.hpp"
@@ -659,6 +660,133 @@ TEST(ServiceResultCache, EveryStageOfAFileRequestIsTimed) {
   EXPECT_EQ(svc.handle_line("FILE only_two args").status.code(),
             support::StatusCode::kInvalidArgument);
   EXPECT_EQ(count("parse"), parses + 1);
+}
+
+/// The count of a `tydi.service.*` histogram.
+std::uint64_t service_observations(const std::string& name) {
+  return obs::MetricsRegistry::global()
+      .histogram("tydi.service." + name)
+      .count();
+}
+
+/// Waits until every queued request has been picked up by a worker (false
+/// if that takes implausibly long, so a broken pool fails instead of hangs).
+bool wait_for_empty_queue(const service::CompileService& svc) {
+  for (int i = 0; i < 30000 && svc.queue_depth() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return svc.queue_depth() == 0;
+}
+
+TEST(ServiceResultCache, AHitIsAnsweredAtAdmission) {
+  Q6Files files("inline");
+  service::CompileService svc;
+  // First sighting compiles, second compiles and admits, third hits. Each
+  // request reads its sources exactly once; only the misses queue.
+  for (int i = 0; i < 3; ++i) {
+    const bool hit = i == 2;
+    const std::uint64_t reads = service_observations("phase_ms.read");
+    const std::uint64_t waits = service_observations("queue_wait_ms");
+    const std::uint64_t requests = service_observations("request_ms");
+    const std::uint64_t hits0 = result_cache_counter("hits");
+    ASSERT_TRUE(svc.handle_line(files.request()).ok());
+    EXPECT_EQ(service_observations("phase_ms.read"), reads + 1) << i;
+    EXPECT_EQ(service_observations("queue_wait_ms"), waits + (hit ? 0 : 1))
+        << i;
+    EXPECT_EQ(service_observations("request_ms"), requests + 1) << i;
+    EXPECT_EQ(result_cache_counter("hits"), hits0 + (hit ? 1 : 0)) << i;
+  }
+}
+
+TEST(ServiceResultCache, AHitIsServedWhileTheQueueIsFull) {
+  Q6Files files("saturated");
+  service::ServiceConfig config;
+  config.workers = 1;
+  config.queue_capacity = 1;
+  service::CompileService svc(config);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(svc.handle_line(files.request()).ok());
+  }
+  ASSERT_EQ(svc.result_cache().entries(), 1u);
+  // The one worker is busy and the one queue slot is taken.
+  service::PendingRequest running = svc.submit("SLEEP 60000");
+  ASSERT_TRUE(wait_for_empty_queue(svc));
+  service::PendingRequest queued = svc.submit("SLEEP 60000");
+  ASSERT_EQ(svc.queue_depth(), 1u);
+  const service::Response shed_before = svc.handle_line("SLEEP 1");
+  ASSERT_EQ(shed_before.status.code(), support::StatusCode::kUnavailable);
+
+  const std::uint64_t shed0 = counter("tydi.service.shed_total");
+  const std::uint64_t hits0 = result_cache_counter("hits");
+  service::Response r = svc.handle_line(files.request());
+  ASSERT_TRUE(r.ok()) << r.payload();
+  EXPECT_TRUE(r.payload() == files.golden());
+  EXPECT_EQ(counter("tydi.service.shed_total"), shed0);
+  EXPECT_EQ(result_cache_counter("hits") - hits0, 1u);
+  EXPECT_FALSE(running.wait_for(0.0));
+  // Hits hold no worker, so they leave the retry-after hint (an average of
+  // worker executions) where the two compiles above put it.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(svc.handle_line(files.request()).ok());
+  }
+  const service::Response shed_after = svc.handle_line("SLEEP 1");
+  ASSERT_EQ(shed_after.status.code(), support::StatusCode::kUnavailable);
+  EXPECT_EQ(shed_after.retry_after_ms, shed_before.retry_after_ms);
+
+  running.cancel();
+  queued.cancel();
+  EXPECT_EQ(running.take().status.code(), support::StatusCode::kAborted);
+  EXPECT_EQ(queued.take().status.code(), support::StatusCode::kAborted);
+}
+
+TEST(ServiceResultCache, TheCompileUsesTheBytesReadAtAdmission) {
+  Q6Files files("admitted");
+  const std::string journal_path =
+      "/tmp/tydid_rc_admitted_" + std::to_string(::getpid()) + ".jnl";
+  std::remove(journal_path.c_str());
+  service::ServiceConfig config;
+  config.workers = 1;
+  config.journal_path = journal_path;
+  const std::string admitted_golden = files.golden();
+  std::string admitted_text;
+  ASSERT_TRUE(support::read_file(files.query_path, admitted_text).is_ok());
+  {
+    service::CompileService svc(config);
+    service::PendingRequest hold = svc.submit("SLEEP 60000");
+    ASSERT_TRUE(wait_for_empty_queue(svc));
+    // The miss is read and stamped now, then waits for the worker while
+    // its file is rewritten.
+    service::PendingRequest miss = svc.submit(files.request());
+    files.edit_query("type t_q6_mul = Stream(Bit(100)",
+                     "type t_q6_mul = Stream(Bit(64)");
+    const std::string rewritten_golden = files.golden();
+    ASSERT_NE(rewritten_golden, admitted_golden);
+    hold.cancel();
+    service::Response r = miss.take();
+    ASSERT_TRUE(r.ok()) << r.payload();
+    EXPECT_TRUE(r.payload() == admitted_golden);
+    // The next request reads the new text: a new key, compiled.
+    const std::uint64_t hits0 = result_cache_counter("hits");
+    service::Response next = svc.handle_line(files.request());
+    ASSERT_TRUE(next.ok()) << next.payload();
+    EXPECT_TRUE(next.payload() == rewritten_golden);
+    EXPECT_EQ(result_cache_counter("hits"), hits0);
+    (void)hold.take();
+  }
+  // The journal stamped the admitted bytes, then the rewrite's (the
+  // service ended without a compaction, so both records remain).
+  service::warmup::CompileJournal journal;
+  ASSERT_TRUE(journal.open(journal_path).is_ok());
+  const std::vector<service::warmup::JournalEntry> entries =
+      journal.recovered_entries();
+  std::string rewritten_text;
+  ASSERT_TRUE(support::read_file(files.query_path, rewritten_text).is_ok());
+  ASSERT_EQ(entries.size(), 2u);
+  ASSERT_EQ(entries[0].stamps.size(), 2u);
+  ASSERT_EQ(entries[1].stamps.size(), 2u);
+  EXPECT_EQ(entries[0].stamps[1].hash, elab::source_hash(admitted_text));
+  EXPECT_EQ(entries[1].stamps[1].hash, elab::source_hash(rewritten_text));
+  std::remove(journal_path.c_str());
 }
 
 TEST(ServiceResultCache, InvalidateEmptiesTheCache) {
