@@ -63,9 +63,9 @@ struct CompileOptions {
   /// is the `tydid` per-request timeout hook; it cannot interrupt a phase
   /// mid-flight (phases are short and bounded in practice).
   double budget_ms = 0.0;
-  /// Optional external cancellation poll (e.g. a service watchdog's stop
-  /// flag), checked at the same phase boundaries as `budget_ms`. Must be
-  /// callable from the compiling thread; empty = never cancelled.
+  /// Optional external cancellation poll (e.g. `tydid`'s per-request
+  /// cancel flag), checked at the same phase boundaries as `budget_ms`.
+  /// Must be callable from the compiling thread; empty = never cancelled.
   std::function<bool()> cancelled;
 };
 

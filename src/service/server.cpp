@@ -1,5 +1,6 @@
 #include "src/service/server.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
@@ -164,12 +165,13 @@ class ConnectionTracker {
   std::set<int> fds_;
 };
 
-/// True when the peer has closed its end: a zero-byte MSG_PEEK read.
-/// Pipelined request bytes (n > 0) and EAGAIN both mean the peer is alive.
+/// True when the peer has closed its end. The signal is POLLHUP, not a
+/// zero-byte read: the drain's own SHUT_RD makes our end read EOF too (and
+/// poll POLLIN|POLLRDHUP), but only the peer's close shuts both directions,
+/// which is what POLLHUP reports.
 bool peer_disconnected(int fd) {
-  char probe = 0;
-  const ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-  return n == 0;
+  pollfd p{fd, 0, 0};
+  return ::poll(&p, 1, 0) > 0 && (p.revents & POLLHUP) != 0;
 }
 
 /// Per-connection loop: one request line in, one response frame out, until
@@ -200,11 +202,7 @@ void serve_connection(int fd, CompileService& service,
 
     PendingRequest pending = service.submit(line);
     while (!pending.wait_for(25.0)) {
-      // Drain SHUT_RDs our fd, which a probe cannot tell apart from a
-      // real peer EOF — skip probing then; the drain deadline bounds us.
-      if (!service.draining() && peer_disconnected(fd)) {
-        pending.cancel();
-      }
+      if (peer_disconnected(fd)) pending.cancel();
     }
     Response response = pending.take();
     bool written = false;

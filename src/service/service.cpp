@@ -748,8 +748,8 @@ double CompileService::effective_budget_ms(
   }
   if (state.has_deadline) {
     // Never run past the caller's deadline: fold the remaining wait into
-    // the watchdog budget (floor of 1ms keeps the watchdog armed rather
-    // than treating ~0 as "unlimited").
+    // the budget (the floor of 1ms keeps it a budget rather than letting ~0
+    // read as "unlimited").
     const double remaining = std::max(1.0, state.deadline_remaining_ms());
     budget = budget > 0.0 ? std::min(budget, remaining) : remaining;
   }
@@ -788,18 +788,13 @@ Response CompileService::compile_request(PendingRequest::State& state) {
   PreparedJob& job = state.job;
   exec_seq_.fetch_add(1, std::memory_order_relaxed);
 
-  // Per-request watchdog: a dedicated guard + monitor thread enforcing the
-  // wall-clock budget (request budget min'd with the propagated deadline);
-  // the driver polls the guard at phase boundaries and classifies a fired
-  // watchdog as kAborted (phase "watchdog"). The same poll observes the
-  // transport's disconnect cancel, so compiles for dead peers abort too.
-  sim::RunGuard guard;
-  sim::Watchdog::Config watchdog_config;
-  watchdog_config.wall_clock_budget_ms = effective_budget_ms(job.ms, state);
+  // The driver polls the budget (the request's, min'd with what is left of
+  // its DEADLINE_MS) and the transport's cancel at every phase boundary;
+  // either stops the compile as kAborted (phase "watchdog"), so compiles
+  // for dead peers abort too.
   driver::CompileOptions options = std::move(job.options);
-  options.cancelled = [&guard, &state]() {
-    return guard.stop_requested() || state.cancelled();
-  };
+  options.budget_ms = effective_budget_ms(job.ms, state);
+  options.cancelled = [&state] { return state.cancelled(); };
   // The key's stamps hashed each FILE source at admission; the compile
   // reuses them (TPCH keys carry none, so the compile hashes its own).
   std::vector<std::uint64_t> source_hashes;
@@ -807,10 +802,8 @@ Response CompileService::compile_request(PendingRequest::State& state) {
   for (const warmup::SourceStampRecord& stamp : job.key.stamps) {
     source_hashes.push_back(stamp.hash);
   }
-  driver::CompileResult result = [&] {
-    sim::Watchdog watchdog(guard, watchdog_config);
-    return session_.compile(job.sources, options, source_hashes);
-  }();
+  driver::CompileResult result =
+      session_.compile(job.sources, options, source_hashes);
 
   Response r;
   r.status = result.status();

@@ -37,7 +37,7 @@
 // Envelope tokens may precede any verb, in any order:
 //   PRIO        queue class (default: interactive for FILE/TPCH/SLEEP)
 //   DEADLINE_MS the caller stops waiting after this many ms. Folded into
-//               the per-request watchdog budget, and a request whose
+//               the per-request compile budget, and a request whose
 //               deadline expires while still queued is shed (kUnavailable)
 //               instead of executed — work is never done for a caller
 //               that already gave up.
@@ -86,13 +86,12 @@
 // capacity frees up, honored by the retrying client (support::Retry).
 // Failed compiles carry the rendered diagnostics as payload.
 //
-// Per-request timeouts reuse the PR 6 watchdog machinery: each compile
-// request gets its own sim::RunGuard + sim::Watchdog (wall-clock budget,
-// min'd with the remaining DEADLINE_MS); the driver polls the guard at
-// phase boundaries and classifies a fired watchdog as kAborted (phase
-// "watchdog"). Each executing request also polls a per-request cancel flag
-// that the transport trips when the client disconnects mid-compile, so
-// work for dead peers aborts instead of running to completion.
+// Per-request timeouts are the driver's own: a compile runs with
+// CompileOptions::budget_ms = its budget min'd with the remaining
+// DEADLINE_MS, and CompileOptions::cancelled polling the cancel flag the
+// transport trips when the client disconnects. The driver checks both at
+// every phase boundary (kAborted, phase "watchdog"), so work for dead
+// peers aborts instead of running to completion.
 //
 // Thread-safety: submit/handle_line may be called from any number of
 // transport threads concurrently — admission is a result-cache probe (the

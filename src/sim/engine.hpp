@@ -121,10 +121,11 @@ struct SimOptions {
   /// Deterministic fault-injection plan for the sharded runtime (disabled
   /// by default; see FaultPlan). CLI: --sim-fault-seed / --sim-fault-plan.
   FaultPlan fault;
-  /// No-progress watchdog: abort the run when the global processed-event
-  /// counter has not moved for this many wall-clock ms. <= 0 disables.
+  /// No-progress watchdog: abort the run when no event has been processed
+  /// anywhere in the run for this many wall-clock ms. <= 0 disables.
   /// Catches cross-shard livelocks (e.g. lost/withheld acks) that the
-  /// deadlock detector cannot see because the queues never quiesce.
+  /// deadlock detector cannot see because the queues never quiesce. Like
+  /// the budgets below, checked by the shard threads (see RunGuard).
   double watchdog_timeout_ms = 10000.0;
   /// Total wall-clock budget in ms; the run aborts with partial results
   /// when exceeded. <= 0 disables.

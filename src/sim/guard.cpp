@@ -1,11 +1,27 @@
 #include "src/sim/guard.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include <sys/resource.h>
 
+#include <algorithm>
+
+#include "src/sim/engine.hpp"
+
 namespace tydi::sim {
+
+namespace {
+
+/// A positive budget in ms as a clock duration, rounded up so that a tiny
+/// budget stays on; <= 0 is zero (off).
+RunGuard::Clock::duration budget(double ms) {
+  if (ms <= 0.0) return {};
+  return std::chrono::ceil<RunGuard::Clock::duration>(
+      std::chrono::duration<double, std::milli>(ms));
+}
+
+/// How often one shard may call getrusage for the RSS budget.
+constexpr auto kRssPoll = std::chrono::milliseconds(10);
+
+}  // namespace
 
 std::string_view to_string(StopCause cause) {
   switch (cause) {
@@ -25,69 +41,56 @@ std::uint64_t current_rss_mb() {
   return static_cast<std::uint64_t>(usage.ru_maxrss) / 1024;
 }
 
-Watchdog::Watchdog(RunGuard& guard, Config config)
-    : guard_(guard), config_(config) {
-  if (config_.enabled()) thread_ = std::thread([this] { run(); });
+RunGuard::RunGuard(int shards, const SimOptions& options)
+    : counters_(static_cast<std::size_t>(std::max(shards, 1))),
+      watches_(counters_.size()),
+      start_(Clock::now()),
+      no_progress_(budget(options.watchdog_timeout_ms)),
+      wall_clock_(budget(options.wall_clock_budget_ms)),
+      rss_mb_(options.rss_budget_mb),
+      max_events_(options.max_events),
+      timed_(no_progress_ != Clock::duration::zero() ||
+             wall_clock_ != Clock::duration::zero() || rss_mb_ > 0) {
+  for (Watch& w : watches_) {
+    w.progress_at = start_;
+    w.next_rss_check = start_;
+  }
 }
 
-void Watchdog::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    done_ = true;
+bool RunGuard::publish(int shard, std::uint64_t n, bool check_clock) {
+  // The clock check reads the total before this shard's events land: a
+  // stretch in which nobody else published counts against the no-progress
+  // window, exactly as if a monitor had watched the counter.
+  if (check_clock && timed_) check(shard, Clock::now(), events(), n);
+  std::atomic<std::uint64_t>& counter = counters_[shard].events;
+  // A load and a store, not a read-modify-write: the counter has one writer.
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+  if (max_events_ != 0 && events() >= max_events_) {
+    request_stop(StopCause::kMaxEvents);
   }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  return stop_requested();
 }
 
-void Watchdog::run() {
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  auto last_progress_at = start;
-  std::uint64_t last_events = guard_.events();
-
-  // Poll fast enough that short test timeouts (~100ms) fire promptly but
-  // slow enough to be invisible in profiles.
-  double poll_ms = 10.0;
-  if (config_.timeout_ms > 0.0) {
-    poll_ms = std::min(poll_ms, config_.timeout_ms / 4.0);
+bool RunGuard::check(int shard, Clock::time_point now, std::uint64_t total,
+                     std::uint64_t own) {
+  Watch& w = watches_[shard];
+  if (total > w.seen) {
+    w.progress_at = now;
+  } else if (no_progress_ != Clock::duration::zero() &&
+             now - w.progress_at >= no_progress_) {
+    request_stop(StopCause::kWatchdogNoProgress);
   }
-  if (config_.wall_clock_budget_ms > 0.0) {
-    poll_ms = std::min(poll_ms, config_.wall_clock_budget_ms / 4.0);
+  if (own > 0) w.progress_at = now;
+  w.seen = total + own;
+  if (wall_clock_ != Clock::duration::zero() && now - start_ >= wall_clock_) {
+    request_stop(StopCause::kWallClock);
   }
-  poll_ms = std::max(poll_ms, 1.0);
-  const auto poll = std::chrono::duration<double, std::milli>(poll_ms);
-
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!done_) {
-    cv_.wait_for(lock, poll);
-    if (done_ || guard_.stop_requested()) return;
-
-    const auto now = Clock::now();
-    const std::uint64_t events = guard_.events();
-    if (events != last_events) {
-      last_events = events;
-      last_progress_at = now;
-    }
-
-    auto ms_since = [&](Clock::time_point t) {
-      return std::chrono::duration<double, std::milli>(now - t).count();
-    };
-    if (config_.timeout_ms > 0.0 &&
-        ms_since(last_progress_at) >= config_.timeout_ms) {
-      guard_.request_stop(StopCause::kWatchdogNoProgress);
-      return;
-    }
-    if (config_.wall_clock_budget_ms > 0.0 &&
-        ms_since(start) >= config_.wall_clock_budget_ms) {
-      guard_.request_stop(StopCause::kWallClock);
-      return;
-    }
-    if (config_.rss_budget_mb > 0 &&
-        current_rss_mb() >= config_.rss_budget_mb) {
-      guard_.request_stop(StopCause::kRss);
-      return;
-    }
+  if (rss_mb_ > 0 && now >= w.next_rss_check) {
+    w.next_rss_check = now + kRssPoll;
+    if (current_rss_mb() >= rss_mb_) request_stop(StopCause::kRss);
   }
+  return stop_requested();
 }
 
 }  // namespace tydi::sim

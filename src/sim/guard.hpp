@@ -1,39 +1,35 @@
-// Run guard + watchdog for the simulation runtime.
+// Run guard for the simulation runtime: the stop signal and the budgets.
 //
-// A `RunGuard` is the single stop-signal shared by every shard thread, the
-// step exchange, and the watchdog: one atomic flag plus the cause that
-// raised it. Kernels add to a processed-event counter of their own and
-// poll the flag every few hundred events, so a stop request (budget
-// exceeded, watchdog fired) drains the run within microseconds instead of
-// at the next exchange.
+// A `RunGuard` is the single stop-signal shared by every shard thread and
+// the step exchange: one atomic flag plus the cause that raised it. It
+// also holds the run's start time and budgets, which the shard threads
+// check themselves where they already poll (src/sim/shard/README.md):
+// every 256 events in the kernel, after every step exchange, and while
+// waiting in one. There is no monitor thread.
+//  - *no-progress*: a shard has seen no event processed — its own, or the
+//    run's total at an exchange or while it waits — for
+//    `watchdog_timeout_ms`. Rounds alone do NOT count as progress: the
+//    canonical livelock (withheld acks in credit mode) spins rounds
+//    forever at zero events;
+//  - *budgets*: `max_events`, `wall_clock_budget_ms`, and `rss_budget_mb`
+//    (getrusage, at most every 10 ms per shard; best-effort — ru_maxrss is
+//    a high-water mark).
 //
-// The `Watchdog` is a monitor thread that polls the guard:
-//  - *no-progress*: the run's event count has not moved for
-//    `watchdog_timeout_ms`. Rounds alone do NOT count as progress —
-//    the canonical livelock (withheld acks in credit mode) spins rounds
-//    forever while processing zero events, and a round-based monitor would
-//    never fire;
-//  - *wall-clock budget*: total run time exceeded `wall_clock_budget_ms`;
-//  - *RSS budget*: resident set size exceeded `rss_budget_mb` (via
-//    getrusage; best-effort — ru_maxrss is a high-water mark).
-//
-// When any trigger fires the watchdog calls `request_stop(cause)`; shard
-// threads and the abortable exchange spin observe the flag, unwind
-// cooperatively, and the runtime converts the partial state into
-// SimResult::aborted with per-shard forensics. The watchdog never kills
-// threads.
+// A tripped budget calls `request_stop(cause)`; shard threads see the flag
+// between events and in the exchange, unwind cooperatively, and the
+// runtime converts the partial state into SimResult::aborted with
+// per-shard forensics. Nothing interrupts a handler mid-event.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace tydi::sim {
+
+struct SimOptions;  // engine.hpp
 
 /// Why a run was asked to stop. kNone means the run completed on its own.
 enum class StopCause : std::uint8_t {
@@ -46,24 +42,37 @@ enum class StopCause : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(StopCause cause);
 
-/// Shared stop-signal for one simulation run. All methods are thread-safe.
+/// Stop-signal and budgets of one simulation run. `request_stop`,
+/// `stop_requested`, `cause` and `events` are thread-safe; `publish` and
+/// `check` for a shard are called only from that shard's thread.
 class RunGuard {
  public:
-  /// One event counter per shard thread (`shards` >= 1).
-  explicit RunGuard(int shards = 1)
-      : counters_(static_cast<std::size_t>(std::max(shards, 1))) {}
+  using Clock = std::chrono::steady_clock;
 
-  /// Adds processed events to `shard`'s counter. Each counter has a single
-  /// writer on a cache line of its own, so this is a load and a store, not
-  /// a read-modify-write the shards would contend on. Relaxed: the counts
-  /// are monotonic telemetry, not a synchronization point.
-  void add_events(int shard, std::uint64_t n) {
-    std::atomic<std::uint64_t>& events = counters_[shard].events;
-    events.store(events.load(std::memory_order_relaxed) + n,
-                 std::memory_order_relaxed);
-  }
+  /// Starts the run's clock. One slot per shard thread (`shards` >= 1);
+  /// the budgets are the guard-rail fields of `options`.
+  RunGuard(int shards, const SimOptions& options);
 
-  /// Events processed by every shard so far.
+  /// Adds `n` processed events to `shard`'s counter and checks the event
+  /// budget; `check_clock` also checks the clock budgets first (the
+  /// 256-event stride). Returns stop_requested().
+  bool publish(int shard, std::uint64_t n, bool check_clock);
+
+  /// Checks the clock budgets from `shard`'s thread at `now`. `total` is
+  /// the run's event count as the shard sees it: when it grew since the
+  /// shard's last check the run progressed, else the no-progress window
+  /// is checked. `own` is events the shard is about to publish itself
+  /// (they count as progress at `now`). Returns stop_requested().
+  bool check(int shard, Clock::time_point now, std::uint64_t total,
+             std::uint64_t own = 0);
+
+  /// True when a budget measured on the clock is on; callers skip reading
+  /// the clock otherwise.
+  [[nodiscard]] bool timed() const { return timed_; }
+
+  /// Events processed by every shard so far. Each counter has a single
+  /// writer on a cache line of its own; the reads are relaxed (monotonic
+  /// counts, not a synchronization point).
   [[nodiscard]] std::uint64_t events() const {
     std::uint64_t total = 0;
     for (const Counter& c : counters_) {
@@ -93,47 +102,24 @@ class RunGuard {
   struct alignas(64) Counter {
     std::atomic<std::uint64_t> events{0};
   };
+  /// A shard's view of the run's progress; touched only by its thread.
+  struct alignas(64) Watch {
+    std::uint64_t seen = 0;  ///< run total at the shard's last check
+    Clock::time_point progress_at;
+    Clock::time_point next_rss_check;
+  };
+
   std::atomic<bool> stop_{false};
   std::atomic<StopCause> cause_{StopCause::kNone};
   std::vector<Counter> counters_;
-};
-
-/// Monitor thread enforcing the no-progress timeout and the run budgets.
-/// Construct after the guard, destroy (or stop()) before reading results.
-class Watchdog {
- public:
-  struct Config {
-    /// No-progress window in ms; <= 0 disables the no-progress trigger.
-    double timeout_ms = 0.0;
-    /// Total wall-clock budget in ms; <= 0 disables.
-    double wall_clock_budget_ms = 0.0;
-    /// Resident-set budget in MiB; 0 disables.
-    std::uint64_t rss_budget_mb = 0;
-
-    [[nodiscard]] bool enabled() const {
-      return timeout_ms > 0.0 || wall_clock_budget_ms > 0.0 ||
-             rss_budget_mb > 0;
-    }
-  };
-
-  Watchdog(RunGuard& guard, Config config);
-  ~Watchdog() { stop(); }
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Joins the monitor thread. Idempotent.
-  void stop();
-
- private:
-  void run();
-
-  RunGuard& guard_;
-  Config config_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;
+  std::vector<Watch> watches_;
+  const Clock::time_point start_;
+  /// Zero disables a budget.
+  Clock::duration no_progress_{};
+  Clock::duration wall_clock_{};
+  std::uint64_t rss_mb_ = 0;
+  std::uint64_t max_events_ = 0;
+  bool timed_ = false;
 };
 
 /// Current resident set high-water mark in MiB (getrusage ru_maxrss); 0 when

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/sim/behavior.hpp"
 #include "src/sim/fault.hpp"
@@ -67,17 +68,14 @@ void Kernel::seed() {
 void Kernel::process_events(double limit, bool inclusive, double max_time_ns) {
   // Guard sync granularity: one store to this shard's counter + one acquire
   // load every 256 events (and once per call) keeps the stop latency in the
-  // microseconds without writing a cache line another shard writes.
+  // microseconds without writing a cache line another shard writes. The
+  // 256-event syncs also check the run's clock budgets; the last one of a
+  // call does not — the caller's exchange (or the end of the run) follows.
   constexpr std::uint64_t kGuardStride = 256;
   std::uint64_t unsynced = 0;
-  auto sync_guard = [&] {
+  auto sync_guard = [&](bool stride) {
     if (guard_ == nullptr || unsynced == 0) return false;
-    guard_->add_events(shard_, unsynced);
-    unsynced = 0;
-    if (max_events_ != 0 && guard_->events() >= max_events_) {
-      guard_->request_stop(StopCause::kMaxEvents);
-    }
-    return guard_->stop_requested();
+    return guard_->publish(shard_, std::exchange(unsynced, 0), stride);
   };
   while (!queue_.empty()) {
     const Event& head = queue_.top();
@@ -91,11 +89,11 @@ void Kernel::process_events(double limit, bool inclusive, double max_time_ns) {
     now_ = ev.time;
     if (ev.kind != EventKind::kRemoteAck) {
       events_processed_ += 1;
-      if (++unsynced >= kGuardStride && sync_guard()) break;
+      if (++unsynced >= kGuardStride && sync_guard(/*stride=*/true)) break;
     }
     dispatch(ev);
   }
-  sync_guard();
+  sync_guard(/*stride=*/false);
 }
 
 void Kernel::dispatch(const Event& ev) {

@@ -180,14 +180,10 @@ class Kernel {
   [[nodiscard]] std::int64_t unacked_total() const;
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
-  /// Attaches the run's stop-signal. The event loop adds to this shard's
-  /// event counter in the guard and polls its stop flag every few hundred
-  /// events; `max_events` > 0 additionally trips the kMaxEvents budget when
-  /// the run-wide count crosses it.
-  void set_guard(RunGuard* guard, std::uint64_t max_events) {
-    guard_ = guard;
-    max_events_ = max_events;
-  }
+  /// Attaches the run's stop-signal. The event loop publishes this shard's
+  /// processed events to the guard every few hundred events (which checks
+  /// the run's budgets) and stops when the guard's stop flag is up.
+  void set_guard(RunGuard* guard) { guard_ = guard; }
   /// Attaches this shard's fault oracle (withheld credit-flush site).
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
 
@@ -266,7 +262,6 @@ class Kernel {
   const int shard_;
   CrossRouter* router_;
   RunGuard* guard_ = nullptr;
-  std::uint64_t max_events_ = 0;
   FaultInjector* fault_ = nullptr;
   bool trace_enabled_ = true;
   /// Sharded runs defer warning emission to the deterministic post-join

@@ -136,8 +136,8 @@ class ShardRouter : public CrossRouter {
 
 /// One shard's contribution to a step's reduction. Exact mode fills
 /// next_time, ack_bound and acks_posted; credit mode fills next_time,
-/// pending_batches and last_time. The other mode's fields keep their
-/// neutral values, so one reduction serves both.
+/// pending_batches and last_time; both fill events. The other mode's fields
+/// keep their neutral values, so one reduction serves both.
 struct Vote {
   /// min(queue head after the step, earliest message posted in it).
   double next_time = kInfiniteTime;
@@ -148,6 +148,9 @@ struct Vote {
   /// Credit mode: the shard's last dispatched event time (straggler-batch
   /// flush timestamp).
   double last_time = 0.0;
+  /// Events the shard has processed; reduced, the run's total (the
+  /// no-progress check reads it, see RunGuard::check).
+  std::uint64_t events = 0;
 };
 
 /// The step exchange: every shard publishes its vote and waits for every
@@ -175,12 +178,14 @@ struct Vote {
 ///    second synchronization would have computed.
 ///
 /// The exchange is abortable: once the run guard's stop flag is raised, a
-/// waiting shard returns a neutral vote (after its bounded spin), so a
-/// watchdog abort cannot strand it behind a peer that already unwound.
+/// waiting shard returns a neutral vote (after its bounded spin), so an
+/// abort cannot strand it behind a peer that already unwound. Past the
+/// spin, the waiting shard also checks the run's budgets itself, so a peer
+/// stalled mid-event still trips the no-progress or wall-clock budget.
 /// Callers re-check the flag and leave their step loop.
 class StepExchange {
  public:
-  StepExchange(int shards, const RunGuard& guard)
+  StepExchange(int shards, RunGuard& guard)
       : shards_(shards), guard_(guard), lines_(2 * shards) {}
 
   Vote exchange(int me, std::uint64_t epoch, const Vote& mine) {
@@ -195,7 +200,13 @@ class StepExchange {
       int spins = 0;
       while (peer.epoch.load(std::memory_order_acquire) < epoch) {
         if (++spins > 512) {
-          if (guard_.stop_requested()) return Vote{};
+          // Every 64th yield also checks the budgets, reading the run's
+          // total from the shards' counters.
+          if (guard_.stop_requested() ||
+              (spins % 64 == 0 && guard_.timed() &&
+               guard_.check(me, RunGuard::Clock::now(), guard_.events()))) {
+            return Vote{};
+          }
           std::this_thread::yield();
         }
       }
@@ -205,6 +216,7 @@ class StepExchange {
       reduced.acks_posted += v.acks_posted;
       reduced.pending_batches += v.pending_batches;
       reduced.last_time = std::max(reduced.last_time, v.last_time);
+      reduced.events += v.events;
     }
     return reduced;
   }
@@ -215,7 +227,7 @@ class StepExchange {
     Vote vote;
   };
   const int shards_;
-  const RunGuard& guard_;
+  RunGuard& guard_;
   std::vector<Line> lines_;
 };
 
@@ -262,6 +274,7 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
   auto exchange = [&]() {
     Vote mine;
     mine.next_time = std::min(kernel.next_time(), router.earliest_post());
+    mine.events = kernel.events_processed();
     if (credit) {
       mine.pending_batches = kernel.pending_ack_batches();
       mine.last_time = kernel.last_event_time();
@@ -275,13 +288,15 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
     ++obs.exchanges;
     // Two steady_clock reads per exchange: the wait itself spins/yields, so
     // the clock cost disappears into it (gated by the sim obs-overhead
-    // bench).
-    const auto wait_start = std::chrono::steady_clock::now();
+    // bench). The second also checks the run's clock budgets against the
+    // reduced event total; a stop is seen at the top of the round loop.
+    const auto wait_start = RunGuard::Clock::now();
     Vote reduced = state.exchange.exchange(me, epoch, mine);
+    const auto now = RunGuard::Clock::now();
     obs.barrier_wait_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - wait_start)
             .count();
+    if (state.guard.timed()) state.guard.check(me, now, reduced.events);
     ++epoch;
     router.begin_step(static_cast<int>(epoch & 1));
     return reduced;
@@ -307,7 +322,7 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
       // latest dispatched time (a reduced value, so every shard picks the
       // same timestamp) and go around. Under the hang fault the flush is a
       // no-op and this loop spins at zero processed events — exactly the
-      // livelock the watchdog converts into an abort.
+      // livelock the no-progress budget converts into an abort.
       kernel.flush_ack_batches(vote.last_time, /*force=*/true);
       vote = exchange();
       continue;
@@ -338,9 +353,9 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
 }
 
 /// Fills the per-shard forensics snapshots. Runs on the main thread after
-/// every worker (and the watchdog) has stopped — for *every* run, not only
-/// aborts: a healthy run's end-state (queue/mailbox depths, credit
-/// occupancy) is the baseline the abort snapshots are read against.
+/// every worker has stopped — for *every* run, not only aborts: a healthy
+/// run's end-state (queue/mailbox depths, credit occupancy) is the baseline
+/// the abort snapshots are read against.
 void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
                        RoundState* state) {
   result.shard_forensics.clear();
@@ -470,21 +485,17 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     }
   }
 
-  RunGuard guard(graph.shard_count);
-  Watchdog::Config wd_config;
-  wd_config.timeout_ms = options.watchdog_timeout_ms;
-  wd_config.wall_clock_budget_ms = options.wall_clock_budget_ms;
-  wd_config.rss_budget_mb = options.rss_budget_mb;
+  RunGuard guard(graph.shard_count, options);
 
   if (graph.shard_count <= 1) {
     // Single shard: no cross-shard protocol, so no fault sites — but the
-    // watchdog and the event/wall-clock/RSS budgets still apply.
+    // no-progress and event/wall-clock/RSS budgets still apply, checked by
+    // the kernel every 256 events.
     Kernel kernel(graph, options, diags, /*shard=*/0, /*router=*/nullptr);
-    kernel.set_guard(&guard, options.max_events);
+    kernel.set_guard(&guard);
     {
       obs::PhaseTimer timer(phases, "sim", "process");
       kernel.seed();
-      Watchdog watchdog(guard, wd_config);
       kernel.process_events(kInfiniteTime, /*inclusive=*/false,
                             options.max_time_ns);
     }
@@ -511,7 +522,7 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
         state.mail, s, faulty ? injectors[s].get() : nullptr));
     kernels.push_back(
         std::make_unique<Kernel>(graph, options, diags, s, routers[s].get()));
-    kernels[s]->set_guard(&guard, options.max_events);
+    kernels[s]->set_guard(&guard);
     if (faulty) kernels[s]->set_fault_injector(injectors[s].get());
   }
   {
@@ -520,7 +531,6 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     // traffic; each shard votes it in its first exchange and drains it in
     // the first round).
     for (auto& kernel : kernels) kernel->seed();
-    Watchdog watchdog(guard, wd_config);
     std::vector<std::thread> threads;
     threads.reserve(shards);
     for (int s = 0; s < shards; ++s) {
@@ -533,7 +543,7 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
       });
     }
     for (std::thread& thread : threads) thread.join();
-  }  // watchdog joined: forensics below read a quiet world
+  }
 
   double end_time = 0.0;
   if (state.capped.load(std::memory_order_relaxed)) {

@@ -332,13 +332,68 @@ TEST(ServiceServer, ParallelClientsByteIdentical) {
 // One connection pipelining several requests gets ordered responses.
 TEST(ServiceServer, BudgetedRequestStillSucceeds) {
   service::ServiceConfig config;
-  config.default_budget_ms = 60000.0;  // generous; exercises the watchdog path
+  config.default_budget_ms = 60000.0;  // generous; exercises the budget path
   service::CompileService svc(config);
   service::Response r = svc.handle_line("TPCH 6 vhdl");
   EXPECT_TRUE(r.ok()) << r.payload();
   service::Response budgeted = svc.handle_line("TPCH 6 vhdl 60000");
   EXPECT_TRUE(budgeted.ok()) << budgeted.payload();
   EXPECT_EQ(budgeted.payload(), r.payload());
+}
+
+// A compile's budget is the driver's phase-boundary check: a compile that
+// cannot meet it aborts kAborted (phase "watchdog"), and the service serves
+// on. Fresh services, so no answer comes from the result cache.
+TEST(ServiceBudget, CompileOverItsBudgetAborts) {
+  service::CompileService svc;
+  service::Response r = svc.handle_line("TPCH 6 vhdl 0.001");
+  EXPECT_EQ(r.status.code(), support::StatusCode::kAborted) << r.payload();
+  EXPECT_EQ(r.status.phase(), "watchdog");
+  service::Response next = svc.handle_line("TPCH 6 vhdl");
+  ASSERT_TRUE(next.ok()) << next.payload();
+  EXPECT_TRUE(next.payload() ==
+              tpch::compile_query(*tpch::find_query("TPC-H 6")).vhdl_text);
+}
+
+TEST(ServiceBudget, DeadlineExpiringDuringACompileAbortsIt) {
+  // A 4000-stage pipeline takes tens of ms to elaborate alone, and an idle
+  // worker pops the request at once, so the 10 ms deadline runs out during
+  // the compile rather than in the queue.
+  const std::string path =
+      "/tmp/tydid_deadline_" + std::to_string(::getpid()) + ".td";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << R"tydi(
+package deadlinetest;
+type t_word = Stream(Bit(32), d=1, c=2);
+streamlet stage_s<T: type> { in_: T in, out: T out, }
+impl pipeline_i<T: type, stage: impl of stage_s, n: int> of stage_s<type T> {
+  instance st(stage) [n],
+  in_ => st[0].in_,
+  for i in 0->n-1 {
+    st[i].out => st[i+1].in_,
+  }
+  st[n-1].out => out,
+}
+impl pass_stage of stage_s<type t_word> @ external {}
+streamlet top_s { feed: t_word in, drained: t_word out, }
+impl big_top of top_s {
+  instance pipe(pipeline_i<type t_word, impl pass_stage, 4000>),
+  feed => pipe.in_,
+  pipe.out => drained,
+}
+)tydi";
+  }
+  service::CompileService svc;
+  service::Response r =
+      svc.handle_line("DEADLINE_MS 10 FILE " + path + " big_top vhdl");
+  std::remove(path.c_str());
+  EXPECT_EQ(r.status.code(), support::StatusCode::kAborted) << r.payload();
+  EXPECT_EQ(r.status.phase(), "watchdog");
+  service::Response next = svc.handle_line("TPCH 6 vhdl");
+  ASSERT_TRUE(next.ok()) << next.payload();
+  EXPECT_TRUE(next.payload() ==
+              tpch::compile_query(*tpch::find_query("TPC-H 6")).vhdl_text);
 }
 
 TEST(ServiceProtocol, MetricsAndHealthReturnValidJson) {

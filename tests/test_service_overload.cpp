@@ -581,6 +581,45 @@ TEST(ServiceServerOverload, DisconnectedClientAbortsInFlightCompile) {
   EXPECT_EQ(counter("tydi.service.failures") - failures0, 1u);
 }
 
+TEST(ServiceServerOverload, ClientGoneDuringDrainIsADisconnectAbort) {
+  // The drain shuts the read side of every connection, so the socket reads
+  // EOF whether or not its client lives. A client that dies once the drain
+  // began must still be cancelled as a disconnect, not run until the drain
+  // deadline (generous here) cancels it.
+  service::ServiceConfig config;
+  config.workers = 1;
+  config.drain_deadline_ms = 120000.0;
+  TestDaemon daemon(config);
+  const std::uint64_t disconnects0 = counter("tydi.service.disconnect_aborts");
+  const std::uint64_t drain_cancelled0 =
+      counter("tydi.service.drain_cancelled");
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, daemon.config.socket_path.c_str(),
+              daemon.config.socket_path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const char* line = "SLEEP 30000\n";
+  ASSERT_EQ(::write(fd, line, std::strlen(line)),
+            static_cast<ssize_t>(std::strlen(line)));
+  ASSERT_TRUE(wait_until([&] { return daemon.service.in_flight() > 0; }));
+
+  service::Response bye;
+  ASSERT_TRUE(
+      service::request(daemon.config.socket_path, "SHUTDOWN", bye).is_ok());
+  ASSERT_TRUE(wait_until([&] { return daemon.service.draining(); }));
+  ::close(fd);
+  daemon.thread.join();
+
+  EXPECT_TRUE(daemon.status.is_ok()) << daemon.status.render();
+  EXPECT_EQ(counter("tydi.service.disconnect_aborts") - disconnects0, 1u);
+  EXPECT_EQ(counter("tydi.service.drain_cancelled") - drain_cancelled0, 0u);
+}
+
 TEST(ServiceServerOverload, SigtermDrainsAndUnlinksSocket) {
   service::ServiceConfig config;
   config.workers = 2;

@@ -1,5 +1,7 @@
 // Guard-rail tests: deterministic fault injection, the no-progress
 // watchdog, and the run budgets (src/sim/fault.hpp, src/sim/guard.hpp).
+// This binary also runs under TSan in CI (sim-shard-tsan): the budgets are
+// checked on the shard threads.
 //
 //  - Seed-derived fault plans perturb thread timing (delayed mailbox posts,
 //    barrier jitter, shard stalls) and, in credit mode, defer ack flushes.
@@ -12,6 +14,8 @@
 //  - The max-events / wall-clock budgets must terminate gracefully with
 //    partial results and a named abort reason.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "src/driver/compiler.hpp"
 #include "src/sim/engine.hpp"
@@ -294,6 +298,53 @@ TEST(SimGuard, WallClockBudgetAbortsAHungRun) {
   ASSERT_TRUE(result.aborted);
   EXPECT_EQ(result.abort_reason,
             sim::to_string(sim::StopCause::kWallClock));
+}
+
+// The wall-clock and RSS budgets on both run shapes. A 1-shard run checks
+// them only every 256 events in the kernel, a 2-shard run also after every
+// exchange. Budgets this small are over at the first check whatever the
+// machine's speed: 1 ns of wall clock, and 1 MiB of a process that holds
+// more.
+void expect_budget_abort(const std::function<void(sim::SimOptions&)>& set,
+                         sim::StopCause cause) {
+  driver::CompileResult compiled = compile_pipeline();
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  sim::SimResult full = engine.run(base_options(compiled.design, 64, 1));
+  ASSERT_FALSE(full.aborted);
+  ASSERT_GT(full.events_processed, 256u);
+
+  for (int shards : {1, 2}) {
+    sim::SimOptions options = base_options(compiled.design, 64, shards);
+    set(options);
+    sim::SimResult capped = engine.run(options);
+    ASSERT_TRUE(capped.aborted) << shards << " shards";
+    EXPECT_EQ(capped.abort_reason, sim::to_string(cause))
+        << shards << " shards";
+    EXPECT_LT(capped.events_processed, full.events_processed)
+        << shards << " shards";
+    EXPECT_EQ(capped.status().exit_code(), 10);
+    ASSERT_EQ(capped.shard_forensics.size(),
+              static_cast<std::size_t>(shards));
+    std::uint64_t events = 0;
+    for (const sim::ShardForensics& f : capped.shard_forensics) {
+      EXPECT_FALSE(f.summary().empty());
+      events += f.events_processed;
+    }
+    EXPECT_EQ(events, capped.events_processed) << shards << " shards";
+    EXPECT_NE(capped.summary().find("ABORTED"), std::string::npos);
+  }
+}
+
+TEST(SimGuard, WallClockBudgetAbortsBothRunShapes) {
+  expect_budget_abort(
+      [](sim::SimOptions& o) { o.wall_clock_budget_ms = 1e-6; },
+      sim::StopCause::kWallClock);
+}
+
+TEST(SimGuard, RssBudgetAbortsBothRunShapes) {
+  expect_budget_abort([](sim::SimOptions& o) { o.rss_budget_mb = 1; },
+                      sim::StopCause::kRss);
 }
 
 TEST(SimGuard, BudgetsOffByDefault) {
