@@ -623,7 +623,8 @@ void compile_actions(const std::vector<lang::SimAction>& actions,
 ///
 /// Scope layout (all symbol-keyed, no string hashing per instruction):
 ///   captured_scope_ (elaboration constants, built once)
-///     <- state_scope_ (state variables, updated in place on `set`)
+///     <- state_scope_ (state variables, updated in place on `set` when an
+///        expression can read them)
 ///        <- per-evaluation scope (payload, locals, port payloads)
 class SimBlockBehavior : public Behavior {
  public:
@@ -676,6 +677,9 @@ class SimBlockBehavior : public Behavior {
       }
       compile_actions(h.actions, streamlet, compiled.code, program.captured,
                       resolve_state, diags_);
+      for (const Instr& instr : compiled.code) {
+        if (!instr.constant && instr.expr != nullptr) scope_read_ = true;
+      }
       handlers_.push_back(std::move(compiled));
     }
   }
@@ -741,6 +745,10 @@ class SimBlockBehavior : public Behavior {
     Symbol value_sym;
   };
   std::vector<StateVar> state_;
+  /// Some instruction evaluates an expression at run time, so something can
+  /// read state_scope_. Without one a literal `set` records its transition
+  /// but skips the scope write, which nothing would read.
+  bool scope_read_ = false;
   Symbol payload_sym_ = support::kNoSymbol;
   Symbol payload_last_sym_ = support::kNoSymbol;
   std::vector<Symbol> port_payload_syms_;
@@ -815,7 +823,7 @@ class SimBlockBehavior : public Behavior {
     engine.record_state_transition(self, s.name, s.value_sym,
                                    instr.value_sym);
     s.value_sym = instr.value_sym;
-    state_scope_.assign(s.name, instr.bind_value);
+    if (scope_read_) state_scope_.assign(s.name, instr.bind_value);
   }
 
   /// Expression-valued `set`: interns the evaluated string form.

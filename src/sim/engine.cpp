@@ -324,6 +324,7 @@ bool build_sim_graph(const Design& design, const SimOptions& options,
       graph.top_streamlet != nullptr ? graph.top_streamlet->ports.size() : 0;
   graph.top_src_channel.assign(top_ports, -1);
   graph.top_out_packets.assign(top_ports, {});
+  bool negative_latency = false;
 
   for (int root : roots) {
     const std::vector<int>& members = sets[root];
@@ -359,6 +360,12 @@ bool build_sim_graph(const Design& design, const SimOptions& options,
     c.latency_ns = period_it != options.clock_period_ns.end()
                        ? period_it->second
                        : options.default_period_ns;
+    if (!(c.latency_ns >= 0.0)) {
+      // A cut channel would deliver into the sink shard's past, where the
+      // kernel's delay clamp cannot see it.
+      c.latency_ns = 0.0;
+      negative_latency = true;
+    }
     std::int32_t index = static_cast<std::int32_t>(graph.channels.size());
     if (c.src.component >= 0) {
       graph.components[c.src.component].out_channel[c.src.port] = index;
@@ -369,6 +376,13 @@ bool build_sim_graph(const Design& design, const SimOptions& options,
       graph.components[c.dst.component].in_channel[c.dst.port] = index;
     }
     graph.channels.push_back(std::move(c));
+  }
+
+  if (negative_latency) {
+    diags.warning("sim",
+                  "negative or NaN clock period: channel latency clamped to "
+                  "0 ns",
+                  {});
   }
 
   // Attach behaviours and resolve per-component clock periods once.
@@ -405,6 +419,13 @@ bool build_sim_graph(const Design& design, const SimOptions& options,
     graph.stimulus_cursors.push_back(StimulusCursor{ch, &stim, 0});
   }
 
+  const support::Status fits = check_event_operand_counts(
+      graph.components.size(), graph.channels.size(),
+      graph.stimulus_cursors.size());
+  if (!fits) {
+    diags.error("sim", fits.message(), {});
+    return false;
+  }
   graph.component_shard.assign(graph.components.size(), 0);
   graph.shard_count = 1;
   return true;

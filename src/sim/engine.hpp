@@ -465,7 +465,8 @@ inline constexpr double kInfiniteTime = std::numeric_limits<double>::infinity();
 
 /// Flattens the design's top implementation, resolves clock periods,
 /// attaches behaviours, and builds the stimulus cursor table. Returns false
-/// on fatal errors (no/structural-less top).
+/// on fatal errors (no/structural-less top, or more components, channels or
+/// stimulus streams than the event key holds; see EventQueue).
 [[nodiscard]] bool build_sim_graph(const elab::Design& design,
                                    const SimOptions& options,
                                    support::DiagnosticEngine& diags,

@@ -1,7 +1,9 @@
 #include "src/sim/kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "src/sim/behavior.hpp"
@@ -9,6 +11,86 @@
 #include "src/sim/guard.hpp"
 
 namespace tydi::sim {
+
+namespace {
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// Order-preserving image of a double: non-negative times get the sign bit
+/// set, negative times are complemented. `+ 0.0` turns -0.0 into +0.0.
+std::uint64_t time_key(double time) {
+  const auto bits = std::bit_cast<std::uint64_t>(time + 0.0);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+double key_time(std::uint64_t key) {
+  return std::bit_cast<double>((key & kSignBit) != 0 ? key & ~kSignBit
+                                                     : ~key);
+}
+
+}  // namespace
+
+double EventQueue::top_time() const { return key_time(heap_.front().time); }
+
+void EventQueue::push(const Event& ev) {
+  const Node node{
+      time_key(ev.time),
+      (static_cast<std::uint64_t>(ev.kind) << 61) |
+          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ev.a))
+           << 32) |
+          (static_cast<std::uint32_t>(ev.b) ^ 0x80000000u)};
+  std::size_t i = heap_.size();
+  heap_.push_back(node);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!before(node, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = node;
+}
+
+Event EventQueue::pop() {
+  const Node head = heap_.front();
+  const Node last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n > 0) {
+    // Sift the last node down from the root, moving the hole.
+    std::size_t i = 0;
+    for (std::size_t first = 1; first < n; first = 4 * i + 1) {
+      const std::size_t end = std::min(first + 4, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (before(heap_[c], heap_[best])) best = c;
+      }
+      if (!before(heap_[best], last)) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = last;
+  }
+  return Event{key_time(head.time),
+               static_cast<std::int32_t>((head.tie >> 32) & kMaxOperand),
+               static_cast<std::int32_t>(
+                   static_cast<std::uint32_t>(head.tie) ^ 0x80000000u),
+               static_cast<EventKind>(head.tie >> 61)};
+}
+
+support::Status check_event_operand_counts(std::size_t components,
+                                           std::size_t channels,
+                                           std::size_t stimulus_cursors) {
+  constexpr std::size_t kCount = EventQueue::kMaxOperand + 1;
+  const char* what = nullptr;
+  if (stimulus_cursors > kCount) what = "stimulus streams";
+  if (channels > kCount) what = "channels";
+  if (components > kCount) what = "components";
+  if (what == nullptr) return support::Status::ok();
+  return support::Status::error(support::StatusCode::kInvalidArgument, "sim",
+                                std::string("design has more ") + what +
+                                    " than the event key holds (" +
+                                    std::to_string(kCount) + ")");
+}
 
 Kernel::Kernel(SimGraph& graph, const SimOptions& options,
                support::DiagnosticEngine& diags, int shard,
@@ -36,6 +118,10 @@ Kernel::Kernel(SimGraph& graph, const SimOptions& options,
 
 void Kernel::push_event(double delay_ns, EventKind kind, std::int32_t a,
                         std::int32_t b) {
+  if (!(delay_ns >= 0.0)) {
+    warn_once(WarnSite::kNegativeDelay, -1, -1);
+    delay_ns = 0.0;
+  }
   queue_.push(Event{now_ + delay_ns, a, b, kind});
 }
 
@@ -78,14 +164,13 @@ void Kernel::process_events(double limit, bool inclusive, double max_time_ns) {
     return guard_->publish(shard_, std::exchange(unsynced, 0), stride);
   };
   while (!queue_.empty()) {
-    const Event& head = queue_.top();
-    if (head.time > max_time_ns) {
+    const double head = queue_.top_time();
+    if (head > max_time_ns) {
       capped_ = true;
       break;
     }
-    if (inclusive ? head.time > limit : head.time >= limit) break;
-    Event ev = head;
-    queue_.pop();
+    if (inclusive ? head > limit : head >= limit) break;
+    const Event ev = queue_.pop();
     now_ = ev.time;
     if (ev.kind != EventKind::kRemoteAck) {
       events_processed_ += 1;
@@ -149,6 +234,8 @@ std::string Kernel::warn_message(std::uint64_t key) const {
     case WarnSite::kAckEmptyChannel:
       return "ack on empty channel '" +
              graph_.channel_display_name(graph_.channels[a]) + "'";
+    case WarnSite::kNegativeDelay:
+      return "negative or NaN delay clamped to 0 ns";
   }
   return {};
 }
@@ -488,6 +575,53 @@ void Kernel::record_state_transition(int component, Symbol variable,
 
 namespace {
 
+/// Orders per-kernel row lists into the canonical (time, key) order: the
+/// order std::stable_sort gives their concatenation. Each list is in time
+/// order (kernel time never decreases), so a K-way merge of the list heads
+/// does the bulk and a stable insertion pass moves equal-time rows of one
+/// list into key order; both are linear in the rows. (On lists out of time
+/// order the pass still sorts, only slower.) Rows with equal keys come from
+/// one list, since a channel's sink and a component each run on one kernel,
+/// and keep its order.
+template <typename Row, typename KeyOf>
+std::vector<Row> canonical_merge(std::vector<std::vector<Row>> lists,
+                                 KeyOf key_of) {
+  auto before = [&](const Row& x, const Row& y) {
+    return x.time_ns < y.time_ns ||
+           (x.time_ns == y.time_ns && key_of(x) < key_of(y));
+  };
+  std::vector<Row> rows;
+  if (lists.size() == 1) {
+    rows = std::move(lists.front());
+  } else {
+    std::size_t total = 0;
+    for (const std::vector<Row>& list : lists) total += list.size();
+    rows.reserve(total);
+    std::vector<std::size_t> next(lists.size(), 0);
+    while (rows.size() < total) {
+      std::size_t pick = lists.size();
+      for (std::size_t k = 0; k < lists.size(); ++k) {
+        if (next[k] < lists[k].size() &&
+            (pick == lists.size() ||
+             before(lists[k][next[k]], lists[pick][next[pick]]))) {
+          pick = k;
+        }
+      }
+      rows.push_back(std::move(lists[pick][next[pick]++]));
+    }
+  }
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    if (!before(rows[i], rows[i - 1])) continue;
+    Row row = std::move(rows[i]);
+    std::size_t j = i;
+    for (; j > 0 && before(row, rows[j - 1]); --j) {
+      rows[j] = std::move(rows[j - 1]);
+    }
+    rows[j] = std::move(row);
+  }
+  return rows;
+}
+
 /// Deadlock analysis over the quiesced graph (identical for any shard
 /// count: by the time this runs, every queue and mailbox is empty).
 void detect_deadlock(SimGraph& graph, SimResult& result) {
@@ -614,8 +748,7 @@ SimResult merge_results(SimGraph& graph, const std::vector<Kernel*>& kernels,
   // channel (clock period 0) can deliver more than once per timestamp, and
   // those duplicates keep their shard-local delivery order. A single
   // already-sorted buffer (the common case) is stolen wholesale; otherwise
-  // the merge permutes indices over the columns, which is equivalent to a
-  // stable sort of the shard-order concatenation.
+  // the merge orders indices over the columns.
   if (kernels.size() == 1 && kernels.front()->trace().canonically_sorted()) {
     result.trace = std::move(kernels.front()->trace());
   } else {
@@ -625,24 +758,19 @@ SimResult merge_results(SimGraph& graph, const std::vector<Kernel*>& kernels,
       std::uint32_t kernel;
       std::uint32_t index;
     };
-    std::size_t total = 0;
-    for (Kernel* k : kernels) total += k->trace().size();
-    std::vector<TraceRef> refs;
-    refs.reserve(total);
+    std::vector<std::vector<TraceRef>> lists(kernels.size());
     for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
       const TraceBuffer& t = kernels[ki]->trace();
+      lists[ki].reserve(t.size());
       for (std::size_t i = 0; i < t.size(); ++i) {
-        refs.push_back(TraceRef{t.time_ns(i), t.channel(i),
-                                static_cast<std::uint32_t>(ki),
-                                static_cast<std::uint32_t>(i)});
+        lists[ki].push_back(TraceRef{t.time_ns(i), t.channel(i),
+                                     static_cast<std::uint32_t>(ki),
+                                     static_cast<std::uint32_t>(i)});
       }
     }
-    std::stable_sort(refs.begin(), refs.end(),
-                     [](const TraceRef& a, const TraceRef& b) {
-                       if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-                       return a.channel < b.channel;
-                     });
-    for (const TraceRef& ref : refs) {
+    for (const TraceRef& ref :
+         canonical_merge(std::move(lists),
+                         [](const TraceRef& r) { return r.channel; })) {
       const TraceBuffer& t = kernels[ref.kernel]->trace();
       result.trace.append(ref.time_ns, ref.channel, t.value(ref.index),
                           t.last(ref.index));
@@ -657,28 +785,13 @@ SimResult merge_results(SimGraph& graph, const std::vector<Kernel*>& kernels,
 
   // State transitions: canonical order is (time, component), with a
   // component's own transitions kept in its execution order (a component
-  // runs on exactly one shard, so the stable sort preserves it). A single
-  // kernel's rows are stolen; an out-of-order run (several components
-  // transitioning at one timestamp out of index order) is stable-sorted.
-  std::vector<TransitionRow> rows;
-  if (kernels.size() == 1) {
-    rows = std::move(kernels.front()->transitions());
-  } else {
-    std::size_t total = 0;
-    for (Kernel* k : kernels) total += k->transitions().size();
-    rows.reserve(total);
-    for (Kernel* k : kernels) {
-      rows.insert(rows.end(), k->transitions().begin(),
-                  k->transitions().end());
-    }
-  }
-  auto canonical = [](const TransitionRow& a, const TransitionRow& b) {
-    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-    return a.component < b.component;
-  };
-  if (!std::is_sorted(rows.begin(), rows.end(), canonical)) {
-    std::stable_sort(rows.begin(), rows.end(), canonical);
-  }
+  // runs on exactly one kernel). A single kernel's rows are moved, not
+  // copied, and fixed up in place.
+  std::vector<std::vector<TransitionRow>> lists;
+  for (Kernel* k : kernels) lists.push_back(std::move(k->transitions()));
+  std::vector<TransitionRow> rows =
+      canonical_merge(std::move(lists),
+                      [](const TransitionRow& r) { return r.component; });
   // One path per transitioning component, not one per row.
   std::vector<std::string> paths(graph.components.size());
   for (const TransitionRow& row : rows) {
@@ -689,11 +802,15 @@ SimResult merge_results(SimGraph& graph, const std::vector<Kernel*>& kernels,
       StateTransitionTable(std::move(rows), std::move(paths));
 
   // Warnings. Sharded kernels deferred their first-hit warnings to keep the
-  // diagnostic engine off worker threads; emit them now in shard order.
+  // diagnostic engine off worker threads; emit them now in shard order,
+  // once per site (a run-wide site can be hit on several shards).
   if (graph.shard_count > 1) {
+    std::unordered_set<std::uint64_t> emitted;
     for (Kernel* k : kernels) {
       for (const Kernel::WarnRecord& rec : k->deferred_warnings()) {
-        diags.warning("sim", k->warn_first_message(rec.key), {});
+        if (emitted.insert(rec.key).second) {
+          diags.warning("sim", k->warn_first_message(rec.key), {});
+        }
       }
     }
   }

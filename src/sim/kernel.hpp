@@ -1,11 +1,11 @@
 // The shard-runnable simulation kernel.
 //
-// A `Kernel` owns the event loop for one shard of a `SimGraph`: a POD
-// priority queue of deliver/timer/poke/stimulus events plus per-shard
-// result buffers (trace, state transitions, deduplicated warning sites).
-// The single-threaded engine drives one kernel over the whole graph; the
-// sharded runtime (src/sim/shard/) drives K kernels in lockstep rounds and
-// routes cross-shard channel traffic through a `CrossRouter`.
+// A `Kernel` owns the event loop for one shard of a `SimGraph`: an
+// `EventQueue` of deliver/timer/poke/stimulus events plus per-shard result
+// buffers (trace, state transitions, deduplicated warning sites). The
+// single-threaded engine drives one kernel over the whole graph; the sharded
+// runtime (src/sim/shard/) drives K kernels in lockstep rounds and routes
+// cross-shard channel traffic through a `CrossRouter`.
 //
 // Determinism contract: events are ordered by the canonical key
 // (time, kind, a, b) — kind before operands, deliver < timer < poke <
@@ -14,10 +14,16 @@
 // same order, which is what makes the K-shard run byte-identical to the
 // single-queue run: cross-shard messages merely move event insertion to a
 // step exchange, they cannot reorder the canonical key.
+//
+// The queue is a 4-ary min-heap of two-word nodes that encode that key as
+// two unsigned integers (see EventQueue), so a compare is two integer
+// compares. Per-kernel time never decreases: push_event clamps a negative
+// or NaN delay to zero (warning once), and build_sim_graph clamps a
+// negative channel latency. That lets merge_results order each kernel's
+// time-ordered rows with a linear merge.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,13 +54,46 @@ struct Event {
   std::int32_t a = -1;
   std::int32_t b = -1;
   EventKind kind = EventKind::kDeliver;
-  bool operator>(const Event& other) const {
-    if (time != other.time) return time > other.time;
-    if (kind != other.kind) return kind > other.kind;
-    if (a != other.a) return a > other.a;
-    return b > other.b;
-  }
 };
+
+/// Min-heap of events in the canonical (time, kind, a, b) order. A node is
+/// two words, compared as unsigned integers:
+///  - an order-preserving image of the time (-0.0 normalised to +0.0; the
+///    sign-flip trick keeps negative times and +inf in order);
+///  - a tie word `kind(3) | a(29) | b(32)`, `b` with its sign bit flipped so
+///    every int32 keeps its order.
+/// `a` (a channel, component or stimulus-cursor index) must lie in
+/// [0, kMaxOperand]; build_sim_graph rejects graphs that could exceed it.
+/// 4-ary: half the depth of a binary heap, and a node's children sit next
+/// to each other.
+class EventQueue {
+ public:
+  static constexpr std::int64_t kMaxOperand = (std::int64_t{1} << 29) - 1;
+
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  /// Time of the head event; the queue must not be empty.
+  [[nodiscard]] double top_time() const;
+  void push(const Event& ev);
+  /// Removes and returns the head event; the queue must not be empty.
+  Event pop();
+
+ private:
+  struct Node {
+    std::uint64_t time;
+    std::uint64_t tie;
+  };
+  static bool before(const Node& x, const Node& y) {
+    return x.time < y.time || (x.time == y.time && x.tie < y.tie);
+  }
+  std::vector<Node> heap_;
+};
+
+/// Rejects a graph whose component, channel or stimulus-cursor count does
+/// not fit the event key's `a` field (kInvalidArgument).
+[[nodiscard]] support::Status check_event_operand_counts(
+    std::size_t components, std::size_t channels,
+    std::size_t stimulus_cursors);
 
 /// Cross-shard message fabric. The sharded runtime implements this over
 /// per-shard mailboxes; single-threaded runs pass nullptr (every channel is
@@ -135,7 +174,7 @@ class Kernel {
 
   /// Time of the next queued event, or kInfiniteTime when idle.
   [[nodiscard]] double next_time() const {
-    return queue_.empty() ? kInfiniteTime : queue_.top().time;
+    return queue_.empty() ? kInfiniteTime : queue_.top_time();
   }
 
   /// Earliest time a remote sink could acknowledge one of this shard's
@@ -234,8 +273,13 @@ class Kernel {
     kSendUnconnected,
     kAckUnconnected,
     kAckEmptyChannel,
+    /// A negative or NaN delay, clamped to 0. One site per run (a = b =
+    /// -1): the clamp is a property of the model, not of one instance.
+    kNegativeDelay,
   };
 
+  /// Schedules an event `delay_ns` from now. A negative or NaN delay runs
+  /// at now instead (kNegativeDelay), so per-kernel time never decreases.
   void push_event(double delay_ns, EventKind kind, std::int32_t a,
                   std::int32_t b);
   void dispatch(const Event& ev);
@@ -273,7 +317,7 @@ class Kernel {
   std::uint32_t acks_posted_ = 0;
   bool capped_ = false;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  EventQueue queue_;
   TraceBuffer trace_;
   std::vector<TransitionRow> transitions_;
   /// Events dispatched per component (deliver at the sink, timer, poke) —
@@ -296,7 +340,9 @@ class Kernel {
 /// Merges K kernels' buffers into one SimResult: channel stats + names,
 /// canonically ordered trace and state transitions, top outputs, deadlock
 /// analysis over the quiesced graph, deferred warning emission. Identical
-/// output for any K covering the same run.
+/// output for any K covering the same run. Each kernel's trace and
+/// transition rows are in time order (kernel time never decreases), so the
+/// ordering is a K-way merge plus a short fix-up, linear in the rows.
 /// `aborted` skips the deadlock analysis: an aborted run's queues are not
 /// quiescent, so the wait-for search would report phantom cycles.
 [[nodiscard]] SimResult merge_results(SimGraph& graph,

@@ -5,6 +5,7 @@
 
 #include "src/driver/compiler.hpp"
 #include "src/sim/engine.hpp"
+#include "src/sim/metrics.hpp"
 #include "src/tb/testbench.hpp"
 
 namespace tydi {
@@ -341,6 +342,163 @@ impl top of s {
   EXPECT_EQ(seen[2].to, "14");
   EXPECT_GT(seen[2].time_ns, seen[1].time_ns);
   EXPECT_EQ(setup.result.state_transitions[2].to, "14");
+}
+
+TEST(BehaviorSimBlock, NegativeDelayNeverRunsTimeBackwards) {
+  // Unclamped, delay(-5) schedules into the past: this design's first
+  // output came out at -10 ns, before the stimulus that caused it. The
+  // kernel clamps the delay to 0 and warns once per run.
+  constexpr std::string_view source = R"(
+type t = Stream(Bit(32), d=1, c=2);
+streamlet s { feed: t in, result: t out, }
+impl hasty of process_unit_s<type t, type t> @ external {
+  sim {
+    on in_.receive {
+      delay(-5);
+      send(out);
+      ack(in_);
+    }
+  }
+}
+impl top of s {
+  instance par(parallelize_i<type t, type t, impl hasty, 4>),
+  feed => par.in_,
+  par.out => result,
+}
+)";
+  driver::CompileOptions compile_options;
+  compile_options.top = "top";
+  compile_options.emit_vhdl = false;
+  driver::CompileResult compiled =
+      driver::compile_source(std::string(source), compile_options);
+  ASSERT_TRUE(compiled.success()) << compiled.report();
+  constexpr int kPackets = 16;
+  constexpr double kIntervalNs = 10.0;
+  sim::SimResult reference;
+  for (int shards : {1, 2, 4}) {
+    support::DiagnosticEngine diags;
+    sim::Engine engine(compiled.design, diags);
+    sim::SimOptions options;
+    options.shards = shards;
+    options.stimuli =
+        sim::generic_stimuli(compiled.design, kPackets, kIntervalNs);
+    sim::SimResult result = engine.run(options);
+    ASSERT_TRUE(result.status().is_ok()) << result.summary();
+    const auto& out = result.top_outputs.at("result");
+    ASSERT_EQ(out.size(), static_cast<std::size_t>(kPackets));
+    for (const auto& [time_ns, packet] : out) {
+      // Packet v entered at v * 10 ns.
+      EXPECT_GE(time_ns, kIntervalNs * static_cast<double>(packet.value))
+          << "packet " << packet.value << " at " << shards << " shard(s)";
+    }
+    std::size_t warnings = 0;
+    for (const support::Diagnostic& d : diags.diagnostics()) {
+      if (d.message.find("negative or NaN delay clamped to 0 ns") !=
+              std::string::npos &&
+          d.message.find("occurred") == std::string::npos) {
+        ++warnings;
+      }
+    }
+    EXPECT_EQ(warnings, 1u) << shards << " shard(s)";
+    if (shards == 1) {
+      reference = std::move(result);
+      continue;
+    }
+    std::string why;
+    EXPECT_TRUE(sim::results_identical(reference, result, &why))
+        << shards << " shard(s): " << why;
+  }
+}
+
+TEST(BehaviorSimBlock, NegativeClockPeriodClampsChannelLatency) {
+  // A negative period gives every channel a negative latency. The kernel's
+  // delay clamp sees shard-local deliveries only; a cut channel's delivery
+  // is stamped by the source shard, so graph build clamps the latency.
+  constexpr std::string_view source = R"(
+type t = Stream(Bit(32), d=1, c=2);
+streamlet s { feed: t in, result: t out, }
+impl stage of process_unit_s<type t, type t> @ external {
+  sim {
+    on in_.receive {
+      delay(1);
+      send(out);
+      ack(in_);
+    }
+  }
+}
+impl top of s {
+  instance par(parallelize_i<type t, type t, impl stage, 4>),
+  feed => par.in_,
+  par.out => result,
+}
+)";
+  driver::CompileOptions compile_options;
+  compile_options.top = "top";
+  compile_options.emit_vhdl = false;
+  driver::CompileResult compiled =
+      driver::compile_source(std::string(source), compile_options);
+  ASSERT_TRUE(compiled.success()) << compiled.report();
+  sim::SimResult reference;
+  for (int shards : {1, 2, 4}) {
+    support::DiagnosticEngine diags;
+    sim::Engine engine(compiled.design, diags);
+    sim::SimOptions options;
+    options.shards = shards;
+    options.default_period_ns = -10.0;
+    options.stimuli = sim::generic_stimuli(compiled.design, 8, 10.0);
+    sim::SimResult result = engine.run(options);
+    ASSERT_TRUE(result.status().is_ok()) << result.summary();
+    for (const auto& [time_ns, packet] : result.top_outputs.at("result")) {
+      EXPECT_GE(time_ns, 10.0 * static_cast<double>(packet.value))
+          << "packet " << packet.value << " at " << shards << " shard(s)";
+    }
+    if (shards == 1) {
+      reference = std::move(result);
+      continue;
+    }
+    std::string why;
+    EXPECT_TRUE(sim::results_identical(reference, result, &why))
+        << shards << " shard(s): " << why;
+  }
+}
+
+TEST(BehaviorSimBlock, LiteralSetIsVisibleToALaterCondition) {
+  // A behaviour with a run-time expression keeps its state scope current:
+  // the `if` right after a literal `set` reads the new value.
+  constexpr std::string_view source = R"(
+type t = Stream(Bit(32), d=1, c=2);
+streamlet s { feed: t in, done: t out, }
+impl marker of process_unit_s<type t, type t> @ external {
+  sim {
+    state s = "idle";
+    on in_.receive {
+      set s = "busy";
+      if (s == "busy") {
+        send(out, payload + 100);
+      } else {
+        send(out, payload);
+      }
+      ack(in_);
+      set s = "idle";
+    }
+  }
+}
+impl top of s {
+  instance m(marker),
+  feed => m.in_,
+  m.out => done,
+}
+)";
+  auto setup = run(source, "top", {{"feed", counting_packets(3)}});
+  const auto& done = setup.result.top_outputs.at("done");
+  ASSERT_EQ(done.size(), 3u);
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    EXPECT_EQ(done[i].second.value, static_cast<std::int64_t>(100 + i));
+  }
+  // Both literal sets still record: idle -> busy -> idle per packet.
+  ASSERT_EQ(setup.result.state_transitions.size(), 6u);
+  EXPECT_EQ(setup.result.state_transitions[0].to, "busy");
+  EXPECT_EQ(setup.result.state_transitions[1].to, "idle");
 }
 
 TEST(Testbench, IrAndVhdlConsistentWithTrace) {

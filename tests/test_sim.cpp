@@ -3,8 +3,13 @@
 // ranking and deadlock detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "src/driver/compiler.hpp"
 #include "src/sim/engine.hpp"
+#include "src/sim/kernel.hpp"
 #include "src/sim/metrics.hpp"
 
 namespace tydi {
@@ -388,6 +393,102 @@ TEST(SimEngine, TraceCanBeDisabled) {
   EXPECT_TRUE(result.trace.empty());
   // Outputs are still recorded (trace only affects TraceEvents).
   EXPECT_EQ(result.top_outputs.at("result").size(), 8u);
+}
+
+/// splitmix64 finalizer, as in sim/fault.cpp: draw i of a seed is
+/// mix64(seed * 2^32 + i).
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// The canonical (time, kind, a, b) order as a four-field comparator: the
+/// reference the packed heap must match.
+bool canonically_before(const sim::Event& x, const sim::Event& y) {
+  if (x.time != y.time) return x.time < y.time;
+  if (x.kind != y.kind) return x.kind < y.kind;
+  if (x.a != y.a) return x.a < y.a;
+  return x.b < y.b;
+}
+
+TEST(SimEventQueue, PopOrderMatchesTheCanonicalComparator) {
+  constexpr double kInf = sim::kInfiniteTime;
+  constexpr std::int32_t kMaxA =
+      static_cast<std::int32_t>(sim::EventQueue::kMaxOperand);
+  constexpr std::int32_t kMaxB = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMinB = std::numeric_limits<std::int32_t>::min();
+  // Small pools make ties common; every pool holds the edge values.
+  const double times[] = {0.0,  -0.0,  10.0, 10.0, 20.0, -5.0,
+                          -1e300, 1e-310, kInf, -kInf, 1e300};
+  const std::int32_t as[] = {0, 1, 2, 3, kMaxA - 1, kMaxA};
+  const std::int32_t bs[] = {-1, 0, 1, 7, kMaxB, kMinB};
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    std::uint64_t draw = seed << 32;
+    auto next = [&] { return mix64(draw++); };
+    sim::EventQueue queue;
+    std::vector<sim::Event> reference;
+    auto pop_and_compare = [&](int step) {
+      auto want_it = std::min_element(reference.begin(), reference.end(),
+                                      canonically_before);
+      const sim::Event want = *want_it;
+      reference.erase(want_it);
+      ASSERT_EQ(queue.top_time(), want.time) << "seed " << seed;
+      const sim::Event got = queue.pop();
+      ASSERT_EQ(got.time, want.time) << "seed " << seed << " step " << step;
+      ASSERT_FALSE(got.time == 0.0 && std::signbit(got.time));
+      ASSERT_EQ(got.kind, want.kind) << "seed " << seed << " step " << step;
+      ASSERT_EQ(got.a, want.a) << "seed " << seed << " step " << step;
+      ASSERT_EQ(got.b, want.b) << "seed " << seed << " step " << step;
+    };
+    for (int step = 0; step < 2000; ++step) {
+      const std::uint64_t r = next();
+      if (reference.empty() || r % 8 < 5) {
+        double time = times[next() % std::size(times)];
+        // One draw in four is a fresh time off the pools.
+        if (next() % 4 == 0) {
+          time = static_cast<double>(static_cast<std::int64_t>(next() % 2001) -
+                                     1000) /
+                 8.0;
+        }
+        const auto kind = static_cast<sim::EventKind>(next() % 5);
+        std::int32_t a = as[next() % std::size(as)];
+        if (next() % 4 == 0) {
+          a = static_cast<std::int32_t>(next() % (kMaxA + 1u));
+        }
+        std::int32_t b = bs[next() % std::size(bs)];
+        if (next() % 4 == 0) b = static_cast<std::int32_t>(next());
+        const sim::Event ev{time, a, b, kind};
+        queue.push(ev);
+        reference.push_back(ev);
+      } else {
+        pop_and_compare(step);
+        if (HasFatalFailure()) return;
+      }
+      ASSERT_EQ(queue.size(), reference.size());
+    }
+    while (!reference.empty()) {
+      pop_and_compare(-1);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(queue.empty());
+  }
+}
+
+TEST(SimEventQueue, GraphSizeBeyondTheKeyIsRejected) {
+  constexpr std::size_t kFits = sim::EventQueue::kMaxOperand + 1;
+  EXPECT_TRUE(sim::check_event_operand_counts(kFits, kFits, kFits).is_ok());
+  const char* names[] = {"components", "channels", "stimulus streams"};
+  for (int field = 0; field < 3; ++field) {
+    std::size_t counts[3] = {kFits, kFits, kFits};
+    counts[field] += 1;
+    const support::Status status =
+        sim::check_event_operand_counts(counts[0], counts[1], counts[2]);
+    EXPECT_EQ(status.code(), support::StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(names[field]), std::string::npos)
+        << status.render();
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // channel accounting, boundary channels never cut).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 
 #include "src/driver/compiler.hpp"
@@ -567,6 +568,55 @@ TEST(SimStateTable, UndeclaredSetTargetWarnsOncePerBehavior) {
                               << " shard(s)";
       EXPECT_EQ(result.state_transitions.size(),
                 2u * static_cast<std::size_t>(packets));
+    }
+  }
+}
+
+TEST(SimStateTable, MergeMatchesAStableSortAtEveryShardCount) {
+  // parallelize_c32: at one timestamp a pu_adder that takes a packet sets
+  // "busy" before a lower-indexed one whose timer sets "idle", so a kernel
+  // records equal-time rows out of component order. The merge must give the
+  // order std::stable_sort gives the execution-order rows, at any K.
+  std::string source(kParallelizeSource);
+  const std::string eight = "impl pu_adder, 8>";
+  source.replace(source.find(eight), eight.size(), "impl pu_adder, 32>");
+  driver::CompileResult compiled = compile(source, "partest_top");
+  const sim::SimOptions base = generic_options(compiled.design, 400, 1, true);
+
+  // Execution order: one kernel driven over the whole graph by hand.
+  support::DiagnosticEngine diags;
+  sim::SimGraph graph;
+  ASSERT_TRUE(sim::build_sim_graph(compiled.design, base, diags, graph));
+  sim::Kernel kernel(graph, base, diags, /*shard=*/0, /*router=*/nullptr);
+  kernel.seed();
+  kernel.process_events(sim::kInfiniteTime, /*inclusive=*/false,
+                        base.max_time_ns);
+  std::vector<sim::TransitionRow> reference = kernel.transitions();
+  auto canonical = [](const sim::TransitionRow& a,
+                      const sim::TransitionRow& b) {
+    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
+    return a.component < b.component;
+  };
+  ASSERT_FALSE(std::is_sorted(reference.begin(), reference.end(), canonical))
+      << "no equal-time rows out of component order: nothing to merge";
+  std::stable_sort(reference.begin(), reference.end(), canonical);
+
+  for (int shards : {1, 2, 4, 7}) {
+    sim::Engine engine(compiled.design, diags);
+    sim::SimResult result = engine.run(
+        generic_options(compiled.design, 400, shards, /*auto_partition=*/true));
+    const sim::StateTransitionTable& table = result.state_transitions;
+    ASSERT_EQ(table.size(), reference.size()) << shards << " shard(s)";
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const sim::TransitionRow& got = table.row(i);
+      const sim::TransitionRow& want = reference[i];
+      ASSERT_TRUE(got.time_ns == want.time_ns &&
+                  got.component == want.component &&
+                  got.variable == want.variable && got.from == want.from &&
+                  got.to == want.to)
+          << "row " << i << " at " << shards
+          << " shard(s): " << table[i].time_ns << " " << table[i].component
+          << " -> " << table[i].to;
     }
   }
 }
