@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <condition_variable>
 #include <optional>
 #include <vector>
 
@@ -280,9 +281,6 @@ CompileService::CompileService(ServiceConfig config)
   for (int i = 0; i < worker_count_; ++i) {
     workers_.emplace_back([this]() { worker_main(); });
   }
-  if (journal_ && config_.snapshot_interval_ms > 0.0) {
-    snapshot_thread_ = std::thread([this]() { snapshot_main(); });
-  }
 }
 
 CompileService::~CompileService() {
@@ -293,7 +291,7 @@ CompileService::~CompileService() {
   cancel_until_idle();
   queue_.close();
   join_workers();
-  stop_background_threads();
+  wait_replay();
 }
 
 void CompileService::open_journal() {
@@ -562,7 +560,7 @@ void CompileService::drain() {
   cancel_until_idle();
   queue_.close();
   join_workers();
-  stop_background_threads();
+  wait_replay();
   if (journal_) {
     // Final compaction on the graceful-exit path: the next boot recovers
     // the deduplicated live key set instead of the full append history.
@@ -570,18 +568,8 @@ void CompileService::drain() {
   }
 }
 
-void CompileService::stop_background_threads() {
-  {
-    std::lock_guard lock(bg_mu_);
-    stop_bg_ = true;
-  }
-  bg_cv_.notify_all();
-  if (replay_thread_.joinable()) replay_thread_.join();
-  if (snapshot_thread_.joinable()) snapshot_thread_.join();
-}
-
 void CompileService::start_replay() {
-  if (!journal_ || !config_.replay) return;
+  if (!journal_) return;
   if (replay_started_.exchange(true)) return;
   if (journal_->recovered_entries().empty()) return;
   replay_done_.store(false, std::memory_order_release);
@@ -598,14 +586,12 @@ void CompileService::replay_main() {
 
   const std::vector<warmup::JournalEntry> entries =
       journal_->recovered_entries();
-  warmup::ReplayOptions options;
-  options.budget_ms = config_.replay_budget_ms;
   double elapsed_ms = 0.0;
   {
     obs::Span span("service.replay");
     span.arg("entries", entries.size());
     elapsed_ms = warmup::replay_entries(
-        entries, options,
+        entries, config_.replay_budget_ms,
         [this](const std::string& request) {
           // Through the normal admission path, as batch work: live
           // interactive traffic preempts replay in the queue, and the
@@ -618,42 +604,8 @@ void CompileService::replay_main() {
   replay_done_.store(true, std::memory_order_release);
 }
 
-void CompileService::snapshot_main() {
-  std::unique_lock lock(bg_mu_);
-  for (;;) {
-    const bool stopping = bg_cv_.wait_for(
-        lock,
-        std::chrono::duration<double, std::milli>(
-            config_.snapshot_interval_ms),
-        [this] { return stop_bg_; });
-    if (stopping) return;
-    lock.unlock();
-    (void)journal_->compact();  // failures recorded in journal last_error
-    lock.lock();
-  }
-}
-
 void CompileService::journal_success(const warmup::JournalEntry& entry) {
   if (journal_) journal_->record(entry);
-}
-
-Response CompileService::snapshot_now() {
-  if (!journal_) {
-    return error_response(StatusCode::kInvalidArgument,
-                          "no journal configured (--journal)");
-  }
-  const Status status = journal_->compact();
-  if (!status.is_ok()) {
-    Response r;
-    r.status = status;
-    r.set_payload(status.render() + "\n");
-    return r;
-  }
-  Response r;
-  r.set_payload("compacted " + std::to_string(journal_->live_keys()) +
-                " key(s), " + std::to_string(journal_->journal_bytes()) +
-                " bytes");
-  return r;
 }
 
 void CompileService::join_workers() {
@@ -1017,9 +969,6 @@ Response CompileService::dispatch_meta(std::string_view verb,
     Response r;
     r.set_payload("invalidated");
     return r;
-  }
-  if (verb == "SNAPSHOT") {
-    return snapshot_now();
   }
   if (verb == "SHUTDOWN") {
     // Stop admitting right away (in-flight + queued work still drains);

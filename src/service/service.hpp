@@ -60,9 +60,6 @@
 //                                       last_abort)
 //   INVALIDATE                          drop every session cache and the
 //                                       result cache
-//   SNAPSHOT                            compact the compile journal now
-//                                       (atomic rewrite of the live key
-//                                       set); payload reports keys + bytes
 //   SHUTDOWN                            stop admitting (drain begins); the
 //                                       transport drains and exits
 //   TPCH <n> <vhdl|ir> [budget_ms]      compile built-in TPC-H query n
@@ -103,7 +100,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -146,13 +142,8 @@ struct ServiceConfig {
   /// construction — a torn or corrupt journal truncates to its longest
   /// valid prefix and boots cold past that, never refuses to serve.
   std::string journal_path;
-  /// Replay recovered journal keys at startup (start_replay()); off =
-  /// journal still records, restarts just boot cold.
-  bool replay = true;
   /// Wall-clock bound on startup replay (ms; 0 = unlimited).
   double replay_budget_ms = 0.0;
-  /// Compact the journal every this-many ms (0 = only on drain/SNAPSHOT).
-  double snapshot_interval_ms = 0.0;
   /// Deterministic I/O fault plan for the journal (tests only).
   support::IoFaultPlan journal_faults;
 };
@@ -289,11 +280,12 @@ class CompileService {
   /// the journal could not be opened at all).
   [[nodiscard]] warmup::CompileJournal* journal() { return journal_.get(); }
 
-  /// Starts the background startup-replay thread: recovered journal keys
-  /// are resubmitted through the normal admission path as "PRIO batch"
-  /// work, bounded by replay_budget_ms, stale-stamp entries skipped, and
-  /// every entry sheddable by live traffic. No-op without a journal, with
-  /// replay disabled, or when already started. Idempotent.
+  /// Starts the background startup-replay thread: the live key set
+  /// recovered from the journal is resubmitted through the normal
+  /// admission path as "PRIO batch" work, bounded by replay_budget_ms,
+  /// stale-stamp entries skipped, and every entry sheddable by live
+  /// traffic. No-op without a journal or when already started.
+  /// Idempotent.
   void start_replay();
   /// True once startup replay finished (or never needed to run).
   [[nodiscard]] bool replay_done() const {
@@ -349,10 +341,7 @@ class CompileService {
   void open_journal();
   /// Journals one successfully compiled key (no-op without a journal).
   void journal_success(const warmup::JournalEntry& entry);
-  [[nodiscard]] Response snapshot_now();
   void replay_main();
-  void snapshot_main();
-  void stop_background_threads();
 
   ServiceConfig config_;
   int worker_count_ = 0;
@@ -392,10 +381,6 @@ class CompileService {
   std::atomic<bool> replay_done_{true};
   std::atomic<bool> replay_started_{false};
   std::thread replay_thread_;
-  std::thread snapshot_thread_;
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  bool stop_bg_ = false;
 };
 
 }  // namespace tydi::service

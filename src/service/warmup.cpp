@@ -27,6 +27,7 @@ struct JournalMetrics {
   obs::Counter& appends;
   obs::Counter& append_failures;
   obs::Counter& compactions;
+  obs::Counter& compaction_failures;
   obs::Counter& recovered_records;
   obs::Counter& dropped_bytes;
   obs::Gauge& bytes;
@@ -37,6 +38,7 @@ struct JournalMetrics {
     static JournalMetrics m{reg.counter("tydi.journal.appends"),
                             reg.counter("tydi.journal.append_failures"),
                             reg.counter("tydi.journal.compactions"),
+                            reg.counter("tydi.journal.compaction_failures"),
                             reg.counter("tydi.journal.recovered_records"),
                             reg.counter("tydi.journal.dropped_bytes"),
                             reg.gauge("tydi.journal.bytes"),
@@ -124,13 +126,13 @@ Status CompileJournal::open(const std::string& path) {
     }
   }
 
-  recovered_.clear();
   live_.clear();
   index_.clear();
+  recovered_records_ = 0;
   for (const std::string& payload : recovered.records) {
     JournalEntry entry;
     if (!JournalEntry::parse(payload, entry)) continue;  // future format?
-    recovered_.push_back(entry);
+    ++recovered_records_;
     // Seed the live set: later records for the same key win (they carry
     // the newest stamps).
     auto [it, inserted] = index_.try_emplace(entry.request, live_.size());
@@ -140,6 +142,9 @@ Status CompileJournal::open(const std::string& path) {
       live_[it->second] = std::move(entry);
     }
   }
+  // Replay runs the live set, not the history: one entry per key.
+  recovered_ = live_;
+  compact_base_ = 0;  // a file past the floor compacts on its next append
 
   status = writer_.open(path);
   if (!status.is_ok()) {
@@ -149,7 +154,7 @@ Status CompileJournal::open(const std::string& path) {
   writer_.set_fault_plan(fault_plan_);
 
   auto& metrics = JournalMetrics::get();
-  metrics.recovered_records += recovered_.size();
+  metrics.recovered_records += recovered_records_;
   metrics.dropped_bytes += recovery_dropped_;
   metrics.bytes.set(static_cast<double>(writer_.bytes()));
   metrics.live_keys.set(static_cast<double>(live_.size()));
@@ -177,12 +182,21 @@ void CompileJournal::record(const JournalEntry& entry) {
     return;
   }
   ++metrics.appends;
+  const std::uint64_t bytes = writer_.bytes();
+  if (bytes > kCompactFloorBytes && bytes > kCompactGrowth * compact_base_ &&
+      !compact_locked().is_ok()) {
+    compact_base_ = bytes;  // retry once the file has grown again
+  }
   metrics.bytes.set(static_cast<double>(writer_.bytes()));
   metrics.live_keys.set(static_cast<double>(live_.size()));
 }
 
 Status CompileJournal::compact() {
   std::lock_guard lock(mu_);
+  return compact_locked();
+}
+
+Status CompileJournal::compact_locked() {
   support::IoFaultInjector injector(fault_plan_);
   // The writer's fd must not straddle the rename: close, snapshot, reopen
   // (on failure, reopen the untouched previous journal).
@@ -192,16 +206,15 @@ Status CompileJournal::compact() {
       fault_plan_.enabled() ? &injector : nullptr);
   const Status reopen = writer_.open(path_);
   writer_.set_fault_plan(fault_plan_);
+  auto& metrics = JournalMetrics::get();
+  if (status.is_ok()) status = reopen;
   if (!status.is_ok()) {
+    ++metrics.compaction_failures;
     record_error(status);
     return status;
   }
-  if (!reopen.is_ok()) {
-    record_error(reopen);
-    return reopen;
-  }
   last_compaction_epoch_ms_ = now_ms();
-  auto& metrics = JournalMetrics::get();
+  compact_base_ = writer_.bytes();
   ++metrics.compactions;
   metrics.bytes.set(static_cast<double>(writer_.bytes()));
   metrics.live_keys.set(static_cast<double>(live_.size()));
@@ -240,7 +253,7 @@ double CompileJournal::last_compaction_ms() const {
 
 std::uint64_t CompileJournal::recovered_records() const {
   std::lock_guard lock(mu_);
-  return recovered_.size();
+  return recovered_records_;
 }
 
 std::uint64_t CompileJournal::recovery_dropped_bytes() const {
@@ -269,7 +282,7 @@ void CompileJournal::record_error(const Status& status) {
 }
 
 double replay_entries(
-    const std::vector<JournalEntry>& entries, const ReplayOptions& options,
+    const std::vector<JournalEntry>& entries, double budget_ms,
     const std::function<Status(const std::string& line)>& submit,
     const std::function<bool()>& stop) {
   static auto& reg = obs::MetricsRegistry::global();
@@ -288,12 +301,12 @@ double replay_entries(
   std::size_t attempted = 0;
   for (const JournalEntry& entry : entries) {
     if ((stop && stop()) ||
-        (options.budget_ms > 0.0 && elapsed_ms() >= options.budget_ms)) {
+        (budget_ms > 0.0 && elapsed_ms() >= budget_ms)) {
       budget_expired += entries.size() - attempted;
       break;
     }
     ++attempted;
-    if (options.verify_stamps && !entry_is_current(entry)) {
+    if (!entry_is_current(entry)) {
       ++skipped_stale;
       continue;
     }

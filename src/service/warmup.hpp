@@ -33,8 +33,9 @@
 // Concurrency: one mutex guards the writer, the live-key map and
 // compaction — record() is called from worker threads on the first
 // successful compile of a key (a duplicate key with identical stamps is a
-// no-op before the lock is even expensive), compact() from the snapshot
-// timer / drain path / SNAPSHOT verb.
+// no-op before the lock is even expensive) and compacts under that lock
+// once superseded records dominate the file; compact() runs from the
+// drain path.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +93,20 @@ class CompileJournal {
   /// lost for HEALTH and logs.
   [[nodiscard]] support::Status open(const std::string& path);
 
+  /// Compaction on growth: record() compacts once the file exceeds both
+  /// this floor and kCompactGrowth times its size right after the last
+  /// compaction (none yet after open(): the floor alone decides). The file
+  /// therefore stays within max(floor, kCompactGrowth x compacted size)
+  /// plus one record; a failed compaction is retried once the file has
+  /// doubled again.
+  static constexpr std::uint64_t kCompactFloorBytes = 1u << 20;
+  static constexpr std::uint64_t kCompactGrowth = 2;
+
   /// Records one successfully-compiled key. Appends only when the key is
   /// new or its stamps changed (so warm traffic does not grow the
-  /// journal); append failures are counted and remembered but never
-  /// propagate — durability is best-effort, serving is not.
+  /// journal), then compacts on growth. Append and compaction failures are
+  /// counted and remembered but never propagate — durability is
+  /// best-effort, serving is not.
   void record(const JournalEntry& entry);
 
   /// Atomically rewrites the journal as the deduplicated live-key set
@@ -103,13 +114,15 @@ class CompileJournal {
   /// compacted file. On failure the previous journal remains live.
   [[nodiscard]] support::Status compact();
 
-  /// Entries recovered at open(), in journal order — the replay worklist.
+  /// The live set recovered at open() — one entry per key with its newest
+  /// stamps, in first-seen order: the replay worklist.
   [[nodiscard]] std::vector<JournalEntry> recovered_entries() const;
 
   [[nodiscard]] std::uint64_t journal_bytes() const;
   [[nodiscard]] std::size_t live_keys() const;
   /// ms since the last successful compaction; negative when none ran yet.
   [[nodiscard]] double last_compaction_ms() const;
+  /// Records read at open(), superseded versions included.
   [[nodiscard]] std::uint64_t recovered_records() const;
   [[nodiscard]] std::uint64_t recovery_dropped_bytes() const;
   /// True when open() found bytes it had to drop (torn tail / corruption)
@@ -123,6 +136,7 @@ class CompileJournal {
 
  private:
   void record_error(const support::Status& status);
+  [[nodiscard]] support::Status compact_locked();
   [[nodiscard]] std::vector<std::string> live_payloads_locked() const;
 
   mutable std::mutex mu_;
@@ -133,20 +147,13 @@ class CompileJournal {
   std::vector<JournalEntry> live_;
   std::unordered_map<std::string, std::size_t> index_;  ///< request -> slot
   std::vector<JournalEntry> recovered_;
+  std::uint64_t recovered_records_ = 0;
+  /// File size the growth trigger is relative to (see kCompactGrowth).
+  std::uint64_t compact_base_ = 0;
   std::uint64_t recovery_dropped_ = 0;
   bool recovered_corrupt_ = false;
   double last_compaction_epoch_ms_ = -1.0;  ///< steady-clock ms, -1 = never
   std::string last_error_;
-};
-
-/// Replay pacing knobs.
-struct ReplayOptions {
-  /// Wall-clock budget for the whole replay loop in ms (0 = unlimited).
-  /// Entries not attempted before it expires are counted, not compiled —
-  /// a huge journal must not hold a restart hostage.
-  double budget_ms = 0.0;
-  /// Skip entries whose source stamps no longer match the files on disk.
-  bool verify_stamps = true;
 };
 
 /// Replays `entries` through `submit` (one normalized request line per
@@ -154,12 +161,14 @@ struct ReplayOptions {
 /// "PRIO batch" so live interactive traffic always wins). `submit` returns
 /// the request's classification. Each entry counts, as it finishes, into
 /// one of the `tydi.service.replay.*` counters: `replayed` (ok),
-/// `skipped_stale` (stamps no longer match), `shed` (kUnavailable),
-/// `failed` (any other error) or `budget_expired` (not attempted). `stop`
-/// (optional) is polled between entries so a drain aborts replay promptly.
-/// Returns wall-clock ms spent.
+/// `skipped_stale` (stamps no longer match the files on disk), `shed`
+/// (kUnavailable), `failed` (any other error) or `budget_expired` (not
+/// attempted: `budget_ms` of wall clock ran out, 0 = unlimited — a huge
+/// journal must not hold a restart hostage). `stop` (optional) is polled
+/// between entries so a drain aborts replay promptly. Returns wall-clock
+/// ms spent.
 [[nodiscard]] double replay_entries(
-    const std::vector<JournalEntry>& entries, const ReplayOptions& options,
+    const std::vector<JournalEntry>& entries, double budget_ms,
     const std::function<support::Status(const std::string& line)>& submit,
     const std::function<bool()>& stop = nullptr);
 

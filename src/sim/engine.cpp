@@ -87,6 +87,9 @@ std::string ShardForensics::summary() const {
 support::Status SimResult::status() const {
   using support::Status;
   using support::StatusCode;
+  if (!setup_error.empty()) {
+    return Status::error(StatusCode::kInvalidArgument, "sim", setup_error);
+  }
   if (aborted) {
     return Status::error(StatusCode::kAborted, "sim",
                          "run aborted (" + abort_reason + ") at " +
@@ -104,6 +107,7 @@ support::Status SimResult::status() const {
 
 std::string SimResult::summary() const {
   std::ostringstream out;
+  if (!setup_error.empty()) return "simulation not run: " + setup_error + "\n";
   if (aborted) {
     out << "simulation ABORTED (" << abort_reason << ") at " << end_time_ns
         << " ns\n";
@@ -465,9 +469,17 @@ SimResult Engine::run(const SimOptions& options) {
 
   // Always route through the sharded driver: its single-shard path is the
   // plain single-queue loop, and keeping one entry point means the
-  // watchdog and the event/wall-clock/RSS budgets guard every run shape.
+  // RunGuard's event/wall-clock/RSS budgets guard every run shape.
   SimResult result;
-  if (built) result = shard::run_sharded(graph, options, diags_);
+  if (built) {
+    result = shard::run_sharded(graph, options, diags_);
+  } else {
+    // build_sim_graph reported why as its last sim diagnostic; the result
+    // must not read as a run.
+    const std::vector<support::Diagnostic> sim = diags_.by_phase("sim");
+    result.setup_error =
+        sim.empty() ? "design cannot be simulated" : sim.back().message;
+  }
   // The driver's stages follow build_graph in execution order.
   for (const support::PhaseTimings::Entry& e : result.phase_ms) {
     phases.add(e.phase, e.ms);

@@ -329,6 +329,10 @@ struct SimResult {
   /// round loop), merge (merge_results). Mirrored into the
   /// `tydi.sim.phase_ms.*` histograms.
   support::PhaseTimings phase_ms;
+  /// Non-empty when the design could not be flattened into a sim graph (no
+  /// top, an `@ external` top, more operands than an event key holds):
+  /// nothing ran, and the diagnostic engine holds the same error.
+  std::string setup_error;
 
   /// Materializes trace entry `i` with the channel name / boundary fields
   /// resolved through `channels`.
@@ -341,8 +345,9 @@ struct SimResult {
   /// Packets per nanosecond observed on a top output port.
   [[nodiscard]] double throughput(const std::string& top_port) const;
   [[nodiscard]] std::string summary() const;
-  /// Classification for callers and the CLI exit code: kAborted when the
-  /// guard stopped the run, kDeadlock on a wait-for cycle, kOk otherwise.
+  /// Classification for callers and the CLI exit code: kInvalidArgument
+  /// when the design could not be simulated, kAborted when the guard
+  /// stopped the run, kDeadlock on a wait-for cycle, kOk otherwise.
   [[nodiscard]] support::Status status() const;
 };
 

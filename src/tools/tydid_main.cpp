@@ -15,14 +15,15 @@
 //   tydid --socket <path> [--workers <n>] [--queue-capacity <n>]
 //         [--max-connections <n>] [--drain-deadline-ms <ms>]
 //         [--rss-shed-mb <mb>] [--default-budget-ms <ms>]
-//         [--max-budget-ms <ms>] [--journal <path>] [--no-replay]
-//         [--replay-budget-ms <ms>] [--snapshot-interval-ms <ms>]
+//         [--max-budget-ms <ms>] [--journal <path>]
+//         [--replay-budget-ms <ms>]
 //       run the daemon (blocks until a SHUTDOWN request or SIGINT/SIGTERM;
 //       both drain in-flight work and unlink the socket before exiting).
 //       With --journal the daemon records every successfully compiled key
 //       in a crash-safe append-only journal and replays it on the next
 //       start (as sheddable PRIO batch work, bounded by
-//       --replay-budget-ms), so restarts serve warm. A torn or corrupt
+//       --replay-budget-ms), so restarts serve warm. The journal compacts
+//       itself as it grows and once more on drain. A torn or corrupt
 //       journal recovers to its longest valid prefix and boots (partially)
 //       cold — logged, never fatal. See src/service/README.md
 //       ("Durability and warm restart").
@@ -80,9 +81,7 @@ int usage() {
          "[--queue-capacity <n>] [--max-connections <n>]\n"
          "             [--drain-deadline-ms <ms>] [--rss-shed-mb <mb>]\n"
          "             [--default-budget-ms <ms>] [--max-budget-ms <ms>]\n"
-         "             [--journal <path>] [--no-replay] "
-         "[--replay-budget-ms <ms>]\n"
-         "             [--snapshot-interval-ms <ms>]\n"
+         "             [--journal <path>] [--replay-budget-ms <ms>]\n"
          "       tydid --socket <path> --request \"<request line>\"\n"
          "             [--retries <n>] [--retry-base-ms <ms>] "
          "[--retry-seed <n>]\n"
@@ -276,15 +275,9 @@ int main(int argc, char** argv) {
           mb > 0 ? static_cast<std::uint64_t>(mb) : 0;
     } else if (arg == "--journal") {
       config.journal_path = next("--journal");
-    } else if (arg == "--no-replay") {
-      config.replay = false;
     } else if (arg == "--replay-budget-ms") {
       config.replay_budget_ms = std::atof(next("--replay-budget-ms").c_str());
       if (config.replay_budget_ms < 0) config.replay_budget_ms = 0;
-    } else if (arg == "--snapshot-interval-ms") {
-      config.snapshot_interval_ms =
-          std::atof(next("--snapshot-interval-ms").c_str());
-      if (config.snapshot_interval_ms < 0) config.snapshot_interval_ms = 0;
     } else if (arg == "--retries") {
       retry.max_attempts = std::atoi(next("--retries").c_str());
     } else if (arg == "--retry-base-ms") {

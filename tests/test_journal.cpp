@@ -10,6 +10,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -33,7 +35,6 @@ namespace {
 
 using service::warmup::CompileJournal;
 using service::warmup::JournalEntry;
-using service::warmup::ReplayOptions;
 using service::warmup::SourceStampRecord;
 using support::IoFaultPlan;
 using support::RecoveredJournal;
@@ -485,6 +486,110 @@ TEST(CompileJournalTest, DedupCompactReopen) {
   ::unlink(path.c_str());
 }
 
+// Compaction on growth: edit traffic re-journals a few live keys over and
+// over. The file never outgrows the trigger bound by more than one record,
+// and a reopen recovers exactly the live keys with their newest stamps.
+TEST(CompileJournalTest, GrowthCompactionBoundsEditTraffic) {
+  const std::string path = temp_path("growth.jnl");
+  ::unlink(path.c_str());
+  constexpr int kKeys = 4;
+  constexpr int kEdits = 2000;
+  // ~2 KB records of equal size (7-digit stamps), so 2000 edits write
+  // ~4 MB and cross the 1 MiB floor several times.
+  const std::string source = temp_path(std::string(2000, 'p') + ".td");
+  auto edit = [&](int n) {
+    return JournalEntry{
+        "FILE " + source + " top" + std::to_string(n % kKeys) + "_i vhdl",
+        {SourceStampRecord{source, 1000000u + static_cast<unsigned>(n)}}};
+  };
+  const std::uint64_t record_bytes =
+      support::kRecordHeaderBytes + edit(0).serialize().size();
+  // The live set compacts to far less than floor / kCompactGrowth, so the
+  // floor is the trigger.
+  ASSERT_LT(CompileJournal::kCompactGrowth *
+                (support::kJournalHeaderBytes + kKeys * record_bytes),
+            CompileJournal::kCompactFloorBytes);
+  const std::uint64_t bound = CompileJournal::kCompactFloorBytes + record_bytes;
+
+  const std::uint64_t compactions0 = counter("tydi.journal.compactions");
+  {
+    CompileJournal journal;
+    ASSERT_TRUE(journal.open(path).is_ok());
+    for (int n = 0; n < kEdits; ++n) {
+      journal.record(edit(n));
+      ASSERT_LE(journal.journal_bytes(), bound) << "after edit " << n;
+    }
+    EXPECT_EQ(journal.live_keys(), static_cast<std::size_t>(kKeys));
+    EXPECT_EQ(journal.last_error(), "");
+  }
+  // ~4 MB of appends through a 1 MiB floor.
+  EXPECT_GE(counter("tydi.journal.compactions") - compactions0, 3u);
+
+  CompileJournal journal;
+  ASSERT_TRUE(journal.open(path).is_ok());
+  EXPECT_FALSE(journal.recovered_corrupt());
+  const std::vector<JournalEntry> entries = journal.recovered_entries();
+  ASSERT_EQ(entries.size(), static_cast<std::size_t>(kKeys));
+  for (int k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(entries[k], edit(kEdits - kKeys + k)) << "key " << k;
+  }
+  ::unlink(path.c_str());
+}
+
+// Growth compaction runs on whichever thread's append crossed the bound,
+// racing the other workers' record() and HEALTH's reads (run under TSan).
+TEST(CompileJournalTest, ConcurrentRecordsCompactUnderTheLock) {
+  const std::string path = temp_path("concurrent.jnl");
+  ::unlink(path.c_str());
+  constexpr int kThreads = 4;
+  constexpr int kEdits = 300;
+  const std::string source = temp_path(std::string(2000, 'c') + ".td");
+  auto edit = [&](int thread, int n) {
+    return JournalEntry{
+        "FILE " + source + " top" + std::to_string(thread) + "_i vhdl",
+        {SourceStampRecord{source, 1000u + static_cast<unsigned>(n)}}};
+  };
+  const std::uint64_t bound = CompileJournal::kCompactFloorBytes +
+                              support::kRecordHeaderBytes +
+                              edit(0, 0).serialize().size();
+  const std::uint64_t compactions0 = counter("tydi.journal.compactions");
+  {
+    CompileJournal journal;
+    ASSERT_TRUE(journal.open(path).is_ok());
+    std::atomic<bool> done{false};
+    std::uint64_t max_seen = 0;
+    std::thread reader([&] {
+      while (!done.load()) {
+        max_seen = std::max(max_seen, journal.journal_bytes());
+        (void)journal.live_keys();
+        (void)journal.last_compaction_ms();
+        (void)journal.last_error();
+        std::this_thread::yield();
+      }
+    });
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        for (int n = 0; n < kEdits; ++n) journal.record(edit(t, n));
+      });
+    }
+    for (std::thread& w : writers) w.join();
+    done.store(true);
+    reader.join();
+    EXPECT_LE(max_seen, bound);
+    EXPECT_EQ(journal.last_error(), "");
+  }
+  EXPECT_GE(counter("tydi.journal.compactions") - compactions0, 1u);
+  CompileJournal journal;
+  ASSERT_TRUE(journal.open(path).is_ok());
+  const std::vector<JournalEntry> entries = journal.recovered_entries();
+  ASSERT_EQ(entries.size(), static_cast<std::size_t>(kThreads));
+  for (const JournalEntry& entry : entries) {
+    EXPECT_EQ(entry.stamps, edit(0, kEdits - 1).stamps) << entry.request;
+  }
+  ::unlink(path.c_str());
+}
+
 TEST(CompileJournalTest, CorruptTailBootsColdPastThePrefix) {
   const std::string path = temp_path("corrupt.jnl");
   ::unlink(path.c_str());
@@ -530,7 +635,7 @@ TEST(ReplayEntries, ClassifiesAndSkipsStale) {
   const ReplayDeltas stats;
   std::vector<std::string> submitted;
   (void)service::warmup::replay_entries(
-      entries, ReplayOptions{},
+      entries, 0.0,
       [&](const std::string& request) {
         submitted.push_back(request);
         if (request == "SHED_ME") {
@@ -555,10 +660,8 @@ TEST(ReplayEntries, ClassifiesAndSkipsStale) {
 TEST(ReplayEntries, BudgetBoundsTheLoop) {
   std::vector<JournalEntry> entries(3, JournalEntry{"SLOW", {}});
   const ReplayDeltas stats;
-  ReplayOptions options;
-  options.budget_ms = 5.0;
   const double elapsed = service::warmup::replay_entries(
-      entries, options,
+      entries, 5.0,
       [](const std::string&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return Status::ok();
@@ -572,7 +675,7 @@ TEST(ReplayEntries, StopAbortsPromptly) {
   std::vector<JournalEntry> entries(5, JournalEntry{"NEVER", {}});
   const ReplayDeltas stats;
   (void)service::warmup::replay_entries(
-      entries, ReplayOptions{},
+      entries, 0.0,
       [](const std::string&) { return Status::ok(); }, [] { return true; });
   EXPECT_EQ(stats.replayed(), 0u);
   EXPECT_EQ(stats.budget_expired(), 5u);
@@ -601,12 +704,11 @@ TEST(ServiceWarmRestart, ReplayRewarmsByteIdentically) {
     ASSERT_TRUE(r3.ok()) << r3.payload();
     q3_ir = r3.payload();
 
-    // SNAPSHOT verb compacts on demand.
-    service::Response snap = svc.handle_line("SNAPSHOT");
-    ASSERT_TRUE(snap.ok()) << snap.payload();
-    EXPECT_EQ(snap.payload().rfind("compacted 2 key(s)", 0), 0u)
-        << snap.payload();
+    // Drain compacts: the journal holds the two live keys.
+    const std::uint64_t compactions0 = counter("tydi.journal.compactions");
     svc.drain();
+    EXPECT_EQ(counter("tydi.journal.compactions") - compactions0, 1u);
+    EXPECT_EQ(svc.journal()->live_keys(), 2u);
   }
 
   {
@@ -754,34 +856,114 @@ TEST(ServiceWarmRestart, JournalWithFnvStampsReplaysNothingAndBoots) {
   ::unlink(query_path.c_str());
 }
 
-TEST(ServiceWarmRestart, ServiceLevelFaultInjectionSurvivesCompactionCrash) {
-  const std::string journal_path = temp_path("svc_faults.jnl");
-  ::unlink(journal_path.c_str());
+// Replay runs the live set: a journal holding thousands of versions of one
+// FILE key (an edit loop's history) replays that key once, and a key
+// journaled before the history keeps its result-cache sighting.
+TEST(ServiceWarmRestart, ReplayRunsTheLiveSetNotTheHistory) {
+  const std::string journal_path = temp_path("svc_history.jnl");
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
+  ASSERT_NE(q, nullptr);
+  const std::string fletcher_path = temp_path("history_fletcher.td");
+  const std::string query_path = temp_path("history_q6.td");
+  write_file(fletcher_path, std::string(tpch::fletcher_source()));
+  write_file(query_path, std::string(q->source));
+  const std::string file_line = "FILE " + fletcher_path + "," + query_path +
+                                " " + q->top_impl + " vhdl";
+  const std::uint64_t fletcher_hash =
+      elab::source_hash(tpch::fletcher_source());
+  const std::uint64_t query_hash = elab::source_hash(q->source);
+
+  // More superseded versions than the result cache remembers sightings.
+  const std::uint64_t versions = service::ResultCache::kMaxSighted + 1000;
+  std::vector<std::string> payloads{JournalEntry{"TPCH 3 ir", {}}.serialize()};
+  for (std::uint64_t v = 1; v <= versions; ++v) {
+    // Every version but the newest has a stamp the file no longer matches.
+    const std::uint64_t hash = v == versions ? query_hash : query_hash ^ v;
+    payloads.push_back(
+        JournalEntry{file_line,
+                     {SourceStampRecord{fletcher_path, fletcher_hash},
+                      SourceStampRecord{query_path, hash}}}
+            .serialize());
+  }
+  ASSERT_TRUE(support::write_snapshot_atomic(journal_path, payloads).is_ok());
+
   service::ServiceConfig config;
   config.workers = 2;
   config.journal_path = journal_path;
-  {
-    service::CompileService svc(config);
-    ASSERT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
-    svc.drain();  // compacts: journal holds the one live key
+  service::CompileService svc(config);
+  ASSERT_NE(svc.journal(), nullptr);
+  EXPECT_EQ(svc.journal()->recovered_records(), versions + 1);
+  EXPECT_EQ(svc.journal()->recovered_entries().size(), 2u);
+
+  const ReplayDeltas replay;
+  svc.start_replay();
+  svc.wait_replay();
+  EXPECT_EQ(replay.replayed(), 2u);
+  EXPECT_EQ(replay.skipped_stale(), 0u);
+  EXPECT_EQ(replay.failed(), 0u);
+
+  // Both live keys were admitted by replay: their first live requests hit.
+  obs::Counter& result_hits = obs::MetricsRegistry::global().counter(
+      "tydi.service.result_cache.hits");
+  const std::uint64_t hits0 = result_hits.value();
+  service::Response r = svc.handle_line(file_line);
+  ASSERT_TRUE(r.ok()) << r.payload();
+  ASSERT_TRUE(svc.handle_line("TPCH 3 ir").ok());
+  EXPECT_EQ(result_hits.value() - hits0, 2u);
+  svc.drain();
+  ::unlink(journal_path.c_str());
+  ::unlink(fletcher_path.c_str());
+  ::unlink(query_path.c_str());
+}
+
+TEST(ServiceWarmRestart, ServiceLevelFaultInjectionSurvivesCompactionCrash) {
+  const std::string journal_path = temp_path("svc_faults.jnl");
+  // A journal past the growth floor (a long history of one key's edits), so
+  // the first new key the daemon journals triggers a compaction.
+  const std::string source = temp_path(std::string(1000, 'h') + ".td");
+  std::vector<std::string> history;
+  std::uint64_t history_bytes = 0;
+  while (history_bytes <= CompileJournal::kCompactFloorBytes) {
+    history.push_back(
+        JournalEntry{"FILE " + source + " top_i vhdl",
+                     {SourceStampRecord{source, history.size()}}}
+            .serialize());
+    history_bytes += support::kRecordHeaderBytes + history.back().size();
   }
-  // Boot with a crash-mid-snapshot plan: SNAPSHOT fails, the journal file
-  // survives, and the daemon keeps serving.
+  ASSERT_TRUE(support::write_snapshot_atomic(journal_path, history).is_ok());
+
+  service::ServiceConfig config;
+  config.workers = 2;
+  config.journal_path = journal_path;
+  // Boot with a crash-mid-snapshot plan: the growth compaction fails, the
+  // journal file survives, and the daemon keeps serving and journaling.
   config.journal_faults.crash_mid_snapshot = true;
   {
     service::CompileService svc(config);
     ASSERT_NE(svc.journal(), nullptr);
-    EXPECT_EQ(svc.journal()->recovered_records(), 1u);
-    service::Response snap = svc.handle_line("SNAPSHOT");
-    EXPECT_FALSE(snap.ok());
-    EXPECT_EQ(snap.status.code(), StatusCode::kIoError);
+    EXPECT_EQ(svc.journal()->recovered_records(), history.size());
+    const std::uint64_t compactions0 = counter("tydi.journal.compactions");
+    const std::uint64_t failures0 =
+        counter("tydi.journal.compaction_failures");
+    EXPECT_TRUE(svc.handle_line("TPCH 6 vhdl").ok());
+    EXPECT_EQ(counter("tydi.journal.compaction_failures") - failures0, 1u);
+    EXPECT_EQ(counter("tydi.journal.compactions") - compactions0, 0u);
+    const std::string error = svc.journal()->last_error();
+    EXPECT_NE(error.find(support::to_string(StatusCode::kIoError)),
+              std::string::npos)
+        << error;
+    const std::string health = svc.handle_line("HEALTH").payload();
+    EXPECT_NE(health.find("io-error"), std::string::npos) << health;
     EXPECT_TRUE(svc.handle_line("TPCH 6 ir").ok());
+    EXPECT_EQ(svc.journal()->live_keys(), 3u);
   }
-  // The journal on disk still recovers the pre-crash records.
+  // The journal on disk still recovers the pre-crash records and both
+  // appends made after the failed compaction.
   config.journal_faults = IoFaultPlan{};
   service::CompileService svc(config);
   ASSERT_NE(svc.journal(), nullptr);
-  EXPECT_GE(svc.journal()->recovered_records(), 1u);
+  EXPECT_EQ(svc.journal()->recovered_records(), history.size() + 2);
+  EXPECT_EQ(svc.journal()->live_keys(), 3u);
   EXPECT_FALSE(svc.journal()->recovered_corrupt());
   svc.drain();
   ::unlink(journal_path.c_str());

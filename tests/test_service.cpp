@@ -829,11 +829,15 @@ TEST(ServiceResultCache, TheCompileUsesTheBytesReadAtAdmission) {
     (void)hold.take();
   }
   // The journal stamped the admitted bytes, then the rewrite's (the
-  // service ended without a compaction, so both records remain).
-  service::warmup::CompileJournal journal;
-  ASSERT_TRUE(journal.open(journal_path).is_ok());
-  const std::vector<service::warmup::JournalEntry> entries =
-      journal.recovered_entries();
+  // service ended without a compaction, so both records remain on disk;
+  // a reopened journal would replay only the newest).
+  support::RecoveredJournal recovered;
+  ASSERT_TRUE(support::recover_journal(journal_path, recovered).is_ok());
+  std::vector<service::warmup::JournalEntry> entries(recovered.records.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_TRUE(service::warmup::JournalEntry::parse(recovered.records[i],
+                                                     entries[i]));
+  }
   std::string rewritten_text;
   ASSERT_TRUE(support::read_file(files.query_path, rewritten_text).is_ok());
   ASSERT_EQ(entries.size(), 2u);

@@ -272,6 +272,27 @@ TEST(SimEngine, SummaryMentionsOutputsAndBottleneck) {
   EXPECT_NE(summary.find("bottleneck:"), std::string::npos);
 }
 
+TEST(SimEngine, ExternalTopIsNotARun) {
+  std::string source(kParallelizeSource);
+  driver::CompileOptions compile;
+  compile.top = "pu_adder";
+  compile.emit_vhdl = false;
+  driver::CompileResult compiled =
+      driver::compile_source(std::move(source), compile);
+  ASSERT_TRUE(compiled.success()) << compiled.report();
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  const sim::SimResult result = engine.run(sim::SimOptions{});
+  EXPECT_EQ(result.status().code(), support::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("must be structural"),
+            std::string::npos)
+      << result.status().render();
+  EXPECT_EQ(result.summary().find("simulation finished"), std::string::npos)
+      << result.summary();
+  // The run reports nothing beyond build_sim_graph's own error.
+  EXPECT_EQ(diags.error_count(), 1u) << diags.render();
+}
+
 TEST(SimEngine, ThroughputEdgeCases) {
   sim::SimResult empty;
   EXPECT_EQ(empty.throughput("nope"), 0.0);
