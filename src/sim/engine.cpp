@@ -467,9 +467,9 @@ SimResult Engine::run(const SimOptions& options) {
     built = build_sim_graph(design_, options, diags_, graph);
   }
 
-  // Always route through the sharded driver: its single-shard path is the
-  // plain single-queue loop, and keeping one entry point means the
-  // RunGuard's event/wall-clock/RSS budgets guard every run shape.
+  // Every run goes through the one round loop (a 1-shard run entirely on
+  // this thread), so the RunGuard's event/wall-clock/RSS budgets guard
+  // every run shape.
   SimResult result;
   if (built) {
     result = shard::run_sharded(graph, options, diags_);

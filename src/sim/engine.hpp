@@ -21,12 +21,11 @@
 // Architecture (see src/sim/README.md): the design flattens once into a
 // `SimGraph` of dense-integer components and channels; a `Kernel`
 // (src/sim/kernel.hpp) runs the deliver/timer/poke/stimulus event loop over
-// a subset of that graph. The single-threaded engine drives one kernel over
-// the whole graph; the sharded engine (src/sim/shard/) partitions the graph
-// and drives K kernels on K threads in conservative time-window rounds.
-// Event ordering is a canonical (time, kind, channel/component)
-// key — independent of insertion interleaving — so both drivers produce
-// byte-identical `SimResult`s.
+// a subset of that graph. The sharded runtime (src/sim/shard/) partitions
+// the graph and drives K kernels in conservative time-window rounds: shard
+// 0 on the calling thread, the others on K - 1 threads. Event ordering is a
+// canonical (time, kind, channel/component) key — independent of insertion
+// interleaving — so every shard count produces byte-identical `SimResult`s.
 #pragma once
 
 #include <cstddef>
@@ -96,17 +95,19 @@ struct SimOptions {
   std::map<std::string, std::map<std::string, double>> model_params;
   /// Record the full packet trace (needed for testbench generation).
   bool record_trace = true;
-  /// Number of simulation shards (worker threads). 1 = the single-queue
-  /// engine; >1 partitions the flattened graph and runs the shards in
-  /// conservative time-window rounds (src/sim/shard/). Results are
-  /// byte-identical for any shard count.
+  /// Number of simulation shards. The flattened graph is partitioned into
+  /// this many shards (clamped to the component count), run in conservative
+  /// time-window rounds (src/sim/shard/): shard 0 on the calling thread,
+  /// each other shard on a thread of its own. Results are byte-identical for
+  /// any shard count.
   int shards = 1;
   /// Partitioning strategy: true = balanced BFS partition that minimizes
   /// cross-shard channels; false = naive contiguous block partition by
   /// component index (useful to stress the cross-shard protocol in tests).
   bool auto_partition = true;
-  /// Cross-shard acknowledgement protocol (sharded runs only; single-shard
-  /// runs have no cut channels, so both modes are the single-queue engine).
+  /// Acknowledgement protocol of cut channels. A run without cut channels
+  /// (one shard, or a partition that cuts nothing) is the same in both
+  /// modes.
   AckMode ack_mode = AckMode::kExact;
   /// Send credits per cross-shard channel in AckMode::kCredit (clamped to
   /// >= 1). Larger windows amortize more acks per round at the
@@ -118,8 +119,10 @@ struct SimOptions {
   /// `tydic --sim-profile` (profiling pre-run).
   std::vector<double> component_weights;
   // --- Guard rails (src/sim/guard.hpp, src/sim/fault.hpp) ----------------
-  /// Deterministic fault-injection plan for the sharded runtime (disabled
-  /// by default; see FaultPlan). CLI: --sim-fault-seed / --sim-fault-plan.
+  /// Deterministic fault-injection plan for the round loop (disabled by
+  /// default; see FaultPlan). The barrier-arrive and round-stall sites fire
+  /// at any shard count; the mailbox and credit sites need cut channels.
+  /// CLI: --sim-fault-seed / --sim-fault-plan.
   FaultPlan fault;
   /// No-progress watchdog: abort the run when no event has been processed
   /// anywhere in the run for this many wall-clock ms. <= 0 disables.
@@ -279,8 +282,8 @@ struct ShardForensics {
   /// Consumed acks batched but not yet flushed to their source shards —
   /// nonzero here is the signature of a withheld-ack hang.
   std::int64_t pending_ack_batches = 0;
-  /// Step exchanges this shard entered (0 for a single-shard run) and the
-  /// wall time it spent waiting in them for its peers: the shard's
+  /// Step exchanges this shard entered (at most 2 in a 1-shard run) and the
+  /// wall time it spent in them waiting for its peers: the shard's
   /// synchronization cost, next to the work in `events_processed`.
   std::uint64_t exchanges = 0;
   double barrier_wait_ms = 0.0;
@@ -488,9 +491,9 @@ class Engine {
  public:
   Engine(const elab::Design& design, support::DiagnosticEngine& diags);
 
-  /// Flattens and simulates the design's top implementation. With
-  /// `options.shards > 1` the run is dispatched to the sharded engine
-  /// (src/sim/shard/); the result is byte-identical either way.
+  /// Flattens and simulates the design's top implementation through the
+  /// sharded runtime (src/sim/shard/) at `options.shards`; the result is
+  /// byte-identical for any shard count.
   [[nodiscard]] SimResult run(const SimOptions& options);
 
  private:

@@ -111,7 +111,7 @@ bool FaultInjector::fires(Site site) {
 
 void FaultInjector::spin_delay() const {
   volatile std::uint64_t sink = 0;
-  for (std::uint32_t i = 0; i < plan_.delay_spin_iters; ++i) sink += i;
+  for (std::uint32_t i = 0; i < plan_.delay_spin_iters; ++i) sink = sink + i;
   (void)sink;
 }
 

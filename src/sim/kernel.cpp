@@ -92,15 +92,12 @@ support::Status check_event_operand_counts(std::size_t components,
                                     std::to_string(kCount) + ")");
 }
 
-Kernel::Kernel(SimGraph& graph, const SimOptions& options,
-               support::DiagnosticEngine& diags, int shard,
+Kernel::Kernel(SimGraph& graph, const SimOptions& options, int shard,
                CrossRouter* router)
     : graph_(graph),
-      diags_(diags),
       shard_(shard),
       router_(router),
-      trace_enabled_(options.record_trace),
-      defer_warnings_(graph.shard_count > 1) {
+      trace_enabled_(options.record_trace) {
   for (std::size_t i = 0; i < graph_.channels.size(); ++i) {
     const Channel& c = graph_.channels[i];
     if (c.cross_shard() && c.src_shard == shard_) {
@@ -165,11 +162,9 @@ void Kernel::process_events(double limit, bool inclusive, double max_time_ns) {
   };
   while (!queue_.empty()) {
     const double head = queue_.top_time();
-    if (head > max_time_ns) {
-      capped_ = true;
+    if (head > max_time_ns || (inclusive ? head > limit : head >= limit)) {
       break;
     }
-    if (inclusive ? head > limit : head >= limit) break;
     const Event ev = queue_.pop();
     now_ = ev.time;
     if (ev.kind != EventKind::kRemoteAck) {
@@ -256,12 +251,7 @@ void Kernel::warn_once(WarnSite site, std::int32_t a, std::int32_t b) {
                            a + 1))
                        << 24) |
                       (static_cast<std::uint32_t>(b + 1) & 0xFFFFFFu);
-  if (warn_counts_[key]++ != 0) return;
-  if (defer_warnings_) {
-    deferred_warnings_.push_back(WarnRecord{key});
-    return;
-  }
-  diags_.warning("sim", warn_first_message(key), {});
+  if (warn_counts_[key]++ == 0) deferred_warnings_.push_back(key);
 }
 
 void Kernel::send(int component, int port, Packet packet) {
@@ -461,11 +451,11 @@ void Kernel::ack(int component, int port) {
     // the source shard, which frees the register at this same timestamp
     // (the runtime's same-time fixpoint round).
     //
-    // Acking before anything was delivered is warned-and-dropped here. The
-    // single-queue engine tolerates that protocol violation differently
+    // Acking before anything was delivered is warned-and-dropped here. A
+    // shard-local channel tolerates that protocol violation differently
     // (it frees a register whose packet is still in flight); mirroring it
     // would let acks precede the channel's delivery time and unsound the
-    // runtime's ack-risk bound, so the sharded engine refuses instead —
+    // runtime's ack-risk bound, so a cut channel refuses instead —
     // well-formed behaviours never hit this path.
     if (!c.delivered_pending) {
       warn_once(WarnSite::kAckEmptyChannel, ch, -1);
@@ -801,16 +791,14 @@ SimResult merge_results(SimGraph& graph, const std::vector<Kernel*>& kernels,
   result.state_transitions =
       StateTransitionTable(std::move(rows), std::move(paths));
 
-  // Warnings. Sharded kernels deferred their first-hit warnings to keep the
-  // diagnostic engine off worker threads; emit them now in shard order,
-  // once per site (a run-wide site can be hit on several shards).
-  if (graph.shard_count > 1) {
-    std::unordered_set<std::uint64_t> emitted;
-    for (Kernel* k : kernels) {
-      for (const Kernel::WarnRecord& rec : k->deferred_warnings()) {
-        if (emitted.insert(rec.key).second) {
-          diags.warning("sim", k->warn_first_message(rec.key), {});
-        }
+  // Warnings. Kernels defer their first-hit warnings to keep the diagnostic
+  // engine off the shard threads; emit them now in shard order, once per
+  // site (a run-wide site can be hit on several shards).
+  std::unordered_set<std::uint64_t> emitted;
+  for (Kernel* k : kernels) {
+    for (const std::uint64_t key : k->deferred_warnings()) {
+      if (emitted.insert(key).second) {
+        diags.warning("sim", k->warn_first_message(key), {});
       }
     }
   }

@@ -3,17 +3,17 @@
 // A `Kernel` owns the event loop for one shard of a `SimGraph`: an
 // `EventQueue` of deliver/timer/poke/stimulus events plus per-shard result
 // buffers (trace, state transitions, deduplicated warning sites). The
-// single-threaded engine drives one kernel over the whole graph; the sharded
-// runtime (src/sim/shard/) drives K kernels in lockstep rounds and routes
-// cross-shard channel traffic through a `CrossRouter`.
+// sharded runtime (src/sim/shard/) drives K kernels, K = 1 included, in
+// lockstep rounds and routes cross-shard channel traffic through a
+// `CrossRouter`.
 //
 // Determinism contract: events are ordered by the canonical key
 // (time, kind, a, b) — kind before operands, deliver < timer < poke <
 // stimulus < remote-ack — which is *independent of insertion order*. Any
 // execution that feeds a kernel the same event set therefore pops it in the
 // same order, which is what makes the K-shard run byte-identical to the
-// single-queue run: cross-shard messages merely move event insertion to a
-// step exchange, they cannot reorder the canonical key.
+// 1-shard run: cross-shard messages merely move event insertion to a step
+// exchange, they cannot reorder the canonical key.
 //
 // The queue is a 4-ary min-heap of two-word nodes that encode that key as
 // two unsigned integers (see EventQueue), so a compare is two integer
@@ -41,8 +41,8 @@ enum class EventKind : std::uint8_t {
   kTimer = 1,     ///< a = component, b = behaviour-defined token
   kPoke = 2,      ///< a = component
   kStimulus = 3,  ///< a = global stimulus cursor index
-  kRemoteAck = 4, ///< a = channel index (sharded runs only; not counted in
-                  ///< events_processed — the single-queue engine performs
+  kRemoteAck = 4, ///< a = channel index (cut channels only; not counted in
+                  ///< events_processed — a shard-local channel performs
                   ///< the same work nested inside the sink's ack call)
 };
 
@@ -96,8 +96,7 @@ class EventQueue {
     std::size_t stimulus_cursors);
 
 /// Cross-shard message fabric. The sharded runtime implements this over
-/// per-shard mailboxes; single-threaded runs pass nullptr (every channel is
-/// shard-local).
+/// per-shard mailboxes.
 class CrossRouter {
  public:
   virtual ~CrossRouter() = default;
@@ -119,9 +118,11 @@ class CrossRouter {
 class Kernel {
  public:
   /// `shard` selects the owned slice of `graph` (graph.component_shard);
-  /// `router` must be non-null iff graph.shard_count > 1.
-  Kernel(SimGraph& graph, const SimOptions& options,
-         support::DiagnosticEngine& diags, int shard, CrossRouter* router);
+  /// `router` may be null only when none of the shard's channels is cut.
+  /// The kernel never calls the diagnostic engine: its warnings wait for
+  /// merge_results.
+  Kernel(SimGraph& graph, const SimOptions& options, int shard,
+         CrossRouter* router);
 
   // --- API for Behavior models -------------------------------------------
   // Ports are addressed by index into the component's streamlet port list;
@@ -169,7 +170,6 @@ class Kernel {
 
   /// Pops and dispatches events while the head is within `limit`
   /// (`<= limit` when inclusive, `< limit` otherwise) and `<= max_time_ns`.
-  /// Sets the capped flag instead of popping an event beyond max_time_ns.
   void process_events(double limit, bool inclusive, double max_time_ns);
 
   /// Time of the next queued event, or kInfiniteTime when idle.
@@ -238,7 +238,6 @@ class Kernel {
     return events_processed_;
   }
   [[nodiscard]] double last_event_time() const { return now_; }
-  [[nodiscard]] bool capped() const { return capped_; }
 
   // Result-merge access (after the event loop; see merge_results).
   [[nodiscard]] TraceBuffer& trace() { return trace_; }
@@ -250,11 +249,9 @@ class Kernel {
   [[nodiscard]] std::vector<TransitionRow>& transitions() {
     return transitions_;
   }
-  /// First-hit warning sites in local emission order (deferred mode).
-  struct WarnRecord {
-    std::uint64_t key;
-  };
-  [[nodiscard]] const std::vector<WarnRecord>& deferred_warnings() const {
+  /// First-hit warning sites in local emission order; merge_results emits
+  /// them after the run.
+  [[nodiscard]] const std::vector<std::uint64_t>& deferred_warnings() const {
     return deferred_warnings_;
   }
   [[nodiscard]] const std::unordered_map<std::uint64_t, std::uint64_t>&
@@ -290,32 +287,27 @@ class Kernel {
   void drain_outbox(std::size_t channel_index);
   void send_on_channel(std::size_t channel_index, Packet packet);
   void notify_output_acked(ChannelEndpoint src);
-  /// Source-side completion of a cross-shard ack (the tail of what the
-  /// single-queue engine runs nested inside Kernel::ack).
+  /// Source-side completion of a cross-shard ack (the tail of what a
+  /// shard-local channel runs nested inside Kernel::ack).
   void complete_remote_ack(std::size_t channel_index);
   /// Source-side completion of a credit-mode ack batch: replenishes `count`
   /// credits, notifying the source behaviour and draining the outbox per
   /// credit (the per-ack sequence of the exact protocol, batched).
   void complete_remote_ack_batch(std::size_t channel_index,
                                  std::int32_t count);
-  /// Counts the warning site; emits (or defers) the message on first hit.
+  /// Counts the warning site; defers its message on first hit.
   void warn_once(WarnSite site, std::int32_t a, std::int32_t b);
 
   SimGraph& graph_;
-  support::DiagnosticEngine& diags_;
   const int shard_;
   CrossRouter* router_;
   RunGuard* guard_ = nullptr;
   FaultInjector* fault_ = nullptr;
   bool trace_enabled_ = true;
-  /// Sharded runs defer warning emission to the deterministic post-join
-  /// merge instead of calling the diagnostic engine from worker threads.
-  bool defer_warnings_ = false;
 
   double now_ = 0.0;
   std::uint64_t events_processed_ = 0;
   std::uint32_t acks_posted_ = 0;
-  bool capped_ = false;
 
   EventQueue queue_;
   TraceBuffer trace_;
@@ -324,7 +316,7 @@ class Kernel {
   /// the measured activity weights of profile-guided partitioning.
   std::vector<std::uint64_t> component_events_;
   std::unordered_map<std::uint64_t, std::uint64_t> warn_counts_;
-  std::vector<WarnRecord> deferred_warnings_;
+  std::vector<std::uint64_t> deferred_warnings_;
   /// Channel indices of cross-shard channels whose source side this shard
   /// owns (precomputed for ack_risk_bound).
   std::vector<std::int32_t> cross_src_channels_;

@@ -67,7 +67,7 @@ class Mailboxes {
   }
 
   /// Messages parked in `dst`'s inbound cells of both parities. Forensics
-  /// only — called after the worker threads have joined.
+  /// only — called after every shard has stopped.
   [[nodiscard]] std::size_t inbound_depth(int dst) {
     std::size_t total = 0;
     for (int parity = 0; parity < 2; ++parity) {
@@ -232,8 +232,8 @@ class StepExchange {
 };
 
 /// Per-shard observability accumulators, written only by the owning shard
-/// thread during the run and read on the main thread after join — no
-/// atomics needed, cache-line isolated so the writes never false-share.
+/// during the run and read on the calling thread after join — no atomics
+/// needed, cache-line isolated so the writes never false-share.
 struct alignas(64) ObsSlot {
   std::int64_t barrier_wait_ns = 0;
   std::uint64_t rounds = 0;
@@ -352,12 +352,12 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
   }
 }
 
-/// Fills the per-shard forensics snapshots. Runs on the main thread after
-/// every worker has stopped — for *every* run, not only aborts: a healthy
+/// Fills the per-shard forensics snapshots. Runs on the calling thread after
+/// every shard has stopped — for *every* run, not only aborts: a healthy
 /// run's end-state (queue/mailbox depths, credit occupancy) is the baseline
 /// the abort snapshots are read against.
 void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
-                       RoundState* state) {
+                       RoundState& state) {
   result.shard_forensics.clear();
   for (std::size_t s = 0; s < kernels.size(); ++s) {
     const Kernel& k = *kernels[s];
@@ -367,12 +367,10 @@ void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
     f.last_event_time_ns = k.last_event_time();
     f.events_processed = k.events_processed();
     f.queue_depth = k.queue_depth();
-    if (state != nullptr) {
-      f.mailbox_depth = state->mail.inbound_depth(static_cast<int>(s));
-      f.exchanges = state->obs[s].exchanges;
-      f.barrier_wait_ms =
-          static_cast<double>(state->obs[s].barrier_wait_ns) / 1.0e6;
-    }
+    f.mailbox_depth = state.mail.inbound_depth(static_cast<int>(s));
+    f.exchanges = state.obs[s].exchanges;
+    f.barrier_wait_ms =
+        static_cast<double>(state.obs[s].barrier_wait_ns) / 1.0e6;
     f.credit_balance = k.credit_balance();
     f.unacked = k.unacked_total();
     f.pending_ack_batches = k.pending_ack_batches();
@@ -383,7 +381,7 @@ void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
 /// Publishes the finished run to the process registry: outcome counters,
 /// round/exchange/wait telemetry, and `tydi.sim.last.*` gauges aggregated from
 /// the forensics snapshots (last-run-wins, the live-introspection view).
-void publish_run_metrics(const SimResult& result, const RoundState* state) {
+void publish_run_metrics(const SimResult& result, const RoundState& state) {
   const int shards = static_cast<int>(result.shard_forensics.size());
   auto& reg = obs::MetricsRegistry::global();
   static obs::Counter& runs = reg.counter("tydi.sim.runs");
@@ -392,23 +390,20 @@ void publish_run_metrics(const SimResult& result, const RoundState* state) {
   static obs::Counter& events = reg.counter("tydi.sim.events");
   static obs::Counter& rounds = reg.counter("tydi.sim.rounds");
   static obs::Counter& exchanges = reg.counter("tydi.sim.exchanges");
+  static obs::Histogram& wait_us = reg.histogram("tydi.sim.barrier_wait_us");
   ++runs;
   if (result.aborted) ++aborted;
   if (result.deadlock) ++deadlocks;
   events += result.events_processed;
-  if (state != nullptr) {
-    obs::Histogram& wait_us = reg.histogram("tydi.sim.barrier_wait_us");
-    std::uint64_t total_rounds = 0;
-    std::uint64_t total_exchanges = 0;
-    for (int s = 0; s < shards; ++s) {
-      total_rounds = std::max(total_rounds, state->obs[s].rounds);
-      total_exchanges = std::max(total_exchanges, state->obs[s].exchanges);
-      wait_us.observe(static_cast<double>(state->obs[s].barrier_wait_ns) /
-                      1000.0);
-    }
-    rounds += total_rounds;
-    exchanges += total_exchanges;
+  std::uint64_t total_rounds = 0;
+  std::uint64_t total_exchanges = 0;
+  for (const ObsSlot& slot : state.obs) {
+    total_rounds = std::max(total_rounds, slot.rounds);
+    total_exchanges = std::max(total_exchanges, slot.exchanges);
+    wait_us.observe(static_cast<double>(slot.barrier_wait_ns) / 1000.0);
   }
+  rounds += total_rounds;
+  exchanges += total_exchanges;
   double queue_depth = 0, mailbox_depth = 0, credit_balance = 0, unacked = 0,
          pending_batches = 0;
   for (const ShardForensics& f : result.shard_forensics) {
@@ -429,29 +424,6 @@ void publish_run_metrics(const SimResult& result, const RoundState* state) {
   reg.gauge("tydi.sim.last.aborted").set(result.aborted ? 1.0 : 0.0);
 }
 
-/// The tail of every run: merges the kernels' buffers, then attaches the
-/// stage timings, the abort verdict and the forensics, and publishes the
-/// registry metrics. `state` is null for a single-shard run.
-SimResult finish_run(SimGraph& graph, const std::vector<Kernel*>& kernels,
-                     double end_time, const RunGuard& guard,
-                     support::PhaseTimings& phases,
-                     support::DiagnosticEngine& diags, RoundState* state) {
-  const bool aborted = guard.cause() != StopCause::kNone;
-  SimResult result;
-  {
-    obs::PhaseTimer timer(phases, "sim", "merge");
-    result = merge_results(graph, kernels, end_time, diags, aborted);
-  }
-  result.phase_ms = std::move(phases);
-  if (aborted) {
-    result.aborted = true;
-    result.abort_reason = std::string(to_string(guard.cause()));
-  }
-  collect_forensics(result, kernels, state);
-  publish_run_metrics(result, state);
-  return result;
-}
-
 }  // namespace
 
 SimResult run_sharded(SimGraph& graph, const SimOptions& options,
@@ -470,10 +442,9 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
 
     // Credit negotiation (AckMode::kCredit): every cut channel gets a
     // window-sized send budget; the register protocol stays in place for
-    // shard-local channels, so a single-shard run is the exact engine
-    // either way.
-    credit = options.ack_mode == AckMode::kCredit && graph.shard_count > 1 &&
-             stats.cross_channels > 0;
+    // shard-local channels, so a run without cut channels is the exact
+    // engine either way.
+    credit = options.ack_mode == AckMode::kCredit && stats.cross_channels > 0;
     if (credit) {
       std::int32_t window = std::max(1, options.credit_window);
       for (Channel& c : graph.channels) {
@@ -485,45 +456,29 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     }
   }
 
-  RunGuard guard(graph.shard_count, options);
-
-  if (graph.shard_count <= 1) {
-    // Single shard: no cross-shard protocol, so no fault sites — but the
-    // no-progress and event/wall-clock/RSS budgets still apply, checked by
-    // the kernel every 256 events.
-    Kernel kernel(graph, options, diags, /*shard=*/0, /*router=*/nullptr);
-    kernel.set_guard(&guard);
-    {
-      obs::PhaseTimer timer(phases, "sim", "process");
-      kernel.seed();
-      kernel.process_events(kInfiniteTime, /*inclusive=*/false,
-                            options.max_time_ns);
-    }
-    const double end_time =
-        kernel.capped() ? options.max_time_ns : kernel.last_event_time();
-    return finish_run(graph, {&kernel}, end_time, guard, phases, diags,
-                      /*state=*/nullptr);
-  }
-
   const int shards = graph.shard_count;
+  RunGuard guard(shards, options);
   RoundState state(shards, stats.min_cross_latency_ns, options.max_time_ns,
                    guard);
 
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   std::vector<std::unique_ptr<ShardRouter>> routers;
   std::vector<std::unique_ptr<Kernel>> kernels;
+  std::vector<Kernel*> kernel_ptrs;
   injectors.reserve(shards);
   routers.reserve(shards);
   kernels.reserve(shards);
+  kernel_ptrs.reserve(shards);
   const bool faulty = options.fault.enabled();
   for (int s = 0; s < shards; ++s) {
     injectors.push_back(std::make_unique<FaultInjector>(options.fault, s));
     routers.push_back(std::make_unique<ShardRouter>(
         state.mail, s, faulty ? injectors[s].get() : nullptr));
     kernels.push_back(
-        std::make_unique<Kernel>(graph, options, diags, s, routers[s].get()));
+        std::make_unique<Kernel>(graph, options, s, routers[s].get()));
     kernels[s]->set_guard(&guard);
     if (faulty) kernels[s]->set_fault_injector(injectors[s].get());
+    kernel_ptrs.push_back(kernels[s].get());
   }
   {
     obs::PhaseTimer timer(phases, "sim", "process");
@@ -531,17 +486,17 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
     // traffic; each shard votes it in its first exchange and drains it in
     // the first round).
     for (auto& kernel : kernels) kernel->seed();
+    auto run_shard = [&](int s) {
+      obs::Span span("sim.shard");
+      span.arg("shard", static_cast<std::int64_t>(s))
+          .arg("mode", credit ? "credit" : "exact");
+      shard_main(s, credit, *kernels[s], *routers[s], state, *injectors[s]);
+    };
+    // Shard 0 runs on the calling thread, so a 1-shard run starts none.
     std::vector<std::thread> threads;
-    threads.reserve(shards);
-    for (int s = 0; s < shards; ++s) {
-      threads.emplace_back([&, s, credit]() {
-        obs::Span span("sim.shard");
-        span.arg("shard", static_cast<std::int64_t>(s))
-            .arg("mode", credit ? "credit" : "exact");
-        shard_main(s, credit, *kernels[s], *routers[s], state,
-                   *injectors[s]);
-      });
-    }
+    threads.reserve(shards - 1);
+    for (int s = 1; s < shards; ++s) threads.emplace_back(run_shard, s);
+    run_shard(0);
     for (std::thread& thread : threads) thread.join();
   }
 
@@ -553,11 +508,20 @@ SimResult run_sharded(SimGraph& graph, const SimOptions& options,
       end_time = std::max(end_time, kernel->last_event_time());
     }
   }
-  std::vector<Kernel*> kernel_ptrs;
-  kernel_ptrs.reserve(shards);
-  for (auto& kernel : kernels) kernel_ptrs.push_back(kernel.get());
-  return finish_run(graph, kernel_ptrs, end_time, guard, phases, diags,
-                    &state);
+  const bool aborted = guard.cause() != StopCause::kNone;
+  SimResult result;
+  {
+    obs::PhaseTimer timer(phases, "sim", "merge");
+    result = merge_results(graph, kernel_ptrs, end_time, diags, aborted);
+  }
+  result.phase_ms = std::move(phases);
+  if (aborted) {
+    result.aborted = true;
+    result.abort_reason = std::string(to_string(guard.cause()));
+  }
+  collect_forensics(result, kernel_ptrs, state);
+  publish_run_metrics(result, state);
+  return result;
 }
 
 }  // namespace tydi::sim::shard

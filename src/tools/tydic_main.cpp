@@ -21,7 +21,7 @@
 //                          trace-event JSON (load in about:tracing) on exit
 //   --sim                  simulate the elaborated design (generic stimuli
 //                          on every top input) and print the report
-//   --sim-shards <n>       simulation shards / worker threads (implies
+//   --sim-shards <n>       simulation shards (implies
 //                          --sim; results are identical for any n)
 //   --sim-packets <n>      packets per top input stimulus (default 256)
 //   --sim-ack-mode <m>     cross-shard ack protocol: "exact" (default,
@@ -265,8 +265,11 @@ int run_simulation(const tydi::driver::CompileResult& result,
   if (cli.timings) {
     std::cerr << "sim phases: " << sim_result.phase_ms.render() << "\n";
   }
-  std::cout << sim_result.summary() << "\n"
-            << tydi::sim::render_bottleneck_report(sim_result, 10);
+  std::cout << sim_result.summary() << "\n";
+  // A design that could not be simulated has no run to report, and the
+  // diagnostics above already say why.
+  if (!sim_result.setup_error.empty()) return sim_result.status().exit_code();
+  std::cout << tydi::sim::render_bottleneck_report(sim_result, 10);
   if (!cli.trace_out.empty()) {
     if (!tydi::sim::write_binary_trace(sim_result, cli.trace_out)) {
       std::cerr << "error: cannot write " << cli.trace_out << "\n";

@@ -413,6 +413,42 @@ TEST(Cli, TydicReportsErrorsWithNonZeroExit) {
   EXPECT_EQ(WEXITSTATUS(rc), 5) << command;
 }
 
+TEST(Cli, TydicSimOnExternalTopReportsTheErrorOnce) {
+  // An @external top cannot be simulated: the run exits 2 with the
+  // diagnostic engine's error and no bottleneck report for a run that
+  // never happened.
+  std::string dir = ::testing::TempDir();
+  std::string td_path = dir + "/cli_external_top.td";
+  std::string out_path = dir + "/cli_external_top.out";
+  std::string err_path = dir + "/cli_external_top.err";
+  {
+    std::ofstream out(td_path);
+    out << R"(package p;
+type t = Stream(Bit(8), d=1, c=2);
+streamlet s { a: t in, b: t out, }
+impl top of s @ external {}
+)";
+  }
+  std::string command = std::string(TYDIC_PATH) + " --top top --sim " +
+                        td_path + " > " + out_path + " 2> " + err_path;
+  int rc = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 2) << command;
+  auto read = [](const std::string& path) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  const std::string out = read(out_path);
+  const std::string err = read(err_path);
+  EXPECT_EQ(out.find("Bottleneck report"), std::string::npos) << out;
+  const std::string what = "top implementation must be structural";
+  const std::size_t first = err.find(what);
+  ASSERT_NE(first, std::string::npos) << err;
+  EXPECT_EQ(err.find(what, first + 1), std::string::npos) << err;
+}
+
 TEST(Cli, TydicUsageOnMissingArguments) {
   std::string command = std::string(TYDIC_PATH) + " > /dev/null 2>&1";
   EXPECT_NE(std::system(command.c_str()), 0);

@@ -174,7 +174,7 @@ TEST(SimFault, ExactModeByteIdenticalUnderFaults) {
       engine.run(base_options(compiled.design, 48, 1));
   ASSERT_FALSE(reference.aborted);
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    for (int shards : {2, 4}) {
+    for (int shards : {1, 2, 4}) {
       sim::SimOptions options = base_options(compiled.design, 48, shards);
       options.fault = sim::FaultPlan::from_seed(seed);
       options.fault.delay_spin_iters = 100;

@@ -1,8 +1,8 @@
 // Sharded simulation engine tests: the determinism contract (SimResult
-// byte-identical across shard counts, including shard=1 == the legacy
-// single-queue engine) on the example + TPC-H designs, plus partitioner
-// invariants (every component in exactly one shard, consistent cross-shard
-// channel accounting, boundary channels never cut).
+// byte-identical across shard counts, shard=1 included) on the example +
+// TPC-H designs, plus partitioner invariants (every component in exactly
+// one shard, consistent cross-shard channel accounting, boundary channels
+// never cut).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 
 #include "src/driver/compiler.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/guard.hpp"
 #include "src/sim/kernel.hpp"
@@ -246,7 +247,8 @@ TEST(SimShardExchange, ExchangeCountIdenticalAcrossShardsAndRepeats) {
   // Exchanges are protocol steps, decided from reduced votes only: every
   // shard makes the same number, a repeated run makes the same number, and
   // the registry counter advances by it. Credit mode has no fixpoint steps,
-  // so it makes at most one exchange per round plus the seed exchange.
+  // so it makes at most one exchange per round plus the seed exchange. A
+  // single shard runs the same loop with no peers to wait on.
   driver::CompileResult compiled = compile(kPipelineSource, "demo_top");
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   obs::Counter& rounds = reg.counter("tydi.sim.rounds");
@@ -254,7 +256,7 @@ TEST(SimShardExchange, ExchangeCountIdenticalAcrossShardsAndRepeats) {
   support::DiagnosticEngine diags;
   sim::Engine engine(compiled.design, diags);
   for (sim::AckMode mode : {sim::AckMode::kExact, sim::AckMode::kCredit}) {
-    for (int shards : {2, 4, 7}) {
+    for (int shards : {1, 2, 4, 7}) {
       sim::SimOptions options =
           generic_options(compiled.design, 64, shards, true);
       options.ack_mode = mode;
@@ -290,12 +292,6 @@ TEST(SimShardExchange, ExchangeCountIdenticalAcrossShardsAndRepeats) {
       }
     }
   }
-  // A single shard runs no protocol: no exchanges, no wait.
-  sim::SimResult single =
-      engine.run(generic_options(compiled.design, 64, 1, true));
-  ASSERT_EQ(single.shard_forensics.size(), 1u);
-  EXPECT_EQ(single.shard_forensics.front().exchanges, 0u);
-  EXPECT_EQ(single.shard_forensics.front().barrier_wait_ms, 0.0);
 }
 
 TEST(SimShardExchange, CreditHangAbortsOnEveryShard) {
@@ -327,6 +323,45 @@ TEST(SimShardExchange, CreditHangAbortsOnEveryShard) {
     EXPECT_GT(pending, 0) << shards << " shards";
     EXPECT_NE(result.summary().find("ABORTED"), std::string::npos);
   }
+}
+
+TEST(SimShardExchange, ShardZeroRunsOnTheCallingThread) {
+  // One round loop for every shard count: shard 0 runs on the thread that
+  // called run_sharded, so a 1-shard run starts no thread and a K-shard run
+  // starts K - 1. The tracer's per-thread ids show which thread ran what.
+  driver::CompileResult compiled = compile(kPipelineSource, "demo_top");
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  obs::SpanTracer& tracer = obs::SpanTracer::global();
+  for (int shards : {1, 2}) {
+    tracer.clear();
+    tracer.set_enabled(true);
+    sim::SimResult result =
+        engine.run(generic_options(compiled.design, 64, shards, true));
+    tracer.set_enabled(false);
+    ASSERT_EQ(result.shard_forensics.size(),
+              static_cast<std::size_t>(shards));
+    const obs::SpanRecord* run = nullptr;
+    std::vector<const obs::SpanRecord*> shard_spans(shards, nullptr);
+    const std::vector<obs::SpanRecord> spans = tracer.snapshot();
+    for (const obs::SpanRecord& span : spans) {
+      if (span.name == "sim.run") run = &span;
+      if (span.name != "sim.shard") continue;
+      for (int s = 0; s < shards; ++s) {
+        if (span.args.find("\"shard\":" + std::to_string(s) + ",") == 0) {
+          shard_spans[s] = &span;
+        }
+      }
+    }
+    ASSERT_NE(run, nullptr) << shards << " shards";
+    ASSERT_NE(shard_spans[0], nullptr) << shards << " shards";
+    EXPECT_EQ(shard_spans[0]->tid, run->tid) << shards << " shards";
+    if (shards == 2) {
+      ASSERT_NE(shard_spans[1], nullptr);
+      EXPECT_NE(shard_spans[1]->tid, run->tid);
+    }
+  }
+  tracer.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -587,7 +622,7 @@ TEST(SimStateTable, MergeMatchesAStableSortAtEveryShardCount) {
   support::DiagnosticEngine diags;
   sim::SimGraph graph;
   ASSERT_TRUE(sim::build_sim_graph(compiled.design, base, diags, graph));
-  sim::Kernel kernel(graph, base, diags, /*shard=*/0, /*router=*/nullptr);
+  sim::Kernel kernel(graph, base, /*shard=*/0, /*router=*/nullptr);
   kernel.seed();
   kernel.process_events(sim::kInfiniteTime, /*inclusive=*/false,
                         base.max_time_ns);
