@@ -34,7 +34,7 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
 void Histogram::reset() {
   for (auto& b : buckets_) b = 0;
   count_ = 0;
-  sum_.reset();
+  sum_.set(0.0);
 }
 
 const std::vector<double>& default_ms_bounds() {
@@ -165,13 +165,6 @@ std::string MetricsRegistry::render_json() const {
   }
   out += "}}";
   return out;
-}
-
-void MetricsRegistry::reset() {
-  std::shared_lock lock(mu_);  // values are atomic; the *maps* are stable
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 }  // namespace tydi::obs

@@ -54,7 +54,6 @@ class Counter {
     return *this;
   }
   [[nodiscard]] std::uint64_t value() const { return value_.get(); }
-  void reset() { value_ = 0; }
 
  private:
   support::RelaxedCounter value_;
@@ -74,7 +73,6 @@ class Gauge {
   [[nodiscard]] double value() const {
     return decode(bits_.load(std::memory_order_relaxed));
   }
-  void reset() { set(0.0); }
 
  private:
   static std::uint64_t encode(double v) {
@@ -150,10 +148,6 @@ class MetricsRegistry {
   /// Keys are name-sorted; doubles render with up to 6 significant
   /// decimals, integers as integers.
   [[nodiscard]] std::string render_json() const;
-
-  /// Zeroes every registered instrument (bench/tests only — instruments
-  /// stay registered so cached references remain valid).
-  void reset();
 
  private:
   mutable std::shared_mutex mu_;

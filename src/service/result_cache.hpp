@@ -11,16 +11,24 @@
 // the hit path answers with the cached object itself and the miss path
 // hands its freshly compiled text over without a copy.
 //
+// Reply frames: an admitted payload of at least kMinFrameBytes also gets
+// its complete OK reply frame written once into a sealed memfd
+// (ReplyFrame). A hit hands the frame to the transport, which sends it
+// with sendfile instead of copying the payload through a gathering send.
+// The frame bytes count against the budget like the payload, and the
+// frame size floor bounds the cache's open fds by budget / kMinFrameBytes.
+//
 // Admission and bound: a payload is stored only on its key's *second*
 // sighting, tracked in a bounded set of 64-bit key hashes that is cleared
 // when full — traffic that never repeats (an edit loop) stores nothing and
-// pays one hash-set probe per request. Stored payloads are evicted in LRU
-// order to keep keys + payloads under a fixed byte budget.
+// pays one hash-set probe per request. Stored entries are evicted in LRU
+// order to keep keys + payloads + frames under a fixed byte budget.
 //
 // Thread-safety: every method may be called from any worker thread; one
 // mutex guards the tables (held for a probe or a splice, never while
-// compiling). Counters and gauges live in the metrics registry under
-// tydi.service.result_cache.* — the cache keeps no mirror counters.
+// compiling or writing a frame). Counters and gauges live in the metrics
+// registry under tydi.service.result_cache.* — the cache keeps no mirror
+// counters.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +42,32 @@
 
 namespace tydi::service {
 
+/// One cached reply's complete wire frame (header line, payload, newline)
+/// in a sealed memfd. The fd is closed when the last owner lets go: the
+/// cache and every hit Response in flight each hold a shared_ptr, so an
+/// eviction or INVALIDATE never closes a frame mid-send.
+class ReplyFrame {
+ public:
+  /// Writes `header` + "\n" + `payload` + "\n" with one writev into a new
+  /// memfd and seals it against writes, growth and shrinking. nullptr when
+  /// memfd_create fails (EMFILE, ENOMEM) or the write comes up short.
+  [[nodiscard]] static std::shared_ptr<const ReplyFrame> create(
+      std::string_view header, std::string_view payload);
+  ~ReplyFrame();
+
+  ReplyFrame(const ReplyFrame&) = delete;
+  ReplyFrame& operator=(const ReplyFrame&) = delete;
+
+  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  ReplyFrame(int fd, std::size_t size) : fd_(fd), size_(size) {}
+
+  int fd_;
+  std::size_t size_;
+};
+
 class ResultCache {
  public:
   /// Byte budget of the daemon's cache (keys + payloads).
@@ -41,6 +75,10 @@ class ResultCache {
   /// Key hashes remembered for second-sighting admission before the set is
   /// cleared and starts over.
   static constexpr std::size_t kMaxSighted = 4096;
+  /// Smallest payload stored with a ReplyFrame. Below it a gathering send
+  /// is as cheap, and the floor bounds the frames (open fds) by
+  /// kBudgetBytes / kMinFrameBytes = 1024.
+  static constexpr std::size_t kMinFrameBytes = std::size_t{64} << 10;
 
   explicit ResultCache(std::size_t budget_bytes = kBudgetBytes);
   ~ResultCache();
@@ -51,6 +89,9 @@ class ResultCache {
   struct Lookup {
     /// The cached payload on a hit, nullptr on a miss.
     std::shared_ptr<const std::string> hit;
+    /// The hit's reply frame; null on a miss, for a payload under
+    /// kMinFrameBytes, or when the frame could not be built.
+    std::shared_ptr<const ReplyFrame> frame;
     /// On a miss: this is at least the key's second sighting, so a
     /// successful result should be offered to `insert`.
     bool admit = false;
@@ -60,9 +101,12 @@ class ResultCache {
   [[nodiscard]] Lookup lookup(const std::string& key);
   /// Stores a successful payload (the caller got `admit` from lookup),
   /// evicting least-recently-used entries until the budget holds. A payload
-  /// larger than the whole budget is not stored.
+  /// of at least kMinFrameBytes is stored with its reply frame, `header`
+  /// (the response header line, no newline) followed by the payload. An
+  /// entry larger than the whole budget is not stored.
   void insert(const std::string& key,
-              std::shared_ptr<const std::string> payload);
+              std::shared_ptr<const std::string> payload,
+              std::string_view header);
   /// Records one sighting without a lookup: keys recovered from the journal
   /// were seen by the previous process, so their first request here admits.
   void mark_sighted(const std::string& key);
@@ -76,8 +120,9 @@ class ResultCache {
   struct Entry {
     std::string key;
     std::shared_ptr<const std::string> payload;
+    std::shared_ptr<const ReplyFrame> frame;
     [[nodiscard]] std::size_t bytes() const {
-      return key.size() + payload->size();
+      return key.size() + payload->size() + (frame ? frame->size() : 0);
     }
   };
   using Lru = std::list<Entry>;  ///< most recently used first

@@ -1,6 +1,8 @@
 #include "src/service/server.hpp"
 
 #include <poll.h>
+#include <pthread.h>
+#include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
@@ -48,10 +50,25 @@ bool write_all(int fd, std::string_view data) {
   return true;
 }
 
-/// Writes one response frame (header line, payload, newline) with one
-/// gathering send per pass, so a large payload is never copied into a
-/// serialized frame first.
+/// Sends a cached reply frame straight from its memfd. sendfile has no
+/// MSG_NOSIGNAL: the connection thread blocks SIGPIPE, so a dead peer
+/// yields EPIPE here too.
+bool send_frame(int fd, const ReplyFrame& frame) {
+  off_t offset = 0;
+  while (static_cast<std::size_t>(offset) < frame.size()) {
+    const std::size_t left = frame.size() - static_cast<std::size_t>(offset);
+    const ssize_t n = ::sendfile(fd, frame.fd(), &offset, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+  }
+  return true;
+}
+
+/// Writes one response frame (header line, payload, newline): a cached
+/// frame with sendfile, anything else with one gathering send per pass, so
+/// a large payload is never copied into a serialized frame first.
 bool write_response(int fd, const Response& response) {
+  if (response.frame != nullptr) return send_frame(fd, *response.frame);
   const std::string header = response.header() + "\n";
   const std::string& payload = response.payload();
   char newline = '\n';
@@ -182,6 +199,14 @@ bool peer_disconnected(int fd) {
 void serve_connection(int fd, CompileService& service,
                       std::atomic<bool>& shutdown, int listen_fd,
                       ConnectionTracker& tracker) {
+  static obs::Counter& reply_disconnects =
+      obs::MetricsRegistry::global().counter("tydi.service.reply_disconnects");
+  // Replies to a dead peer must fail with EPIPE, not kill the daemon; the
+  // gathering send says so with MSG_NOSIGNAL, sendfile cannot.
+  sigset_t sigpipe;
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  ::pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
   std::string buffer;
   char chunk[4096];
   for (;;) {
@@ -212,6 +237,7 @@ void serve_connection(int fd, CompileService& service,
       written = write_response(fd, response);
     }
     if (!written) {
+      ++reply_disconnects;
       tracker.remove(fd);
       ::close(fd);
       return;

@@ -9,6 +9,11 @@
 // parallel. Connection threads only *admit* requests — compile work runs on
 // the service's fixed worker pool, so accepted connections bound thread
 // count at the transport layer while the queue bounds compile concurrency.
+// Replies go out with one gathering sendmsg, except a result-cache hit that
+// carries its reply frame: that one is sent from its memfd with sendfile.
+// Connection threads block SIGPIPE, so a reply to a dead peer fails with
+// EPIPE (counted in tydi.service.reply_disconnects) and closes the
+// connection instead of killing the daemon.
 //
 // Overload behaviour at this layer:
 //   - `max_connections` caps concurrently-served connections; past it the

@@ -906,6 +906,7 @@ std::optional<Response> CompileService::prepare(PendingRequest::State& state) {
   if (cached.hit != nullptr) {
     Response r;
     r.body = std::move(cached.hit);
+    r.frame = std::move(cached.frame);
     return r;
   }
   job.admit = cached.admit;
@@ -930,7 +931,7 @@ Response CompileService::run(PendingRequest::State& state) {
   if (r.ok()) {
     if (job.admit) {
       obs::PhaseTimer t(stages, "service", "cache");
-      result_cache_.insert(job.key_text, r.body);
+      result_cache_.insert(job.key_text, r.body, r.header());
     }
     obs::PhaseTimer t(stages, "service", "journal");
     journal_success(job.key);
@@ -1021,6 +1022,8 @@ std::vector<StatusField> CompileService::status_fields() const {
       {"result_cache_hits", count("tydi.service.result_cache.hits")},
       {"result_cache_bytes",
        reg.gauge("tydi.service.result_cache.bytes").value()},
+      {"result_cache_frames",
+       reg.gauge("tydi.service.result_cache.frames").value()},
       {"journal_enabled", journal_ != nullptr},
       {"journal_bytes", journal_ ? num(journal_->journal_bytes()) : 0.0},
       {"journal_live_keys", journal_ ? num(journal_->live_keys()) : 0.0},

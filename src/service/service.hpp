@@ -156,6 +156,10 @@ struct Response {
   /// the cached string itself, and a fresh compile hands its text to the
   /// cache without a copy. Null reads as an empty payload.
   std::shared_ptr<const std::string> body;
+  /// A result-cache hit's complete wire frame (see ReplyFrame): the same
+  /// bytes as `serialize()`, which the transport sends with sendfile. Null
+  /// for every other response.
+  std::shared_ptr<const ReplyFrame> frame;
   /// Set by SHUTDOWN: the transport should stop accepting after replying.
   bool shutdown = false;
   /// > 0 on shed responses (kUnavailable): the daemon's backoff hint in

@@ -2,26 +2,21 @@
 
 #include <sstream>
 
+#include "src/support/hash.hpp"
+
 namespace tydi::sim {
 
 namespace {
 
-/// splitmix64 finalizer — a counter-based hash good enough for fault
-/// scheduling (we need decorrelated bits, not cryptography).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using support::splitmix64;
 
 /// Hash of (seed, shard, site, step) mapped into [0, 1).
 double unit_hash(std::uint64_t seed, int shard, std::uint32_t site,
                  std::uint64_t step) {
-  std::uint64_t h = mix64(seed);
-  h = mix64(h ^ (static_cast<std::uint64_t>(shard) << 32 | site));
-  h = mix64(h ^ step);
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  std::uint64_t h = splitmix64(seed);
+  h = splitmix64(h ^ (static_cast<std::uint64_t>(shard) << 32 | site));
+  h = splitmix64(h ^ step);
+  return support::unit_interval(h);
 }
 
 }  // namespace

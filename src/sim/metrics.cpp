@@ -23,26 +23,6 @@ std::vector<ChannelStats> rank_bottlenecks(const SimResult& result) {
   return ranked;
 }
 
-std::vector<ChannelUtilization> channel_utilization(
-    const SimResult& result, double clock_period_ns) {
-  std::vector<ChannelUtilization> out;
-  for (const ChannelStats& c : result.channels) {
-    ChannelUtilization u;
-    u.name = c.name;
-    u.packets = c.packets;
-    u.blocked_ns = c.blocked_ns;
-    double window = c.last_delivery_ns - c.first_delivery_ns;
-    if (c.packets > 1 && window > 0.0) {
-      double busy = static_cast<double>(c.packets - 1) * clock_period_ns;
-      u.utilization = std::min(1.0, busy / window);
-    } else if (c.packets == 1) {
-      u.utilization = 0.0;
-    }
-    out.push_back(std::move(u));
-  }
-  return out;
-}
-
 std::string render_bottleneck_report(const SimResult& result,
                                      std::size_t limit) {
   support::TextTable table;

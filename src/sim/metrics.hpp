@@ -1,5 +1,5 @@
-// Analysis reports over simulation results (Sec. V-B): bottleneck ranking,
-// channel utilization, and the state-transition table.
+// Analysis reports over simulation results (Sec. V-B): bottleneck ranking
+// and the state-transition table.
 #pragma once
 
 #include <string>
@@ -9,22 +9,10 @@
 
 namespace tydi::sim {
 
-struct ChannelUtilization {
-  std::string name;
-  std::size_t packets = 0;
-  double blocked_ns = 0.0;
-  /// Fraction of the active window spent delivering packets (0..1).
-  double utilization = 0.0;
-};
-
 /// Channels ranked by blocked time, worst first ("investigate the output
 /// ports with the longest blockage to find the bottleneck component").
 [[nodiscard]] std::vector<ChannelStats> rank_bottlenecks(
     const SimResult& result);
-
-/// Per-channel utilization over the simulated window.
-[[nodiscard]] std::vector<ChannelUtilization> channel_utilization(
-    const SimResult& result, double clock_period_ns);
 
 /// Plain-text bottleneck report (top `limit` channels).
 [[nodiscard]] std::string render_bottleneck_report(const SimResult& result,

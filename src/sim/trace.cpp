@@ -152,13 +152,4 @@ support::Status read_binary_trace(std::istream& in, BinaryTrace& out) {
   return support::Status::ok();
 }
 
-support::Status read_binary_trace(const std::string& path, BinaryTrace& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return support::Status::error(support::StatusCode::kIoError, "trace",
-                                  "cannot open trace file '" + path + "'");
-  }
-  return read_binary_trace(in, out);
-}
-
 }  // namespace tydi::sim

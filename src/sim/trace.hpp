@@ -133,14 +133,12 @@ struct BinaryTrace {
 bool write_binary_trace(const SimResult& result, std::ostream& out);
 bool write_binary_trace(const SimResult& result, const std::string& path);
 
-/// Reads a TYTR v1 file. Every header-supplied count and length is
+/// Reads a TYTR v1 stream. Every header-supplied count and length is
 /// bounds-checked against the stream before allocation or use, and every
 /// channel column entry is validated against the name table, so truncated
-/// or bit-flipped input yields a kCorruptData / kIoError Status — never an
+/// or bit-flipped input yields a kCorruptData Status — never an
 /// out-of-range index reaching TraceBuffer or a bad_alloc escaping.
 [[nodiscard]] support::Status read_binary_trace(std::istream& in,
-                                                BinaryTrace& out);
-[[nodiscard]] support::Status read_binary_trace(const std::string& path,
                                                 BinaryTrace& out);
 
 }  // namespace tydi::sim

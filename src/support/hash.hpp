@@ -1,7 +1,15 @@
+// The program's two fixed hashes.
+//
 // FNV-1a 64 over a byte string: the one copy of it. Mangled and sugared
 // names embed its digits (elab `short_hash`, sugar `type_token`), so it is
 // part of the emitted output and must never change. Content stamps use the
 // faster elab::source_hash instead.
+//
+// splitmix64, the counter-based mixer behind every seeded schedule (sim
+// fault plans, journal I/O faults, retry jitter): hashing (seed, site,
+// step) instead of stepping an RNG keeps each draw stateless, so one seed
+// yields one reproducible schedule. Changing it changes every fault
+// schedule.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +24,18 @@ namespace tydi::support {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// The top 53 bits of a hash as a double in [0, 1).
+[[nodiscard]] constexpr double unit_interval(std::uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 }  // namespace tydi::support

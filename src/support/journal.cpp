@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/support/hash.hpp"
 #include "src/support/source.hpp"
 
 namespace tydi::support {
@@ -35,22 +36,10 @@ const std::array<std::uint32_t, 256>& crc32c_table() {
   return table;
 }
 
-/// splitmix64 — the same stateless counter-hash the sim fault injector
-/// uses, so one seed yields one reproducible fault schedule.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t site_hash(std::uint64_t seed, std::uint32_t site,
                         std::uint64_t step) {
-  return mix64(seed ^ mix64(static_cast<std::uint64_t>(site) << 32 | step));
-}
-
-double unit_interval(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
+  return splitmix64(seed ^
+                    splitmix64(static_cast<std::uint64_t>(site) << 32 | step));
 }
 
 void put_u32le(char* out, std::uint32_t v) {

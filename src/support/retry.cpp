@@ -2,29 +2,16 @@
 
 #include <algorithm>
 
+#include "src/support/hash.hpp"
+
 namespace tydi::support {
-
-namespace {
-
-/// Stateless splitmix64 step (same construction as the sim fault
-/// injector's schedule hash: counter-based, so no RNG state to carry).
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double retry_jitter(std::uint64_t seed, int attempt) {
   const std::uint64_t h =
       splitmix64(seed ^ splitmix64(static_cast<std::uint64_t>(attempt)));
-  // Top 53 bits -> [0, 1), squeezed into [0.5, 1.0) so the backoff never
-  // collapses below half its nominal value.
-  const double unit =
-      static_cast<double>(h >> 11) / 9007199254740992.0;  // 2^53
-  return 0.5 + unit / 2.0;
+  // Squeezed into [0.5, 1.0) so the backoff never collapses below half its
+  // nominal value.
+  return 0.5 + unit_interval(h) / 2.0;
 }
 
 bool Retry::next_delay_ms(double server_hint_ms, double& delay_ms) {

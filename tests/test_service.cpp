@@ -24,6 +24,7 @@
 #include "src/service/service.hpp"
 #include "src/support/source.hpp"
 #include "src/tpch/tpch.hpp"
+#include "tests/q6_files.hpp"
 
 namespace tydi {
 namespace {
@@ -211,6 +212,14 @@ TEST(ServiceProtocol, HealthMatchesTheRegistryWhenIdle) {
            {"replayed", "tydi.service.replay.replayed"},
            {"result_cache_hits", "tydi.service.result_cache.hits"}}) {
     EXPECT_EQ(json_field(health, key), static_cast<double>(counter(name)))
+        << key << " in " << health;
+  }
+  for (const auto& [key, name] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"result_cache_bytes", "tydi.service.result_cache.bytes"},
+           {"result_cache_frames", "tydi.service.result_cache.frames"}}) {
+    EXPECT_EQ(json_field(health, key),
+              obs::MetricsRegistry::global().gauge(name).value())
         << key << " in " << health;
   }
   EXPECT_GE(json_field(health, "shed_total"), 1.0);
@@ -538,55 +547,6 @@ std::uint64_t result_cache_counter(const char* name) {
   return counter(std::string("tydi.service.result_cache.") + name);
 }
 
-/// Q6 materialized as two files for the FILE verb, plus the session-free
-/// compile of exactly those named sources (the golden a FILE answer must
-/// match byte for byte).
-struct Q6Files {
-  std::string fletcher_path;
-  std::string query_path;
-
-  explicit Q6Files(const std::string& tag) {
-    const std::string base =
-        "/tmp/tydid_rc_" + tag + "_" + std::to_string(::getpid());
-    fletcher_path = base + "_fletcher.td";
-    query_path = base + "_q6.td";
-    write(fletcher_path, tpch::fletcher_source());
-    write(query_path, std::string(tpch::find_query("TPC-H 6")->source));
-  }
-  ~Q6Files() {
-    std::remove(fletcher_path.c_str());
-    std::remove(query_path.c_str());
-  }
-  static void write(const std::string& path, const std::string& text) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
-  void edit_query(const std::string& from, const std::string& to) const {
-    std::string text;
-    ASSERT_TRUE(support::read_file(query_path, text).is_ok());
-    const std::size_t at = text.find(from);
-    ASSERT_NE(at, std::string::npos) << from;
-    text.replace(at, from.size(), to);
-    write(query_path, text);
-  }
-  [[nodiscard]] std::string request() const {
-    return "FILE " + fletcher_path + "," + query_path + " q6_i vhdl";
-  }
-  [[nodiscard]] std::string golden() const {
-    std::vector<driver::NamedSource> sources;
-    for (const std::string& path : {fletcher_path, query_path}) {
-      driver::NamedSource& source = sources.emplace_back();
-      source.name = path;
-      EXPECT_TRUE(support::read_file(path, source.text).is_ok()) << path;
-    }
-    driver::CompileOptions options;
-    options.top = "q6_i";
-    driver::CompileResult r = driver::compile(sources, options);
-    EXPECT_TRUE(r.success()) << r.report();
-    return r.vhdl_text;
-  }
-};
-
 TEST(ResultCache, SecondSightingAdmitsAndHits) {
   service::ResultCache cache(1 << 20);
   service::ResultCache::Lookup first = cache.lookup("k");
@@ -596,7 +556,7 @@ TEST(ResultCache, SecondSightingAdmitsAndHits) {
   EXPECT_EQ(second.hit, nullptr);
   EXPECT_TRUE(second.admit);
   auto payload = std::make_shared<const std::string>("payload");
-  cache.insert("k", payload);
+  cache.insert("k", payload, "OK 0");
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.bytes(), std::string("k").size() + payload->size());
   // A hit hands out the stored object itself, not a copy.
@@ -613,12 +573,12 @@ TEST(ResultCache, LruEvictionHoldsTheByteBudget) {
   auto payload = [](char c) {
     return std::make_shared<const std::string>(300, c);
   };
-  cache.insert("a", payload('a'));
-  cache.insert("b", payload('b'));
-  cache.insert("c", payload('c'));
+  cache.insert("a", payload('a'), "OK 0");
+  cache.insert("b", payload('b'), "OK 0");
+  cache.insert("c", payload('c'), "OK 0");
   EXPECT_EQ(cache.entries(), 3u);
   ASSERT_NE(cache.lookup("a").hit, nullptr);  // "a" is now most recent
-  cache.insert("d", payload('d'));            // evicts "b", the LRU entry
+  cache.insert("d", payload('d'), "OK 0");  // evicts "b", the LRU entry
   EXPECT_LE(cache.bytes(), kBudget);
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(cache.lookup("b").hit, nullptr);
@@ -627,12 +587,48 @@ TEST(ResultCache, LruEvictionHoldsTheByteBudget) {
   EXPECT_NE(cache.lookup("d").hit, nullptr);
   EXPECT_EQ(result_cache_counter("evictions") - evictions0, 1u);
   // Larger than the whole budget: never stored, nothing evicted for it.
-  cache.insert("huge", std::make_shared<const std::string>(kBudget, 'x'));
+  cache.insert("huge", std::make_shared<const std::string>(kBudget, 'x'),
+               "OK 0");
   EXPECT_EQ(cache.lookup("huge").hit, nullptr);
   EXPECT_EQ(cache.entries(), 3u);
   cache.clear();
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.entries(), 0u);
+}
+
+TEST(ResultCache, LargePayloadKeepsItsReplyFrame) {
+  service::ResultCache cache(1 << 20);
+  const obs::Gauge& frames =
+      obs::MetricsRegistry::global().gauge("tydi.service.result_cache.frames");
+  const double frames0 = frames.value();
+  auto small = std::make_shared<const std::string>(
+      service::ResultCache::kMinFrameBytes - 1, 's');
+  auto large = std::make_shared<const std::string>(
+      service::ResultCache::kMinFrameBytes, 'l');
+  cache.insert("small", small, "OK 0 65535");
+  cache.insert("large", large, "OK 0 65536");
+  EXPECT_EQ(cache.lookup("small").frame, nullptr);
+  service::ResultCache::Lookup hit = cache.lookup("large");
+  ASSERT_NE(hit.frame, nullptr);
+  EXPECT_EQ(frames.value() - frames0, 1.0);
+
+  // The frame is the whole reply, and the budget counts it.
+  const std::string expected = "OK 0 65536\n" + *large + "\n";
+  ASSERT_EQ(hit.frame->size(), expected.size());
+  std::string bytes(expected.size(), '\0');
+  ASSERT_EQ(::pread(hit.frame->fd(), bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  EXPECT_EQ(bytes, expected);
+  EXPECT_EQ(cache.bytes(), std::string("small").size() + small->size() +
+                               std::string("large").size() + large->size() +
+                               expected.size());
+  // Sealed: nobody can rewrite a frame a hit may be sending.
+  EXPECT_LT(::pwrite(hit.frame->fd(), "x", 1, 0), 0);
+
+  // Dropping the entry leaves the frame to whoever still holds it.
+  cache.clear();
+  EXPECT_EQ(frames.value() - frames0, 0.0);
+  EXPECT_EQ(::pread(hit.frame->fd(), bytes.data(), 2, 0), 2);
 }
 
 TEST(ServiceResultCache, HitIsByteIdenticalToSessionFreeCompile) {

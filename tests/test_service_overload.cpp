@@ -16,10 +16,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "src/service/service.hpp"
 #include "src/support/retry.hpp"
 #include "src/support/status.hpp"
+#include "tests/q6_files.hpp"
 
 namespace tydi {
 namespace {
@@ -433,6 +437,90 @@ struct TestDaemon {
   std::thread thread;
 };
 
+/// A raw AF_UNIX client connection to `path`; -1 on failure.
+int connect_raw(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool write_line(int fd, const std::string& line) {
+  const std::string text = line + "\n";
+  return ::write(fd, text.data(), text.size()) ==
+         static_cast<ssize_t>(text.size());
+}
+
+/// Reads exactly `n` bytes (fewer only if the peer closes first).
+std::string read_bytes(int fd, std::size_t n) {
+  std::string out(n, '\0');
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::read(fd, out.data() + got, n - got);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  out.resize(got);
+  return out;
+}
+
+/// Reads one header line, newline included, a byte at a time so nothing
+/// past it leaves the socket.
+std::string read_header(int fd) {
+  std::string line;
+  while (line.empty() || line.back() != '\n') {
+    const std::string c = read_bytes(fd, 1);
+    if (c.empty()) break;
+    line += c;
+  }
+  return line;
+}
+
+/// The payload_bytes field of a response header line.
+std::size_t payload_size(const std::string& header) {
+  std::istringstream fields(header);
+  std::string verdict;
+  int exit_code = 0;
+  std::size_t bytes = 0;
+  fields >> verdict >> exit_code >> bytes;
+  return bytes;
+}
+
+/// One raw request/response exchange: the reply's exact wire bytes.
+std::string exchange_raw(const std::string& path, const std::string& line) {
+  const int fd = connect_raw(path);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return {};
+  EXPECT_TRUE(write_line(fd, line));
+  std::string wire = read_header(fd);
+  wire += read_bytes(fd, payload_size(wire) + 1);
+  ::close(fd);
+  return wire;
+}
+
+/// Open file descriptors of this process.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+double frames_gauge() {
+  return obs::MetricsRegistry::global()
+      .gauge("tydi.service.result_cache.frames")
+      .value();
+}
+
 TEST(ServiceServerOverload, SaturatedDaemonShedsAndServes) {
   service::ServiceConfig config;
   config.workers = 1;
@@ -547,18 +635,9 @@ TEST(ServiceServerOverload, DisconnectedClientAbortsInFlightCompile) {
 
   // Raw client: send a long SLEEP, then hang up without reading the reply.
   {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, daemon.config.socket_path.c_str(),
-                daemon.config.socket_path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = connect_raw(daemon.config.socket_path);
     ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    const char* line = "SLEEP 10000\n";
-    ASSERT_EQ(::write(fd, line, std::strlen(line)),
-              static_cast<ssize_t>(std::strlen(line)));
+    ASSERT_TRUE(write_line(fd, "SLEEP 10000"));
     // Wait until the worker actually started the sleep, then vanish.
     ASSERT_TRUE(wait_until([&] { return daemon.service.in_flight() > 0; }));
     ::close(fd);
@@ -594,18 +673,9 @@ TEST(ServiceServerOverload, ClientGoneDuringDrainIsADisconnectAbort) {
   const std::uint64_t drain_cancelled0 =
       counter("tydi.service.drain_cancelled");
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, daemon.config.socket_path.c_str(),
-              daemon.config.socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_raw(daemon.config.socket_path);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const char* line = "SLEEP 30000\n";
-  ASSERT_EQ(::write(fd, line, std::strlen(line)),
-            static_cast<ssize_t>(std::strlen(line)));
+  ASSERT_TRUE(write_line(fd, "SLEEP 30000"));
   ASSERT_TRUE(wait_until([&] { return daemon.service.in_flight() > 0; }));
 
   service::Response bye;
@@ -643,6 +713,137 @@ TEST(ServiceServerOverload, SigtermDrainsAndUnlinksSocket) {
   EXPECT_TRUE(daemon.service.draining());
   // No stale socket after a signal-driven shutdown.
   EXPECT_NE(::access(daemon.config.socket_path.c_str(), F_OK), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Result-cache hits sent from their reply frames (sendfile).
+
+/// A daemon with Q6 cached: two FILE requests admit the key, so the third
+/// is the first hit and is sent from its frame.
+struct WarmQ6Daemon {
+  explicit WarmQ6Daemon(const std::string& tag)
+      : files(tag), daemon(config()) {
+    for (int i = 0; i < 2; ++i) {
+      service::Response r;
+      EXPECT_TRUE(
+          service::request(daemon.config.socket_path, files.request(), r)
+              .is_ok());
+      EXPECT_TRUE(r.ok()) << r.payload();
+    }
+  }
+  static service::ServiceConfig config() {
+    service::ServiceConfig c;
+    c.workers = 1;
+    return c;
+  }
+  /// The wire bytes every Q6 answer must have.
+  [[nodiscard]] std::string expected_wire() const {
+    service::Response r;
+    r.set_payload(files.golden());
+    return r.serialize();
+  }
+
+  Q6Files files;
+  TestDaemon daemon;
+};
+
+TEST(ServiceServerHitFrames, FirstHitIsTheSessionFreeCompileByteForByte) {
+  const double frames0 = frames_gauge();
+  WarmQ6Daemon warm("frame_hit");
+  const std::string expected = warm.expected_wire();
+  ASSERT_GE(expected.size(), service::ResultCache::kMinFrameBytes);
+  EXPECT_EQ(frames_gauge() - frames0, 1.0);
+
+  const std::uint64_t hits0 = counter("tydi.service.result_cache.hits");
+  const std::string wire =
+      exchange_raw(warm.daemon.config.socket_path, warm.files.request());
+  EXPECT_EQ(counter("tydi.service.result_cache.hits") - hits0, 1u);
+  EXPECT_EQ(wire.size(), expected.size());
+  EXPECT_TRUE(wire == expected);
+}
+
+TEST(ServiceServerHitFrames, InvalidateDuringASlowReadStillDeliversTheReply) {
+  const std::size_t baseline = open_fds();
+  WarmQ6Daemon warm("frame_invalidate");
+  const std::string& path = warm.daemon.config.socket_path;
+  const std::string expected = warm.expected_wire();
+  const double frames0 = frames_gauge() - 1.0;  // before Q6 was cached
+
+  // Three pipelined hits exceed the socket buffer: while this client has
+  // read one header, the daemon is still sending from a frame.
+  const int fd = connect_raw(path);
+  ASSERT_GE(fd, 0);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(write_line(fd, warm.files.request()));
+  }
+  std::string wire = read_header(fd);
+  service::Response invalidated;
+  ASSERT_TRUE(service::request(path, "INVALIDATE", invalidated).is_ok());
+  ASSERT_TRUE(invalidated.ok());
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0) wire = read_header(fd);
+    wire += read_bytes(fd, payload_size(wire) + 1);
+    EXPECT_TRUE(wire == expected) << "reply " << i;
+  }
+  ::close(fd);
+  // Once the replies are out, the last owner closed the frame: the daemon
+  // holds its listener, plus a new frame if the recompiled requests cached
+  // Q6 again.
+  EXPECT_TRUE(wait_until([&] {
+    return open_fds() == baseline + 1 + static_cast<std::size_t>(
+                                            frames_gauge() - frames0);
+  })) << open_fds() << " open, baseline " << baseline;
+}
+
+TEST(ServiceServerHitFrames, ClientGoneMidReplyIsCountedAndTheDaemonServes) {
+  WarmQ6Daemon warm("frame_hangup");
+  const std::string& path = warm.daemon.config.socket_path;
+  const std::uint64_t disconnects0 =
+      counter("tydi.service.reply_disconnects");
+  {
+    // Pipelined hits exceed the socket buffer, so the daemon is still
+    // sending when the client hangs up after one header.
+    const int fd = connect_raw(path);
+    ASSERT_GE(fd, 0);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(write_line(fd, warm.files.request()));
+    }
+    EXPECT_EQ(read_header(fd).rfind("OK 0 ", 0), 0u);
+    ::close(fd);
+  }
+  EXPECT_TRUE(wait_until([&] {
+    return counter("tydi.service.reply_disconnects") - disconnects0 == 1;
+  }));
+  service::Response ping;
+  ASSERT_TRUE(service::request(path, "PING", ping).is_ok());
+  EXPECT_EQ(ping.payload(), "pong");
+  EXPECT_TRUE(exchange_raw(path, warm.files.request()) ==
+              warm.expected_wire());
+}
+
+TEST(ServiceServerHitFrames, FrameFdsCloseOnInvalidateAndTeardown) {
+  const std::size_t baseline = open_fds();
+  {
+    WarmQ6Daemon warm("frame_fds");
+    const std::string& path = warm.daemon.config.socket_path;
+    ASSERT_TRUE(exchange_raw(path, warm.files.request()) ==
+                warm.expected_wire());
+    // The listener and the frame; client connections close asynchronously.
+    EXPECT_TRUE(wait_until([&] { return open_fds() == baseline + 2; }))
+        << open_fds() << " open, baseline " << baseline;
+    service::Response invalidated;
+    ASSERT_TRUE(service::request(path, "INVALIDATE", invalidated).is_ok());
+    EXPECT_TRUE(wait_until([&] { return open_fds() == baseline + 1; }))
+        << open_fds() << " open, baseline " << baseline;
+    // Cached again, then torn down with the frame still held.
+    for (int i = 0; i < 2; ++i) {
+      service::Response r;
+      ASSERT_TRUE(service::request(path, warm.files.request(), r).is_ok());
+    }
+    EXPECT_TRUE(wait_until([&] { return open_fds() == baseline + 2; }))
+        << open_fds() << " open, baseline " << baseline;
+  }
+  EXPECT_EQ(open_fds(), baseline);
 }
 
 }  // namespace

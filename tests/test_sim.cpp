@@ -11,6 +11,7 @@
 #include "src/sim/engine.hpp"
 #include "src/sim/kernel.hpp"
 #include "src/sim/metrics.hpp"
+#include "src/support/hash.hpp"
 
 namespace tydi {
 namespace {
@@ -416,15 +417,6 @@ TEST(SimEngine, TraceCanBeDisabled) {
   EXPECT_EQ(result.top_outputs.at("result").size(), 8u);
 }
 
-/// splitmix64 finalizer, as in sim/fault.cpp: draw i of a seed is
-/// mix64(seed * 2^32 + i).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// The canonical (time, kind, a, b) order as a four-field comparator: the
 /// reference the packed heap must match.
 bool canonically_before(const sim::Event& x, const sim::Event& y) {
@@ -446,8 +438,9 @@ TEST(SimEventQueue, PopOrderMatchesTheCanonicalComparator) {
   const std::int32_t as[] = {0, 1, 2, 3, kMaxA - 1, kMaxA};
   const std::int32_t bs[] = {-1, 0, 1, 7, kMaxB, kMinB};
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    // Draw i of a seed is splitmix64(seed * 2^32 + i).
     std::uint64_t draw = seed << 32;
-    auto next = [&] { return mix64(draw++); };
+    auto next = [&] { return support::splitmix64(draw++); };
     sim::EventQueue queue;
     std::vector<sim::Event> reference;
     auto pop_and_compare = [&](int step) {

@@ -400,15 +400,6 @@ TEST(SimTrace, RejectsTruncatedFile) {
   }
 }
 
-TEST(SimTrace, UnreadablePathIsIoError) {
-  sim::BinaryTrace loaded;
-  support::Status read =
-      sim::read_binary_trace("/nonexistent/dir/trace.tytr", loaded);
-  EXPECT_FALSE(read.is_ok());
-  EXPECT_EQ(read.code(), support::StatusCode::kIoError);
-  EXPECT_EQ(read.exit_code(), 3);
-}
-
 TEST(SimTrace, SlabGrowthIsChunked) {
   std::uint64_t before = sim::TraceBuffer::slabs_allocated();
   sim::TraceBuffer buffer;
