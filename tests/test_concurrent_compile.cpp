@@ -733,5 +733,40 @@ impl keep_top of keep_top_s {
   EXPECT_TRUE(a_ast.expired()) << "nothing else may keep a.td's AST alive";
 }
 
+// A cached AST outlives the compile that parsed it: compile B replays the
+// parses of compile A after A's result, its SourceManager and the source
+// strings it was handed are all destroyed. So the tree may hold no view
+// into a compile's source text. Meant for the ASan and TSan jobs: a view
+// that outlived its text is a use-after-free.
+TEST(SessionRetention, CachedParseOutlivesItsSourceText) {
+  const tpch::QueryCase* q = tpch::find_query("TPC-H 19");
+  ASSERT_NE(q, nullptr);
+  const driver::CompileResult golden = tpch::compile_query(*q);
+  ASSERT_TRUE(golden.success()) << golden.report();
+
+  obs::Counter& hits =
+      obs::MetricsRegistry::global().counter("tydi.parse.cache_hits");
+  driver::CompileSession session;
+  {
+    auto sources =
+        std::make_unique<std::vector<driver::NamedSource>>(
+            tpch::query_sources(*q));
+    driver::CompileResult a =
+        session.compile(*sources, tpch::query_options(*q));
+    ASSERT_TRUE(a.success()) << a.report();
+    a.sources.reset();
+    sources.reset();
+  }
+  const std::uint64_t hits_before = hits.value();
+  const std::vector<driver::NamedSource> sources = tpch::query_sources(*q);
+  driver::CompileResult b = session.compile(sources, tpch::query_options(*q));
+  ASSERT_TRUE(b.success()) << b.report();
+  // Every file (stdlib, Fletcher interfaces, the query) was a cache hit.
+  EXPECT_EQ(hits.value() - hits_before, sources.size() + 1);
+  EXPECT_EQ(b.ir_text, golden.ir_text);
+  EXPECT_EQ(b.vhdl_text, golden.vhdl_text);
+  EXPECT_EQ(b.report(), golden.report());
+}
+
 }  // namespace
 }  // namespace tydi
