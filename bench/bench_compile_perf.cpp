@@ -23,15 +23,18 @@
 // committed BENCH_compile.json tracks the actual measured value).
 //
 // A second section, "compile_parallel", measures the parallel
-// compile_batch at --jobs {1, 2, 4}: per-lane cold/warm wall clock, warm
-// throughput and warm hit rate, gated on byte-identity across worker
-// counts, the warm hit-rate threshold at every count, and a jobs=4-over-
-// jobs=1 speedup of --min-parallel-speedup (default 1.5) when the machine
-// has >= 4 hardware threads (a no-regression floor of
+// compile_batch at --jobs {1, 2, 4}: per-lane cold wall clock, and warm
+// rounds of the workload repeated to >= 50 ms at jobs=1, interleaved across
+// the worker counts. It reports the median warm round, throughput and warm
+// hit rate, and gates on byte-identity across worker counts, the warm
+// hit-rate threshold at every count, and a jobs=4-over-jobs=1 speedup (the
+// median of the per-round ratios) of --min-parallel-speedup (default 1.5)
+// when the machine has >= 4 hardware threads (a no-regression floor of
 // --min-parallel-no-regression, default 0.7, otherwise).
 //
-// A third section, "obs_overhead", interleaves warm rounds with the span
-// tracer enabled and disabled and gates the traced/untraced ratio at
+// A third section, "obs_overhead", interleaves warm rounds (the workload
+// repeated to >= 50 ms) with the span tracer enabled and disabled and gates
+// the median of the per-pair traced/untraced ratios at
 // --max-obs-overhead (default 1.05), plus a registry-vs-result-struct
 // consistency check — the metrics the daemon exports and the numbers this
 // harness writes come from the same counters and must agree exactly.
@@ -60,6 +63,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -288,7 +292,7 @@ struct JsonOptions {
 int run_obs_overhead_json(const JsonOptions& options) {
   tydi::obs::SpanTracer& tracer = tydi::obs::SpanTracer::global();
   auto& reg = tydi::obs::MetricsRegistry::global();
-  constexpr int kRoundsPerSide = 5;
+  constexpr int kRoundsPerSide = 9;
 
   tydi::driver::CompileSession session;
   run_round(session, nullptr, nullptr, nullptr);  // warm the caches
@@ -312,41 +316,58 @@ int run_obs_overhead_json(const JsonOptions& options) {
           probe_result.template_cache.hits() +
               probe_result.template_cache.misses();
 
-  double traced_ms = 0.0;
-  double untraced_ms = 0.0;
+  // One timed round is `passes` warm passes over the workload, enough for
+  // >= 50 ms untraced, so a round times compiles, not timer noise. Traced
+  // and untraced rounds alternate in pairs (the order flips every pair) and
+  // the gate reads the median of the per-pair ratios.
   std::size_t spans_per_round = 0;
   std::size_t failed = 0;
-  bool have_traced = false;
-  bool have_untraced = false;
-  for (int round = 0; round < 2 * kRoundsPerSide; ++round) {
-    const bool traced = round % 2 == 0;
+  auto timed_round = [&](bool traced, int passes) {
     tracer.clear();
     tracer.set_enabled(traced);
     const auto start = std::chrono::steady_clock::now();
-    RoundMetrics m = run_round(session, nullptr, nullptr, nullptr);
+    for (int i = 0; i < passes; ++i) {
+      failed += run_round(session, nullptr, nullptr, nullptr).failed;
+    }
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-    failed += m.failed;
-    if (traced) {
-      spans_per_round = tracer.size();
-      if (!have_traced || ms < traced_ms) traced_ms = ms;
-      have_traced = true;
-    } else {
-      if (!have_untraced || ms < untraced_ms) untraced_ms = ms;
-      have_untraced = true;
-    }
+    if (traced) spans_per_round = tracer.size() / passes;
+    return ms;
+  };
+  double one_pass_ms = timed_round(false, 1);
+  for (int i = 0; i < 2; ++i) {
+    one_pass_ms = std::min(one_pass_ms, timed_round(false, 1));
+  }
+  const int passes =
+      static_cast<int>(std::ceil(50.0 / std::max(one_pass_ms, 0.01)));
+  std::vector<double> traced_rounds;
+  std::vector<double> untraced_rounds;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kRoundsPerSide; ++pair) {
+    const bool traced_first = pair % 2 == 0;
+    const double first = timed_round(traced_first, passes);
+    const double second = timed_round(!traced_first, passes);
+    traced_rounds.push_back(traced_first ? first : second);
+    untraced_rounds.push_back(traced_first ? second : first);
+    ratios.push_back(traced_rounds.back() / untraced_rounds.back());
   }
   tracer.set_enabled(false);
   tracer.clear();
 
-  const double overhead_ratio =
-      untraced_ms > 0.0 ? traced_ms / untraced_ms : 0.0;
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double traced_ms = median(traced_rounds);
+  const double untraced_ms = median(untraced_rounds);
+  const double overhead_ratio = median(ratios);
 
   std::ostringstream section;
   section << "{\n"
           << "  \"benchmark\": \"obs_overhead\",\n"
           << "  \"rounds_per_side\": " << kRoundsPerSide << ",\n"
+          << "  \"passes_per_round\": " << passes << ",\n"
           << "  \"warm_ms_untraced\": " << untraced_ms << ",\n"
           << "  \"warm_ms_traced\": " << traced_ms << ",\n"
           << "  \"overhead_ratio\": " << overhead_ratio << ",\n"
@@ -385,23 +406,30 @@ int run_obs_overhead_json(const JsonOptions& options) {
   return rc;
 }
 
-/// Parallel compile_batch throughput at --jobs {1, 2, 4}: cold round (fresh
-/// session) + warm rounds through the surviving session per worker count.
-/// Gates: every worker count must reproduce the jobs=1 texts byte for byte
-/// (cold and warm), reach the warm hit-rate threshold, and — when the
-/// machine actually has >= 4 hardware threads — jobs=4 must beat jobs=1 by
-/// min_parallel_speedup on the best warm round (no-regression floor
-/// otherwise; the committed BENCH_compile.json records what was measured).
+/// Parallel compile_batch throughput at --jobs {1, 2, 4}: a cold round
+/// (fresh session) per worker count, then interleaved warm rounds through
+/// the surviving sessions. A warm round compiles the workload repeated
+/// until a jobs=1 round takes >= kMinRoundMs, so the rounds time compiles,
+/// not thread start-up. Gates: every worker count must reproduce the
+/// jobs=1 texts byte for byte (cold and warm), reach the warm hit-rate
+/// threshold, and — when the machine actually has >= 4 hardware threads —
+/// jobs=4 must beat jobs=1 by min_parallel_speedup in the median of the
+/// per-round jobs=1/jobs=4 ratios (no-regression floor otherwise; the
+/// committed BENCH_compile.json records what was measured).
 int run_compile_parallel_json(const JsonOptions& options) {
   const unsigned hw = std::thread::hardware_concurrency();
-  const std::vector<tydi::driver::BatchJob> jobs = tydi::tpch::batch_jobs();
+  const std::vector<tydi::driver::BatchJob> queries = tydi::tpch::batch_jobs();
   constexpr int kWorkerCounts[] = {1, 2, 4};
-  constexpr int kWarmRounds = 5;
+  constexpr int kWarmRounds = 9;
+  constexpr double kMinRoundMs = 50.0;
 
   struct Lane {
     int workers = 0;
+    std::unique_ptr<tydi::driver::CompileSession> session =
+        std::make_unique<tydi::driver::CompileSession>();
     double cold_ms = 0.0;
-    double warm_ms = 0.0;  ///< best warm round
+    std::vector<double> warm_round_ms;
+    double warm_ms = 0.0;  ///< median warm round
     double warm_hit_rate = 0.0;
     double warm_queries_per_sec = 0.0;
     bool identical = true;  ///< byte-identical to the jobs=1 texts
@@ -412,55 +440,69 @@ int run_compile_parallel_json(const JsonOptions& options) {
   std::vector<std::string> golden_vhdl;
   std::vector<std::string> golden_ir;
 
-  for (int workers : kWorkerCounts) {
-    Lane lane;
-    lane.workers = workers;
+  auto timed_round = [&](Lane& lane,
+                         const std::vector<tydi::driver::BatchJob>& work) {
     tydi::driver::BatchOptions batch_options;
-    batch_options.jobs = workers;
+    batch_options.jobs = lane.workers;
     batch_options.keep_texts = true;
-    tydi::driver::CompileSession session;
-
-    auto timed_round = [&](double& ms_out) {
-      const auto start = std::chrono::steady_clock::now();
-      tydi::driver::BatchResult result =
-          tydi::driver::compile_batch(session, jobs, batch_options);
-      ms_out = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - start)
-                   .count();
-      lane.failed += result.failures;
-      if (golden_vhdl.empty()) {
-        for (const tydi::driver::BatchEntry& e : result.entries) {
-          golden_vhdl.push_back(e.vhdl_text);
-          golden_ir.push_back(e.ir_text);
-        }
-      } else {
-        for (std::size_t i = 0; i < result.entries.size(); ++i) {
-          if (result.entries[i].vhdl_text != golden_vhdl[i] ||
-              result.entries[i].ir_text != golden_ir[i]) {
-            lane.identical = false;
-          }
-        }
+    const auto start = std::chrono::steady_clock::now();
+    tydi::driver::BatchResult result =
+        tydi::driver::compile_batch(*lane.session, work, batch_options);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    lane.failed += result.failures;
+    lane.warm_hit_rate = result.template_cache.hit_rate();
+    if (golden_vhdl.empty()) {
+      for (const tydi::driver::BatchEntry& e : result.entries) {
+        golden_vhdl.push_back(e.vhdl_text);
+        golden_ir.push_back(e.ir_text);
       }
-      return result;
-    };
-
-    timed_round(lane.cold_ms);
-    for (int round = 0; round < kWarmRounds; ++round) {
-      double round_ms = 0.0;
-      tydi::driver::BatchResult warm = timed_round(round_ms);
-      if (round == 0 || round_ms < lane.warm_ms) lane.warm_ms = round_ms;
-      lane.warm_hit_rate = warm.template_cache.hit_rate();
     }
+    for (std::size_t i = 0; i < result.entries.size(); ++i) {
+      const std::size_t q = i % golden_vhdl.size();
+      if (result.entries[i].vhdl_text != golden_vhdl[q] ||
+          result.entries[i].ir_text != golden_ir[q]) {
+        lane.identical = false;
+      }
+    }
+    return ms;
+  };
+
+  for (int workers : kWorkerCounts) {
+    lanes.emplace_back().workers = workers;
+    lanes.back().cold_ms = timed_round(lanes.back(), queries);
+  }
+  // Size the warm rounds on the fastest of three warm jobs=1 passes.
+  double one_pass_ms = timed_round(lanes.front(), queries);
+  for (int i = 0; i < 2; ++i) {
+    one_pass_ms = std::min(one_pass_ms, timed_round(lanes.front(), queries));
+  }
+  const auto repeats = static_cast<std::size_t>(
+      std::ceil(kMinRoundMs / std::max(one_pass_ms, 0.01)));
+  std::vector<tydi::driver::BatchJob> work;
+  for (std::size_t r = 0; r < repeats; ++r) {
+    work.insert(work.end(), queries.begin(), queries.end());
+  }
+  std::vector<double> ratios;
+  for (int round = 0; round < kWarmRounds; ++round) {
+    for (Lane& lane : lanes) {
+      lane.warm_round_ms.push_back(timed_round(lane, work));
+    }
+    ratios.push_back(lanes.front().warm_round_ms.back() /
+                     lanes.back().warm_round_ms.back());
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  for (Lane& lane : lanes) {
+    lane.warm_ms = median(lane.warm_round_ms);
     lane.warm_queries_per_sec =
-        lane.warm_ms > 0.0
-            ? static_cast<double>(jobs.size()) / (lane.warm_ms / 1000.0)
-            : 0.0;
-    lanes.push_back(lane);
+        static_cast<double>(work.size()) / (lane.warm_ms / 1000.0);
   }
 
-  const double speedup_j4 =
-      lanes.back().warm_ms > 0.0 ? lanes.front().warm_ms / lanes.back().warm_ms
-                                 : 0.0;
+  const double speedup_j4 = median(ratios);
   const bool scaling_expected = hw >= 4;
   const double required =
       scaling_expected ? options.min_parallel_speedup
@@ -470,7 +512,8 @@ int run_compile_parallel_json(const JsonOptions& options) {
   section << "{\n"
           << "  \"benchmark\": \"compile_parallel\",\n"
           << "  \"hardware_concurrency\": " << hw << ",\n"
-          << "  \"queries\": " << jobs.size() << ",\n"
+          << "  \"queries\": " << queries.size() << ",\n"
+          << "  \"queries_per_warm_round\": " << work.size() << ",\n"
           << "  \"warm_rounds\": " << kWarmRounds << ",\n"
           << "  \"lanes\": [\n";
   for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -495,7 +538,8 @@ int run_compile_parallel_json(const JsonOptions& options) {
     return 1;
   }
 
-  std::cout << "compile parallel:";
+  std::cout << "compile parallel (median of " << kWarmRounds
+            << " interleaved warm rounds of " << work.size() << " queries):";
   for (const Lane& lane : lanes) {
     std::cout << " jobs=" << lane.workers << " warm " << lane.warm_ms
               << " ms (hit rate " << lane.warm_hit_rate << ")";

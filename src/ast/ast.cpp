@@ -6,6 +6,15 @@
 
 namespace tydi::lang {
 
+const std::string& Name::str() const {
+  static const std::string kUnset;
+  return empty() ? kUnset : support::symbol_name(sym);
+}
+
+std::ostream& operator<<(std::ostream& out, Name name) {
+  return out << name.str();
+}
+
 std::string_view to_string(BinaryOp op) {
   switch (op) {
     case BinaryOp::kAdd: return "+";
@@ -318,8 +327,8 @@ void print_template_params(std::ostream& out,
 }
 
 void print_port_ref(std::ostream& out, const PortRef& r) {
-  if (r.instance) {
-    out << *r.instance;
+  if (!r.instance.empty()) {
+    out << r.instance;
     if (r.instance_index) {
       out << "[";
       print_expr(out, *r.instance_index);
@@ -529,7 +538,7 @@ void print_decl(std::ostream& out, const Decl& d) {
               print_expr(out, *p.array_size);
               out << "]";
             }
-            if (p.clock_domain) out << " @ " << *p.clock_domain;
+            if (!p.clock_domain.empty()) out << " @ " << p.clock_domain;
             out << ",\n";
           }
           out << "}\n";

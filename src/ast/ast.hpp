@@ -2,10 +2,14 @@
 // paper). Nodes are variant-based value types owned through unique_ptr; the
 // tree is immutable after parsing — elaboration produces a separate
 // `elab::Design` rather than mutating the AST.
+//
+// Every name in the tree is a `Name`, interned once by the parser. A cached
+// tree is shared by later compiles and outlives the source text it was
+// parsed from, so it holds symbols and owned strings, never views.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +22,18 @@
 namespace tydi::lang {
 
 using support::Loc;
+
+/// An interned name. An unset name (absent, or lost to a parse error)
+/// spells "".
+struct Name {
+  support::Symbol sym = support::kNoSymbol;
+
+  [[nodiscard]] bool empty() const { return sym == support::kNoSymbol; }
+  [[nodiscard]] const std::string& str() const;
+  friend bool operator==(Name, Name) = default;
+};
+
+std::ostream& operator<<(std::ostream& out, Name name);
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -42,26 +58,7 @@ struct IntLit { std::int64_t value = 0; };
 struct FloatLit { double value = 0.0; };
 struct StringLit { std::string value; };
 struct BoolLit { bool value = false; };
-struct Ident {
-  std::string name;
-  /// Lazily interned `name`, cached so repeated evaluation of the same AST
-  /// node (the simulator re-runs handler expressions per packet) resolves
-  /// by integer symbol without re-hashing the string. Atomic because cached
-  /// ASTs are shared across the concurrent compiles of a session: two
-  /// compiles may race to publish the (identical) interned symbol.
-  mutable std::atomic<support::Symbol> sym{support::kNoSymbol};
-
-  Ident() = default;
-  Ident(std::string n) : name(std::move(n)) {}  // NOLINT(runtime/explicit)
-  Ident(const Ident& o)
-      : name(o.name), sym(o.sym.load(std::memory_order_relaxed)) {}
-  Ident& operator=(const Ident& o) {
-    name = o.name;
-    sym.store(o.sym.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-    return *this;
-  }
-};
+struct Ident { Name name; };
 struct Binary {
   BinaryOp op{};
   ExprPtr lhs;
@@ -72,7 +69,7 @@ struct Unary {
   ExprPtr operand;
 };
 struct Call {
-  std::string callee;  // builtin math functions: ceil, log2, pow, len, ...
+  Name callee;  // builtin math functions: ceil, log2, pow, len, ...
   std::vector<ExprPtr> args;
 };
 struct ArrayLit { std::vector<ExprPtr> elems; };
@@ -115,7 +112,7 @@ enum class StreamDir : std::uint8_t { kForward, kReverse };
 struct NullTypeExpr {};
 struct BitTypeExpr { ExprPtr width; };
 /// Reference to a named Group/Union/type alias or a `type` template param.
-struct NamedTypeExpr { std::string name; };
+struct NamedTypeExpr { Name name; };
 struct StreamTypeExpr {
   TypeExprPtr element;
   ExprPtr throughput;             // optional; default 1.0
@@ -152,11 +149,11 @@ enum class ParamKind : std::uint8_t {
 struct TemplateArg;
 
 struct TemplateParam {
-  std::string name;
+  Name name;
   ParamKind kind = ParamKind::kInt;
   // For kImpl: the streamlet the supplied impl must derive from, e.g.
   // `pu_instance: impl of process_unit_s<type in_t, type out_t>`.
-  std::string impl_of_streamlet;
+  Name impl_of_streamlet;
   std::vector<TemplateArg> impl_of_args;
   Loc loc;
 };
@@ -166,7 +163,7 @@ struct TemplateArg {
   Kind kind = Kind::kExpr;
   ExprPtr expr;          // kExpr
   TypeExprPtr type;      // kType
-  std::string impl_name; // kImpl: name of an impl or an impl-typed param
+  Name impl_name;        // kImpl: name of an impl or an impl-typed param
   Loc loc;
 
   TemplateArg() = default;
@@ -184,16 +181,16 @@ enum class PortDir : std::uint8_t { kIn, kOut };
 [[nodiscard]] std::string_view to_string(PortDir d);
 
 struct PortDecl {
-  std::string name;
+  Name name;
   TypeExprPtr type;
   PortDir dir = PortDir::kIn;
   ExprPtr array_size;               // optional: port array `name: T in [n]`
-  std::optional<std::string> clock_domain;  // optional: `@ clk_name`
+  Name clock_domain;                // optional: `@ clk_name`
   Loc loc;
 };
 
 struct StreamletDecl {
-  std::string name;
+  Name name;
   std::vector<TemplateParam> params;
   std::vector<PortDecl> ports;
   Loc loc;
@@ -204,13 +201,13 @@ struct StreamletDecl {
 struct ImplStmt;
 
 struct InstanceStmt {
-  std::string name;
+  Name name;
   /// Optional explicit index: `instance cmp[i](...)` inside a `for` loop
   /// declares one instance per iteration, named `cmp_<i>` (the paper's
   /// "use the for statement to declare four instances of a comparator
   /// template" pattern, where each instance takes a different argument).
   ExprPtr name_index;
-  std::string impl_name;
+  Name impl_name;
   std::vector<TemplateArg> args;
   ExprPtr array_size;  // optional: `instance pu(x) [channel]`
   Loc loc;
@@ -219,9 +216,9 @@ struct InstanceStmt {
 /// One endpoint of a connection: `port`, `port[i]`, `inst.port`,
 /// `inst[i].port` or `inst.port[i]`.
 struct PortRef {
-  std::optional<std::string> instance;
+  Name instance;           // unset: a port of the impl itself
   ExprPtr instance_index;  // optional index on the instance array
-  std::string port;
+  Name port;
   ExprPtr port_index;      // optional index on a port array
   Loc loc;
 };
@@ -237,7 +234,7 @@ struct ConnectStmt {
 };
 
 struct ForStmt {
-  std::string var;
+  Name var;
   ExprPtr iterable;  // array value or range expression
   std::vector<ImplStmt> body;
   Loc loc;
@@ -257,7 +254,7 @@ struct AssertStmt {
 };
 
 struct LocalConst {
-  std::string name;
+  Name name;
   std::optional<ParamKind> declared_kind;  // `const x: int = ...`
   ExprPtr init;
   Loc loc;
@@ -273,16 +270,16 @@ struct ImplStmt {
 
 struct SimAction;
 
-struct ActAck { std::string port; };
+struct ActAck { Name port; };
 /// `send(port)` resends the triggering payload; `send(port, expr)` sends the
 /// evaluated expression as payload.
 struct ActSend {
-  std::string port;
+  Name port;
   ExprPtr payload;  // optional
 };
 struct ActDelay { ExprPtr cycles; };
 struct ActSet {
-  std::string state_var;
+  Name state_var;
   ExprPtr value;
 };
 struct ActIf {
@@ -295,7 +292,7 @@ struct ActIf {
 /// evaluable from compile-time constants (template parameters and local
 /// consts); the body is unrolled with `v` bound per iteration.
 struct ActFor {
-  std::string var;
+  Name var;
   ExprPtr iterable;
   std::vector<SimAction> body;
 };
@@ -307,7 +304,7 @@ struct SimAction {
 
 /// `state name = "initial";`
 struct SimStateDecl {
-  std::string name;
+  Name name;
   std::string initial;
   Loc loc;
 };
@@ -315,7 +312,7 @@ struct SimStateDecl {
 /// `on a.receive && b.receive { ... }`. An empty port list means the special
 /// `start` event fired once at time zero.
 struct SimHandler {
-  std::vector<std::string> wait_ports;
+  std::vector<Name> wait_ports;
   std::vector<SimAction> actions;
   Loc loc;
 };
@@ -327,9 +324,9 @@ struct SimBlock {
 };
 
 struct ImplDecl {
-  std::string name;
+  Name name;
   std::vector<TemplateParam> params;
-  std::string of_streamlet;
+  Name of_streamlet;
   std::vector<TemplateArg> of_args;
   bool external = false;
   std::vector<ImplStmt> body;
@@ -340,26 +337,26 @@ struct ImplDecl {
 // --- Top-level declarations ---
 
 struct ConstDecl {
-  std::string name;
+  Name name;
   std::optional<ParamKind> declared_kind;
   ExprPtr init;
   Loc loc;
 };
 
 struct TypeAliasDecl {
-  std::string name;
+  Name name;
   TypeExprPtr type;
   Loc loc;
 };
 
 struct FieldDecl {
-  std::string name;
+  Name name;
   TypeExprPtr type;
   Loc loc;
 };
 
 struct GroupDecl {
-  std::string name;
+  Name name;
   bool is_union = false;  // `Union` shares the syntax of `Group`
   std::vector<FieldDecl> fields;
   Loc loc;
@@ -371,7 +368,7 @@ struct Decl {
 };
 
 struct SourceFile {
-  std::string package;  // optional `package name;`
+  Name package;  // optional `package name;`
   std::vector<Decl> decls;
 };
 

@@ -228,9 +228,9 @@ void Elaborator::build_registries() {
           [this](const auto& n) {
             using T = std::decay_t<decltype(n)>;
             auto check_dup = [this, &n](const auto& map) {
-              if (map.contains(support::intern(n.name))) {
+              if (map.contains(n.name.sym)) {
                 diags_.error("elab",
-                             "duplicate declaration of '" + n.name + "'",
+                             "duplicate declaration of '" + n.name.str() + "'",
                              n.loc);
                 return true;
               }
@@ -238,23 +238,23 @@ void Elaborator::build_registries() {
             };
             if constexpr (std::is_same_v<T, lang::ConstDecl>) {
               if (!check_dup(const_decls_)) {
-                const_decls_[support::intern(n.name)] = &n;
+                const_decls_[n.name.sym] = &n;
               }
             } else if constexpr (std::is_same_v<T, lang::TypeAliasDecl>) {
               if (!check_dup(alias_decls_)) {
-                alias_decls_[support::intern(n.name)] = &n;
+                alias_decls_[n.name.sym] = &n;
               }
             } else if constexpr (std::is_same_v<T, lang::GroupDecl>) {
               if (!check_dup(group_decls_)) {
-                group_decls_[support::intern(n.name)] = &n;
+                group_decls_[n.name.sym] = &n;
               }
             } else if constexpr (std::is_same_v<T, lang::StreamletDecl>) {
               if (!check_dup(streamlet_decls_)) {
-                streamlet_decls_[support::intern(n.name)] = &n;
+                streamlet_decls_[n.name.sym] = &n;
               }
             } else if constexpr (std::is_same_v<T, lang::ImplDecl>) {
               if (!check_dup(impl_decls_)) {
-                impl_decls_[support::intern(n.name)] = &n;
+                impl_decls_[n.name.sym] = &n;
                 impl_decl_order_.push_back(&n);
               }
             }
@@ -293,7 +293,7 @@ void Elaborator::evaluate_global_consts() {
         }
         if (!seen) frame.sources.push_back(own);
       }
-      const_deps_[support::intern(c->name)] = std::move(frame.sources);
+      const_deps_[c->name.sym] = std::move(frame.sources);
     }
   }
 }
@@ -313,7 +313,7 @@ void Elaborator::evaluate_global_const(const lang::ConstDecl& c) {
       }
       if (!matches) {
         diags_.error("elab",
-                     "constant '" + c.name + "' declared as " +
+                     "constant '" + c.name.str() + "' declared as " +
                          std::string(lang::to_string(*c.declared_kind)) +
                          " but initialized with " +
                          std::string(v.type_name()),
@@ -321,9 +321,9 @@ void Elaborator::evaluate_global_const(const lang::ConstDecl& c) {
         return;
       }
     }
-    if (!global_scope_.define(c.name, std::move(v))) {
+    if (!global_scope_.define(c.name.sym, std::move(v))) {
       diags_.error("elab",
-                   "constant '" + c.name +
+                   "constant '" + c.name.str() +
                        "' is already defined (variables are immutable)",
                    c.loc);
     }
@@ -367,17 +367,17 @@ std::uint64_t Elaborator::arg_shape(
   return any ? source_hash(parts) : 0;
 }
 
-types::TypeRef Elaborator::resolve_named_type(const std::string& name,
-                                              Loc loc, const Context& ctx) {
+types::TypeRef Elaborator::resolve_named_type(lang::Name name, Loc loc,
+                                              const Context& ctx) {
+  const Symbol name_sym = name.sym;
   // 1. Template `type` parameter binding.
   if (ctx.type_bindings != nullptr) {
-    auto it = ctx.type_bindings->find(name);
+    auto it = ctx.type_bindings->find(name_sym);
     if (it != ctx.type_bindings->end()) return it->second;
   }
   // 2. Cached global named type. A cache hit replays the type's stored
   // transitive file-dependency closure into the active memo frame; a fresh
   // resolution collects that closure in its own frame below.
-  const Symbol name_sym = support::intern(name);
   auto cached = named_type_cache_.find(name_sym);
   if (cached != named_type_cache_.end()) {
     record_named_type_dep(name_sym);
@@ -385,7 +385,8 @@ types::TypeRef Elaborator::resolve_named_type(const std::string& name,
   }
 
   if (resolving_types_.contains(name_sym)) {
-    diags_.error("elab", "recursive type definition involving '" + name + "'",
+    diags_.error("elab",
+                 "recursive type definition involving '" + name.str() + "'",
                  loc);
     return nullptr;
   }
@@ -409,7 +410,7 @@ types::TypeRef Elaborator::resolve_named_type(const std::string& name,
 
   if (auto it = alias_decls_.find(name_sym); it != alias_decls_.end()) {
     types::TypeRef base = resolve_type(*it->second->type, global_ctx);
-    if (base != nullptr) result = types::with_origin(base, name);
+    if (base != nullptr) result = types::with_origin(base, name.str());
   } else if (auto git = group_decls_.find(name_sym);
              git != group_decls_.end()) {
     const lang::GroupDecl& g = *git->second;
@@ -421,14 +422,14 @@ types::TypeRef Elaborator::resolve_named_type(const std::string& name,
         ok = false;
         break;
       }
-      fields.push_back(types::Field{f.name, std::move(ft)});
+      fields.push_back(types::Field{f.name.str(), std::move(ft)});
     }
     if (ok) {
-      result = g.is_union ? types::make_union(std::move(fields), name)
-                          : types::make_group(std::move(fields), name);
+      result = g.is_union ? types::make_union(std::move(fields), name.str())
+                          : types::make_group(std::move(fields), name.str());
     }
   } else {
-    diags_.error("elab", "unknown type '" + name + "'", loc);
+    diags_.error("elab", "unknown type '" + name.str() + "'", loc);
   }
   resolving_types_.erase(name_sym);
   if (track_deps) {
@@ -545,7 +546,7 @@ bool Elaborator::check_param_binding(const lang::TemplateParam& param,
   using PK = lang::ParamKind;
   auto mismatch = [&](std::string_view got) {
     diags_.error("elab",
-                 "template parameter '" + param.name + "' expects " +
+                 "template parameter '" + param.name.str() + "' expects " +
                      std::string(lang::to_string(param.kind)) + ", got " +
                      std::string(got),
                  loc);
@@ -600,21 +601,21 @@ bool Elaborator::check_param_binding(const lang::TemplateParam& param,
       // constraint supplies arguments, the exact streamlet instance must
       // match (Sec. IV-B: "the streamlet template only accepts
       // implementations derived from that streamlet").
-      if (supplied->streamlet_family != param.impl_of_streamlet) {
+      if (supplied->streamlet_family != param.impl_of_streamlet.str()) {
         diags_.error("elab",
                      "impl '" + supplied->display_name + "' derives from '" +
                          supplied->streamlet_family +
-                         "' but template parameter '" + param.name +
-                         "' requires an impl of '" + param.impl_of_streamlet +
-                         "'",
+                         "' but template parameter '" + param.name.str() +
+                         "' requires an impl of '" +
+                         param.impl_of_streamlet.str() + "'",
                      loc);
         return false;
       }
       if (!param.impl_of_args.empty()) {
-        auto sit = streamlet_decls_.find(support::intern(param.impl_of_streamlet));
+        auto sit = streamlet_decls_.find(param.impl_of_streamlet.sym);
         if (sit == streamlet_decls_.end()) {
           diags_.error("elab",
-                       "unknown streamlet '" + param.impl_of_streamlet +
+                       "unknown streamlet '" + param.impl_of_streamlet.str() +
                            "' in impl constraint",
                        param.loc);
           return false;
@@ -627,7 +628,8 @@ bool Elaborator::check_param_binding(const lang::TemplateParam& param,
           diags_.error(
               "elab",
               "impl '" + supplied->display_name + "' implements streamlet '" +
-                  supplied->streamlet_name + "' but parameter '" + param.name +
+                  supplied->streamlet_name + "' but parameter '" +
+                  param.name.str() +
                   "' requires '" + expected + "'",
               loc);
           return false;
@@ -642,7 +644,7 @@ bool Elaborator::check_param_binding(const lang::TemplateParam& param,
 std::string Elaborator::elaborate_streamlet(
     const lang::StreamletDecl& decl, const std::vector<TemplateArgValue>& args,
     Loc use_loc) {
-  std::string mangled = mangle(decl.name, args);
+  std::string mangled = mangle(decl.name.str(), args);
   const Symbol mangled_sym = support::intern(mangled);
   // Template-instantiation cache: monomorphisation is keyed by the mangled
   // name's symbol; a hit skips re-elaboration entirely.
@@ -673,7 +675,7 @@ std::string Elaborator::elaborate_streamlet(
 
   if (args.size() != decl.params.size()) {
     diags_.error("elab",
-                 "streamlet '" + decl.name + "' expects " +
+                 "streamlet '" + decl.name.str() + "' expects " +
                      std::to_string(decl.params.size()) + " argument(s), got " +
                      std::to_string(args.size()),
                  use_loc);
@@ -681,7 +683,7 @@ std::string Elaborator::elaborate_streamlet(
   }
 
   eval::Scope scope(&global_scope_);
-  std::map<std::string, types::TypeRef> type_bindings;
+  std::map<Symbol, types::TypeRef> type_bindings;
   Context ctx;
   ctx.scope = &scope;
   ctx.type_bindings = &type_bindings;
@@ -691,15 +693,15 @@ std::string Elaborator::elaborate_streamlet(
     if (p.kind == lang::ParamKind::kImpl) {
       diags_.error("elab",
                    "streamlet templates cannot take impl parameters ('" +
-                       p.name + "' in '" + decl.name + "')",
+                       p.name.str() + "' in '" + decl.name.str() + "')",
                    p.loc);
       return {};
     }
     if (!check_param_binding(p, args[i], ctx, use_loc)) return {};
     if (p.kind == lang::ParamKind::kType) {
-      type_bindings[p.name] = args[i].type;
+      type_bindings[p.name.sym] = args[i].type;
     } else {
-      scope.define(p.name, args[i].value);
+      scope.define(p.name.sym, args[i].value);
     }
   }
 
@@ -707,8 +709,8 @@ std::string Elaborator::elaborate_streamlet(
   s.name = mangled;
   s.arg_shape = shape;
   s.display_name = args.empty()
-                       ? decl.name
-                       : decl.name + "<" + display_args(args) + ">";
+                       ? decl.name.str()
+                       : decl.name.str() + "<" + display_args(args) + ">";
   s.loc = decl.loc;
 
   for (const lang::PortDecl& pd : decl.ports) {
@@ -716,19 +718,20 @@ std::string Elaborator::elaborate_streamlet(
     if (t == nullptr) continue;
     if (!t->is_stream()) {
       diags_.error("elab",
-                   "port '" + pd.name + "' of streamlet '" + decl.name +
+                   "port '" + pd.name.str() + "' of streamlet '" +
+                       decl.name.str() +
                        "' must bind to a Stream type, got " + t->to_display(),
                    pd.loc);
       continue;
     }
     std::string clock = "default";
-    if (pd.clock_domain) {
-      if (auto v = scope.lookup(*pd.clock_domain)) {
+    if (!pd.clock_domain.empty()) {
+      if (auto v = scope.lookup(pd.clock_domain.sym)) {
         if (v->is_clock()) {
           clock = v->as_clock().name;
         } else {
           diags_.error("elab",
-                       "'" + *pd.clock_domain +
+                       "'" + pd.clock_domain.str() +
                            "' used as clock domain but has type " +
                            std::string(v->type_name()),
                        pd.loc);
@@ -736,7 +739,7 @@ std::string Elaborator::elaborate_streamlet(
       } else {
         // Bare clock-domain labels are permitted: `@ sys_clk` names the
         // domain directly without declaring a clockdomain constant.
-        clock = *pd.clock_domain;
+        clock = pd.clock_domain.str();
       }
     }
     std::int64_t count = -1;  // scalar
@@ -756,7 +759,7 @@ std::string Elaborator::elaborate_streamlet(
       if (s.find_port(port_name) != nullptr) {
         diags_.error("elab",
                      "duplicate port '" + port_name + "' in streamlet '" +
-                         decl.name + "'",
+                         decl.name.str() + "'",
                      pd.loc);
         return;
       }
@@ -769,10 +772,10 @@ std::string Elaborator::elaborate_streamlet(
       s.ports.push_back(std::move(p));
     };
     if (count < 0) {
-      add_port(pd.name);
+      add_port(pd.name.str());
     } else {
       for (std::int64_t i = 0; i < count; ++i) {
-        add_port(pd.name + "_" + std::to_string(i));
+        add_port(pd.name.str() + "_" + std::to_string(i));
       }
     }
   }
@@ -792,15 +795,15 @@ std::string Elaborator::elaborate_streamlet(
 }
 
 std::string Elaborator::resolve_impl_ref(
-    const std::string& name, const std::vector<lang::TemplateArg>& args,
+    lang::Name name, const std::vector<lang::TemplateArg>& args,
     const Context& ctx, Loc loc) {
   // Impl-parameter binding (already elaborated and concrete).
   if (ctx.impl_bindings != nullptr) {
-    auto it = ctx.impl_bindings->find(name);
+    auto it = ctx.impl_bindings->find(name.sym);
     if (it != ctx.impl_bindings->end()) {
       if (!args.empty()) {
         diags_.error("elab",
-                     "impl parameter '" + name +
+                     "impl parameter '" + name.str() +
                          "' is already concrete and takes no arguments",
                      loc);
         return {};
@@ -808,9 +811,9 @@ std::string Elaborator::resolve_impl_ref(
       return it->second;
     }
   }
-  auto it = impl_decls_.find(support::intern(name));
+  auto it = impl_decls_.find(name.sym);
   if (it == impl_decls_.end()) {
-    diags_.error("elab", "unknown impl '" + name + "'", loc);
+    diags_.error("elab", "unknown impl '" + name.str() + "'", loc);
     return {};
   }
   std::vector<TemplateArgValue> evaluated = evaluate_args(args, ctx);
@@ -820,7 +823,7 @@ std::string Elaborator::resolve_impl_ref(
 std::string Elaborator::elaborate_impl(
     const lang::ImplDecl& decl, const std::vector<TemplateArgValue>& args,
     Loc use_loc) {
-  std::string mangled = mangle(decl.name, args);
+  std::string mangled = mangle(decl.name.str(), args);
   const Symbol mangled_sym = support::intern(mangled);
   // Template-instantiation cache (see elaborate_streamlet).
   if (design_.find_impl(mangled_sym) != nullptr) {
@@ -848,13 +851,13 @@ std::string Elaborator::elaborate_impl(
   DepFrame dep_frame(this);
   if (impls_in_progress_.contains(mangled_sym)) {
     diags_.error("elab",
-                 "recursive instantiation of impl '" + decl.name + "'",
+                 "recursive instantiation of impl '" + decl.name.str() + "'",
                  use_loc);
     return {};
   }
   if (args.size() != decl.params.size()) {
     diags_.error("elab",
-                 "impl '" + decl.name + "' expects " +
+                 "impl '" + decl.name.str() + "' expects " +
                      std::to_string(decl.params.size()) + " argument(s), got " +
                      std::to_string(args.size()),
                  use_loc);
@@ -863,8 +866,8 @@ std::string Elaborator::elaborate_impl(
   impls_in_progress_.insert(mangled_sym);
 
   eval::Scope scope(&global_scope_);
-  std::map<std::string, types::TypeRef> type_bindings;
-  std::map<std::string, std::string> impl_bindings;
+  std::map<Symbol, types::TypeRef> type_bindings;
+  std::map<Symbol, std::string> impl_bindings;
   Context ctx;
   ctx.scope = &scope;
   ctx.type_bindings = &type_bindings;
@@ -881,14 +884,14 @@ std::string Elaborator::elaborate_impl(
     }
     switch (p.kind) {
       case lang::ParamKind::kType:
-        type_bindings[p.name] = args[i].type;
+        type_bindings[p.name.sym] = args[i].type;
         break;
       case lang::ParamKind::kImpl:
-        impl_bindings[p.name] = args[i].impl_name;
+        impl_bindings[p.name.sym] = args[i].impl_name;
         break;
       default:
-        scope.define(p.name, args[i].value);
-        captured.emplace(p.name, args[i].value);
+        scope.define(p.name.sym, args[i].value);
+        captured.emplace(p.name.str(), args[i].value);
         break;
     }
   }
@@ -900,18 +903,19 @@ std::string Elaborator::elaborate_impl(
   Impl impl;
   impl.name = mangled;
   impl.arg_shape = shape;
-  impl.display_name =
-      args.empty() ? decl.name : decl.name + "<" + display_args(args) + ">";
-  impl.template_name = decl.name;
+  impl.display_name = args.empty()
+                          ? decl.name.str()
+                          : decl.name.str() + "<" + display_args(args) + ">";
+  impl.template_name = decl.name.str();
   impl.template_args = args;
   impl.external = decl.external;
-  impl.streamlet_family = decl.of_streamlet;
+  impl.streamlet_family = decl.of_streamlet.str();
   impl.loc = decl.loc;
 
   // Elaborate the streamlet this impl derives from.
-  auto sit = streamlet_decls_.find(support::intern(decl.of_streamlet));
+  auto sit = streamlet_decls_.find(decl.of_streamlet.sym);
   if (sit == streamlet_decls_.end()) {
-    diags_.error("elab", "unknown streamlet '" + decl.of_streamlet + "'",
+    diags_.error("elab", "unknown streamlet '" + decl.of_streamlet.str() + "'",
                  decl.loc);
     impls_in_progress_.erase(mangled_sym);
     return {};
@@ -930,10 +934,10 @@ std::string Elaborator::elaborate_impl(
       if (const auto* c = std::get_if<lang::LocalConst>(&s.node)) {
         try {
           Value v = eval::evaluate(*c->init, scope);
-          captured.emplace(c->name, v);
-          if (!scope.define(c->name, std::move(v))) {
+          captured.emplace(c->name.str(), v);
+          if (!scope.define(c->name.sym, std::move(v))) {
             diags_.error("elab",
-                         "'" + c->name + "' is already defined "
+                         "'" + c->name.str() + "' is already defined "
                          "(variables are immutable)",
                          c->loc);
           }
@@ -954,7 +958,7 @@ std::string Elaborator::elaborate_impl(
         }
       } else {
         diags_.error("elab",
-                     "external impl '" + decl.name +
+                     "external impl '" + decl.name.str() +
                          "' may only contain consts, asserts and a sim block",
                      decl.loc);
       }
@@ -1025,14 +1029,14 @@ Endpoint Elaborator::resolve_port_ref(const lang::PortRef& ref,
   Endpoint ep;
   ep.loc = ref.loc;
   try {
-    if (ref.instance) {
-      ep.instance = *ref.instance;
+    if (!ref.instance.empty()) {
+      ep.instance = ref.instance.str();
       if (ref.instance_index) {
         std::int64_t i = eval::evaluate_int(*ref.instance_index, *ctx.scope);
         ep.instance += "_" + std::to_string(i);
       }
     }
-    ep.port = ref.port;
+    ep.port = ref.port.str();
     if (ref.port_index) {
       std::int64_t i = eval::evaluate_int(*ref.port_index, *ctx.scope);
       ep.port += "_" + std::to_string(i);
@@ -1065,11 +1069,12 @@ void Elaborator::walk_stmts(const std::vector<lang::ImplStmt>& stmts,
                   return;
                 }
               }
-              std::string base_name = n.name;
+              std::string base_name = n.name.str();
               if (n.name_index) {
                 if (n.array_size) {
                   diags_.error("elab",
-                               "instance '" + n.name + "' cannot have both "
+                               "instance '" + n.name.str() +
+                                   "' cannot have both "
                                "an explicit index and an array size",
                                n.loc);
                   return;
@@ -1116,7 +1121,7 @@ void Elaborator::walk_stmts(const std::vector<lang::ImplStmt>& stmts,
               }
               for (const Value& element : iterable.as_array()) {
                 eval::Scope body_scope(&scope);
-                body_scope.define(n.var, element);
+                body_scope.define(n.var.sym, element);
                 walk_stmts(n.body, impl, body_scope, ctx, captured);
               }
             } else if constexpr (std::is_same_v<T, lang::IfStmt>) {
@@ -1134,10 +1139,10 @@ void Elaborator::walk_stmts(const std::vector<lang::ImplStmt>& stmts,
               }
             } else if constexpr (std::is_same_v<T, lang::LocalConst>) {
               Value v = eval::evaluate(*n.init, scope);
-              captured.emplace(n.name, v);
-              if (!scope.define(n.name, std::move(v))) {
+              captured.emplace(n.name.str(), v);
+              if (!scope.define(n.name.sym, std::move(v))) {
                 diags_.error("elab",
-                             "'" + n.name + "' is already defined in this "
+                             "'" + n.name.str() + "' is already defined in this "
                              "scope (variables are immutable; shadow in an "
                              "inner scope instead)",
                              n.loc);

@@ -94,8 +94,8 @@ class Elaborator {
  private:
   struct Context {
     eval::Scope* scope = nullptr;
-    const std::map<std::string, types::TypeRef>* type_bindings = nullptr;
-    const std::map<std::string, std::string>* impl_bindings = nullptr;
+    const std::map<Symbol, types::TypeRef>* type_bindings = nullptr;
+    const std::map<Symbol, std::string>* impl_bindings = nullptr;
   };
 
   ProgramRef program_;
@@ -181,7 +181,7 @@ class Elaborator {
 
   [[nodiscard]] types::TypeRef resolve_type(const lang::TypeExpr& type,
                                             const Context& ctx);
-  [[nodiscard]] types::TypeRef resolve_named_type(const std::string& name,
+  [[nodiscard]] types::TypeRef resolve_named_type(lang::Name name,
                                                   support::Loc loc,
                                                   const Context& ctx);
 
@@ -199,7 +199,7 @@ class Elaborator {
   /// Resolves an impl name appearing as an instance target or an `impl`
   /// template argument: either an impl-parameter binding or a global impl
   /// declaration (elaborated with `args`). Returns mangled name or "".
-  std::string resolve_impl_ref(const std::string& name,
+  std::string resolve_impl_ref(lang::Name name,
                                const std::vector<lang::TemplateArg>& args,
                                const Context& ctx, support::Loc loc);
 

@@ -163,21 +163,21 @@ Value eval_call(const lang::Call& call, const Scope& scope,
 
   auto require_arity = [&](std::size_t n) {
     if (args.size() != n) {
-      fail(call.callee + "() expects " + std::to_string(n) +
+      fail(call.callee.str() + "() expects " + std::to_string(n) +
                " argument(s), got " + std::to_string(args.size()),
            loc);
     }
   };
   auto num = [&](std::size_t i) -> double {
     if (!args[i].is_numeric()) {
-      fail(call.callee + "() argument " + std::to_string(i + 1) +
+      fail(call.callee.str() + "() argument " + std::to_string(i + 1) +
                " must be numeric, got " + std::string(args[i].type_name()),
            loc);
     }
     return args[i].as_number();
   };
 
-  const std::string& f = call.callee;
+  const std::string& f = call.callee.str();
   if (f == "ceil") {
     require_arity(1);
     return Value(static_cast<std::int64_t>(std::ceil(num(0))));
@@ -273,13 +273,8 @@ Value evaluate(const Expr& expr, const Scope& scope) {
         } else if constexpr (std::is_same_v<T, lang::BoolLit>) {
           return Value(n.value);
         } else if constexpr (std::is_same_v<T, lang::Ident>) {
-          support::Symbol sym = n.sym.load(std::memory_order_relaxed);
-          if (sym == support::kNoSymbol) {
-            sym = support::intern(n.name);
-            n.sym.store(sym, std::memory_order_relaxed);
-          }
-          if (const Value* v = scope.lookup_ptr(sym)) return *v;
-          fail("unknown identifier '" + n.name + "'", expr.loc);
+          if (const Value* v = scope.lookup_ptr(n.name.sym)) return *v;
+          fail("unknown identifier '" + n.name.str() + "'", expr.loc);
         } else if constexpr (std::is_same_v<T, lang::Binary>) {
           return eval_binary(n, scope, expr.loc);
         } else if constexpr (std::is_same_v<T, lang::Unary>) {
@@ -347,31 +342,6 @@ const std::vector<std::string>& builtin_function_names() {
       "ceil", "floor", "round", "abs",  "min",   "max",
       "pow",  "log2",  "log10", "ln",   "len",   "clockdomain"};
   return names;
-}
-
-void prime_symbols(const Expr& expr) {
-  std::visit(
-      [](const auto& n) {
-        using T = std::decay_t<decltype(n)>;
-        if constexpr (std::is_same_v<T, lang::Ident>) {
-          if (n.sym.load(std::memory_order_relaxed) == support::kNoSymbol) {
-            n.sym.store(support::intern(n.name), std::memory_order_relaxed);
-          }
-        } else if constexpr (std::is_same_v<T, lang::Binary>) {
-          prime_symbols(*n.lhs);
-          prime_symbols(*n.rhs);
-        } else if constexpr (std::is_same_v<T, lang::Unary>) {
-          prime_symbols(*n.operand);
-        } else if constexpr (std::is_same_v<T, lang::Call>) {
-          for (const auto& arg : n.args) prime_symbols(*arg);
-        } else if constexpr (std::is_same_v<T, lang::ArrayLit>) {
-          for (const auto& el : n.elems) prime_symbols(*el);
-        } else if constexpr (std::is_same_v<T, lang::IndexExpr>) {
-          prime_symbols(*n.base);
-          prime_symbols(*n.index);
-        }
-      },
-      expr.node);
 }
 
 }  // namespace tydi::eval

@@ -46,11 +46,4 @@ class EvalError : public std::runtime_error {
 /// The names of all builtin functions (for diagnostics/tests).
 [[nodiscard]] const std::vector<std::string>& builtin_function_names();
 
-/// Interns every identifier in the expression tree up front (fills the
-/// lazily-cached `Ident::sym`). The simulator calls this when compiling
-/// sim-block handlers so that expression evaluation on worker threads never
-/// writes to the shared AST (sibling component instances of one impl share
-/// the handler nodes).
-void prime_symbols(const lang::Expr& expr);
-
 }  // namespace tydi::eval

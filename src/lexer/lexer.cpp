@@ -1,359 +1,273 @@
 #include "src/lexer/lexer.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <charconv>
-#include <unordered_map>
+#include <cstdlib>
 
 namespace tydi::lang {
 
 namespace {
 
-const std::unordered_map<std::string_view, TokenKind>& keyword_table() {
-  static const std::unordered_map<std::string_view, TokenKind> table = {
-      {"package", TokenKind::kKwPackage},
-      {"import", TokenKind::kKwImport},
-      {"const", TokenKind::kKwConst},
-      {"type", TokenKind::kKwType},
-      {"Group", TokenKind::kKwGroup},
-      {"Union", TokenKind::kKwUnion},
-      {"streamlet", TokenKind::kKwStreamlet},
-      {"impl", TokenKind::kKwImpl},
-      {"of", TokenKind::kKwOf},
-      {"external", TokenKind::kKwExternal},
-      {"instance", TokenKind::kKwInstance},
-      {"for", TokenKind::kKwFor},
-      {"in", TokenKind::kKwIn},
-      {"if", TokenKind::kKwIf},
-      {"else", TokenKind::kKwElse},
-      {"assert", TokenKind::kKwAssert},
-      {"sim", TokenKind::kKwSim},
-      {"state", TokenKind::kKwState},
-      {"on", TokenKind::kKwOn},
-      {"set", TokenKind::kKwSet},
-      {"int", TokenKind::kKwInt},
-      {"float", TokenKind::kKwFloat},
-      {"string", TokenKind::kKwString},
-      {"bool", TokenKind::kKwBool},
-      {"clockdomain", TokenKind::kKwClockdomain},
-      {"true", TokenKind::kKwTrue},
-      {"false", TokenKind::kKwFalse},
-      {"Null", TokenKind::kKwNull},
-      {"Bit", TokenKind::kKwBit},
-      {"Stream", TokenKind::kKwStream},
+// Character classes of the token language. Only ASCII letters, digits and
+// '_' form names and numbers (no locale); every other byte is punctuation
+// or an unexpected character.
+enum : std::uint8_t { kIdentStart = 1, kIdentChar = 2, kDigit = 4, kHex = 8 };
+
+constexpr std::array<std::uint8_t, 256> kClass = [] {
+  std::array<std::uint8_t, 256> c{};
+  for (int ch = 0; ch < 256; ++ch) {
+    const bool alpha =
+        (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') || ch == '_';
+    const bool digit = ch >= '0' && ch <= '9';
+    const bool hex =
+        digit || (ch >= 'a' && ch <= 'f') || (ch >= 'A' && ch <= 'F');
+    c[ch] = (alpha ? kIdentStart | kIdentChar : 0) |
+            (digit ? kIdentChar | kDigit : 0) | (hex ? kHex : 0);
+  }
+  return c;
+}();
+
+bool is(char c, std::uint8_t cls) {
+  return (kClass[static_cast<unsigned char>(c)] & cls) != 0;
+}
+
+// The diagnostic name of every token kind, in TokenKind order. A keyword's
+// name is its spelling in quotes.
+constexpr std::string_view kKindNames[] = {
+    "end of input", "identifier", "integer literal", "float literal",
+    "string literal", "'package'", "'import'", "'const'", "'type'", "'Group'",
+    "'Union'", "'streamlet'", "'impl'", "'of'", "'external'", "'instance'",
+    "'for'", "'in'", "'if'", "'else'", "'assert'", "'sim'", "'state'", "'on'",
+    "'set'", "'int'", "'float'", "'string'", "'bool'", "'clockdomain'",
+    "'true'", "'false'", "'Null'", "'Bit'", "'Stream'", "'{'", "'}'", "'('",
+    "')'", "'['", "']'", "'<'", "'>'", "'<='", "'>='", "'='", "'=='", "'!='",
+    "'+'", "'-'", "'*'", "'**'", "'/'", "'%'", "'&&'", "'||'", "'!'", "','",
+    "';'", "':'", "'.'", "'..'", "'=>'", "'->'", "'@'", "invalid token",
+};
+static_assert(std::size(kKindNames) ==
+              static_cast<std::size_t>(TokenKind::kError) + 1);
+
+// Keywords sit in a collision-free 64-slot table indexed by a hash of the
+// first, second and last byte and the length (every keyword is at least
+// two bytes long), so classifying a name is one probe and one compare.
+struct Keyword {
+  std::string_view spelling;
+  TokenKind kind = TokenKind::kIdentifier;
+};
+
+constexpr std::size_t keyword_slot(std::string_view s) {
+  auto byte = [](char c) {
+    return static_cast<std::size_t>(static_cast<unsigned char>(c));
   };
-  return table;
+  return (byte(s[0]) * 25 + byte(s[1]) * 7 + byte(s.back()) * 5 + s.size()) &
+         63;
+}
+
+constexpr std::array<Keyword, 64> kKeywords = [] {
+  std::array<Keyword, 64> slots{};
+  for (auto k = static_cast<std::size_t>(TokenKind::kKwPackage);
+       k <= static_cast<std::size_t>(TokenKind::kKwStream); ++k) {
+    const std::string_view spelling =
+        kKindNames[k].substr(1, kKindNames[k].size() - 2);
+    Keyword& slot = slots[keyword_slot(spelling)];
+    if (!slot.spelling.empty()) throw "keyword slots collide";
+    slot = Keyword{spelling, static_cast<TokenKind>(k)};
+  }
+  return slots;
+}();
+
+TokenKind name_kind(std::string_view s) {
+  if (s.size() < 2) return TokenKind::kIdentifier;
+  const Keyword& k = kKeywords[keyword_slot(s)];
+  return k.spelling == s ? k.kind : TokenKind::kIdentifier;
 }
 
 }  // namespace
 
 std::string_view token_kind_name(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::kEnd: return "end of input";
-    case TokenKind::kIdentifier: return "identifier";
-    case TokenKind::kIntLiteral: return "integer literal";
-    case TokenKind::kFloatLiteral: return "float literal";
-    case TokenKind::kStringLiteral: return "string literal";
-    case TokenKind::kKwPackage: return "'package'";
-    case TokenKind::kKwImport: return "'import'";
-    case TokenKind::kKwConst: return "'const'";
-    case TokenKind::kKwType: return "'type'";
-    case TokenKind::kKwGroup: return "'Group'";
-    case TokenKind::kKwUnion: return "'Union'";
-    case TokenKind::kKwStreamlet: return "'streamlet'";
-    case TokenKind::kKwImpl: return "'impl'";
-    case TokenKind::kKwOf: return "'of'";
-    case TokenKind::kKwExternal: return "'external'";
-    case TokenKind::kKwInstance: return "'instance'";
-    case TokenKind::kKwFor: return "'for'";
-    case TokenKind::kKwIn: return "'in'";
-    case TokenKind::kKwIf: return "'if'";
-    case TokenKind::kKwElse: return "'else'";
-    case TokenKind::kKwAssert: return "'assert'";
-    case TokenKind::kKwSim: return "'sim'";
-    case TokenKind::kKwState: return "'state'";
-    case TokenKind::kKwOn: return "'on'";
-    case TokenKind::kKwSet: return "'set'";
-    case TokenKind::kKwInt: return "'int'";
-    case TokenKind::kKwFloat: return "'float'";
-    case TokenKind::kKwString: return "'string'";
-    case TokenKind::kKwBool: return "'bool'";
-    case TokenKind::kKwClockdomain: return "'clockdomain'";
-    case TokenKind::kKwTrue: return "'true'";
-    case TokenKind::kKwFalse: return "'false'";
-    case TokenKind::kKwNull: return "'Null'";
-    case TokenKind::kKwBit: return "'Bit'";
-    case TokenKind::kKwStream: return "'Stream'";
-    case TokenKind::kLBrace: return "'{'";
-    case TokenKind::kRBrace: return "'}'";
-    case TokenKind::kLParen: return "'('";
-    case TokenKind::kRParen: return "')'";
-    case TokenKind::kLBracket: return "'['";
-    case TokenKind::kRBracket: return "']'";
-    case TokenKind::kLess: return "'<'";
-    case TokenKind::kGreater: return "'>'";
-    case TokenKind::kLessEq: return "'<='";
-    case TokenKind::kGreaterEq: return "'>='";
-    case TokenKind::kEq: return "'='";
-    case TokenKind::kEqEq: return "'=='";
-    case TokenKind::kNotEq: return "'!='";
-    case TokenKind::kPlus: return "'+'";
-    case TokenKind::kMinus: return "'-'";
-    case TokenKind::kStar: return "'*'";
-    case TokenKind::kStarStar: return "'**'";
-    case TokenKind::kSlash: return "'/'";
-    case TokenKind::kPercent: return "'%'";
-    case TokenKind::kAmpAmp: return "'&&'";
-    case TokenKind::kPipePipe: return "'||'";
-    case TokenKind::kBang: return "'!'";
-    case TokenKind::kComma: return "','";
-    case TokenKind::kSemicolon: return "';'";
-    case TokenKind::kColon: return "':'";
-    case TokenKind::kDot: return "'.'";
-    case TokenKind::kDotDot: return "'..'";
-    case TokenKind::kFatArrow: return "'=>'";
-    case TokenKind::kThinArrow: return "'->'";
-    case TokenKind::kAt: return "'@'";
-    case TokenKind::kError: return "invalid token";
-  }
-  return "unknown";
+  const auto k = static_cast<std::size_t>(kind);
+  return k < std::size(kKindNames) ? kKindNames[k] : "unknown";
 }
 
 Lexer::Lexer(std::string_view text, support::FileId file)
     : text_(text), file_(file) {}
 
-char Lexer::peek(std::uint32_t ahead) const {
-  return (pos_ + ahead < text_.size()) ? text_[pos_ + ahead] : '\0';
-}
-
-char Lexer::advance() {
-  return at_end() ? '\0' : text_[pos_++];
-}
-
 void Lexer::skip_trivia() {
   while (!at_end()) {
-    char c = peek();
+    const char c = text_[pos_];
     if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
       ++pos_;
     } else if (c == '/' && peek(1) == '/') {
-      while (!at_end() && peek() != '\n') ++pos_;
+      pos_ = static_cast<std::uint32_t>(
+          std::min(text_.find('\n', pos_), text_.size()));
     } else if (c == '/' && peek(1) == '*') {
-      pos_ += 2;
-      while (!at_end() && !(peek() == '*' && peek(1) == '/')) ++pos_;
-      if (!at_end()) pos_ += 2;  // consume "*/"; unterminated hits EOF safely
+      // An unterminated comment runs to the end of the input.
+      const std::size_t close = text_.find("*/", pos_ + 2);
+      pos_ = static_cast<std::uint32_t>(
+          close == std::string_view::npos ? text_.size() : close + 2);
     } else {
       break;
     }
   }
 }
 
-Token Lexer::make(TokenKind kind, support::Loc loc, std::string text) {
-  Token t;
-  t.kind = kind;
-  t.loc = loc;
-  t.text = std::move(text);
-  return t;
+// Every token is built in place by one aggregate initialization: a token
+// filled in field by field and then copied out stalls on store forwarding.
+Token Lexer::make(TokenKind kind, std::uint32_t begin, std::uint32_t loc,
+                  std::int64_t int_value, double float_value) const {
+  return Token{kind, text_.substr(begin, pos_ - begin), int_value, float_value,
+               support::Loc{file_, loc}};
 }
 
-Token Lexer::lex_identifier_or_keyword(support::Loc start) {
-  std::uint32_t begin = pos_;
-  while (!at_end() && (std::isalnum(static_cast<unsigned char>(peek())) != 0 ||
-                       peek() == '_')) {
+Token Lexer::lex_number(std::uint32_t start) {
+  const char prefix = peek(1);
+  if (peek() == '0' && (prefix == 'x' || prefix == 'X' || prefix == 'b' ||
+                        prefix == 'B')) {
+    const int base = prefix == 'x' || prefix == 'X' ? 16 : 2;
+    pos_ += 2;
+    const std::uint32_t begin = pos_;
+    while (base == 16 ? is(peek(), kHex) : peek() == '0' || peek() == '1') {
+      ++pos_;
+    }
+    if (pos_ == begin) return make(TokenKind::kError, start, start);
+    std::int64_t value = 0;
+    std::from_chars(text_.data() + begin, text_.data() + pos_, value, base);
+    return make(TokenKind::kIntLiteral, begin, start, value);
+  }
+  while (is(peek(), kDigit)) ++pos_;
+  // A '.' only continues the number if followed by a digit — otherwise it
+  // is the start of '..' (range) or member access.
+  bool is_float = false;
+  if (peek() == '.' && is(peek(1), kDigit)) {
+    is_float = true;
     ++pos_;
+    while (is(peek(), kDigit)) ++pos_;
   }
-  std::string_view spelling = text_.substr(begin, pos_ - begin);
-  auto it = keyword_table().find(spelling);
-  if (it != keyword_table().end()) {
-    return make(it->second, start, std::string(spelling));
-  }
-  return make(TokenKind::kIdentifier, start, std::string(spelling));
-}
-
-Token Lexer::lex_number(support::Loc start) {
-  std::uint32_t begin = pos_;
-  int base = 10;
-  if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-    base = 16;
-    pos_ += 2;
-    begin = pos_;
-    while (std::isxdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-  } else if (peek() == '0' && (peek(1) == 'b' || peek(1) == 'B')) {
-    base = 2;
-    pos_ += 2;
-    begin = pos_;
-    while (peek() == '0' || peek() == '1') ++pos_;
-  } else {
-    while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    // A '.' only continues the number if followed by a digit — otherwise it
-    // is the start of '..' (range) or member access.
-    bool is_float = false;
-    if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1))) != 0) {
+  if (peek() == 'e' || peek() == 'E') {
+    const std::uint32_t save = pos_;
+    ++pos_;
+    if (peek() == '+' || peek() == '-') ++pos_;
+    if (is(peek(), kDigit)) {
       is_float = true;
-      ++pos_;
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
+      while (is(peek(), kDigit)) ++pos_;
+    } else {
+      pos_ = save;  // 'e' belongs to a following identifier
     }
-    if (peek() == 'e' || peek() == 'E') {
-      std::uint32_t save = pos_;
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-        is_float = true;
-        while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-      } else {
-        pos_ = save;  // 'e' belongs to a following identifier
-      }
-    }
-    std::string spelling(text_.substr(begin, pos_ - begin));
-    if (is_float) {
-      Token t = make(TokenKind::kFloatLiteral, start, spelling);
-      t.float_value = std::strtod(spelling.c_str(), nullptr);
-      return t;
-    }
-    Token t = make(TokenKind::kIntLiteral, start, spelling);
-    std::from_chars(spelling.data(), spelling.data() + spelling.size(),
-                    t.int_value, 10);
-    return t;
   }
-  std::string spelling(text_.substr(begin, pos_ - begin));
-  if (spelling.empty()) {
-    return make(TokenKind::kError, start, "missing digits after base prefix");
+  const std::string_view spelling = text_.substr(start, pos_ - start);
+  if (is_float) {
+    return make(TokenKind::kFloatLiteral, start, start, 0,
+                std::strtod(std::string(spelling).c_str(), nullptr));
   }
-  Token t = make(TokenKind::kIntLiteral, start, spelling);
-  std::from_chars(spelling.data(), spelling.data() + spelling.size(),
-                  t.int_value, base);
-  return t;
+  std::int64_t value = 0;
+  std::from_chars(spelling.data(), spelling.data() + spelling.size(), value);
+  return make(TokenKind::kIntLiteral, start, start, value);
 }
 
-Token Lexer::lex_string(support::Loc start) {
+Token Lexer::lex_string(std::uint32_t start) {
   ++pos_;  // opening quote
-  std::string value;
-  while (!at_end() && peek() != '"') {
-    char c = advance();
+  while (!at_end() && text_[pos_] != '"') {
+    const char c = text_[pos_++];
     if (c == '\\' && !at_end()) {
-      char esc = advance();
-      switch (esc) {
-        case 'n': value += '\n'; break;
-        case 't': value += '\t'; break;
-        case '\\': value += '\\'; break;
-        case '"': value += '"'; break;
-        default: value += esc; break;
-      }
+      ++pos_;  // the escaped byte, even a quote or a newline
     } else if (c == '\n') {
-      return make(TokenKind::kError, start, "unterminated string literal");
-    } else {
-      value += c;
+      return make(TokenKind::kError, start, start);
     }
   }
-  if (at_end()) {
-    return make(TokenKind::kError, start, "unterminated string literal");
-  }
+  if (at_end()) return make(TokenKind::kError, start, start);
+  Token t = make(TokenKind::kStringLiteral, start + 1, start);
   ++pos_;  // closing quote
-  return make(TokenKind::kStringLiteral, start, std::move(value));
+  return t;
 }
 
 Token Lexer::next() {
   skip_trivia();
-  support::Loc start = here();
-  if (at_end()) return make(TokenKind::kEnd, start);
+  const std::uint32_t start = pos_;
+  if (at_end()) return make(TokenKind::kEnd, start, start);
 
-  char c = peek();
-  if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-    return lex_identifier_or_keyword(start);
+  const char c = text_[pos_];
+  if (is(c, kIdentStart)) {
+    while (is(peek(), kIdentChar)) ++pos_;
+    return make(name_kind(text_.substr(start, pos_ - start)), start, start);
   }
-  if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-    return lex_number(start);
-  }
+  if (is(c, kDigit)) return lex_number(start);
   if (c == '"') return lex_string(start);
 
   ++pos_;
+  auto eat = [this](char want) {
+    if (peek() != want) return false;
+    ++pos_;
+    return true;
+  };
+  TokenKind kind = TokenKind::kError;
   switch (c) {
-    case '{': return make(TokenKind::kLBrace, start);
-    case '}': return make(TokenKind::kRBrace, start);
-    case '(': return make(TokenKind::kLParen, start);
-    case ')': return make(TokenKind::kRParen, start);
-    case '[': return make(TokenKind::kLBracket, start);
-    case ']': return make(TokenKind::kRBracket, start);
-    case ',': return make(TokenKind::kComma, start);
-    case ';': return make(TokenKind::kSemicolon, start);
-    case ':': return make(TokenKind::kColon, start);
-    case '@': return make(TokenKind::kAt, start);
-    case '+': return make(TokenKind::kPlus, start);
-    case '%': return make(TokenKind::kPercent, start);
-    case '/': return make(TokenKind::kSlash, start);
-    case '.':
-      if (peek() == '.') {
-        ++pos_;
-        return make(TokenKind::kDotDot, start);
-      }
-      return make(TokenKind::kDot, start);
-    case '*':
-      if (peek() == '*') {
-        ++pos_;
-        return make(TokenKind::kStarStar, start);
-      }
-      return make(TokenKind::kStar, start);
+    case '{': kind = TokenKind::kLBrace; break;
+    case '}': kind = TokenKind::kRBrace; break;
+    case '(': kind = TokenKind::kLParen; break;
+    case ')': kind = TokenKind::kRParen; break;
+    case '[': kind = TokenKind::kLBracket; break;
+    case ']': kind = TokenKind::kRBracket; break;
+    case ',': kind = TokenKind::kComma; break;
+    case ';': kind = TokenKind::kSemicolon; break;
+    case ':': kind = TokenKind::kColon; break;
+    case '@': kind = TokenKind::kAt; break;
+    case '+': kind = TokenKind::kPlus; break;
+    case '%': kind = TokenKind::kPercent; break;
+    case '/': kind = TokenKind::kSlash; break;
+    case '.': kind = eat('.') ? TokenKind::kDotDot : TokenKind::kDot; break;
+    case '*': kind = eat('*') ? TokenKind::kStarStar : TokenKind::kStar; break;
     case '-':
-      if (peek() == '>') {
-        ++pos_;
-        return make(TokenKind::kThinArrow, start);
-      }
-      return make(TokenKind::kMinus, start);
+      kind = eat('>') ? TokenKind::kThinArrow : TokenKind::kMinus;
+      break;
     case '=':
-      if (peek() == '>') {
-        ++pos_;
-        return make(TokenKind::kFatArrow, start);
-      }
-      if (peek() == '=') {
-        ++pos_;
-        return make(TokenKind::kEqEq, start);
-      }
-      return make(TokenKind::kEq, start);
-    case '<':
-      if (peek() == '=') {
-        ++pos_;
-        return make(TokenKind::kLessEq, start);
-      }
-      return make(TokenKind::kLess, start);
+      kind = eat('>')   ? TokenKind::kFatArrow
+             : eat('=') ? TokenKind::kEqEq
+                        : TokenKind::kEq;
+      break;
+    case '<': kind = eat('=') ? TokenKind::kLessEq : TokenKind::kLess; break;
     case '>':
-      if (peek() == '=') {
-        ++pos_;
-        return make(TokenKind::kGreaterEq, start);
-      }
-      return make(TokenKind::kGreater, start);
-    case '!':
-      if (peek() == '=') {
-        ++pos_;
-        return make(TokenKind::kNotEq, start);
-      }
-      return make(TokenKind::kBang, start);
-    case '&':
-      if (peek() == '&') {
-        ++pos_;
-        return make(TokenKind::kAmpAmp, start);
-      }
-      return make(TokenKind::kError, start, "stray '&' (did you mean '&&'?)");
+      kind = eat('=') ? TokenKind::kGreaterEq : TokenKind::kGreater;
+      break;
+    case '!': kind = eat('=') ? TokenKind::kNotEq : TokenKind::kBang; break;
+    case '&': kind = eat('&') ? TokenKind::kAmpAmp : TokenKind::kError; break;
     case '|':
-      if (peek() == '|') {
-        ++pos_;
-        return make(TokenKind::kPipePipe, start);
-      }
-      return make(TokenKind::kError, start, "stray '|' (did you mean '||'?)");
-    default:
-      return make(TokenKind::kError, start,
-                  std::string("unexpected character '") + c + "'");
+      kind = eat('|') ? TokenKind::kPipePipe : TokenKind::kError;
+      break;
+    default: break;
   }
+  // Punctuation carries no text (its kind is its spelling); an error keeps
+  // the bytes it could not lex.
+  return make(kind, kind == TokenKind::kError ? start : pos_, start);
 }
 
-std::vector<Token> Lexer::tokenize(std::string_view text,
-                                   support::FileId file) {
-  Lexer lexer(text, file);
-  std::vector<Token> out;
-  for (;;) {
-    Token t = lexer.next();
-    bool end = t.is(TokenKind::kEnd);
-    out.push_back(std::move(t));
-    if (end) break;
+std::string unescape(std::string_view raw) {
+  std::string value;
+  value.reserve(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    char c = raw[i];
+    if (c == '\\' && i + 1 < raw.size()) {
+      c = raw[++i];
+      if (c == 'n') {
+        c = '\n';
+      } else if (c == 't') {
+        c = '\t';
+      }
+    }
+    value += c;
   }
-  return out;
+  return value;
+}
+
+std::string error_message(const Token& error) {
+  switch (error.text.front()) {
+    case '"': return "unterminated string literal";
+    case '0': return "missing digits after base prefix";
+    case '&': return "stray '&' (did you mean '&&'?)";
+    case '|': return "stray '|' (did you mean '||'?)";
+    default:
+      return std::string("unexpected character '") + error.text.front() + "'";
+  }
 }
 
 }  // namespace tydi::lang

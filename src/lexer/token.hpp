@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "src/support/source.hpp"
@@ -85,9 +84,14 @@ enum class TokenKind : std::uint8_t {
 
 [[nodiscard]] std::string_view token_kind_name(TokenKind kind);
 
+/// A view of one token of a source text; valid while that text is. `text`
+/// is the token's spelling in the source: a string literal's raw bytes
+/// between its quotes (see unescape), an integer's digits after any base
+/// prefix, and for kError the bytes that could not be lexed (see
+/// error_message).
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;  // identifier spelling / literal text / error message
+  std::string_view text;
   std::int64_t int_value = 0;
   double float_value = 0.0;
   support::Loc loc;

@@ -1,34 +1,75 @@
 #include "src/parser/parser.hpp"
 
+#include <cstring>
+#include <new>
+
 #include "src/lexer/lexer.hpp"
 
 namespace tydi::lang {
 
-Parser::Parser(std::vector<Token> tokens, support::DiagnosticEngine& diags)
-    : tokens_(std::move(tokens)), diags_(diags) {
-  if (tokens_.empty() || !tokens_.back().is(TokenKind::kEnd)) {
-    Token end;
-    end.kind = TokenKind::kEnd;
-    tokens_.push_back(end);
+namespace {
+
+// Slot hash of a name for the per-parse table: the length and the first
+// and last eight bytes, one multiply. Names sharing both ends only probe
+// a little further.
+std::size_t name_hash(std::string_view s) {
+  std::uint64_t head = 0;
+  std::uint64_t tail = 0;
+  const std::size_t n = std::min<std::size_t>(s.size(), 8);
+  std::memcpy(&head, s.data(), n);
+  std::memcpy(&tail, s.data() + s.size() - n, n);
+  return ((head ^ (tail << 1) ^ s.size()) * 0x9E3779B97F4A7C15ULL) >> 32;
+}
+
+}  // namespace
+
+Parser::Parser(std::string_view text, support::FileId file,
+               support::DiagnosticEngine& diags)
+    : lexer_(text, file), cur_(lexer_.next()), diags_(diags) {}
+
+const Token& Parser::peek_next() {
+  if (!has_ahead_) {
+    ahead_ = lexer_.next();
+    has_ahead_ = true;
   }
+  return ahead_;
 }
 
-const Token& Parser::peek(std::size_t ahead) const {
-  std::size_t i = pos_ + ahead;
-  if (i >= tokens_.size()) i = tokens_.size() - 1;
-  return tokens_[i];
-}
-
-const Token& Parser::advance() {
-  const Token& t = tokens_[pos_];
+Token Parser::advance() {
   // Consuming a statement/body boundary ends panic mode: whatever follows
   // is a fresh construct whose errors deserve their own diagnostics.
   if (panic_ &&
-      (t.kind == TokenKind::kSemicolon || t.kind == TokenKind::kRBrace)) {
+      (cur_.kind == TokenKind::kSemicolon || cur_.kind == TokenKind::kRBrace)) {
     panic_ = false;
   }
-  if (pos_ + 1 < tokens_.size()) ++pos_;
-  return t;
+  if (cur_.is(TokenKind::kEnd)) return cur_;
+  const Token taken = cur_;
+  if (has_ahead_) {
+    cur_ = ahead_;
+    has_ahead_ = false;
+  } else {
+    // Lexes straight into cur_: assigning the returned token would reload
+    // it from a temporary the lexer has just stored piecewise, which stalls
+    // on store forwarding.
+    ::new (&cur_) Token(lexer_.next());
+  }
+  ++pos_;
+  return taken;
+}
+
+Name Parser::take_name() {
+  const std::string_view spelling = advance().text;  // never empty
+  constexpr std::size_t kMask = std::tuple_size_v<decltype(names_)> - 1;
+  std::size_t i = name_hash(spelling) & kMask;
+  for (; !names_[i].spelling.empty(); i = (i + 1) & kMask) {
+    if (names_[i].spelling == spelling) return Name{names_[i].sym};
+  }
+  const support::Symbol sym = support::intern(spelling);
+  if (4 * (name_count_ + 1) <= 3 * names_.size()) {
+    names_[i] = NameSlot{spelling, sym};
+    ++name_count_;
+  }
+  return Name{sym};
 }
 
 bool Parser::match(TokenKind k) {
@@ -99,7 +140,7 @@ SourceFile Parser::parse_file() {
   if (check(TokenKind::kKwPackage)) {
     advance();
     if (check(TokenKind::kIdentifier)) {
-      file.package = advance().text;
+      file.package = take_name();
     } else {
       error_here("expected package name");
     }
@@ -165,7 +206,7 @@ ConstDecl Parser::parse_const_decl() {
   d.loc = peek().loc;
   expect(TokenKind::kKwConst, "");
   if (check(TokenKind::kIdentifier)) {
-    d.name = advance().text;
+    d.name = take_name();
   } else {
     error_here("expected constant name");
   }
@@ -184,7 +225,7 @@ TypeAliasDecl Parser::parse_type_alias() {
   d.loc = peek().loc;
   expect(TokenKind::kKwType, "");
   if (check(TokenKind::kIdentifier)) {
-    d.name = advance().text;
+    d.name = take_name();
   } else {
     error_here("expected type alias name");
   }
@@ -200,7 +241,7 @@ GroupDecl Parser::parse_group_or_union(bool is_union) {
   d.loc = peek().loc;
   advance();  // Group / Union
   if (check(TokenKind::kIdentifier)) {
-    d.name = advance().text;
+    d.name = take_name();
   } else {
     error_here(is_union ? "expected Union name" : "expected Group name");
   }
@@ -209,7 +250,7 @@ GroupDecl Parser::parse_group_or_union(bool is_union) {
     FieldDecl f;
     f.loc = peek().loc;
     if (check(TokenKind::kIdentifier)) {
-      f.name = advance().text;
+      f.name = take_name();
     } else {
       error_here("expected field name");
       sync_to_stmt_end();
@@ -231,7 +272,7 @@ std::vector<TemplateParam> Parser::parse_template_params() {
     TemplateParam p;
     p.loc = peek().loc;
     if (check(TokenKind::kIdentifier)) {
-      p.name = advance().text;
+      p.name = take_name();
     } else {
       error_here("expected template parameter name");
       break;
@@ -245,7 +286,7 @@ std::vector<TemplateParam> Parser::parse_template_params() {
       p.kind = ParamKind::kImpl;
       expect(TokenKind::kKwOf, "after 'impl' in template parameter");
       if (check(TokenKind::kIdentifier)) {
-        p.impl_of_streamlet = advance().text;
+        p.impl_of_streamlet = take_name();
       } else {
         error_here("expected streamlet name after 'impl of'");
       }
@@ -277,7 +318,7 @@ std::vector<TemplateArg> Parser::parse_template_args() {
       } else if (match(TokenKind::kKwImpl)) {
         a.kind = TemplateArg::Kind::kImpl;
         if (check(TokenKind::kIdentifier)) {
-          a.impl_name = advance().text;
+          a.impl_name = take_name();
         } else {
           error_here("expected impl name after 'impl'");
         }
@@ -297,7 +338,7 @@ PortDecl Parser::parse_port() {
   PortDecl p;
   p.loc = peek().loc;
   if (check(TokenKind::kIdentifier)) {
-    p.name = advance().text;
+    p.name = take_name();
   } else {
     error_here("expected port name");
   }
@@ -317,7 +358,7 @@ PortDecl Parser::parse_port() {
   }
   if (match(TokenKind::kAt)) {
     if (check(TokenKind::kIdentifier)) {
-      p.clock_domain = advance().text;
+      p.clock_domain = take_name();
     } else {
       error_here("expected clock domain name after '@'");
     }
@@ -330,7 +371,7 @@ StreamletDecl Parser::parse_streamlet() {
   d.loc = peek().loc;
   expect(TokenKind::kKwStreamlet, "");
   if (check(TokenKind::kIdentifier)) {
-    d.name = advance().text;
+    d.name = take_name();
   } else {
     error_here("expected streamlet name");
   }
@@ -349,14 +390,14 @@ ImplDecl Parser::parse_impl() {
   d.loc = peek().loc;
   expect(TokenKind::kKwImpl, "");
   if (check(TokenKind::kIdentifier)) {
-    d.name = advance().text;
+    d.name = take_name();
   } else {
     error_here("expected impl name");
   }
   d.params = parse_template_params();
   expect(TokenKind::kKwOf, "after impl name");
   if (check(TokenKind::kIdentifier)) {
-    d.of_streamlet = advance().text;
+    d.of_streamlet = take_name();
   } else {
     error_here("expected streamlet name after 'of'");
   }
@@ -423,7 +464,7 @@ ImplStmt Parser::parse_instance() {
   s.loc = peek().loc;
   expect(TokenKind::kKwInstance, "");
   if (check(TokenKind::kIdentifier)) {
-    s.name = advance().text;
+    s.name = take_name();
   } else {
     error_here("expected instance name");
   }
@@ -433,7 +474,7 @@ ImplStmt Parser::parse_instance() {
   }
   expect(TokenKind::kLParen, "after instance name");
   if (check(TokenKind::kIdentifier)) {
-    s.impl_name = advance().text;
+    s.impl_name = take_name();
   } else {
     error_here("expected impl name in instance declaration");
   }
@@ -452,9 +493,9 @@ ImplStmt Parser::parse_instance() {
 PortRef Parser::parse_port_ref() {
   PortRef r;
   r.loc = peek().loc;
-  std::string first;
+  Name first;
   if (check(TokenKind::kIdentifier)) {
-    first = advance().text;
+    first = take_name();
   } else {
     error_here("expected port reference");
     return r;
@@ -465,10 +506,10 @@ PortRef Parser::parse_port_ref() {
     expect(TokenKind::kRBracket, "to close index");
   }
   if (match(TokenKind::kDot)) {
-    r.instance = std::move(first);
+    r.instance = first;
     r.instance_index = std::move(first_index);
     if (check(TokenKind::kIdentifier)) {
-      r.port = advance().text;
+      r.port = take_name();
     } else {
       error_here("expected port name after '.'");
     }
@@ -477,7 +518,7 @@ PortRef Parser::parse_port_ref() {
       expect(TokenKind::kRBracket, "to close port index");
     }
   } else {
-    r.port = std::move(first);
+    r.port = first;
     r.port_index = std::move(first_index);
   }
   return r;
@@ -506,7 +547,7 @@ ImplStmt Parser::parse_for() {
   s.loc = peek().loc;
   expect(TokenKind::kKwFor, "");
   if (check(TokenKind::kIdentifier)) {
-    s.var = advance().text;
+    s.var = take_name();
   } else {
     error_here("expected loop variable name");
   }
@@ -544,7 +585,7 @@ ImplStmt Parser::parse_assert() {
   s.cond = parse_expr();
   if (match(TokenKind::kComma)) {
     if (check(TokenKind::kStringLiteral)) {
-      s.message = advance().text;
+      s.message = unescape(advance().text);
     } else {
       error_here("expected string message in assert");
     }
@@ -557,7 +598,7 @@ ImplStmt Parser::parse_assert() {
 ImplStmt Parser::parse_local_const() {
   ConstDecl c = parse_const_decl();
   LocalConst l;
-  l.name = std::move(c.name);
+  l.name = c.name;
   l.declared_kind = c.declared_kind;
   l.init = std::move(c.init);
   l.loc = c.loc;
@@ -575,13 +616,13 @@ SimBlock Parser::parse_sim_block() {
       SimStateDecl st;
       st.loc = peek().loc;
       if (check(TokenKind::kIdentifier)) {
-        st.name = advance().text;
+        st.name = take_name();
       } else {
         error_here("expected state variable name");
       }
       expect(TokenKind::kEq, "in state declaration");
       if (check(TokenKind::kStringLiteral)) {
-        st.initial = advance().text;
+        st.initial = unescape(advance().text);
       } else {
         error_here("expected initial state string");
       }
@@ -598,14 +639,14 @@ SimBlock Parser::parse_sim_block() {
             error_here("expected port name in event expression");
             break;
           }
-          std::string port = advance().text;
+          Name port = take_name();
           expect(TokenKind::kDot, "after port name in event");
           if (check(TokenKind::kIdentifier) && peek().text == "receive") {
             advance();
           } else {
             error_here("expected 'receive' after '.' in event");
           }
-          h.wait_ports.push_back(std::move(port));
+          h.wait_ports.push_back(port);
         } while (match(TokenKind::kAmpAmp));
       }
       expect(TokenKind::kLBrace, "to open event handler");
@@ -638,7 +679,7 @@ SimAction Parser::parse_sim_action() {
   if (match(TokenKind::kKwFor)) {
     ActFor n;
     if (check(TokenKind::kIdentifier)) {
-      n.var = advance().text;
+      n.var = take_name();
     } else {
       error_here("expected loop variable in sim for");
     }
@@ -669,7 +710,7 @@ SimAction Parser::parse_sim_action() {
   if (match(TokenKind::kKwSet)) {
     ActSet n;
     if (check(TokenKind::kIdentifier)) {
-      n.state_var = advance().text;
+      n.state_var = take_name();
     } else {
       error_here("expected state variable after 'set'");
     }
@@ -680,7 +721,7 @@ SimAction Parser::parse_sim_action() {
     return a;
   }
   if (check(TokenKind::kIdentifier)) {
-    std::string verb = peek().text;
+    const std::string_view verb = peek().text;
     if (verb == "ack" || verb == "send" || verb == "delay") {
       advance();
       expect(TokenKind::kLParen, "after action verb");
@@ -692,22 +733,22 @@ SimAction Parser::parse_sim_action() {
         a.node = std::move(n);
         return a;
       }
-      std::string port;
+      Name port;
       if (check(TokenKind::kIdentifier)) {
-        port = advance().text;
+        port = take_name();
       } else {
         error_here("expected port name in action");
       }
       if (verb == "ack") {
         ActAck n;
-        n.port = std::move(port);
+        n.port = port;
         expect(TokenKind::kRParen, "to close ack");
         expect(TokenKind::kSemicolon, "after ack action");
         a.node = std::move(n);
         return a;
       }
       ActSend n;
-      n.port = std::move(port);
+      n.port = port;
       if (match(TokenKind::kComma)) {
         n.payload = parse_expr();
       }
@@ -748,7 +789,7 @@ TypeExprPtr Parser::parse_type() {
         error_here("expected stream option key (t/d/c/s/r/u)");
         break;
       }
-      std::string key = advance().text;
+      const std::string_view key = advance().text;
       expect(TokenKind::kEq, "after stream option key");
       if (key == "t" || key == "throughput") {
         s.throughput = parse_expr();
@@ -758,29 +799,29 @@ TypeExprPtr Parser::parse_type() {
         s.complexity = parse_expr();
       } else if (key == "s" || key == "synchronicity") {
         if (check(TokenKind::kIdentifier)) {
-          std::string v = advance().text;
+          const std::string_view v = advance().text;
           if (v == "Sync") s.synchronicity = Synchronicity::kSync;
           else if (v == "Flatten") s.synchronicity = Synchronicity::kFlatten;
           else if (v == "Desync") s.synchronicity = Synchronicity::kDesync;
           else if (v == "FlatDesync")
             s.synchronicity = Synchronicity::kFlatDesync;
-          else error_here("unknown synchronicity '" + v + "'");
+          else error_here("unknown synchronicity '" + std::string(v) + "'");
         } else {
           error_here("expected synchronicity name");
         }
       } else if (key == "r" || key == "direction") {
         if (check(TokenKind::kIdentifier)) {
-          std::string v = advance().text;
+          const std::string_view v = advance().text;
           if (v == "Forward") s.direction = StreamDir::kForward;
           else if (v == "Reverse") s.direction = StreamDir::kReverse;
-          else error_here("unknown stream direction '" + v + "'");
+          else error_here("unknown stream direction '" + std::string(v) + "'");
         } else {
           error_here("expected stream direction name");
         }
       } else if (key == "u" || key == "user") {
         s.user = parse_type();
       } else {
-        error_here("unknown stream option '" + key + "'");
+        error_here("unknown stream option '" + std::string(key) + "'");
         parse_expr();  // consume and discard
       }
     }
@@ -789,7 +830,7 @@ TypeExprPtr Parser::parse_type() {
   }
   if (check(TokenKind::kIdentifier)) {
     NamedTypeExpr n;
-    n.name = advance().text;
+    n.name = take_name();
     return make_type(loc, std::move(n));
   }
   error_here("expected a type, found " +
@@ -957,7 +998,7 @@ ExprPtr Parser::parse_primary() {
     }
     case TokenKind::kStringLiteral: {
       const Token& t = advance();
-      return make_expr(loc, StringLit{t.text});
+      return make_expr(loc, StringLit{unescape(t.text)});
     }
     case TokenKind::kKwTrue:
       advance();
@@ -968,11 +1009,10 @@ ExprPtr Parser::parse_primary() {
     case TokenKind::kKwClockdomain:
       // `clockdomain("name" [, MHz])` is a builtin constructor call; the
       // keyword doubles as the callee name.
-      if (peek(1).is(TokenKind::kLParen)) {
-        advance();
-        advance();
+      if (peek_next().is(TokenKind::kLParen)) {
         Call call;
-        call.callee = "clockdomain";
+        call.callee = take_name();
+        advance();
         int saved = angle_depth_;
         angle_depth_ = 0;
         if (!check(TokenKind::kRParen)) {
@@ -988,11 +1028,11 @@ ExprPtr Parser::parse_primary() {
       advance();
       return make_expr(loc, IntLit{0});
     case TokenKind::kIdentifier: {
-      std::string name = advance().text;
+      const Name name = take_name();
       if (check(TokenKind::kLParen)) {
         advance();
         Call call;
-        call.callee = std::move(name);
+        call.callee = name;
         // Calls reset angle suppression: parenthesized args may freely use
         // comparison operators even inside template argument lists.
         int saved = angle_depth_;
@@ -1006,7 +1046,7 @@ ExprPtr Parser::parse_primary() {
         expect(TokenKind::kRParen, "to close call");
         return make_expr(loc, std::move(call));
       }
-      return make_expr(loc, Ident{std::move(name)});
+      return make_expr(loc, Ident{name});
     }
     case TokenKind::kLParen: {
       advance();
@@ -1033,7 +1073,7 @@ ExprPtr Parser::parse_primary() {
     }
     case TokenKind::kError: {
       const Token& t = advance();
-      diags_.error("lexer", t.text, t.loc);
+      diags_.error("lexer", error_message(t), t.loc);
       return make_expr(loc, IntLit{0});
     }
     default:
@@ -1046,8 +1086,7 @@ ExprPtr Parser::parse_primary() {
 
 SourceFile parse(std::string_view text, support::FileId file,
                  support::DiagnosticEngine& diags) {
-  Parser parser(Lexer::tokenize(text, file), diags);
-  return parser.parse_file();
+  return Parser(text, file, diags).parse_file();
 }
 
 }  // namespace tydi::lang

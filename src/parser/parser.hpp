@@ -4,35 +4,59 @@
 // the DiagnosticEngine with source locations and the parser re-synchronizes
 // at statement boundaries so multiple errors are reported per run — matching
 // the report-style frontend of the paper rather than fail-fast.
+//
+// The parser pulls tokens from the lexer as it goes, holding at most two
+// (one token of lookahead past the current one). Names are interned as the
+// parser takes them, through a per-parse table, so a name takes the
+// interner's lock once per parse rather than once per occurrence.
 #pragma once
 
+#include <array>
+#include <string_view>
 #include <vector>
 
 #include "src/ast/ast.hpp"
-#include "src/lexer/token.hpp"
+#include "src/lexer/lexer.hpp"
 #include "src/support/diagnostic.hpp"
 
 namespace tydi::lang {
 
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, support::DiagnosticEngine& diags);
+  /// `text` must outlive the parser (the returned tree does not refer to
+  /// it).
+  Parser(std::string_view text, support::FileId file,
+         support::DiagnosticEngine& diags);
 
   /// Parses a whole source file. On errors, returns the declarations that
   /// could be recovered; check `diags.has_errors()`.
   [[nodiscard]] SourceFile parse_file();
 
  private:
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  Lexer lexer_;
+  Token cur_;    // the next token to consume
+  Token ahead_;  // the token after cur_, once peek_next() has read it
+  bool has_ahead_ = false;
+  std::size_t pos_ = 0;  // tokens consumed so far: progress checks
+  /// Spellings seen by this parse (open addressing, linear probing). Once
+  /// it is 3/4 full, further new names go to the interner directly.
+  struct NameSlot {
+    std::string_view spelling;
+    support::Symbol sym = support::kNoSymbol;
+  };
+  std::array<NameSlot, 512> names_{};
+  std::size_t name_count_ = 0;
   support::DiagnosticEngine& diags_;
   // When > 0, '>' terminates the current template argument list, so the
   // expression grammar suppresses '<'/'>' comparisons (parenthesize to use
   // them inside template arguments).
   int angle_depth_ = 0;
 
-  [[nodiscard]] const Token& peek(std::size_t ahead = 0) const;
-  const Token& advance();
+  [[nodiscard]] const Token& peek() const { return cur_; }
+  const Token& peek_next();
+  Token advance();
+  /// Consumes the current token and returns its spelling, interned.
+  Name take_name();
   [[nodiscard]] bool check(TokenKind k) const { return peek().is(k); }
   bool match(TokenKind k);
   bool expect(TokenKind k, std::string_view context);

@@ -477,12 +477,8 @@ using StateResolver = std::function<int(Symbol, support::Loc)>;
 
 /// Folds literal expressions into the instruction (engine-side constant
 /// propagation; anything with identifiers still evaluates at run time).
-/// Non-literal expressions get their identifier symbols interned up front:
-/// sibling instances of one impl share the handler AST, and the lazy
-/// `Ident::sym` cache must not be written from shard worker threads.
 void fold_literal(Instr& instr) {
   if (instr.expr == nullptr) return;
-  eval::prime_symbols(*instr.expr);
   const auto& node = instr.expr->node;
   eval::Value v;
   if (const auto* i = std::get_if<lang::IntLit>(&node)) {
@@ -510,12 +506,11 @@ void compile_actions(const std::vector<lang::SimAction>& actions,
                      const std::map<std::string, eval::Value>& consts,
                      const StateResolver& resolve_state,
                      support::DiagnosticEngine& diags) {
-  auto resolve_port = [&](const std::string& port_name,
-                          support::Loc loc) -> int {
-    int port = streamlet.port_index(support::intern(port_name));
+  auto resolve_port = [&](lang::Name port_name, support::Loc loc) -> int {
+    int port = streamlet.port_index(port_name.sym);
     if (port < 0) {
       diags.warning("sim",
-                    "sim block references unknown port '" + port_name +
+                    "sim block references unknown port '" + port_name.str() +
                         "' of streamlet '" + streamlet.name + "'",
                     loc);
     }
@@ -546,7 +541,7 @@ void compile_actions(const std::vector<lang::SimAction>& actions,
           } else if constexpr (std::is_same_v<T, lang::ActSet>) {
             Instr instr;
             instr.op = Instr::Op::kSet;
-            instr.name = support::intern(n.state_var);
+            instr.name = n.state_var.sym;
             instr.slot = resolve_state(instr.name, a.loc);
             instr.expr = n.value.get();
             fold_literal(instr);
@@ -573,11 +568,11 @@ void compile_actions(const std::vector<lang::SimAction>& actions,
               for (const eval::Value& element : iterable.as_array()) {
                 Instr bind;
                 bind.op = Instr::Op::kBindLocal;
-                bind.name = support::intern(n.var);
+                bind.name = n.var.sym;
                 bind.bind_value = element;
                 out.push_back(std::move(bind));
                 std::map<std::string, eval::Value> inner = consts;
-                inner.insert_or_assign(n.var, element);
+                inner.insert_or_assign(n.var.str(), element);
                 compile_actions(n.body, streamlet, out, inner, resolve_state,
                                 diags);
               }
@@ -635,7 +630,7 @@ class SimBlockBehavior : public Behavior {
       captured_scope_.define(name, value);
     }
     for (const lang::SimStateDecl& s : program.block->states) {
-      Symbol sym = support::intern(s.name);
+      const Symbol sym = s.name.sym;
       state_.push_back(StateVar{sym, support::intern(s.initial)});
       state_scope_.assign(sym, eval::Value(s.initial));
     }
@@ -664,11 +659,12 @@ class SimBlockBehavior : public Behavior {
     }
     for (const lang::SimHandler& h : program.block->handlers) {
       Handler compiled;
-      for (const std::string& port_name : h.wait_ports) {
-        int port = streamlet.port_index(support::intern(port_name));
+      for (const lang::Name port_name : h.wait_ports) {
+        int port = streamlet.port_index(port_name.sym);
         if (port < 0) {
           diags_.warning("sim",
-                         "sim handler waits on unknown port '" + port_name +
+                         "sim handler waits on unknown port '" +
+                             port_name.str() +
                              "' of streamlet '" + streamlet.name + "'",
                          program.block->loc);
           continue;

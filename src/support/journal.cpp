@@ -317,7 +317,6 @@ Status JournalWriter::append(std::string_view payload) {
       return io_error("write " + path_);
     }
     bytes_ += frame.size();
-    (void)::fsync(fd_);
     return Status::ok();
   }
 
@@ -357,8 +356,11 @@ Status JournalWriter::append(std::string_view payload) {
                                   "no space left on device (simulated)")
                   : io_error("write " + path_);
   }
+  // No fsync: the record is in the page cache, which a killed process
+  // cannot lose. Only a kernel crash or power loss can drop the tail
+  // written since the last compaction, and a lost record costs one cold
+  // compile, never a wrong answer.
   bytes_ += frame.size();
-  if (::fsync(fd_) != 0) return io_error("fsync " + path_);
   return Status::ok();
 }
 

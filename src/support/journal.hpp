@@ -177,7 +177,8 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
 
   [[nodiscard]] Status open(const std::string& path);
-  /// Appends one framed record and fsyncs. On a partial write the torn
+  /// Appends one framed record, without an fsync (compaction is what makes
+  /// the file durable against power loss). On a partial write the torn
   /// tail is repaired (ftruncate to the pre-append offset) so the journal
   /// stays valid; a simulated crash fault leaves the tear in place and
   /// fails every later call (the tests recover it like a real crash).

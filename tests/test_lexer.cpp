@@ -7,8 +7,14 @@
 namespace tydi::lang {
 namespace {
 
+// Every token up to and including kEnd (views into `text`).
 std::vector<Token> lex(std::string_view text) {
-  return Lexer::tokenize(text, support::FileId{1});
+  Lexer lexer(text, support::FileId{1});
+  std::vector<Token> out;
+  do {
+    out.push_back(lexer.next());
+  } while (!out.back().is(TokenKind::kEnd));
+  return out;
 }
 
 std::vector<TokenKind> kinds(std::string_view text) {
@@ -101,8 +107,9 @@ TEST(Lexer, IntegerFollowedByRangeIsNotFloat) {
 TEST(Lexer, StringLiteralsWithEscapes) {
   auto tokens = lex(R"("hello" "a\"b" "tab\there")");
   EXPECT_EQ(tokens[0].text, "hello");
-  EXPECT_EQ(tokens[1].text, "a\"b");
-  EXPECT_EQ(tokens[2].text, "tab\there");
+  EXPECT_EQ(tokens[1].text, R"(a\"b)");  // the raw spelling
+  EXPECT_EQ(unescape(tokens[1].text), "a\"b");
+  EXPECT_EQ(unescape(tokens[2].text), "tab\there");
 }
 
 TEST(Lexer, StringWithSpacesMatchesSqlLiterals) {
@@ -167,7 +174,8 @@ TEST(Lexer, StrayAmpersandIsError) {
 TEST(Lexer, UnknownCharacterIsError) {
   auto tokens = lex("$");
   EXPECT_EQ(tokens[0].kind, TokenKind::kError);
-  EXPECT_NE(tokens[0].text.find("unexpected"), std::string::npos);
+  EXPECT_EQ(tokens[0].text, "$");
+  EXPECT_EQ(error_message(tokens[0]), "unexpected character '$'");
 }
 
 TEST(Lexer, LocationsTrackOffsets) {
