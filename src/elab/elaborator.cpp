@@ -1142,9 +1142,10 @@ void Elaborator::walk_stmts(const std::vector<lang::ImplStmt>& stmts,
               captured.emplace(n.name.str(), v);
               if (!scope.define(n.name.sym, std::move(v))) {
                 diags_.error("elab",
-                             "'" + n.name.str() + "' is already defined in this "
-                             "scope (variables are immutable; shadow in an "
-                             "inner scope instead)",
+                             "'" + n.name.str() +
+                                 "' is already defined in this scope "
+                                 "(variables are immutable; shadow in an "
+                                 "inner scope instead)",
                              n.loc);
               }
             }

@@ -1,27 +1,10 @@
 #include "src/parser/parser.hpp"
 
-#include <cstring>
 #include <new>
 
 #include "src/lexer/lexer.hpp"
 
 namespace tydi::lang {
-
-namespace {
-
-// Slot hash of a name for the per-parse table: the length and the first
-// and last eight bytes, one multiply. Names sharing both ends only probe
-// a little further.
-std::size_t name_hash(std::string_view s) {
-  std::uint64_t head = 0;
-  std::uint64_t tail = 0;
-  const std::size_t n = std::min<std::size_t>(s.size(), 8);
-  std::memcpy(&head, s.data(), n);
-  std::memcpy(&tail, s.data() + s.size() - n, n);
-  return ((head ^ (tail << 1) ^ s.size()) * 0x9E3779B97F4A7C15ULL) >> 32;
-}
-
-}  // namespace
 
 Parser::Parser(std::string_view text, support::FileId file,
                support::DiagnosticEngine& diags)
@@ -57,20 +40,7 @@ Token Parser::advance() {
   return taken;
 }
 
-Name Parser::take_name() {
-  const std::string_view spelling = advance().text;  // never empty
-  constexpr std::size_t kMask = std::tuple_size_v<decltype(names_)> - 1;
-  std::size_t i = name_hash(spelling) & kMask;
-  for (; !names_[i].spelling.empty(); i = (i + 1) & kMask) {
-    if (names_[i].spelling == spelling) return Name{names_[i].sym};
-  }
-  const support::Symbol sym = support::intern(spelling);
-  if (4 * (name_count_ + 1) <= 3 * names_.size()) {
-    names_[i] = NameSlot{spelling, sym};
-    ++name_count_;
-  }
-  return Name{sym};
-}
+Name Parser::take_name() { return Name{support::intern(advance().text)}; }
 
 bool Parser::match(TokenKind k) {
   if (check(k)) {

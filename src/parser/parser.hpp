@@ -7,11 +7,10 @@
 //
 // The parser pulls tokens from the lexer as it goes, holding at most two
 // (one token of lookahead past the current one). Names are interned as the
-// parser takes them, through a per-parse table, so a name takes the
-// interner's lock once per parse rather than once per occurrence.
+// parser takes them; support::intern remembers each thread's recent names,
+// so a repeated name costs a hash and a compare, not the interner's lock.
 #pragma once
 
-#include <array>
 #include <string_view>
 #include <vector>
 
@@ -38,14 +37,6 @@ class Parser {
   Token ahead_;  // the token after cur_, once peek_next() has read it
   bool has_ahead_ = false;
   std::size_t pos_ = 0;  // tokens consumed so far: progress checks
-  /// Spellings seen by this parse (open addressing, linear probing). Once
-  /// it is 3/4 full, further new names go to the interner directly.
-  struct NameSlot {
-    std::string_view spelling;
-    support::Symbol sym = support::kNoSymbol;
-  };
-  std::array<NameSlot, 512> names_{};
-  std::size_t name_count_ = 0;
   support::DiagnosticEngine& diags_;
   // When > 0, '>' terminates the current template argument list, so the
   // expression grammar suppresses '<'/'>' comparisons (parenthesize to use

@@ -1,8 +1,21 @@
 #include "src/support/intern.hpp"
 
 #include <mutex>
+#include <new>
+
+#include "src/support/hash.hpp"
 
 namespace tydi::support {
+
+Interner::~Interner() {
+  for (std::size_t sym = 0; sym < size_; ++sym) {
+    const auto [chunk, offset] = locate(static_cast<Symbol>(sym));
+    chunks_[chunk].load(std::memory_order_relaxed)[offset].~basic_string();
+  }
+  for (std::atomic<std::string*>& chunk : chunks_) {
+    ::operator delete(chunk.load(std::memory_order_relaxed));
+  }
+}
 
 Symbol Interner::intern(std::string_view s) {
   {
@@ -14,9 +27,18 @@ Symbol Interner::intern(std::string_view s) {
   // Re-check: another thread may have inserted between the locks.
   auto it = index_.find(s);
   if (it != index_.end()) return it->second;
-  Symbol sym = static_cast<Symbol>(strings_.size());
-  strings_.emplace_back(s);
-  index_.emplace(std::string_view(strings_.back()), sym);
+  const auto sym = static_cast<Symbol>(size_);
+  const auto [chunk, offset] = locate(sym);
+  std::string* strings = chunks_[chunk].load(std::memory_order_relaxed);
+  if (strings == nullptr) {
+    // Raw storage: only the strings constructed into it touch its pages.
+    strings = static_cast<std::string*>(::operator new(
+        sizeof(std::string) << (kFirstChunkBits + chunk)));
+    chunks_[chunk].store(strings, std::memory_order_release);
+  }
+  const std::string* stored = ::new (strings + offset) std::string(s);
+  ++size_;
+  index_.emplace(std::string_view(*stored), sym);
   return sym;
 }
 
@@ -31,7 +53,21 @@ Interner& Interner::global() {
   return interner;
 }
 
-Symbol intern(std::string_view s) { return Interner::global().intern(s); }
+Symbol intern(std::string_view s) {
+  // A direct-mapped memo per thread. The global table only grows, so a
+  // remembered entry never goes stale.
+  struct Memo {
+    const std::string* str = nullptr;
+    Symbol sym = kNoSymbol;
+  };
+  thread_local std::array<Memo, 1024> memo{};
+  Memo& slot = memo[short_hash(s) % memo.size()];
+  if (slot.str != nullptr && *slot.str == s) return slot.sym;
+  Interner& table = Interner::global();
+  const Symbol sym = table.intern(s);
+  slot = Memo{&table.str(sym), sym};
+  return sym;
+}
 
 const std::string& symbol_name(Symbol sym) {
   return Interner::global().str(sym);

@@ -9,12 +9,15 @@
 // resolve-names-once-at-lowering approach of compiled simulation kernels.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 namespace tydi::support {
 
@@ -26,19 +29,25 @@ inline constexpr Symbol kNoSymbol = 0xFFFFFFFFu;
 
 /// Thread-safe: the sharded simulator interns (rarely — state values and
 /// diagnostics) from worker threads. Lookups take a shared lock; first-time
-/// insertion upgrades to an exclusive lock.
+/// insertion upgrades to an exclusive lock. Reading a symbol's string takes
+/// no lock.
 class Interner {
  public:
+  Interner() = default;
+  ~Interner();
+  Interner(const Interner&) = delete;
+  Interner& operator=(const Interner&) = delete;
+
   /// Returns the symbol for `s`, inserting it on first sight. Stable: the
   /// same string always yields the same symbol.
   Symbol intern(std::string_view s);
 
   /// The string behind a symbol. `sym` must come from this interner.
-  /// The returned reference is stable for the process lifetime (the table
-  /// only grows and element addresses never move).
+  /// The returned reference is stable for the interner's lifetime (the
+  /// table only grows and element addresses never move).
   [[nodiscard]] const std::string& str(Symbol sym) const {
-    std::shared_lock lock(mu_);
-    return strings_[sym];
+    const auto [chunk, offset] = locate(sym);
+    return chunks_[chunk].load(std::memory_order_acquire)[offset];
   }
 
   /// Symbol for `s` if already interned, else kNoSymbol (no insertion).
@@ -46,21 +55,34 @@ class Interner {
 
   [[nodiscard]] std::size_t size() const {
     std::shared_lock lock(mu_);
-    return strings_.size();
+    return size_;
   }
 
   /// The process-wide interner used by the compiler and simulator.
   static Interner& global();
 
  private:
+  // The strings live in chunks that never move: chunk k holds
+  // 2^(kFirstChunkBits + k) of them, so kChunks chunks cover every symbol.
+  // A chunk is published before any symbol in it is handed out, so str()
+  // needs no lock, and the string_view keys of index_ stay valid.
+  static constexpr unsigned kFirstChunkBits = 10;
+  static constexpr std::size_t kChunks = 22;
+  static std::pair<std::size_t, std::size_t> locate(Symbol sym) {
+    const std::uint64_t i = std::uint64_t{sym} + (1u << kFirstChunkBits);
+    const std::size_t chunk = std::bit_width(i) - 1 - kFirstChunkBits;
+    return {chunk, i - (std::uint64_t{1} << (chunk + kFirstChunkBits))};
+  }
+
   mutable std::shared_mutex mu_;
-  // deque keeps element addresses stable so the string_view keys of index_
-  // can point into strings_ without re-keying on growth.
-  std::deque<std::string> strings_;
+  std::array<std::atomic<std::string*>, kChunks> chunks_{};
+  std::size_t size_ = 0;  // guarded by mu_
   std::unordered_map<std::string_view, Symbol> index_;
 };
 
-/// Shorthands over Interner::global().
+/// Shorthands over Interner::global(). `intern` remembers each thread's
+/// recent lookups, so a name interned again costs a hash and a compare,
+/// not a lock.
 [[nodiscard]] Symbol intern(std::string_view s);
 [[nodiscard]] const std::string& symbol_name(Symbol sym);
 

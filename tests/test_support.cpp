@@ -12,6 +12,8 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/support/diagnostic.hpp"
 #include "src/support/intern.hpp"
@@ -85,6 +87,43 @@ TEST(Interner, FindDoesNotInsert) {
   EXPECT_EQ(interner.size(), 0u);
   Symbol s = interner.intern("ghost");
   EXPECT_EQ(interner.find("ghost"), s);
+}
+
+TEST(Interner, StringsStayPutAcrossChunks) {
+  // The first chunk holds 1024 strings; 5000 span three more.
+  Interner interner;
+  std::vector<const std::string*> addresses;
+  for (int i = 0; i < 5000; ++i) {
+    const Symbol sym = interner.intern("n" + std::to_string(i));
+    addresses.push_back(&interner.str(sym));
+  }
+  for (int i = 0; i < 5000; ++i) {
+    const Symbol sym = interner.find("n" + std::to_string(i));
+    ASSERT_EQ(sym, static_cast<Symbol>(i));
+    EXPECT_EQ(&interner.str(sym), addresses[i]);
+    EXPECT_EQ(*addresses[i], "n" + std::to_string(i));
+  }
+}
+
+TEST(Interner, ReadersNeedNoLockWhileTheTableGrows) {
+  // str() reads while another thread inserts across chunk boundaries.
+  Interner interner;
+  std::atomic<Symbol> published{0};
+  std::thread writer([&] {
+    for (int i = 0; i < 4000; ++i) {
+      published.store(interner.intern("w" + std::to_string(i)) + 1,
+                      std::memory_order_release);
+    }
+  });
+  std::size_t checked = 0;
+  while (checked < 4000) {
+    const Symbol end = published.load(std::memory_order_acquire);
+    for (; checked < end; ++checked) {
+      ASSERT_EQ(interner.str(static_cast<Symbol>(checked)),
+                "w" + std::to_string(checked));
+    }
+  }
+  writer.join();
 }
 
 TEST(Interner, GlobalSingletonIsStable) {
