@@ -1,4 +1,4 @@
-// The program's two fixed hashes, and one fast unstable one.
+// The program's two fixed hashes.
 //
 // FNV-1a 64 over a byte string: the one copy of it. Mangled and sugared
 // names embed its digits (elab `short_hash`, sugar `type_token`), so it is
@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string_view>
 
 namespace tydi::support {
@@ -32,20 +31,6 @@ namespace tydi::support {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// A fast hash of a short string for in-memory tables (never for output):
-/// the length and the first and last eight bytes, one multiply. Strings
-/// that share both ends collide and only probe a little further.
-[[nodiscard]] inline std::uint64_t short_hash(std::string_view s) {
-  std::uint64_t head = 0;
-  std::uint64_t tail = 0;
-  if (!s.empty()) {
-    const std::size_t n = s.size() < 8 ? s.size() : 8;
-    std::memcpy(&head, s.data(), n);
-    std::memcpy(&tail, s.data() + s.size() - n, n);
-  }
-  return ((head ^ (tail << 1) ^ s.size()) * 0x9E3779B97F4A7C15ULL) >> 32;
 }
 
 /// The top 53 bits of a hash as a double in [0, 1).

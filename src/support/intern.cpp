@@ -1,11 +1,27 @@
 #include "src/support/intern.hpp"
 
+#include <cstring>
 #include <mutex>
 #include <new>
 
-#include "src/support/hash.hpp"
-
 namespace tydi::support {
+
+namespace {
+
+// Slot hash for the per-thread memo: the length and the first and last
+// eight bytes, one multiply. Strings that share both ends only collide.
+std::uint64_t short_hash(std::string_view s) {
+  std::uint64_t head = 0;
+  std::uint64_t tail = 0;
+  if (!s.empty()) {
+    const std::size_t n = s.size() < 8 ? s.size() : 8;
+    std::memcpy(&head, s.data(), n);
+    std::memcpy(&tail, s.data() + s.size() - n, n);
+  }
+  return ((head ^ (tail << 1) ^ s.size()) * 0x9E3779B97F4A7C15ULL) >> 32;
+}
+
+}  // namespace
 
 Interner::~Interner() {
   for (std::size_t sym = 0; sym < size_; ++sym) {
