@@ -3,44 +3,54 @@
 #include <new>
 
 #include "src/lexer/lexer.hpp"
+#include "src/support/hash.hpp"
 
 namespace tydi::lang {
 
 Parser::Parser(std::string_view text, support::FileId file,
                support::DiagnosticEngine& diags)
-    : lexer_(text, file), cur_(lexer_.next()), diags_(diags) {}
+    : lexer_(text, file), ring_{lexer_.next()}, diags_(diags) {}
 
+// The lexer writes each token straight into its ring slot: assigning a
+// returned token would reload it from a temporary the lexer has just
+// stored piecewise, which stalls on store forwarding.
 const Token& Parser::peek_next() {
   if (!has_ahead_) {
-    ahead_ = lexer_.next();
+    ::new (&ring_[(pos_ + 1) % ring_.size()]) Token(lexer_.next());
     has_ahead_ = true;
   }
-  return ahead_;
+  return ring_[(pos_ + 1) % ring_.size()];
 }
 
-Token Parser::advance() {
+const Token& Parser::advance() {
+  const Token& taken = peek();
   // Consuming a statement/body boundary ends panic mode: whatever follows
   // is a fresh construct whose errors deserve their own diagnostics.
-  if (panic_ &&
-      (cur_.kind == TokenKind::kSemicolon || cur_.kind == TokenKind::kRBrace)) {
+  if (panic_ && (taken.kind == TokenKind::kSemicolon ||
+                 taken.kind == TokenKind::kRBrace)) {
     panic_ = false;
   }
-  if (cur_.is(TokenKind::kEnd)) return cur_;
-  const Token taken = cur_;
-  if (has_ahead_) {
-    cur_ = ahead_;
-    has_ahead_ = false;
-  } else {
-    // Lexes straight into cur_: assigning the returned token would reload
-    // it from a temporary the lexer has just stored piecewise, which stalls
-    // on store forwarding.
-    ::new (&cur_) Token(lexer_.next());
-  }
+  if (taken.is(TokenKind::kEnd)) return taken;
   ++pos_;
+  if (!has_ahead_) ::new (&ring_[pos_ % ring_.size()]) Token(lexer_.next());
+  has_ahead_ = false;
   return taken;
 }
 
-Name Parser::take_name() { return Name{support::intern(advance().text)}; }
+Name Parser::take_name() {
+  const std::string_view spelling = advance().text;  // never empty
+  constexpr std::size_t kMask = std::tuple_size_v<decltype(names_)> - 1;
+  std::size_t i = support::short_hash(spelling) & kMask;
+  for (; !names_[i].spelling.empty(); i = (i + 1) & kMask) {
+    if (names_[i].spelling == spelling) return Name{names_[i].sym};
+  }
+  const support::Symbol sym = support::intern(spelling);
+  if (4 * (name_count_ + 1) <= 3 * names_.size()) {
+    names_[i] = NameSlot{spelling, sym};
+    ++name_count_;
+  }
+  return Name{sym};
+}
 
 bool Parser::match(TokenKind k) {
   if (check(k)) {

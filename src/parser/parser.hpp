@@ -7,10 +7,11 @@
 //
 // The parser pulls tokens from the lexer as it goes, holding at most two
 // (one token of lookahead past the current one). Names are interned as the
-// parser takes them; support::intern remembers each thread's recent names,
-// so a repeated name costs a hash and a compare, not the interner's lock.
+// parser takes them, through a per-parse table, so a name takes the
+// interner at most once per parse rather than once per occurrence.
 #pragma once
 
+#include <array>
 #include <string_view>
 #include <vector>
 
@@ -33,19 +34,31 @@ class Parser {
 
  private:
   Lexer lexer_;
-  Token cur_;    // the next token to consume
-  Token ahead_;  // the token after cur_, once peek_next() has read it
+  /// The current token is ring_[pos_ % 4], the one after it (once
+  /// peek_next() has read it) the next slot; the token advance() returned
+  /// stays valid until the one after it is consumed.
+  std::array<Token, 4> ring_;
   bool has_ahead_ = false;
   std::size_t pos_ = 0;  // tokens consumed so far: progress checks
+  /// Spellings seen by this parse (open addressing, linear probing). Once
+  /// it is 3/4 full, further new names go to the interner directly.
+  struct NameSlot {
+    std::string_view spelling;
+    support::Symbol sym = support::kNoSymbol;
+  };
+  std::array<NameSlot, 512> names_{};
+  std::size_t name_count_ = 0;
   support::DiagnosticEngine& diags_;
   // When > 0, '>' terminates the current template argument list, so the
   // expression grammar suppresses '<'/'>' comparisons (parenthesize to use
   // them inside template arguments).
   int angle_depth_ = 0;
 
-  [[nodiscard]] const Token& peek() const { return cur_; }
+  [[nodiscard]] const Token& peek() const {
+    return ring_[pos_ % ring_.size()];
+  }
   const Token& peek_next();
-  Token advance();
+  const Token& advance();
   /// Consumes the current token and returns its spelling, interned.
   Name take_name();
   [[nodiscard]] bool check(TokenKind k) const { return peek().is(k); }

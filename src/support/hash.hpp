@@ -1,4 +1,4 @@
-// The program's two fixed hashes.
+// The program's two fixed hashes, and one fast unstable one.
 //
 // FNV-1a 64 over a byte string: the one copy of it. Mangled and sugared
 // names embed its digits (elab `short_hash`, sugar `type_token`), so it is
@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace tydi::support {
@@ -31,6 +32,22 @@ namespace tydi::support {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+/// A fast hash of a short string for in-memory tables (never for output):
+/// the length and the first and last eight bytes, one multiply. Strings
+/// that share both ends collide and only probe a little further.
+[[nodiscard]] inline std::uint64_t short_hash(std::string_view s) {
+  std::uint64_t head = 0;
+  std::uint64_t tail = 0;
+  if (s.size() >= 8) {  // two fixed-size loads
+    std::memcpy(&head, s.data(), 8);
+    std::memcpy(&tail, s.data() + s.size() - 8, 8);
+  } else {
+    for (const char c : s) head = head << 8 | static_cast<unsigned char>(c);
+    tail = head;
+  }
+  return ((head ^ (tail << 1) ^ s.size()) * 0x9E3779B97F4A7C15ULL) >> 32;
 }
 
 /// The top 53 bits of a hash as a double in [0, 1).

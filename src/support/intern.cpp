@@ -1,27 +1,11 @@
 #include "src/support/intern.hpp"
 
-#include <cstring>
 #include <mutex>
 #include <new>
 
+#include "src/support/hash.hpp"
+
 namespace tydi::support {
-
-namespace {
-
-// Slot hash for the per-thread memo: the length and the first and last
-// eight bytes, one multiply. Strings that share both ends only collide.
-std::uint64_t short_hash(std::string_view s) {
-  std::uint64_t head = 0;
-  std::uint64_t tail = 0;
-  if (!s.empty()) {
-    const std::size_t n = s.size() < 8 ? s.size() : 8;
-    std::memcpy(&head, s.data(), n);
-    std::memcpy(&tail, s.data() + s.size() - n, n);
-  }
-  return ((head ^ (tail << 1) ^ s.size()) * 0x9E3779B97F4A7C15ULL) >> 32;
-}
-
-}  // namespace
 
 Interner::~Interner() {
   for (std::size_t sym = 0; sym < size_; ++sym) {
@@ -73,15 +57,15 @@ Symbol intern(std::string_view s) {
   // A direct-mapped memo per thread. The global table only grows, so a
   // remembered entry never goes stale.
   struct Memo {
-    const std::string* str = nullptr;
-    Symbol sym = kNoSymbol;
+    std::string_view str;  // the interned copy; empty in an unused slot
+    Symbol sym;
   };
   thread_local std::array<Memo, 1024> memo{};
   Memo& slot = memo[short_hash(s) % memo.size()];
-  if (slot.str != nullptr && *slot.str == s) return slot.sym;
+  if (!s.empty() && slot.str == s) return slot.sym;
   Interner& table = Interner::global();
   const Symbol sym = table.intern(s);
-  slot = Memo{&table.str(sym), sym};
+  slot = Memo{table.str(sym), sym};
   return sym;
 }
 
