@@ -289,6 +289,10 @@ struct JsonOptions {
 /// traced/untraced ratio and on the registry counters agreeing exactly
 /// with the per-compile result structs (the "metrics can never disagree
 /// with BENCH_*.json" invariant).
+/// Shortest timed round of the two timing gates below: long enough that a
+/// round times compiles, not thread start-up or timer noise.
+constexpr double kMinRoundMs = 50.0;
+
 int run_obs_overhead_json(const JsonOptions& options) {
   tydi::obs::SpanTracer& tracer = tydi::obs::SpanTracer::global();
   auto& reg = tydi::obs::MetricsRegistry::global();
@@ -317,9 +321,9 @@ int run_obs_overhead_json(const JsonOptions& options) {
               probe_result.template_cache.misses();
 
   // One timed round is `passes` warm passes over the workload, enough for
-  // >= 50 ms untraced, so a round times compiles, not timer noise. Traced
-  // and untraced rounds alternate in pairs (the order flips every pair) and
-  // the gate reads the median of the per-pair ratios.
+  // kMinRoundMs untraced. Traced and untraced rounds alternate in pairs
+  // (the order flips every pair) and the gate reads the median of the
+  // per-pair ratios.
   std::size_t spans_per_round = 0;
   std::size_t failed = 0;
   auto timed_round = [&](bool traced, int passes) {
@@ -340,7 +344,7 @@ int run_obs_overhead_json(const JsonOptions& options) {
     one_pass_ms = std::min(one_pass_ms, timed_round(false, 1));
   }
   const int passes =
-      static_cast<int>(std::ceil(50.0 / std::max(one_pass_ms, 0.01)));
+      static_cast<int>(std::ceil(kMinRoundMs / std::max(one_pass_ms, 0.01)));
   std::vector<double> traced_rounds;
   std::vector<double> untraced_rounds;
   std::vector<double> ratios;
@@ -421,7 +425,6 @@ int run_compile_parallel_json(const JsonOptions& options) {
   const std::vector<tydi::driver::BatchJob> queries = tydi::tpch::batch_jobs();
   constexpr int kWorkerCounts[] = {1, 2, 4};
   constexpr int kWarmRounds = 9;
-  constexpr double kMinRoundMs = 50.0;
 
   struct Lane {
     int workers = 0;
