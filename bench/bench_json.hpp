@@ -1,11 +1,12 @@
-// Tiny shared helper for the BENCH_sim.json trajectory file.
+// The upsert behind the BENCH_*.json trajectory files.
 //
-// The file is a JSON array of benchmark objects, one per harness
-// (channel-sweep events/sec, multi-core shard scaling, ...). Each harness
-// *upserts* its own section — objects containing its marker string are
-// replaced, everything else is preserved — so the benches can run in any
-// order without clobbering each other. The splitting is a brace-depth scan,
-// not a JSON parser: the file is machine-written by these benches only.
+// A file is a JSON array of benchmark sections, one object each (channel
+// sweep events/sec, shard scaling, compile pipeline, ...). Each bench
+// *upserts* its own sections — objects containing the section's marker
+// are replaced, everything else is preserved — so the benches can run in
+// any order without clobbering each other. Sections are written by
+// harness::write_section. The splitting is a brace-depth scan, not a JSON
+// parser: the file is machine-written by these benches only.
 #pragma once
 
 #include <fstream>

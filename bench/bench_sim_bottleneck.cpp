@@ -14,48 +14,16 @@
 // measurement of the parallelize channel sweep (trace disabled, simulation
 // only — compile time excluded) and writes the numbers to a JSON file so the
 // perf trajectory is tracked across PRs.
-#include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
-#include "bench/bench_json.hpp"
+#include "bench/harness.hpp"
 #include "src/driver/compiler.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/metrics.hpp"
 #include "src/support/text.hpp"
 
 namespace {
-
-std::string parallelize_source(int channels) {
-  std::string source = R"tydi(
-package partest;
-type t_data = Stream(Bit(64), d=1, c=2);
-impl pu_adder of process_unit_s<type t_data, type t_data> @ external {
-  sim {
-    state s = "idle";
-    on in_.receive {
-      set s = "busy";
-      delay(7);
-      send(out);
-      ack(in_);
-      set s = "idle";
-    }
-  }
-}
-streamlet partest_top_s { feed: t_data in, result: t_data out, }
-impl partest_top of partest_top_s {
-  instance par(parallelize_i<type t_data, type t_data, impl pu_adder, @CH@>),
-  feed => par.in_,
-  par.out => result,
-}
-)tydi";
-  std::string needle = "@CH@";
-  source.replace(source.find(needle), needle.size(),
-                 std::to_string(channels));
-  return source;
-}
 
 tydi::sim::SimResult simulate(const std::string& source,
                               const std::string& top, int packets,
@@ -134,6 +102,8 @@ impl deadtop of deadtop_s {
 /// event queue) engine on this machine, kept for trajectory tracking.
 constexpr double kPreRefactorEventsPerSec = 2.1e6;
 
+constexpr int kSweepChannels[] = {1, 2, 4, 8, 16};
+
 struct PerfNumbers {
   std::uint64_t events = 0;
   double wall_seconds = 0.0;
@@ -145,12 +115,12 @@ struct PerfNumbers {
 
 PerfNumbers measure_events_per_sec(int packets) {
   PerfNumbers perf;
-  for (int channels : {1, 2, 4, 8, 16}) {
+  for (int channels : kSweepChannels) {
     tydi::driver::CompileOptions options;
     options.top = "partest_top";
     options.emit_vhdl = false;
     tydi::driver::CompileResult compiled = tydi::driver::compile_source(
-        parallelize_source(channels), options);
+        harness::parallelize_source(channels), options);
     if (!compiled.success()) {
       std::cerr << compiled.report();
       std::exit(1);
@@ -167,12 +137,11 @@ PerfNumbers measure_events_per_sec(int packets) {
                                 tydi::sim::Packet{i, i == packets - 1});
     }
     sim_options.stimuli.push_back(std::move(stim));
-    auto start = std::chrono::steady_clock::now();
+    const double start = harness::now_ms(harness::Clock::kWall);
     tydi::sim::SimResult result = engine.run(sim_options);
-    auto stop = std::chrono::steady_clock::now();
-    perf.events += result.events_processed;
     perf.wall_seconds +=
-        std::chrono::duration<double>(stop - start).count();
+        (harness::now_ms(harness::Clock::kWall) - start) / 1000.0;
+    perf.events += result.events_processed;
   }
   return perf;
 }
@@ -181,22 +150,21 @@ int run_perf_json(const char* path) {
   // Warm-up pass, then the measured pass.
   (void)measure_events_per_sec(2000);
   PerfNumbers perf = measure_events_per_sec(20000);
-  double baseline = kPreRefactorEventsPerSec;
-  std::ostringstream out;
-  out << "  {\n"
-      << "    \"benchmark\": \"sim_parallelize_channel_sweep\",\n"
-      << "    \"channels\": [1, 2, 4, 8, 16],\n"
-      << "    \"packets_per_run\": 20000,\n"
-      << "    \"events_processed\": " << perf.events << ",\n"
-      << "    \"wall_seconds\": " << perf.wall_seconds << ",\n"
-      << "    \"events_per_sec\": " << perf.events_per_sec() << ",\n"
-      << "    \"baseline_events_per_sec\": " << baseline << ",\n"
-      << "    \"speedup_vs_baseline\": "
-      << (baseline > 0.0 ? perf.events_per_sec() / baseline : 0.0) << "\n"
-      << "  }";
-  if (!benchjson::upsert_section(path, "\"sim_parallelize_channel_sweep\"",
-                                 out.str())) {
-    std::cerr << "error: cannot write " << path << "\n";
+  const double baseline = kPreRefactorEventsPerSec;
+  if (!harness::write_section(
+          path, "sim_parallelize_channel_sweep",
+          [&](harness::JsonWriter& json) {
+            json.key("channels").begin_array();
+            for (int channels : kSweepChannels) json.value(channels);
+            json.end_array()
+                .field("packets_per_run", 20000)
+                .field("events_processed", perf.events)
+                .field("wall_seconds", perf.wall_seconds)
+                .field("events_per_sec", perf.events_per_sec())
+                .field("baseline_events_per_sec", baseline)
+                .field("speedup_vs_baseline",
+                       perf.events_per_sec() / baseline);
+          })) {
     return 1;
   }
   std::cout << "events/sec: " << perf.events_per_sec() << " ("
@@ -217,8 +185,8 @@ int main(int argc, char** argv) {
   sweep.header({"channels", "packets/cycle", "of input rate", "expectation"});
   bool shape_ok = true;
   for (int channels : {1, 2, 4, 6, 8, 10, 12, 16}) {
-    tydi::sim::SimResult result =
-        simulate(parallelize_source(channels), "partest_top", 256, 10.0);
+    tydi::sim::SimResult result = simulate(
+        harness::parallelize_source(channels), "partest_top", 256, 10.0);
     double per_cycle = result.throughput("result") * 10.0;
     double expected = std::min(1.0, channels / 8.0);
     bool row_ok = per_cycle > expected * 0.9 && per_cycle < expected * 1.1;

@@ -6,14 +6,21 @@
 // registry's registration locking and the tracer's per-ring discipline are
 // actually enforced. Ends with the golden-schema test: a traced TPC-H
 // batch compile must export valid Chrome trace-event JSON containing the
-// pipeline's span taxonomy.
+// pipeline's span taxonomy. The bench JSON writer and sampler statistics
+// (bench/harness.hpp) are checked at the end.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "src/driver/compiler.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
@@ -271,29 +278,104 @@ TEST(Trace, TpchBatchCompileExportsChromeTraceSchema) {
 }
 
 // The registry mirrors of the session cache stats can never disagree with
-// the per-compile structs: warm-compile deltas must match what the result
-// structs report.
+// the per-compile structs: the deltas of a sessionless compile and of a
+// warm session compile must match what the result structs report.
 TEST(Metrics, RegistryAgreesWithCompileResultStructs) {
   auto& reg = obs::MetricsRegistry::global();
-  const std::uint64_t vhdl_before =
-      reg.counter("tydi.vhdl.bytes_emitted").value();
-  const std::uint64_t hits_before =
-      reg.counter("tydi.elab.instantiation_hits").value();
-  const std::uint64_t misses_before =
-      reg.counter("tydi.elab.instantiation_misses").value();
-
   const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
   ASSERT_NE(q, nullptr);
-  driver::CompileResult r = tpch::compile_query(*q);
-  ASSERT_TRUE(r.success()) << r.report();
+  driver::CompileSession session;
+  ASSERT_TRUE(tpch::compile_query(*q, session).success());  // warms it
+  for (const bool warm : {false, true}) {
+    const std::uint64_t vhdl_before =
+        reg.counter("tydi.vhdl.bytes_emitted").value();
+    const std::uint64_t hits_before =
+        reg.counter("tydi.elab.instantiation_hits").value();
+    const std::uint64_t misses_before =
+        reg.counter("tydi.elab.instantiation_misses").value();
 
-  EXPECT_EQ(reg.counter("tydi.vhdl.bytes_emitted").value() - vhdl_before,
-            r.vhdl_text.size());
-  EXPECT_EQ(reg.counter("tydi.elab.instantiation_hits").value() - hits_before,
-            r.template_cache.hits());
-  EXPECT_EQ(
-      reg.counter("tydi.elab.instantiation_misses").value() - misses_before,
-      r.template_cache.misses());
+    driver::CompileResult r =
+        warm ? tpch::compile_query(*q, session) : tpch::compile_query(*q);
+    ASSERT_TRUE(r.success()) << r.report();
+
+    EXPECT_EQ(reg.counter("tydi.vhdl.bytes_emitted").value() - vhdl_before,
+              r.vhdl_text.size())
+        << "warm " << warm;
+    EXPECT_EQ(
+        reg.counter("tydi.elab.instantiation_hits").value() - hits_before,
+        r.template_cache.hits())
+        << "warm " << warm;
+    EXPECT_EQ(
+        reg.counter("tydi.elab.instantiation_misses").value() - misses_before,
+        r.template_cache.misses())
+        << "warm " << warm;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The bench JSON writer and sampler (bench/harness.hpp)
+// ---------------------------------------------------------------------------
+
+TEST(BenchJson, WriterEscapesNamesAndWritesNonFiniteAsNull) {
+  const std::string awkward = "a \"quoted\" \\ back\nslash";
+  harness::JsonWriter json;
+  json.begin_object()
+      .field(awkward, awkward)
+      .field("inf", std::numeric_limits<double>::infinity())
+      .field("nan", std::nan(""))
+      .field("count", std::uint64_t{42})
+      .field("flag", true)
+      .field("spread", harness::Quartiles{1.0, 2.0, 3.5})
+      .key("list")
+      .begin_array()
+      .value(-std::numeric_limits<double>::infinity())
+      .begin_object()
+      .field(awkward, 0.25)
+      .end_object()
+      .begin_array()
+      .end_array()
+      .end_array()
+      .end_object();
+  const std::string& text = json.str();
+  EXPECT_TRUE(obs::json_valid(text)) << text;
+  EXPECT_NE(text.find("\"inf\": null"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"nan\": null"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"list\": [null,"), std::string::npos) << text;
+  EXPECT_NE(text.find("\\\"quoted\\\" \\\\ back\\nslash"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("inf,"), std::string::npos) << text;
+}
+
+TEST(BenchJson, SectionsUpsertIntoOneValidArray) {
+  const std::string path = ::testing::TempDir() + "bench_json_upsert.json";
+  std::remove(path.c_str());
+  auto write = [&](std::string_view name, double value) {
+    return harness::write_section(path, name, [&](harness::JsonWriter& json) {
+      json.field("value", value).field("note", "a \"}\" in a string");
+    });
+  };
+  ASSERT_TRUE(write("first", 1.0));
+  ASSERT_TRUE(write("second", 2.0));
+  ASSERT_TRUE(write("first", 3.0));  // replaces the first section
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_TRUE(obs::json_valid(text)) << text;
+  EXPECT_EQ(text.find("\"value\": 1,"), std::string::npos) << text;
+  EXPECT_LT(text.find("\"second\""), text.find("\"first\"")) << text;
+  EXPECT_NE(text.find("\"value\": 3,"), std::string::npos) << text;
+}
+
+TEST(BenchJson, QuartilesInterpolateBetweenRanks) {
+  const harness::Quartiles q = harness::quartiles({4.0, 1.0, 3.0, 2.0, 5.0});
+  EXPECT_DOUBLE_EQ(q.q1, 2.0);
+  EXPECT_DOUBLE_EQ(q.median, 3.0);
+  EXPECT_DOUBLE_EQ(q.q3, 4.0);
+  const harness::Quartiles even = harness::quartiles({1.0, 2.0});
+  EXPECT_DOUBLE_EQ(even.median, 1.5);
+  EXPECT_DOUBLE_EQ(harness::quartiles({}).median, 0.0);
 }
 
 }  // namespace

@@ -59,6 +59,14 @@ impl sat_top of sat_s {
 }
 )tydi";
 
+/// kSaturatedPipelineSource at 48 stages (the sharded-sim bench's chain).
+std::string saturated_chain_48_source() {
+  std::string source(kSaturatedPipelineSource);
+  const std::string needle = "slow_stage, 12>";
+  source.replace(source.find(needle), needle.size(), "slow_stage, 48>");
+  return source;
+}
+
 constexpr std::string_view kParallelizeSource = R"tydi(
 package partest;
 type t_data = Stream(Bit(64), d=1, c=2);
@@ -162,6 +170,8 @@ TEST(SimCredit, SaturatedPipelineFunctionallyEquivalent) {
                                            "sat_top");
   // Interval 1 ns against a 6 ns service time: deep saturation.
   expect_credit_equivalent(compiled, 64, 1.0, "saturated_pipeline");
+  expect_credit_equivalent(compile(saturated_chain_48_source(), "sat_top"),
+                           500, 1.0, "saturated_chain_48");
 }
 
 TEST(SimCredit, ParallelizeFunctionallyEquivalent) {
@@ -419,6 +429,29 @@ TEST(SimTrace, SlabGrowthIsChunked) {
     EXPECT_EQ(buffer.time_ns(i), static_cast<double>(i));
     EXPECT_EQ(buffer.value(i), static_cast<std::int64_t>(i));
   }
+}
+
+TEST(SimTrace, ShardedMergedRunsAllocateChunkedSlabs) {
+  // An exact single-shard run and credit runs at 2 and 4 shards, each with
+  // per-shard trace buffers and the merged copy: even counting all of
+  // them, one slab (4096 events) per 1024 traced events is generous.
+  driver::CompileResult compiled = compile(saturated_chain_48_source(),
+                                           "sat_top");
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  const std::uint64_t before = sim::TraceBuffer::slabs_allocated();
+  std::uint64_t traced = engine.run(base_options(compiled.design, 500, 1.0))
+                             .trace.size();
+  for (int shards : {2, 4}) {
+    sim::SimOptions options = base_options(compiled.design, 500, 1.0);
+    options.shards = shards;
+    options.ack_mode = sim::AckMode::kCredit;
+    traced += engine.run(options).trace.size();
+  }
+  ASSERT_GT(traced, 0u);
+  EXPECT_LE(sim::TraceBuffer::slabs_allocated() - before,
+            std::max<std::uint64_t>(16, traced / 1024))
+      << traced << " traced events";
 }
 
 // ---------------------------------------------------------------------------

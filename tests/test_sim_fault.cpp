@@ -57,12 +57,18 @@ impl sat_top of sat_s {
 }
 )tydi";
 
-driver::CompileResult compile_pipeline() {
+/// The saturated pipeline at `stages` stages (12, or the sharded-sim
+/// bench's 48).
+driver::CompileResult compile_pipeline(int stages = 12) {
   driver::CompileOptions options;
   options.top = "sat_top";
   options.emit_vhdl = false;
+  std::string source(kPipelineSource);
+  const std::string needle = "slow_stage, 12>";
+  source.replace(source.find(needle), needle.size(),
+                 "slow_stage, " + std::to_string(stages) + ">");
   driver::CompileResult compiled =
-      driver::compile_source(std::string(kPipelineSource), options);
+      driver::compile_source(std::move(source), options);
   EXPECT_TRUE(compiled.success()) << compiled.report();
   return compiled;
 }
@@ -230,32 +236,35 @@ TEST(SimGuard, WatchdogConvertsWithheldAckHangIntoAbort) {
   // credits, queues drain, the quiescence check keeps seeing pending ack
   // batches and the round loop livelocks at zero events. Without the
   // watchdog this test would never return.
-  driver::CompileResult compiled = compile_pipeline();
-  support::DiagnosticEngine diags;
-  sim::Engine engine(compiled.design, diags);
-  sim::SimOptions options = base_options(compiled.design, 32, 2);
-  options.ack_mode = sim::AckMode::kCredit;
-  options.fault.seed = 1;
-  options.fault.withhold_acks_forever = true;
-  options.watchdog_timeout_ms = 150.0;
-  sim::SimResult result = engine.run(options);
+  for (auto [stages, packets] : {std::pair{12, 32}, std::pair{48, 64}}) {
+    SCOPED_TRACE(std::to_string(stages) + " stages");
+    driver::CompileResult compiled = compile_pipeline(stages);
+    support::DiagnosticEngine diags;
+    sim::Engine engine(compiled.design, diags);
+    sim::SimOptions options = base_options(compiled.design, packets, 2);
+    options.ack_mode = sim::AckMode::kCredit;
+    options.fault.seed = 1;
+    options.fault.withhold_acks_forever = true;
+    options.watchdog_timeout_ms = 150.0;
+    sim::SimResult result = engine.run(options);
 
-  ASSERT_TRUE(result.aborted);
-  EXPECT_EQ(result.abort_reason,
-            sim::to_string(sim::StopCause::kWatchdogNoProgress));
-  EXPECT_FALSE(result.deadlock);  // aborted runs skip deadlock analysis
-  ASSERT_EQ(result.shard_forensics.size(), 2u);
-  std::int64_t pending = 0;
-  for (const sim::ShardForensics& f : result.shard_forensics) {
-    EXPECT_FALSE(f.summary().empty());
-    pending += f.pending_ack_batches;
+    ASSERT_TRUE(result.aborted);
+    EXPECT_EQ(result.abort_reason,
+              sim::to_string(sim::StopCause::kWatchdogNoProgress));
+    EXPECT_FALSE(result.deadlock);  // aborted runs skip deadlock analysis
+    ASSERT_EQ(result.shard_forensics.size(), 2u);
+    std::int64_t pending = 0;
+    for (const sim::ShardForensics& f : result.shard_forensics) {
+      EXPECT_FALSE(f.summary().empty());
+      pending += f.pending_ack_batches;
+    }
+    // The forensics name the hang: acks were consumed but never flushed.
+    EXPECT_GT(pending, 0);
+    // Classification for the CLI: kAborted, exit code 10.
+    EXPECT_EQ(result.status().code(), support::StatusCode::kAborted);
+    EXPECT_EQ(result.status().exit_code(), 10);
+    EXPECT_NE(result.summary().find("ABORTED"), std::string::npos);
   }
-  // The forensics name the hang: acks were consumed but never flushed.
-  EXPECT_GT(pending, 0);
-  // Classification for the CLI: kAborted, exit code 10.
-  EXPECT_EQ(result.status().code(), support::StatusCode::kAborted);
-  EXPECT_EQ(result.status().exit_code(), 10);
-  EXPECT_NE(result.summary().find("ABORTED"), std::string::npos);
 }
 
 TEST(SimGuard, MaxEventsBudgetAbortsWithPartialResults) {

@@ -1,8 +1,8 @@
 // Sharded simulation engine tests: the determinism contract (SimResult
-// byte-identical across shard counts, shard=1 included) on the example +
-// TPC-H designs, plus partitioner invariants (every component in exactly
-// one shard, consistent cross-shard channel accounting, boundary channels
-// never cut).
+// byte-identical across shard counts, shard=1 included, and the registry
+// mirrors of every run) on the example, TPC-H and scaling-bench designs,
+// plus partitioner invariants (every component in exactly one shard,
+// consistent cross-shard channel accounting, boundary channels never cut).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,6 +120,54 @@ impl deadtop of deadtop_s {
 }
 )tydi";
 
+/// 16 independent 8-stage pipelines (the sharded-sim bench's grid).
+constexpr std::string_view kGridSource = R"tydi(
+package grid;
+type t_word = Stream(Bit(32), d=1, c=2);
+streamlet stage_s<T: type> { in_: T in, out: T out, }
+impl pipeline_i<T: type, stage: impl of stage_s, n: int> of stage_s<type T> {
+  instance st(stage) [n],
+  in_ => st[0].in_,
+  for i in 0->n-1 {
+    st[i].out => st[i+1].in_,
+  }
+  st[n-1].out => out,
+}
+impl reg_stage of stage_s<type t_word> @ external {
+  sim {
+    on in_.receive {
+      delay(2);
+      send(out);
+      ack(in_);
+    }
+  }
+}
+streamlet grid_s<n: int> { feed: t_word in [n], drained: t_word out [n], }
+impl grid_top of grid_s<16> {
+  instance ch(pipeline_i<type t_word, impl reg_stage, 8>) [16],
+  for i in 0->16 {
+    feed[i] => ch[i].in_,
+    ch[i].out => drained[i],
+  }
+}
+)tydi";
+
+/// kParallelizeSource with 32 processing units instead of 8.
+std::string parallelize_c32_source() {
+  std::string source(kParallelizeSource);
+  const std::string needle = "pu_adder, 8>";
+  source.replace(source.find(needle), needle.size(), "pu_adder, 32>");
+  return source;
+}
+
+driver::CompileResult compile_q19() {
+  const tpch::QueryCase* q19 = tpch::find_query("TPC-H 19");
+  EXPECT_NE(q19, nullptr);
+  driver::CompileResult compiled = tpch::compile_query(*q19);
+  EXPECT_TRUE(compiled.success()) << compiled.report();
+  return compiled;
+}
+
 driver::CompileResult compile(std::string_view source, const std::string& top) {
   driver::CompileOptions options;
   options.top = top;
@@ -142,6 +190,22 @@ sim::SimOptions generic_options(const elab::Design& design, int packets,
   return options;
 }
 
+/// Runs `options` and checks the registry mirrors of the run:
+/// `tydi.sim.runs` advances by one and `tydi.sim.last.events` is the
+/// run's event count.
+sim::SimResult run_mirrored(sim::Engine& engine,
+                            const sim::SimOptions& options,
+                            const std::string& what) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const auto runs_before = reg.counter("tydi.sim.runs").value();
+  sim::SimResult result = engine.run(options);
+  EXPECT_EQ(reg.counter("tydi.sim.runs").value(), runs_before + 1) << what;
+  EXPECT_EQ(reg.gauge("tydi.sim.last.events").value(),
+            static_cast<double>(result.events_processed))
+      << what;
+  return result;
+}
+
 void expect_identical_across_shards(const driver::CompileResult& compiled,
                                     int packets, bool auto_partition,
                                     const char* what) {
@@ -149,12 +213,14 @@ void expect_identical_across_shards(const driver::CompileResult& compiled,
   sim::Engine engine(compiled.design, diags);
   sim::SimOptions base =
       generic_options(compiled.design, packets, 1, auto_partition);
-  sim::SimResult reference = engine.run(base);
+  sim::SimResult reference = run_mirrored(engine, base, what);
   EXPECT_GT(reference.events_processed, 0u) << what;
   for (int shards : {2, 4, 7}) {
     sim::SimOptions options =
         generic_options(compiled.design, packets, shards, auto_partition);
-    sim::SimResult sharded = engine.run(options);
+    sim::SimResult sharded = run_mirrored(
+        engine, options, std::string(what) + ", " + std::to_string(shards) +
+                             " shards");
     std::string why;
     EXPECT_TRUE(sim::results_identical(reference, sharded, &why))
         << what << " with " << shards << " shards (auto_partition="
@@ -166,6 +232,9 @@ TEST(SimShardDeterminism, ParallelizeIdenticalAcrossShardCounts) {
   driver::CompileResult compiled = compile(kParallelizeSource, "partest_top");
   expect_identical_across_shards(compiled, 96, true, "parallelize");
   expect_identical_across_shards(compiled, 96, false, "parallelize");
+  driver::CompileResult c32 = compile(parallelize_c32_source(), "partest_top");
+  expect_identical_across_shards(c32, 200, true, "parallelize_c32");
+  expect_identical_across_shards(c32, 200, false, "parallelize_c32");
 }
 
 TEST(SimShardDeterminism, PipelineChainIdenticalAcrossShardCounts) {
@@ -186,6 +255,19 @@ TEST(SimShardDeterminism, TpchQueryIdenticalAcrossShardCounts) {
   driver::CompileResult compiled = tpch::compile_query(*q6);
   ASSERT_TRUE(compiled.success()) << compiled.report();
   expect_identical_across_shards(compiled, 32, true, "tpch_q6");
+}
+
+TEST(SimShardDeterminism, TpchQ19IdenticalAcrossShardCounts) {
+  driver::CompileResult compiled = compile_q19();
+  expect_identical_across_shards(compiled, 200, true, "tpch_q19");
+  expect_identical_across_shards(compiled, 200, false, "tpch_q19");
+}
+
+TEST(SimShardDeterminism, PipelineGridIdenticalAcrossShardCounts) {
+  driver::CompileResult compiled = compile(kGridSource, "grid_top");
+  expect_identical_across_shards(compiled, 200, true, "pipeline_grid_16x8");
+  expect_identical_across_shards(compiled, 200, false,
+                                 "pipeline_grid_16x8");
 }
 
 TEST(SimShardDeterminism, DeadlockReportIdenticalAcrossShardCounts) {
@@ -368,37 +450,56 @@ TEST(SimShardExchange, ShardZeroRunsOnTheCallingThread) {
 // Partitioner invariants
 // ---------------------------------------------------------------------------
 
-TEST(SimShardPartition, EveryComponentInExactlyOneShard) {
-  driver::CompileResult compiled = compile(kParallelizeSource, "partest_top");
+/// Partitions `compiled` at 2, 4 and 7 shards, automatic and manual: every
+/// component lands in exactly one non-empty shard and validate_partition
+/// holds.
+void expect_valid_partitions(const driver::CompileResult& compiled,
+                             const char* what) {
   support::DiagnosticEngine diags;
   sim::SimGraph graph;
   sim::SimOptions options = generic_options(compiled.design, 1, 1, true);
-  ASSERT_TRUE(sim::build_sim_graph(compiled.design, options, diags, graph));
-  ASSERT_GT(graph.components.size(), 4u);
+  ASSERT_TRUE(sim::build_sim_graph(compiled.design, options, diags, graph))
+      << what;
+  ASSERT_GT(graph.components.size(), 7u) << what;
 
-  for (bool auto_partition : {true, false}) {
-    sim::shard::PartitionStats stats =
-        sim::shard::partition_graph(graph, 4, auto_partition);
-    EXPECT_EQ(stats.shard_count, 4);
-    ASSERT_EQ(graph.component_shard.size(), graph.components.size());
-    std::vector<std::size_t> per_shard(stats.shard_count, 0);
-    for (std::int32_t shard : graph.component_shard) {
-      ASSERT_GE(shard, 0);
-      ASSERT_LT(shard, stats.shard_count);
-      per_shard[shard] += 1;
-    }
-    std::size_t total = 0;
-    for (int s = 0; s < stats.shard_count; ++s) {
-      EXPECT_GT(per_shard[s], 0u) << "shard " << s << " is empty";
-      EXPECT_EQ(per_shard[s], stats.components_per_shard[s]);
-      total += per_shard[s];
-    }
-    EXPECT_EQ(total, graph.components.size());
+  for (int shards : {2, 4, 7}) {
+    for (bool auto_partition : {true, false}) {
+      const std::string where = std::string(what) + ", " +
+                                std::to_string(shards) + " shards, auto " +
+                                std::to_string(auto_partition);
+      sim::shard::PartitionStats stats =
+          sim::shard::partition_graph(graph, shards, auto_partition);
+      EXPECT_EQ(stats.shard_count, shards) << where;
+      ASSERT_EQ(graph.component_shard.size(), graph.components.size());
+      std::vector<std::size_t> per_shard(stats.shard_count, 0);
+      for (std::int32_t shard : graph.component_shard) {
+        ASSERT_GE(shard, 0) << where;
+        ASSERT_LT(shard, stats.shard_count) << where;
+        per_shard[shard] += 1;
+      }
+      std::size_t total = 0;
+      for (int s = 0; s < stats.shard_count; ++s) {
+        EXPECT_GT(per_shard[s], 0u) << where << ": shard " << s << " is empty";
+        EXPECT_EQ(per_shard[s], stats.components_per_shard[s]) << where;
+        total += per_shard[s];
+      }
+      EXPECT_EQ(total, graph.components.size()) << where;
 
-    std::vector<std::string> errors;
-    EXPECT_TRUE(sim::shard::validate_partition(graph, stats, errors))
-        << (errors.empty() ? "" : errors.front());
+      std::vector<std::string> errors;
+      EXPECT_TRUE(sim::shard::validate_partition(graph, stats, errors))
+          << where << ": " << (errors.empty() ? "" : errors.front());
+    }
   }
+}
+
+TEST(SimShardPartition, EveryComponentInExactlyOneShard) {
+  expect_valid_partitions(compile(kParallelizeSource, "partest_top"),
+                          "parallelize");
+  expect_valid_partitions(compile(parallelize_c32_source(), "partest_top"),
+                          "parallelize_c32");
+  expect_valid_partitions(compile_q19(), "tpch_q19");
+  expect_valid_partitions(compile(kGridSource, "grid_top"),
+                          "pipeline_grid_16x8");
 }
 
 TEST(SimShardPartition, CrossChannelAccountingIsConsistent) {
