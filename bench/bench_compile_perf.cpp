@@ -17,8 +17,7 @@
 //    surviving session). Gates: no compile fails, every round is
 //    byte-identical to the first cold round, the warm template-cache hit
 //    rate is >= 0.9 and cold/warm >= 1.25x. It records per-phase ms (the
-//    mean over each side's rounds), hit rates, bytes, emission chunk
-//    allocations and peak RSS.
+//    mean over each side's rounds), hit rates, bytes and peak RSS.
 //  - "compile_parallel": compile_batch at --jobs {1, 2, 4}, warm rounds of
 //    the workload repeated to >= 50 ms at jobs=1. Gates: every worker count
 //    byte-identical to jobs=1 with warm hit rate >= 0.9, and jobs=1/jobs=4
@@ -65,7 +64,6 @@
 #include "src/stdlib/stdlib.hpp"
 #include "src/support/retry.hpp"
 #include "src/support/status.hpp"
-#include "src/support/text.hpp"
 #include "src/tpch/tpch.hpp"
 
 namespace {
@@ -174,9 +172,8 @@ struct RoundMetrics {
   int rounds = 0;
   tydi::support::PhaseTimings phases;
   tydi::elab::InstantiationStats cache;
-  std::size_t bytes = 0;                    ///< IR + VHDL bytes emitted
-  std::uint64_t emission_chunk_allocs = 0;  ///< CodeWriter chunks allocated
-  std::size_t failed = 0;                   ///< over all rounds
+  std::size_t bytes = 0;   ///< IR + VHDL bytes emitted
+  std::size_t failed = 0;  ///< over all rounds
 };
 
 /// One pass over every TPC-H query through `session`, added to `m`. The
@@ -192,8 +189,6 @@ void run_round(tydi::driver::CompileSession& session, RoundMetrics& m,
   }
   const bool reference = texts.empty();
   tydi::elab::InstantiationStats cache;
-  const std::uint64_t allocs_before =
-      tydi::support::CodeWriter::process_chunk_allocs();
   ++m.rounds;
   m.bytes = 0;
   std::size_t index = 0;
@@ -221,8 +216,6 @@ void run_round(tydi::driver::CompileSession& session, RoundMetrics& m,
     ++index;
   }
   m.cache = cache;
-  m.emission_chunk_allocs =
-      tydi::support::CodeWriter::process_chunk_allocs() - allocs_before;
 }
 
 long peak_rss_kb() {
@@ -249,7 +242,6 @@ void round_json(harness::JsonWriter& json, std::string_view name,
       .field("hit_rate", m.cache.hit_rate())
       .end_object()
       .field("bytes_emitted", m.bytes)
-      .field("emission_chunk_allocs", m.emission_chunk_allocs)
       .end_object();
 }
 
@@ -299,9 +291,7 @@ bool run_compile_json(const std::string& path) {
                                                             rounds
             << " ms of phases, hit rate " << warm_hit_rate
             << ", session hits " << warm.cache.session_hits() << "; bytes "
-            << warm.bytes << "; emission chunk allocs cold "
-            << cold.emission_chunk_allocs << " / warm "
-            << warm.emission_chunk_allocs << "; peak RSS " << peak_rss_kb()
+            << warm.bytes << "; peak RSS " << peak_rss_kb()
             << " kB\n";
   bool ok = harness::timing_gate(
       "warm speedup (cold/warm CPU ms, " + harness::describe(speedup) + ")",

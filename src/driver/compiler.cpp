@@ -413,65 +413,70 @@ CompileResult compile_source(std::string text, const CompileOptions& options) {
   return compile({NamedSource{"input.td", std::move(text)}}, options);
 }
 
+std::vector<ManifestLine> parse_batch_manifest(std::string_view text,
+                                               const std::string& path) {
+  std::vector<ManifestLine> lines;
+  std::size_t line_no = 0;
+  for (std::string_view text_line : support::split_lines(text)) {
+    ++line_no;
+    std::istringstream fields{std::string(text_line)};
+    ManifestLine line;
+    line.line_no = line_no;
+    if (!(fields >> line.sources) || line.sources.front() == '#') continue;
+    std::string extra;
+    std::string what;
+    if (!(fields >> line.top)) {
+      what = "expected \"source_file top_name\"";
+    } else if (fields >> extra) {
+      what = "trailing field '" + extra + "'";
+    } else if (support::split_nonempty(line.sources, ',').empty()) {
+      what = "no source files in '" + line.sources + "'";
+    }
+    if (!what.empty()) {
+      line.status = support::Status::error(
+          support::StatusCode::kCorruptData, "manifest",
+          path + ":" + std::to_string(line_no) + ": " + what);
+    }
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
 support::Status load_batch_manifest(const std::string& path,
                                     std::vector<BatchJob>& jobs) {
   using support::Status;
-  using support::StatusCode;
   std::string text;
   if (!support::read_file(path, text).is_ok()) {
-    return Status::error(StatusCode::kIoError, "manifest",
+    return Status::error(support::StatusCode::kIoError, "manifest",
                          "cannot read manifest " + path);
   }
-  std::size_t line_no = 0;
-  // One bad line poisons its own job, not the batch: the job is appended
-  // with a preflight failure and compile_batch skips it while the rest of
-  // the manifest loads normally.
-  auto skip = [&](StatusCode code, const std::string& what) {
-    BatchJob job;
-    job.name = path + ":" + std::to_string(line_no);
-    job.preflight = Status::error(
-        code, "manifest", path + ":" + std::to_string(line_no) + ": " + what);
-    jobs.push_back(std::move(job));
-  };
-  for (std::string_view line : support::split_lines(text)) {
-    ++line_no;
-    std::istringstream fields{std::string(line)};
-    std::string source_path;
-    std::string top;
-    if (!(fields >> source_path)) continue;  // blank line
-    if (source_path.front() == '#') continue;
-    if (!(fields >> top)) {
-      skip(StatusCode::kCorruptData, "expected \"source_file top_name\"");
-      continue;
-    }
-    std::string extra;
-    if (fields >> extra) {
-      skip(StatusCode::kCorruptData, "trailing field '" + extra + "'");
-      continue;
-    }
+  for (const ManifestLine& line : parse_batch_manifest(text, path)) {
+    const std::string where = path + ":" + std::to_string(line.line_no);
     // The source field is a comma-separated file list (compile order is
     // list order) so multi-file programs — each file keeping its own
     // `package` header — batch as one job.
     BatchJob job;
-    job.name = source_path + ":" + top;
-    bool ok = true;
-    for (std::string_view name : support::split_nonempty(source_path, ',')) {
+    job.name = line.sources + ":" + line.top;
+    job.options.top = line.top;
+    Status status = line.status;
+    for (std::string_view name : support::split_nonempty(line.sources, ',')) {
+      if (!status.is_ok()) break;
       NamedSource& source = job.sources.emplace_back();
       source.name = name;
       const Status read = support::read_file(source.name, source.text);
       if (!read.is_ok()) {
-        skip(read.code(), read.message());
-        ok = false;
-        break;
+        status = Status::error(read.code(), "manifest",
+                               where + ": " + read.message());
       }
     }
-    if (!ok) continue;
-    if (job.sources.empty()) {
-      skip(StatusCode::kCorruptData, "no source files in '" + source_path +
-                                         "'");
-      continue;
+    if (!status.is_ok()) {
+      // One bad line poisons its own job, not the batch: the job carries a
+      // preflight failure and compile_batch skips it while the rest of the
+      // manifest loads normally.
+      job = BatchJob{};
+      job.name = where;
+      job.preflight = std::move(status);
     }
-    job.options.top = top;
     jobs.push_back(std::move(job));
   }
   return Status::ok();

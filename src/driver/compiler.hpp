@@ -349,6 +349,23 @@ struct BatchResult {
   return compile_batch(session, jobs, BatchOptions{});
 }
 
+/// One job line of a batch manifest: `source_files top_name`, where
+/// `source_files` is a comma-separated file list.
+struct ManifestLine {
+  std::size_t line_no = 0;  ///< 1-based
+  std::string sources;
+  std::string top;
+  /// kCorruptData (`path:line: ...`) for a line without a top name or
+  /// source file, or with a trailing field.
+  support::Status status;
+};
+
+/// Splits batch-manifest text into its job lines, skipping blank lines and
+/// `#` comments. `load_batch_manifest` and `tydid --batch-manifest` both
+/// read manifests through it, so they fail the same lines the same way.
+[[nodiscard]] std::vector<ManifestLine> parse_batch_manifest(
+    std::string_view text, const std::string& path);
+
 /// Parses a batch job manifest — one `source_files top_name` pair per line
 /// (blank lines and `#` comments skipped; `source_files` is a
 /// comma-separated file list compiled in list order, so multi-file

@@ -39,9 +39,6 @@ class Value {
   explicit Value(ClockDomain v) : storage_(std::move(v)) {}
   explicit Value(Array v) : storage_(std::move(v)) {}
 
-  [[nodiscard]] bool is_none() const {
-    return std::holds_alternative<std::monostate>(storage_);
-  }
   [[nodiscard]] bool is_int() const {
     return std::holds_alternative<std::int64_t>(storage_);
   }

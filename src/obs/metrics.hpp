@@ -44,7 +44,6 @@ namespace tydi::obs {
 /// approximate snapshot (exact once writers quiesce).
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
   Counter& operator++() {
     ++value_;
     return *this;

@@ -46,8 +46,7 @@ SpanTracer::Ring& SpanTracer::this_thread_ring() {
 
   std::lock_guard lock(rings_mu_);
   auto ring = std::make_shared<Ring>(
-      id_, next_tid_.fetch_add(1, std::memory_order_relaxed),
-      ring_capacity_);
+      next_tid_.fetch_add(1, std::memory_order_relaxed), ring_capacity_);
   rings_.push_back(ring);
   cached_owner = id_;
   cached_ring = std::move(ring);
@@ -137,10 +136,21 @@ std::size_t SpanTracer::size() const {
   return n;
 }
 
+std::size_t SpanTracer::ring_count() const {
+  std::lock_guard lock(rings_mu_);
+  return rings_.size();
+}
+
 void SpanTracer::clear() {
   std::vector<std::shared_ptr<Ring>> rings;
   {
     std::lock_guard lock(rings_mu_);
+    // A ring only the tracer holds lost its thread_local reference (the
+    // thread exited or moved to another tracer), so no thread can record
+    // into it again; references are only copied under rings_mu_.
+    std::erase_if(rings_, [](const std::shared_ptr<Ring>& ring) {
+      return ring.use_count() == 1;
+    });
     rings = rings_;
   }
   for (const auto& ring : rings) {

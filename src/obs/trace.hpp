@@ -15,7 +15,8 @@
 //    registration) — tracing a long batch keeps the *latest* window;
 //  - rings are shared_ptr-owned by the tracer AND the thread_local, so
 //    records survive worker-thread exit and export after `join()` sees
-//    everything;
+//    everything; `clear()` drops the rings the tracer alone still holds
+//    (their threads have exited), so short-lived threads do not pile up;
 //  - `export_chrome_json()` locks each ring briefly while copying; it
 //    may run concurrently with recording (the snapshot is approximate,
 //    like every live profiler).
@@ -76,14 +77,17 @@ class SpanTracer {
   /// Total spans currently retained across all rings.
   [[nodiscard]] std::size_t size() const;
 
-  /// Drops all retained spans (rings stay registered).
+  /// Registered rings: one per thread that recorded since the last
+  /// `clear()`, plus one per live thread that recorded before it.
+  [[nodiscard]] std::size_t ring_count() const;
+
+  /// Drops all retained spans, and the rings of threads that have exited;
+  /// a live thread's ring stays registered.
   void clear();
 
  private:
   struct Ring {
-    explicit Ring(std::uint64_t owner, std::uint32_t tid, std::size_t cap)
-        : owner_id(owner), tid(tid), capacity(cap) {}
-    const std::uint64_t owner_id;  ///< tracer identity for tl cache checks
+    Ring(std::uint32_t tid, std::size_t cap) : tid(tid), capacity(cap) {}
     const std::uint32_t tid;
     const std::size_t capacity;
     mutable std::mutex mu;  ///< writer is one thread; export also locks

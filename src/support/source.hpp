@@ -74,8 +74,6 @@ class SourceManager {
   /// Renders "file:line:col" (or "<synthesized>") for diagnostics.
   [[nodiscard]] std::string describe(Loc loc) const;
 
-  [[nodiscard]] std::size_t file_count() const { return files_.size(); }
-
  private:
   struct File {
     std::string name;

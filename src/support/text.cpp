@@ -7,22 +7,10 @@
 
 namespace tydi::support {
 
-namespace {
-
-std::atomic<std::uint64_t> g_chunk_allocs{0};
-
-}  // namespace
-
-std::uint64_t CodeWriter::process_chunk_allocs() {
-  return g_chunk_allocs.load(std::memory_order_relaxed);
-}
-
 void CodeWriter::new_chunk() {
   chunks_.emplace_back();
   chunks_.back().reserve(next_chunk_bytes_);
   next_chunk_bytes_ = std::min(kChunkBytes, next_chunk_bytes_ * 8);
-  ++chunk_allocs_;
-  g_chunk_allocs.fetch_add(1, std::memory_order_relaxed);
 }
 
 void CodeWriter::put_slow(std::string_view text) {
@@ -48,7 +36,6 @@ void CodeWriter::grow_indent_cache(std::size_t want) {
 
 void CodeWriter::append(CodeWriter&& other) {
   total_ += other.total_;
-  chunk_allocs_ += other.chunk_allocs_;
   next_chunk_bytes_ = std::max(next_chunk_bytes_, other.next_chunk_bytes_);
   chunks_.reserve(chunks_.size() + other.chunks_.size());
   for (std::string& chunk : other.chunks_) {
@@ -56,26 +43,18 @@ void CodeWriter::append(CodeWriter&& other) {
   }
   other.chunks_.clear();
   other.total_ = 0;
-  other.chunk_allocs_ = 0;
   other.next_chunk_bytes_ = kFirstChunkBytes;
 }
 
-std::string CodeWriter::str() const {
-  std::string out;
-  out.reserve(total_);
-  for (const std::string& chunk : chunks_) out += chunk;
-  return out;
-}
-
 std::string CodeWriter::take() {
-  if (chunks_.size() == 1 && chunks_.front().size() == total_) {
+  std::string out;
+  if (chunks_.size() == 1) {
     // Single-chunk fast path: hand the chunk over without copying.
-    std::string out = std::move(chunks_.front());
-    chunks_.clear();
-    total_ = 0;
-    return out;
+    out = std::move(chunks_.front());
+  } else {
+    out.reserve(total_);
+    for (const std::string& chunk : chunks_) out += chunk;
   }
-  std::string out = str();
   chunks_.clear();
   total_ = 0;
   return out;

@@ -4,9 +4,7 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +14,8 @@ namespace tydi::support {
 /// Streaming code writer with indentation management. Both the Tydi-IR and
 /// the VHDL emitters build their output through this class so generated code
 /// is consistently formatted (and therefore LoC counts are deterministic).
+/// `vhdl::emit` writes a whole file into one writer (cached blocks through
+/// `write()`, the structural architectures in place) and returns `take()`.
 ///
 /// Storage is a rope: a vector of fixed-capacity `std::string` chunks, each
 /// reserved once. Appending never re-copies previously written text (no
@@ -84,19 +84,8 @@ class CodeWriter {
   [[nodiscard]] bool empty() const { return total_ == 0; }
   [[nodiscard]] int depth() const { return depth_; }
 
-  /// Concatenated copy of the buffer (chunks stay in place).
-  [[nodiscard]] std::string str() const;
   /// Concatenates into one exactly-reserved string and clears the writer.
   [[nodiscard]] std::string take();
-
-  /// Chunk allocations performed by this writer (including spliced-in
-  /// chunks) — the writer's whole allocation story apart from the final
-  /// `take()` string.
-  [[nodiscard]] std::size_t chunk_allocs() const { return chunk_allocs_; }
-
-  /// Process-wide chunk-allocation counter across all writers; the compile
-  /// bench reads deltas of this to report emission allocation counts.
-  [[nodiscard]] static std::uint64_t process_chunk_allocs();
 
  private:
   /// Hot path: the piece fits in the current chunk (inline); anything else
@@ -127,7 +116,6 @@ class CodeWriter {
 
   std::vector<std::string> chunks_;
   std::size_t total_ = 0;
-  std::size_t chunk_allocs_ = 0;
   std::size_t next_chunk_bytes_ = kFirstChunkBytes;
   std::string indent_unit_;
   /// `indent_unit_` repeated at least `depth_` times (grow-only, shared by

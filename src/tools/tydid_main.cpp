@@ -38,10 +38,11 @@
 //       jitter, and the daemon's retry-after-ms hint as the floor.
 //   tydid --socket <path> --batch-manifest <path> [--emit <vhdl|ir>]
 //         [retry flags as above]
-//       client: compile every manifest job ("source_file top" per line, `#`
-//       comments) through the daemon as PRIO batch requests, one retry
-//       loop per job; per-job summary to stderr, exit 0 only if all jobs
-//       succeeded
+//       client: compile every manifest job (the `tydic --batch-manifest`
+//       format, read by driver::parse_batch_manifest: "source_files top"
+//       per line, `#` comments) through the daemon as PRIO batch requests,
+//       one retry loop per job; per-job summary to stderr, exit 0 only if
+//       all jobs succeeded
 //   tydid --socket <path> --shutdown
 //       ask a running daemon to stop (client sugar for --request SHUTDOWN)
 //
@@ -62,12 +63,12 @@
 // numeric ones as "name value" lines. All three execute inline — never
 // queued — so they stay responsive while the worker pool is saturated.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/driver/compiler.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/service/server.hpp"
 #include "src/service/service.hpp"
@@ -149,39 +150,29 @@ int run_batch_client(const std::string& socket_path,
                      const std::string& manifest_path,
                      const std::string& emit, const std::string& deadline,
                      const tydi::support::RetryPolicy& policy) {
-  std::ifstream manifest(manifest_path);
-  if (!manifest) {
+  std::string text;
+  if (!tydi::support::read_file(manifest_path, text).is_ok()) {
     std::cerr << "error: cannot read manifest " << manifest_path << "\n";
     return tydi::support::exit_code(tydi::support::StatusCode::kIoError);
   }
   std::size_t jobs = 0;
   std::size_t failed = 0;
   int first_failure_exit = 0;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(manifest, line)) {
-    ++line_no;
-    std::istringstream fields(line);
-    std::string source_path;
-    std::string top;
-    if (!(fields >> source_path)) continue;  // blank line
-    if (source_path.front() == '#') continue;
-    const std::string name =
-        manifest_path + ":" + std::to_string(line_no);
-    if (!(fields >> top)) {
-      std::cerr << "FAIL " << name << ": expected \"source_file top\"\n";
-      ++jobs;
+  for (const tydi::driver::ManifestLine& line :
+       tydi::driver::parse_batch_manifest(text, manifest_path)) {
+    ++jobs;
+    if (!line.status.is_ok()) {
+      // A malformed line fails here exactly as in `tydic --batch-manifest`.
+      std::cerr << "FAIL " << line.status.render() << "\n";
       ++failed;
       if (first_failure_exit == 0) {
-        first_failure_exit = tydi::support::exit_code(
-            tydi::support::StatusCode::kCorruptData);
+        first_failure_exit = line.status.exit_code();
       }
       continue;
     }
-    ++jobs;
     const std::string request_line = envelope_prefix("batch", 0.0) +
-                                     deadline + "FILE " + source_path +
-                                     " " + top + " " + emit;
+                                     deadline + "FILE " + line.sources +
+                                     " " + line.top + " " + emit;
     tydi::service::Response response;
     int attempts = 1;
     const tydi::support::Status transport =
@@ -189,13 +180,13 @@ int run_batch_client(const std::string& socket_path,
                                           response, &attempts);
     const bool ok = transport.is_ok() && response.ok();
     if (ok) {
-      std::cerr << "ok   " << source_path << " " << top << " ("
+      std::cerr << "ok   " << line.sources << " " << line.top << " ("
                 << response.payload().size() << " bytes";
       if (attempts > 1) std::cerr << ", " << attempts << " attempts";
       std::cerr << ")\n";
     } else {
       ++failed;
-      std::cerr << "FAIL " << source_path << " " << top << ": "
+      std::cerr << "FAIL " << line.sources << " " << line.top << ": "
                 << (transport.is_ok() ? response.status.render()
                                       : transport.render())
                 << "\n";

@@ -83,12 +83,6 @@ class LogicalType {
   /// qualified by template context. Empty for anonymous (inline) types.
   [[nodiscard]] const std::string& origin() const { return origin_; }
 
-  [[nodiscard]] bool is_null() const {
-    return std::holds_alternative<NullT>(node_);
-  }
-  [[nodiscard]] bool is_bit() const {
-    return std::holds_alternative<BitT>(node_);
-  }
   [[nodiscard]] bool is_group() const {
     return std::holds_alternative<GroupT>(node_);
   }
@@ -102,7 +96,6 @@ class LogicalType {
   [[nodiscard]] const StreamT& as_stream() const {
     return std::get<StreamT>(node_);
   }
-  [[nodiscard]] const BitT& as_bit() const { return std::get<BitT>(node_); }
   [[nodiscard]] const GroupT& as_group() const {
     return std::get<GroupT>(node_);
   }

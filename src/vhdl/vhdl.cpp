@@ -85,8 +85,8 @@ struct InstanceBlock {
   std::string instantiation;
 };
 
-/// One impl's block: library header, entity and architecture, plus the
-/// diagnostics rendering it reported (replayed on every use).
+/// One external impl's block: library header, entity and architecture, plus
+/// the diagnostics rendering it reported (replayed on every use).
 struct RenderedImpl {
   std::string text;
   std::vector<support::Diagnostic> diags;
@@ -169,8 +169,13 @@ class EmitContext {
     return *slot;
   }
 
-  /// The block of impl `index` (whose streamlet is resolved).
+  /// The block of external impl `index` (whose streamlet is resolved).
   std::shared_ptr<const RenderedImpl> impl(Index index);
+
+  /// Writes impl `index`'s block — library header, entity, architecture —
+  /// into `w`, collecting its diagnostics in `diags`.
+  void write_impl(CodeWriter& w, Index index,
+                  std::vector<support::Diagnostic>& diags);
 
   /// The lines of instance `inst` (whose child impl and streamlet are
   /// resolved) in its parent's architecture.
@@ -213,8 +218,6 @@ class EmitContext {
   }
 
  private:
-  RenderedImpl render(Index index);
-
   InstanceBlock render_instance(const IrInstance& inst, const IrImpl& child,
                                 const IrStreamlet& s) {
     const StreamletEmit& se = streamlet(child.streamlet);
@@ -461,13 +464,16 @@ void emit_external_architecture(CodeWriter& w, const IrImpl& impl,
 
 std::shared_ptr<const RenderedImpl> EmitContext::impl(Index index) {
   // An external block reads only its impl, its streamlet and the options.
-  // A structural block is assembled from cached parts (port lists,
-  // per-instance lines) on every use, so an edited top — the only impl an
-  // edit re-elaborates in practice — holds no whole-block copy per version.
   const IrImpl& impl = m_.impls[index];
   const support::Identity& streamlet = m_.streamlets[impl.streamlet]->origin;
-  auto build = [&] { return render(index); };
-  if (memo_ == nullptr || !impl.external || impl.origin.id == nullptr ||
+  auto build = [&] {
+    RenderedImpl out;
+    CodeWriter w;
+    write_impl(w, index, out.diags);
+    out.text = take_exact(w);
+    return out;
+  };
+  if (memo_ == nullptr || impl.origin.id == nullptr ||
       streamlet.id == nullptr) {
     return std::make_shared<const RenderedImpl>(build());
   }
@@ -480,11 +486,10 @@ std::shared_ptr<const RenderedImpl> EmitContext::impl(Index index) {
   return block;
 }
 
-RenderedImpl EmitContext::render(Index index) {
+void EmitContext::write_impl(CodeWriter& w, Index index,
+                             std::vector<support::Diagnostic>& diags) {
   const IrImpl& impl = m_.impls[index];
   const IrStreamlet& s = *m_.streamlets[impl.streamlet];
-  RenderedImpl out;
-  CodeWriter w;
   w.line("library ieee;");
   w.line("use ieee.std_logic_1164.all;");
   w.line("use ieee.numeric_std.all;");
@@ -493,13 +498,11 @@ RenderedImpl EmitContext::render(Index index) {
   emit_entity(w, impl.vhdl, s, streamlet(impl.streamlet));
   w.line();
   if (impl.external) {
-    emit_external_architecture(w, impl, s, impl.vhdl, options_, out.diags);
+    emit_external_architecture(w, impl, s, impl.vhdl, options_, diags);
   } else {
-    ArchitectureEmitter(w, index, *this, out.diags).emit_structural();
+    ArchitectureEmitter(w, index, *this, diags).emit_structural();
   }
   w.line();
-  out.text = impl.external ? take_exact(w) : w.take();
-  return out;
 }
 
 }  // namespace
@@ -508,19 +511,12 @@ std::string emit(const Module& module, const VhdlOptions& options,
                  support::DiagnosticEngine& diags, EmitMemo* memo,
                  support::CacheHold* hold) {
   EmitContext context(module, options, memo, hold);
-  std::vector<std::shared_ptr<const RenderedImpl>> blocks;
-  blocks.reserve(module.impls.size());
-  std::string header;
+  CodeWriter w;
   if (options.emit_header) {
-    header = "-- VHDL generated by tydi-cpp (Tydi-IR backend)\n";
-    if (!module.top_name.empty()) {
-      header += "-- top: ";
-      header += module.top_name;
-      header += '\n';
-    }
-    header += '\n';
+    w.line("-- VHDL generated by tydi-cpp (Tydi-IR backend)");
+    if (!module.top_name.empty()) w.line("-- top: ", module.top_name);
+    w.line();
   }
-  std::size_t total = header.size();
   for (std::size_t i = 0; i < module.impls.size(); ++i) {
     const IrImpl& impl = module.impls[i];
     if (module.streamlet_of(impl) == nullptr) {
@@ -530,19 +526,22 @@ std::string emit(const Module& module, const VhdlOptions& options,
                     impl.loc);
       continue;
     }
-    const RenderedImpl& block = *blocks.emplace_back(
-        context.impl(static_cast<Index>(i)));
-    for (const support::Diagnostic& d : block.diags) {
+    std::shared_ptr<const RenderedImpl> block;
+    std::vector<support::Diagnostic> fresh;
+    if (impl.external) {
+      block = context.impl(static_cast<Index>(i));
+      w.write(block->text);
+    } else {
+      // A structural architecture (an edited top) is written in place from
+      // cached parts; no whole-block copy is kept or made.
+      context.write_impl(w, static_cast<Index>(i), fresh);
+    }
+    for (const support::Diagnostic& d : block ? block->diags : fresh) {
       diags.report(d.severity, d.phase, d.message, d.loc);
     }
-    total += block.text.size();
   }
   context.count_lookups();
-  std::string out;
-  out.reserve(total);
-  out += header;
-  for (const auto& block : blocks) out += block->text;
-  return out;
+  return w.take();
 }
 
 }  // namespace tydi::vhdl

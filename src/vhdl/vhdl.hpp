@@ -19,8 +19,9 @@
 //    the hard-coded RTL generator (rtl_lib, Sec. IV-C); other externals are
 //    emitted as black boxes.
 //
-// Each impl renders into its own block of text; the file is the header
-// plus the blocks in table order, written into one exactly-reserved buffer.
+// The file is written into one code writer in impl table order: the header,
+// then each impl's block — an external impl's cached block copied in, a
+// structural architecture written in place.
 #pragma once
 
 #include <memory>
@@ -43,7 +44,7 @@ struct VhdlOptions {
 
 /// Emission products of one streamlet (entity/component port lists, per-net
 /// name fragments), the rendered lines of one instance and the rendered
-/// block of one impl; defined in vhdl.cpp.
+/// block of one external impl; defined in vhdl.cpp.
 struct StreamletEmit;
 struct InstanceBlock;
 struct RenderedImpl;

@@ -641,6 +641,54 @@ TEST(SessionRetention, ConcurrentEditorsMatchColdCompiles) {
   }
 }
 
+// Two threads draw seeded edits of the five FILE queries through one
+// session, so each edited top is written in place into the same file writer
+// as external blocks cached by either thread's earlier compiles: every VHDL
+// text and diagnostic report matches a session-free compile of the sources.
+TEST(SessionRetention, TwoThreadEditsMatchSessionFreeCompiles) {
+  const std::vector<EditableQuery> queries = editable_queries();
+  ASSERT_EQ(queries.size(), 5u);
+  obs::Counter& block_hits =
+      obs::MetricsRegistry::global().counter("tydi.vhdl.memo_hits");
+  const std::uint64_t hits_before = block_hits.value();
+  driver::CompileSession session;
+  constexpr int kEdits = 60;
+  std::vector<std::string> failures(2);
+  std::vector<int> compiled(2, 0);
+  {
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < 2; ++t) {
+      pool.emplace_back([&, t]() {
+        std::mt19937_64 rng(400 + t);
+        for (int i = 0; i < kEdits && failures[t].empty(); ++i) {
+          const EditableQuery& q = queries[std::uniform_int_distribution<
+              std::size_t>(0, queries.size() - 1)(rng)];
+          const driver::CompileOptions options = tpch::query_options(*q.query);
+          const std::vector<driver::NamedSource> sources = edit_sources(
+              q, edit_source(std::string(q.query->source), q.spots, rng));
+          driver::CompileResult warm = session.compile(sources, options);
+          driver::CompileResult cold = driver::compile(sources, options);
+          if (warm.success() != cold.success() ||
+              warm.vhdl_text != cold.vhdl_text ||
+              warm.report() != cold.report()) {
+            failures[t] = q.name + " edit " + std::to_string(i) +
+                          " of thread " + std::to_string(t) +
+                          " differs from its session-free compile";
+          }
+          if (cold.success()) ++compiled[t];
+        }
+      });
+    }
+    for (std::thread& th : pool) th.join();
+  }
+  for (const std::string& failure : failures) {
+    EXPECT_TRUE(failure.empty()) << failure;
+  }
+  EXPECT_EQ(compiled[0] + compiled[1], 2 * kEdits);
+  // The edits did interleave cached external blocks with fresh tops.
+  EXPECT_GT(block_hits.value() - hits_before, 0u);
+}
+
 // A kept CompileResult whose design replayed a sim-block impl from another
 // identity's compile stays simulatable after every footprint holding that
 // impl left its ring; the AST it points into lives exactly as long as the

@@ -165,19 +165,21 @@ TEST(Driver, BatchManifestLoadsJobs) {
   EXPECT_EQ(result.entries.size(), 2u);
   EXPECT_TRUE(result.status().is_ok());
 
-  // Malformed line (missing top name): recorded as a pre-failed job, not a
-  // load failure.
+  // Malformed lines (missing top name, trailing field): recorded as
+  // pre-failed jobs, not a load failure.
   {
     std::ofstream out(manifest_path);
-    out << source_path << "\n";
+    out << source_path << "\n" << source_path << " top extra\n";
   }
   jobs.clear();
   loaded = driver::load_batch_manifest(manifest_path, jobs);
   EXPECT_TRUE(loaded.is_ok()) << loaded.render();
-  ASSERT_EQ(jobs.size(), 1u);
-  EXPECT_FALSE(jobs[0].preflight.is_ok());
+  ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].preflight.code(), support::StatusCode::kCorruptData);
   EXPECT_NE(jobs[0].preflight.message().find("expected"), std::string::npos);
+  EXPECT_EQ(jobs[1].preflight.code(), support::StatusCode::kCorruptData);
+  EXPECT_EQ(jobs[1].preflight.message(),
+            manifest_path + ":2: trailing field 'extra'");
 
   // Unreadable source file: same record-and-skip treatment.
   {
@@ -453,6 +455,48 @@ TEST(Cli, TydicUsageOnMissingArguments) {
   std::string command = std::string(TYDIC_PATH) + " > /dev/null 2>&1";
   EXPECT_NE(std::system(command.c_str()), 0);
 }
+
+#ifdef TYDID_PATH
+TEST(Cli, ManifestTrailingFieldFailsTheSameInTydicAndTydid) {
+  // `a.td top extra` is a corrupt line for both manifest readers: tydic
+  // records it as a failed job, and the tydid batch client fails it
+  // without sending a request (the socket does not exist, so a sent
+  // request would fail with a transport error instead).
+  const std::string dir = ::testing::TempDir();
+  const std::string td_path = dir + "/cli_manifest_job.td";
+  const std::string manifest_path = dir + "/cli_manifest_trailing.txt";
+  {
+    std::ofstream out(td_path);
+    out << kGood;
+  }
+  {
+    std::ofstream out(manifest_path);
+    out << td_path << " top extra\n";
+  }
+  const std::string expected =
+      support::Status::error(support::StatusCode::kCorruptData, "manifest",
+                             manifest_path + ":1: trailing field 'extra'")
+          .render();
+  auto run = [&](const std::string& command, const std::string& out_path) {
+    const int rc =
+        std::system((command + " > " + out_path + " 2>&1").c_str());
+    std::ifstream in(out_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_TRUE(WIFEXITED(rc)) << command;
+    EXPECT_EQ(WEXITSTATUS(rc), support::exit_code(
+                                   support::StatusCode::kCorruptData))
+        << command << "\n" << text.str();
+    EXPECT_NE(text.str().find(expected), std::string::npos)
+        << command << "\n" << text.str();
+  };
+  run(std::string(TYDIC_PATH) + " --batch-manifest " + manifest_path,
+      dir + "/cli_manifest_tydic.out");
+  run(std::string(TYDID_PATH) + " --socket " + dir +
+          "/cli_manifest_absent.sock --batch-manifest " + manifest_path,
+      dir + "/cli_manifest_tydid.out");
+}
+#endif  // TYDID_PATH
 #endif  // TYDIC_PATH
 
 }  // namespace

@@ -4,18 +4,20 @@
 // runs under TSan in the sim-shard-tsan job — 8 threads hammering shared
 // counters/histograms and emitting spans concurrently, which is where the
 // registry's registration locking and the tracer's per-ring discipline are
-// actually enforced. Ends with the golden-schema test: a traced TPC-H
+// actually enforced, and `clear()` reclaiming the rings of exited threads. Ends with the golden-schema test: a traced TPC-H
 // batch compile must export valid Chrome trace-event JSON containing the
 // pipeline's span taxonomy. The bench JSON writer and sampler statistics
 // (bench/harness.hpp) are checked at the end.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,6 +246,59 @@ TEST(Trace, EightThreadsEmitSpansConcurrently) {
   int tids = 0;
   for (bool b : seen) tids += b ? 1 : 0;
   EXPECT_EQ(tids, kThreads);
+}
+
+TEST(Trace, ClearDropsTheRingsOfExitedThreads) {
+  obs::SpanTracer tracer;
+  tracer.set_enabled(true);
+  tracer.record("main", 0, 1);
+  // One thread stays alive across clear(); its ring must stay registered.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool recorded = false;
+  bool release = false;
+  std::thread live([&] {
+    tracer.record("live", 0, 1);
+    std::unique_lock lock(mu);
+    recorded = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    tracer.record("live again", 0, 1);
+  });
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return recorded; });
+  }
+  // Short-lived threads, four at a time, each leave one ring behind.
+  constexpr int kBatches = 8;
+  constexpr int kPerBatch = 4;
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<std::thread> batch;
+    for (int t = 0; t < kPerBatch; ++t) {
+      batch.emplace_back([&tracer] {
+        for (int i = 0; i < 3; ++i) tracer.record("short", i, 1);
+      });
+    }
+    for (std::thread& t : batch) t.join();
+  }
+  constexpr std::size_t kShortLived = kBatches * kPerBatch;
+  EXPECT_EQ(tracer.ring_count(), 2 + kShortLived);
+  EXPECT_EQ(tracer.size(), 2 + 3 * kShortLived);
+
+  tracer.clear();
+  EXPECT_EQ(tracer.ring_count(), 2u);  // the main and the live thread
+  EXPECT_EQ(tracer.size(), 0u);
+
+  {
+    std::lock_guard lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  live.join();
+  EXPECT_EQ(tracer.size(), 1u);  // recorded into its kept ring
+  EXPECT_EQ(tracer.ring_count(), 2u);
+  tracer.clear();
+  EXPECT_EQ(tracer.ring_count(), 1u);
 }
 
 // Golden-schema test: a traced TPC-H batch compile exports Chrome
