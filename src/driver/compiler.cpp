@@ -413,9 +413,14 @@ CompileResult compile_source(std::string text, const CompileOptions& options) {
   return compile({NamedSource{"input.td", std::move(text)}}, options);
 }
 
-std::vector<ManifestLine> parse_batch_manifest(std::string_view text,
-                                               const std::string& path) {
-  std::vector<ManifestLine> lines;
+support::Status parse_batch_manifest(const std::string& path,
+                                     std::vector<ManifestLine>& lines) {
+  std::string text;
+  if (!support::read_file(path, text).is_ok()) {
+    return support::Status::error(support::StatusCode::kIoError, "manifest",
+                                  "cannot read manifest " + path);
+  }
+  const std::size_t first = lines.size();
   std::size_t line_no = 0;
   for (std::string_view text_line : support::split_lines(text)) {
     ++line_no;
@@ -439,18 +444,22 @@ std::vector<ManifestLine> parse_batch_manifest(std::string_view text,
     }
     lines.push_back(std::move(line));
   }
-  return lines;
+  if (lines.size() == first) {
+    return support::Status::error(support::StatusCode::kInvalidArgument,
+                                  "manifest",
+                                  "manifest " + path + " lists no jobs");
+  }
+  return support::Status::ok();
 }
 
 support::Status load_batch_manifest(const std::string& path,
                                     std::vector<BatchJob>& jobs) {
   using support::Status;
-  std::string text;
-  if (!support::read_file(path, text).is_ok()) {
-    return Status::error(support::StatusCode::kIoError, "manifest",
-                         "cannot read manifest " + path);
+  std::vector<ManifestLine> lines;
+  if (Status parsed = parse_batch_manifest(path, lines); !parsed.is_ok()) {
+    return parsed;
   }
-  for (const ManifestLine& line : parse_batch_manifest(text, path)) {
+  for (const ManifestLine& line : lines) {
     const std::string where = path + ":" + std::to_string(line.line_no);
     // The source field is a comma-separated file list (compile order is
     // list order) so multi-file programs — each file keeping its own

@@ -360,11 +360,15 @@ struct ManifestLine {
   support::Status status;
 };
 
-/// Splits batch-manifest text into its job lines, skipping blank lines and
-/// `#` comments. `load_batch_manifest` and `tydid --batch-manifest` both
-/// read manifests through it, so they fail the same lines the same way.
-[[nodiscard]] std::vector<ManifestLine> parse_batch_manifest(
-    std::string_view text, const std::string& path);
+/// Reads the batch manifest at `path` and splits it into its job lines
+/// (appended to `lines`), skipping blank lines and `#` comments. An
+/// unreadable manifest is kIoError, one without a job line
+/// kInvalidArgument ("manifest <path> lists no jobs", exit 2).
+/// `load_batch_manifest` and `tydid --batch-manifest` both read manifests
+/// through it, so they refuse the same manifests and fail the same lines
+/// the same way.
+[[nodiscard]] support::Status parse_batch_manifest(
+    const std::string& path, std::vector<ManifestLine>& lines);
 
 /// Parses a batch job manifest — one `source_files top_name` pair per line
 /// (blank lines and `#` comments skipped; `source_files` is a
@@ -378,8 +382,9 @@ struct ManifestLine {
 /// A malformed line or an unreadable source is NOT fatal: the loader
 /// appends a job whose `preflight` status records the problem, and
 /// compile_batch reports it as a failed entry while every well-formed job
-/// still compiles. Only an unreadable manifest returns a non-ok Status
-/// (kIoError) with `jobs` untouched.
+/// still compiles. Only an unreadable manifest (kIoError) or one without a
+/// job line (kInvalidArgument) returns a non-ok Status, with `jobs`
+/// untouched.
 [[nodiscard]] support::Status load_batch_manifest(const std::string& path,
                                                   std::vector<BatchJob>& jobs);
 

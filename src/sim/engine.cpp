@@ -79,6 +79,8 @@ std::string ShardForensics::summary() const {
       << " mailbox=" << mailbox_depth << " credits=" << credit_balance
       << " unacked=" << unacked
       << " pending_ack_batches=" << pending_ack_batches
+      << " rounds=" << window_rounds << " window/" << timestep_rounds
+      << " timestep fixpoint_steps=" << fixpoint_steps
       << " exchanges=" << exchanges << " barrier_wait=" << barrier_wait_ms
       << "ms";
   return out.str();
@@ -137,6 +139,13 @@ std::string SimResult::summary() const {
   if (const ChannelStats* b = bottleneck()) {
     out << "  bottleneck: " << b->name << " (blocked "
         << support::format_fixed(b->blocked_ns, 1) << " ns)\n";
+  }
+  if (!shard_forensics.empty()) {
+    // Every shard of a finished run takes the same steps.
+    const ShardForensics& f = shard_forensics.front();
+    out << "  rounds: " << f.window_rounds << " window, " << f.timestep_rounds
+        << " timestep, " << f.fixpoint_steps << " fixpoint step(s), "
+        << f.exchanges << " exchange(s) per shard\n";
   }
   return out.str();
 }

@@ -282,9 +282,18 @@ struct ShardForensics {
   /// Consumed acks batched but not yet flushed to their source shards —
   /// nonzero here is the signature of a withheld-ack hang.
   std::int64_t pending_ack_batches = 0;
-  /// Step exchanges this shard entered (at most 2 in a 1-shard run) and the
-  /// wall time it spent in them waiting for its peers: the shard's
-  /// synchronization cost, next to the work in `events_processed`.
+  /// Rounds this shard ran, by kind (src/sim/shard/README.md): window
+  /// rounds, timestep rounds, and the fixpoint steps that repeat a timestep
+  /// round's timestamp. A run's rounds are these two kinds plus the
+  /// terminal round; its exchanges are the seed exchange plus one per
+  /// round of either kind and one per fixpoint step.
+  std::uint64_t window_rounds = 0;
+  std::uint64_t timestep_rounds = 0;
+  std::uint64_t fixpoint_steps = 0;
+  /// Step exchanges this shard entered (2 in a 1-shard run) and the wall
+  /// time it spent waiting in them for a peer that had not yet published
+  /// (0 for an exchange that did not wait): the shard's synchronization
+  /// cost, next to the work in `events_processed`.
   std::uint64_t exchanges = 0;
   double barrier_wait_ms = 0.0;
 

@@ -1,5 +1,7 @@
 #include "src/sim/shard/runtime.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -183,28 +185,60 @@ struct Vote {
 /// spin, the waiting shard also checks the run's budgets itself, so a peer
 /// stalled mid-event still trips the no-progress or wall-clock budget.
 /// Callers re-check the flag and leave their step loop.
+///
+/// Waiting: a shard spins up to kSpinLimit polls before it yields, but only
+/// while the run has no more shards than the CPUs the process may use; with
+/// more, the peer it waits on may need this CPU, so it yields at once. The
+/// spin adapts per shard: a wait that outlasts it halves it (down to
+/// kSpinLimit / 64), since its peer was likely not running — the scheduler
+/// can keep two shard threads on one CPU for a while — and a wait that ends
+/// inside it doubles it back. The clock is read only when a peer has not
+/// yet published: once as the wait starts and once as it ends.
 class StepExchange {
  public:
-  StepExchange(int shards, RunGuard& guard)
-      : shards_(shards), guard_(guard), lines_(2 * shards) {}
+  /// One shard's side of the waits: the spin it carries from exchange to
+  /// exchange, and whether the last exchange waited, with the clock at the
+  /// start and end of that wait.
+  struct Waiter {
+    int spins = 0;
+    bool waited = false;
+    RunGuard::Clock::time_point start{};
+    RunGuard::Clock::time_point end{};
+  };
 
-  Vote exchange(int me, std::uint64_t epoch, const Vote& mine) {
+  StepExchange(int shards, RunGuard& guard)
+      : shards_(shards),
+        spin_limit_(shards <= usable_cpus() ? kSpinLimit : 0),
+        guard_(guard),
+        lines_(2 * shards) {}
+
+  [[nodiscard]] Waiter waiter() const { return Waiter{spin_limit_}; }
+
+  Vote exchange(int me, std::uint64_t epoch, const Vote& mine, Waiter& w) {
     const std::size_t parity = epoch & 1;
     Line& own = lines_[2 * static_cast<std::size_t>(me) + parity];
     own.vote = mine;
     own.epoch.store(epoch, std::memory_order_release);
     Vote reduced = mine;
+    w.waited = false;
+    bool yielded = false;
     for (int s = 0; s < shards_; ++s) {
       if (s == me) continue;
       const Line& peer = lines_[2 * static_cast<std::size_t>(s) + parity];
       int spins = 0;
       while (peer.epoch.load(std::memory_order_acquire) < epoch) {
-        if (++spins > 512) {
+        if (!w.waited) {
+          w.waited = true;
+          w.start = RunGuard::Clock::now();
+        }
+        if (++spins > w.spins) {
+          yielded = true;
           // Every 64th yield also checks the budgets, reading the run's
           // total from the shards' counters.
           if (guard_.stop_requested() ||
               (spins % 64 == 0 && guard_.timed() &&
                guard_.check(me, RunGuard::Clock::now(), guard_.events()))) {
+            w.end = RunGuard::Clock::now();
             return Vote{};
           }
           std::this_thread::yield();
@@ -218,15 +252,34 @@ class StepExchange {
       reduced.last_time = std::max(reduced.last_time, v.last_time);
       reduced.events += v.events;
     }
+    if (w.waited) {
+      w.end = RunGuard::Clock::now();
+      w.spins = yielded ? std::max(w.spins / 2, spin_limit_ / 64)
+                        : std::min(w.spins * 2, spin_limit_);
+    }
     return reduced;
   }
 
  private:
+  /// Most polls of a peer's epoch before a waiting shard yields: tens of
+  /// microseconds, long past the ~1 µs between exchanges of a busy run, so
+  /// a running peer is met without a yield.
+  static constexpr int kSpinLimit = 16384;
+
+  /// CPUs this process may run on (1 when the mask cannot be read).
+  static int usable_cpus() {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+    return CPU_COUNT(&set);
+  }
+
   struct alignas(64) Line {
     std::atomic<std::uint64_t> epoch{0};
     Vote vote;
   };
   const int shards_;
+  const int spin_limit_;
   RunGuard& guard_;
   std::vector<Line> lines_;
 };
@@ -237,6 +290,9 @@ class StepExchange {
 struct alignas(64) ObsSlot {
   std::int64_t barrier_wait_ns = 0;
   std::uint64_t rounds = 0;
+  std::uint64_t window_rounds = 0;
+  std::uint64_t timestep_rounds = 0;
+  std::uint64_t fixpoint_steps = 0;
   std::uint64_t exchanges = 0;
 };
 
@@ -268,6 +324,7 @@ struct RoundState {
 void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
                 RoundState& state, FaultInjector& inject) {
   ObsSlot& obs = state.obs[me];
+  StepExchange::Waiter waiter = state.exchange.waiter();
   std::uint64_t epoch = 1;  // the seed step ends with exchange 1
   // Publishes this step's vote (only the current mode's fields: the credit
   // ones scan every cut sink channel) and returns the reduction.
@@ -286,17 +343,21 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
       inject.spin_delay();
     }
     ++obs.exchanges;
-    // Two steady_clock reads per exchange: the wait itself spins/yields, so
-    // the clock cost disappears into it (gated by the sim obs-overhead
-    // bench). The second also checks the run's clock budgets against the
-    // reduced event total; a stop is seen at the top of the round loop.
-    const auto wait_start = RunGuard::Clock::now();
-    Vote reduced = state.exchange.exchange(me, epoch, mine);
-    const auto now = RunGuard::Clock::now();
-    obs.barrier_wait_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now - wait_start)
-            .count();
-    if (state.guard.timed()) state.guard.check(me, now, reduced.events);
+    // Only a wait reads the clock, so a non-waiting exchange costs no clock
+    // read. The run's clock budgets are checked against the reduced event
+    // total at the wait's end, or every 64th exchange when the shard did
+    // not wait; a stop is seen at the top of the round loop.
+    Vote reduced = state.exchange.exchange(me, epoch, mine, waiter);
+    if (waiter.waited) {
+      const auto waited = waiter.end - waiter.start;
+      obs.barrier_wait_ns +=
+          std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count();
+    }
+    if (state.guard.timed() && (waiter.waited || obs.exchanges % 64 == 0)) {
+      state.guard.check(me,
+                        waiter.waited ? waiter.end : RunGuard::Clock::now(),
+                        reduced.events);
+    }
     ++epoch;
     router.begin_step(static_cast<int>(epoch & 1));
     return reduced;
@@ -309,6 +370,7 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
     if (state.guard.stop_requested()) return;
     state.mail.drain_into(static_cast<int>((epoch - 1) & 1), me, kernel);
     if (fixpoint && vote.acks_posted > 0) {
+      ++obs.fixpoint_steps;
       kernel.process_events(t, /*inclusive=*/true, state.max_time_ns);
       vote = exchange();
       continue;
@@ -318,6 +380,7 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
     t = vote.next_time;
     if (t == kInfiniteTime) {
       if (vote.pending_batches == 0) break;  // quiescent (exact: always)
+      ++obs.window_rounds;  // opens no timestep
       // Idle queues but withheld batches: force-flush the stragglers at the
       // latest dispatched time (a reduced value, so every shard picks the
       // same timestamp) and go around. Under the hang fault the flush is a
@@ -338,9 +401,11 @@ void shard_main(int me, bool credit, Kernel& kernel, ShardRouter& router,
     // Credit mode votes no ack bound, so its horizon is T + W.
     const double horizon = std::min(t + state.lookahead_ns, vote.ack_bound);
     if (horizon > t) {
+      ++obs.window_rounds;
       kernel.process_events(horizon, /*inclusive=*/false, state.max_time_ns);
       if (credit) kernel.flush_ack_batches(horizon);
     } else {
+      ++obs.timestep_rounds;
       kernel.process_events(t, /*inclusive=*/true, state.max_time_ns);
       if (credit) {
         kernel.flush_ack_batches(t);
@@ -368,6 +433,9 @@ void collect_forensics(SimResult& result, const std::vector<Kernel*>& kernels,
     f.events_processed = k.events_processed();
     f.queue_depth = k.queue_depth();
     f.mailbox_depth = state.mail.inbound_depth(static_cast<int>(s));
+    f.window_rounds = state.obs[s].window_rounds;
+    f.timestep_rounds = state.obs[s].timestep_rounds;
+    f.fixpoint_steps = state.obs[s].fixpoint_steps;
     f.exchanges = state.obs[s].exchanges;
     f.barrier_wait_ms =
         static_cast<double>(state.obs[s].barrier_wait_ns) / 1.0e6;
@@ -389,21 +457,32 @@ void publish_run_metrics(const SimResult& result, const RoundState& state) {
   static obs::Counter& deadlocks = reg.counter("tydi.sim.deadlocks");
   static obs::Counter& events = reg.counter("tydi.sim.events");
   static obs::Counter& rounds = reg.counter("tydi.sim.rounds");
+  static obs::Counter& window_rounds = reg.counter("tydi.sim.window_rounds");
+  static obs::Counter& timestep_rounds =
+      reg.counter("tydi.sim.timestep_rounds");
+  static obs::Counter& fixpoint_steps = reg.counter("tydi.sim.fixpoint_steps");
   static obs::Counter& exchanges = reg.counter("tydi.sim.exchanges");
   static obs::Histogram& wait_us = reg.histogram("tydi.sim.barrier_wait_us");
   ++runs;
   if (result.aborted) ++aborted;
   if (result.deadlock) ++deadlocks;
   events += result.events_processed;
-  std::uint64_t total_rounds = 0;
-  std::uint64_t total_exchanges = 0;
+  // Every shard takes the same steps; an aborted run counts the furthest.
+  ObsSlot most;
   for (const ObsSlot& slot : state.obs) {
-    total_rounds = std::max(total_rounds, slot.rounds);
-    total_exchanges = std::max(total_exchanges, slot.exchanges);
+    most.rounds = std::max(most.rounds, slot.rounds);
+    most.window_rounds = std::max(most.window_rounds, slot.window_rounds);
+    most.timestep_rounds =
+        std::max(most.timestep_rounds, slot.timestep_rounds);
+    most.fixpoint_steps = std::max(most.fixpoint_steps, slot.fixpoint_steps);
+    most.exchanges = std::max(most.exchanges, slot.exchanges);
     wait_us.observe(static_cast<double>(slot.barrier_wait_ns) / 1000.0);
   }
-  rounds += total_rounds;
-  exchanges += total_exchanges;
+  rounds += most.rounds;
+  window_rounds += most.window_rounds;
+  timestep_rounds += most.timestep_rounds;
+  fixpoint_steps += most.fixpoint_steps;
+  exchanges += most.exchanges;
   double queue_depth = 0, mailbox_depth = 0, credit_balance = 0, unacked = 0,
          pending_batches = 0;
   for (const ShardForensics& f : result.shard_forensics) {

@@ -141,16 +141,12 @@ int run_batch(int rounds, const std::string& manifest_path, int jobs) {
     jobs_list = tydi::tpch::batch_jobs();
   } else {
     // Malformed lines become pre-failed jobs reported per entry below; only
-    // an unreadable manifest is fatal here.
+    // an unreadable manifest or one without a job line is fatal here.
     tydi::support::Status loaded =
         tydi::driver::load_batch_manifest(manifest_path, jobs_list);
     if (!loaded.is_ok()) {
       std::cerr << "error: " << loaded.render() << "\n";
       return loaded.exit_code();
-    }
-    if (jobs_list.empty()) {
-      std::cerr << "error: manifest " << manifest_path << " lists no jobs\n";
-      return 2;
     }
   }
   tydi::driver::BatchOptions batch_options;

@@ -150,17 +150,16 @@ int run_batch_client(const std::string& socket_path,
                      const std::string& manifest_path,
                      const std::string& emit, const std::string& deadline,
                      const tydi::support::RetryPolicy& policy) {
-  std::string text;
-  if (!tydi::support::read_file(manifest_path, text).is_ok()) {
-    std::cerr << "error: cannot read manifest " << manifest_path << "\n";
-    return tydi::support::exit_code(tydi::support::StatusCode::kIoError);
+  std::vector<tydi::driver::ManifestLine> lines;
+  const tydi::support::Status parsed =
+      tydi::driver::parse_batch_manifest(manifest_path, lines);
+  if (!parsed.is_ok()) {
+    std::cerr << "error: " << parsed.render() << "\n";
+    return parsed.exit_code();
   }
-  std::size_t jobs = 0;
   std::size_t failed = 0;
   int first_failure_exit = 0;
-  for (const tydi::driver::ManifestLine& line :
-       tydi::driver::parse_batch_manifest(text, manifest_path)) {
-    ++jobs;
+  for (const tydi::driver::ManifestLine& line : lines) {
     if (!line.status.is_ok()) {
       // A malformed line fails here exactly as in `tydic --batch-manifest`.
       std::cerr << "FAIL " << line.status.render() << "\n";
@@ -196,8 +195,8 @@ int run_batch_client(const std::string& socket_path,
       }
     }
   }
-  std::cerr << "tydid: batch " << (jobs - failed) << "/" << jobs
-            << " job(s) succeeded\n";
+  std::cerr << "tydid: batch " << (lines.size() - failed) << "/"
+            << lines.size() << " job(s) succeeded\n";
   // Same convention as `tydic --batch`: the first failing job's
   // classification is the process exit code.
   return first_failure_exit;

@@ -4,9 +4,12 @@
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "src/driver/compiler.hpp"
 #include "src/ir/ir.hpp"
@@ -191,6 +194,17 @@ TEST(Driver, BatchManifestLoadsJobs) {
   EXPECT_TRUE(loaded.is_ok()) << loaded.render();
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].preflight.code(), support::StatusCode::kIoError);
+
+  // So is a manifest without a job line.
+  {
+    std::ofstream out(manifest_path);
+    out << "# only a comment\n\n";
+  }
+  jobs.clear();
+  loaded = driver::load_batch_manifest(manifest_path, jobs);
+  EXPECT_EQ(loaded.code(), support::StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.message(), "manifest " + manifest_path + " lists no jobs");
+  EXPECT_TRUE(jobs.empty());
 
   // An unreadable manifest IS fatal.
   jobs.clear();
@@ -495,6 +509,47 @@ TEST(Cli, ManifestTrailingFieldFailsTheSameInTydicAndTydid) {
   run(std::string(TYDID_PATH) + " --socket " + dir +
           "/cli_manifest_absent.sock --batch-manifest " + manifest_path,
       dir + "/cli_manifest_tydid.out");
+}
+TEST(Cli, ManifestWithoutJobsFailsTheSameInTydicAndTydid) {
+  // A manifest of only comments and blank lines lists no jobs, and a
+  // missing one cannot be read: both manifest readers refuse either with
+  // the same message and exit code, before any compile or request.
+  const std::string dir = ::testing::TempDir();
+  const std::string empty_path = dir + "/cli_manifest_empty.txt";
+  {
+    std::ofstream out(empty_path);
+    out << "# no jobs here\n\n   \n# nor here\n";
+  }
+  const std::string missing_path = dir + "/cli_manifest_missing.txt";
+  std::remove(missing_path.c_str());
+  const std::vector<std::pair<std::string, support::Status>> cases = {
+      {empty_path,
+       support::Status::error(support::StatusCode::kInvalidArgument,
+                              "manifest",
+                              "manifest " + empty_path + " lists no jobs")},
+      {missing_path,
+       support::Status::error(support::StatusCode::kIoError, "manifest",
+                              "cannot read manifest " + missing_path)},
+  };
+  for (const auto& [manifest_path, expected] : cases) {
+    auto run = [&](const std::string& command, const std::string& out_path) {
+      const int rc =
+          std::system((command + " > " + out_path + " 2>&1").c_str());
+      std::ifstream in(out_path);
+      std::stringstream text;
+      text << in.rdbuf();
+      EXPECT_TRUE(WIFEXITED(rc)) << command;
+      EXPECT_EQ(WEXITSTATUS(rc), expected.exit_code())
+          << command << "\n" << text.str();
+      EXPECT_EQ(text.str(), "error: " + expected.render() + "\n")
+          << command;
+    };
+    run(std::string(TYDIC_PATH) + " --batch-manifest " + manifest_path,
+        dir + "/cli_manifest_refused_tydic.out");
+    run(std::string(TYDID_PATH) + " --socket " + dir +
+            "/cli_manifest_absent.sock --batch-manifest " + manifest_path,
+        dir + "/cli_manifest_refused_tydid.out");
+  }
 }
 #endif  // TYDID_PATH
 #endif  // TYDIC_PATH

@@ -376,6 +376,118 @@ TEST(SimShardExchange, ExchangeCountIdenticalAcrossShardsAndRepeats) {
   }
 }
 
+TEST(SimShardExchange, RoundKindsAddUpAndRepeatUnderWallClockFaults) {
+  // Round kinds are protocol decisions, so they are counts, never timings:
+  // a repeat and a wall-clock fault plan (delayed posts, jittered exchange
+  // entry, stalled rounds) make the same counts on every shard. A run's
+  // rounds are its window and timestep rounds plus the terminal round; its
+  // exchanges are the seed exchange plus one per window round, timestep
+  // round and fixpoint step. The registry counters advance by the same.
+  driver::CompileResult compiled = compile(kParallelizeSource, "partest_top");
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::Counter& rounds = reg.counter("tydi.sim.rounds");
+  obs::Counter& window = reg.counter("tydi.sim.window_rounds");
+  obs::Counter& timestep = reg.counter("tydi.sim.timestep_rounds");
+  obs::Counter& fixpoint = reg.counter("tydi.sim.fixpoint_steps");
+  obs::Counter& exchanges = reg.counter("tydi.sim.exchanges");
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  sim::FaultPlan wall_clock;
+  wall_clock.delay_delivery_p = 0.3;
+  wall_clock.barrier_jitter_p = 0.3;
+  wall_clock.stall_p = 0.2;
+  wall_clock.delay_spin_iters = 200;
+  for (sim::AckMode mode : {sim::AckMode::kExact, sim::AckMode::kCredit}) {
+    for (int shards : {1, 2, 4}) {
+      sim::SimOptions options =
+          generic_options(compiled.design, 64, shards, true);
+      options.ack_mode = mode;
+      std::vector<std::uint64_t> first;
+      for (std::uint64_t seed : {0, 0, 5, 11}) {
+        options.fault = wall_clock;
+        options.fault.seed = seed;
+        const std::string what =
+            std::string(mode == sim::AckMode::kCredit ? "credit" : "exact") +
+            ", " + std::to_string(shards) + " shards, fault seed " +
+            std::to_string(seed);
+        const double rounds_before = rounds.value();
+        const double window_before = window.value();
+        const double timestep_before = timestep.value();
+        const double fixpoint_before = fixpoint.value();
+        const double exchanges_before = exchanges.value();
+        sim::SimResult result = engine.run(options);
+        ASSERT_FALSE(result.aborted) << what;
+        ASSERT_EQ(result.shard_forensics.size(),
+                  static_cast<std::size_t>(shards))
+            << what;
+        const sim::ShardForensics& f = result.shard_forensics.front();
+        const std::vector<std::uint64_t> counts = {
+            f.window_rounds, f.timestep_rounds, f.fixpoint_steps,
+            f.exchanges};
+        for (const sim::ShardForensics& g : result.shard_forensics) {
+          EXPECT_EQ(g.window_rounds, f.window_rounds) << what;
+          EXPECT_EQ(g.timestep_rounds, f.timestep_rounds) << what;
+          EXPECT_EQ(g.fixpoint_steps, f.fixpoint_steps) << what;
+          EXPECT_EQ(g.exchanges, f.exchanges) << what;
+        }
+        if (first.empty()) first = counts;
+        EXPECT_EQ(counts, first) << what;
+        EXPECT_EQ(rounds.value() - rounds_before,
+                  static_cast<double>(f.window_rounds + f.timestep_rounds + 1))
+            << what;
+        EXPECT_EQ(f.exchanges,
+                  1 + f.window_rounds + f.timestep_rounds + f.fixpoint_steps)
+            << what;
+        EXPECT_EQ(window.value() - window_before,
+                  static_cast<double>(f.window_rounds))
+            << what;
+        EXPECT_EQ(timestep.value() - timestep_before,
+                  static_cast<double>(f.timestep_rounds))
+            << what;
+        EXPECT_EQ(fixpoint.value() - fixpoint_before,
+                  static_cast<double>(f.fixpoint_steps))
+            << what;
+        EXPECT_EQ(exchanges.value() - exchanges_before,
+                  static_cast<double>(f.exchanges))
+            << what;
+        if (shards == 1 || mode == sim::AckMode::kCredit) {
+          // Nothing cut, or no ack-risk bound: no timestep rounds.
+          EXPECT_EQ(f.timestep_rounds, 0u) << what;
+          EXPECT_EQ(f.fixpoint_steps, 0u) << what;
+        } else {
+          EXPECT_GT(f.timestep_rounds, 0u) << what;
+        }
+        EXPECT_NE(result.summary().find(
+                      "rounds: " + std::to_string(f.window_rounds) +
+                      " window, " + std::to_string(f.timestep_rounds) +
+                      " timestep, " + std::to_string(f.fixpoint_steps) +
+                      " fixpoint step(s)"),
+                  std::string::npos)
+            << what << "\n" << result.summary();
+      }
+    }
+  }
+}
+
+TEST(SimShardExchange, SingleShardNeverWaits) {
+  // One shard has no peer to wait on: its seed exchange and its one window
+  // round's exchange read no clock and add exactly nothing to the wait.
+  driver::CompileResult compiled = compile(kParallelizeSource, "partest_top");
+  support::DiagnosticEngine diags;
+  sim::Engine engine(compiled.design, diags);
+  for (sim::AckMode mode : {sim::AckMode::kExact, sim::AckMode::kCredit}) {
+    sim::SimOptions options = generic_options(compiled.design, 64, 1, true);
+    options.ack_mode = mode;
+    sim::SimResult result = engine.run(options);
+    ASSERT_FALSE(result.aborted);
+    ASSERT_EQ(result.shard_forensics.size(), 1u);
+    const sim::ShardForensics& f = result.shard_forensics.front();
+    EXPECT_EQ(f.exchanges, 2u);
+    EXPECT_EQ(f.window_rounds, 1u);
+    EXPECT_EQ(f.barrier_wait_ms, 0.0);
+  }
+}
+
 TEST(SimShardExchange, CreditHangAbortsOnEveryShard) {
   // The withheld-ack hang livelocks the credit round loop with every shard
   // spinning in the exchange; the stop check inside that spin must release
