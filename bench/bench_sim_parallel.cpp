@@ -6,6 +6,8 @@
 //     (32 processing units behind a demux/mux pair, the Sec. IV-B scaling
 //     design), the TPC-H Q19 design (Sec. VI, generic stimuli on every
 //     table column input) and a grid of 16 independent 8-stage pipelines.
+//     Each row is the median (with q1 and q3) of kScalingRounds rounds, the
+//     rounds of a workload's three shard counts interleaved.
 //  2. Credit vs exact acks ("sim_credit_mode"): a bench/harness.hpp pair
 //     sample per shard count {1, 2, 4} on saturated_chain_48 (the regime
 //     where the exact protocol degrades to per-timestamp ack-fixpoint
@@ -51,6 +53,9 @@ namespace {
 constexpr double kMinObsRatio = 0.95;
 /// Credit over exact events/sec at 2+ shards on saturated_chain_48.
 constexpr double kMinCreditRatio = 1.0;
+/// Rounds (each harness::round_ms, >= kMinRoundMs) per scaling row: one
+/// round let a single busy moment of the host set a row.
+constexpr int kScalingRounds = harness::kTimingGatesEnforced ? 5 : 1;
 
 /// 16 independent 8-stage pipelines, one top input/output pair each: the
 /// partitioner's best case (BFS keeps chains whole, zero cross-shard
@@ -163,9 +168,9 @@ std::uint64_t run(const Workload& w, int shards,
 struct ScalingRun {
   int shards = 1;
   std::uint64_t events = 0;
-  double wall_ms = 0.0;  ///< per run
+  harness::Quartiles wall_ms;  ///< per run, over kScalingRounds rounds
   [[nodiscard]] double events_per_sec() const {
-    return static_cast<double>(events) / (wall_ms / 1000.0);
+    return static_cast<double>(events) / (wall_ms.median / 1000.0);
   }
 };
 
@@ -226,15 +231,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Scaling: wall ms per run, rounds of >= kMinRoundMs ----------------
+  // --- Scaling: wall ms per run, kScalingRounds rounds per row ----------
   std::vector<std::vector<ScalingRun>> scaling;
   for (const Workload& w : workloads) {
     std::vector<ScalingRun>& runs = scaling.emplace_back();
-    for (int shards : {1, 2, 4}) {
-      ScalingRun& r = runs.emplace_back();
-      r.shards = shards;
-      r.wall_ms = harness::round_ms(harness::Clock::kWall,
-                                    [&] { r.events = run(w, shards); });
+    for (int shards : {1, 2, 4}) runs.emplace_back().shards = shards;
+    std::vector<std::vector<double>> rounds(runs.size());
+    for (int round = 0; round < kScalingRounds; ++round) {
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        ScalingRun& r = runs[i];
+        rounds[i].push_back(harness::round_ms(
+            harness::Clock::kWall, [&] { r.events = run(w, r.shards); }));
+      }
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      runs[i].wall_ms = harness::quartiles(std::move(rounds[i]));
     }
   }
 
@@ -332,16 +343,17 @@ int main(int argc, char** argv) {
 
   const unsigned cores = std::thread::hardware_concurrency();
   tydi::support::TextTable table;
-  table.header({"workload", "shards", "events", "wall ms", "events/s",
-                "speedup vs 1"});
+  table.header({"workload", "shards", "events", "wall ms (q1-q3)",
+                "events/s", "speedup vs 1"});
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     for (const ScalingRun& r : scaling[i]) {
       table.row({workloads[i].name, std::to_string(r.shards),
                  std::to_string(r.events),
-                 tydi::support::format_fixed(r.wall_ms, 3),
+                 spread(r.wall_ms, 3),
                  tydi::support::format_fixed(r.events_per_sec(), 0),
                  tydi::support::format_fixed(
-                     scaling[i].front().wall_ms / r.wall_ms, 2)});
+                     scaling[i].front().wall_ms.median / r.wall_ms.median,
+                     2)});
     }
   }
   tydi::support::TextTable credit_table;
@@ -383,13 +395,16 @@ int main(int argc, char** argv) {
           json.begin_object()
               .field("shards", r.shards)
               .field("events", r.events)
-              .field("wall_ms", r.wall_ms)
+              .field("rounds", kScalingRounds)
+              .field("wall_ms", r.wall_ms.median)
+              .field("wall_ms_q1", r.wall_ms.q1)
+              .field("wall_ms_q3", r.wall_ms.q3)
               .field("events_per_sec", r.events_per_sec())
               .end_object();
         }
         json.end_array()
-            .field("speedup_4_shards",
-                   scaling[i].front().wall_ms / scaling[i].back().wall_ms)
+            .field("speedup_4_shards", scaling[i].front().wall_ms.median /
+                                           scaling[i].back().wall_ms.median)
             .end_object();
       }
       json.end_array();

@@ -1,5 +1,6 @@
 #include "src/obs/phase_timer.hpp"
 
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,13 @@ Histogram& phase_histogram(std::string_view subsystem, std::string_view phase) {
 }
 
 }  // namespace
+
+double thread_cpu_ms() {
+  timespec t{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t);
+  return static_cast<double>(t.tv_sec) * 1e3 +
+         static_cast<double>(t.tv_nsec) / 1e6;
+}
 
 PhaseTimer::PhaseTimer(support::PhaseTimings& out, std::string_view subsystem,
                        std::string_view phase)

@@ -16,6 +16,10 @@
 
 namespace tydi::obs {
 
+/// The calling thread's CPU time (CLOCK_THREAD_CPUTIME_ID) in ms. A
+/// syscall on some kernels, so it is read per request, never per stage.
+[[nodiscard]] double thread_cpu_ms();
+
 class PhaseTimer {
  public:
   PhaseTimer(support::PhaseTimings& out, std::string_view subsystem,

@@ -201,6 +201,8 @@ void serve_connection(int fd, CompileService& service,
                       ConnectionTracker& tracker) {
   static obs::Counter& reply_disconnects =
       obs::MetricsRegistry::global().counter("tydi.service.reply_disconnects");
+  static obs::Histogram& request_cpu =
+      obs::MetricsRegistry::global().histogram("tydi.service.request_cpu_ms");
   // Replies to a dead peer must fail with EPIPE, not kill the daemon; the
   // gathering send says so with MSG_NOSIGNAL, sendfile cannot.
   sigset_t sigpipe;
@@ -235,6 +237,12 @@ void serve_connection(int fd, CompileService& service,
       support::PhaseTimings stages;
       obs::PhaseTimer t(stages, "service", "reply");
       written = write_response(fd, response);
+    }
+    // A request answered at admission ran on this thread from submit to
+    // here: its thread CPU, clock reads included.
+    const double cpu0 = pending.admission_cpu_ms();
+    if (written && cpu0 >= 0.0) {
+      request_cpu.observe(obs::thread_cpu_ms() - cpu0);
     }
     if (!written) {
       ++reply_disconnects;

@@ -6,12 +6,10 @@
 #include <optional>
 #include <vector>
 
-#include "src/elab/memo.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/guard.hpp"
-#include "src/support/source.hpp"
 #include "src/support/text.hpp"
 #include "src/tpch/tpch.hpp"
 
@@ -76,6 +74,8 @@ struct PendingRequest::State {
   PreparedJob job;
   /// Time spent in prepare; a worker adds it to request_ms.
   double prepare_ms = 0.0;
+  /// See PendingRequest::admission_cpu_ms; written before finish().
+  double admission_cpu_ms = -1.0;
   Clock::time_point queued;
 
   [[nodiscard]] CancelReason cancel_reason() const {
@@ -116,6 +116,12 @@ Response PendingRequest::take() {
 
 void PendingRequest::cancel() {
   if (state_) state_->request_cancel(CancelReason::kClientGone);
+}
+
+double PendingRequest::admission_cpu_ms() const {
+  if (!state_) return -1.0;
+  std::lock_guard lock(state_->mu);
+  return state_->admission_cpu_ms;
 }
 
 const std::string& Response::payload() const {
@@ -503,6 +509,7 @@ PendingRequest CompileService::submit(const std::string& line) {
   // the line: a hit or a refused line is answered without the queue, a
   // miss is queued with its sources already read and stamped.
   const Clock::time_point prepare_start = Clock::now();
+  const double cpu_start = obs::thread_cpu_ms();
   std::optional<Response> answer;
   {
     obs::Span span("service.request");
@@ -513,6 +520,7 @@ PendingRequest CompileService::submit(const std::string& line) {
   state->prepare_ms = ms_since(prepare_start);
   if (answer) {
     request_histogram.observe(state->prepare_ms);
+    state->admission_cpu_ms = cpu_start;
     finish(state, std::move(*answer));
     return pending;
   }
@@ -840,10 +848,10 @@ Status parse_queued(std::string_view line, QueuedRequest& out) {
 std::optional<Response> CompileService::prepare(PendingRequest::State& state) {
   // TPCH and FILE both come down to sources + options + the durable key
   // (normalized request + per-source content stamps), built once here from
-  // one read of each source: it keys the result cache and is what the
-  // journal records. Each stage is timed as tydi.service.phase_ms.<stage>
-  // (parse, read, key, cache here; compile and journal in run; the
-  // transport times reply).
+  // one look at each source (a source-cache hit or one read): it keys the
+  // result cache and is what the journal records. Each stage is timed as
+  // tydi.service.phase_ms.<stage> (parse, read, key, cache here; compile
+  // and journal in run; the transport times reply).
   support::PhaseTimings stages;
   QueuedRequest request;
   Status parsed;
@@ -860,6 +868,7 @@ std::optional<Response> CompileService::prepare(PendingRequest::State& state) {
   }
 
   const tpch::QueryCase* query = nullptr;  ///< TPCH: sources built on a miss
+  std::vector<SourceCache::Source> texts;  ///< FILE: one per job.sources entry
   if (request.verb == "TPCH") {
     // TPCH sources are built into the binary: the key needs no stamps
     // (a different binary re-derives everything on replay anyway).
@@ -872,10 +881,11 @@ std::optional<Response> CompileService::prepare(PendingRequest::State& state) {
   } else {
     obs::PhaseTimer t(stages, "service", "read");
     job.sources.reserve(request.paths.size());
+    texts.reserve(request.paths.size());
     for (std::string_view path : request.paths) {
       driver::NamedSource& source = job.sources.emplace_back();
       source.name = path;
-      const Status read = support::read_file(source.name, source.text);
+      const Status read = source_cache_.get(source.name, texts.emplace_back());
       if (!read.is_ok()) return error_response(read.code(), read.message());
     }
     job.options.top = request.top;
@@ -883,7 +893,7 @@ std::optional<Response> CompileService::prepare(PendingRequest::State& state) {
 
   {
     // The normalized request (no envelope, no budget) plus a content stamp
-    // per source, taken from the exact bytes that compile: an edited file
+    // per source, the hash of the exact bytes that compile: an edited file
     // is a different key, and replay skips the key when any file on disk no
     // longer matches.
     obs::PhaseTimer t(stages, "service", "key");
@@ -892,9 +902,9 @@ std::optional<Response> CompileService::prepare(PendingRequest::State& state) {
     if (!request.top.empty()) key.request.append(" ").append(request.top);
     key.request.append(" ").append(request.emit);
     key.stamps.reserve(job.sources.size());
-    for (const driver::NamedSource& source : job.sources) {
-      key.stamps.push_back(warmup::SourceStampRecord{
-          source.name, elab::source_hash(source.text)});
+    for (std::size_t i = 0; i < job.sources.size(); ++i) {
+      key.stamps.push_back(
+          warmup::SourceStampRecord{job.sources[i].name, texts[i].hash});
     }
     job.key_text = key.serialize();
   }
@@ -913,6 +923,9 @@ std::optional<Response> CompileService::prepare(PendingRequest::State& state) {
   if (query != nullptr) {
     job.sources = tpch::query_sources(*query);
     job.options = tpch::query_options(*query);
+  }
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    job.sources[i].text = *texts[i].text;
   }
   job.options.emit_vhdl = request.emit == "vhdl";
   job.options.emit_ir = !job.options.emit_vhdl;
@@ -967,6 +980,7 @@ Response CompileService::dispatch_meta(std::string_view verb,
   if (verb == "INVALIDATE") {
     session_.invalidate();
     result_cache_.clear();
+    source_cache_.clear();
     Response r;
     r.set_payload("invalidated");
     return r;
@@ -1024,6 +1038,10 @@ std::vector<StatusField> CompileService::status_fields() const {
        reg.gauge("tydi.service.result_cache.bytes").value()},
       {"result_cache_frames",
        reg.gauge("tydi.service.result_cache.frames").value()},
+      {"source_cache_hits", count("tydi.service.source_cache.hits")},
+      {"source_cache_reads", count("tydi.service.source_cache.reads")},
+      {"source_cache_bytes",
+       reg.gauge("tydi.service.source_cache.bytes").value()},
       {"journal_enabled", journal_ != nullptr},
       {"journal_bytes", journal_ ? num(journal_->journal_bytes()) : 0.0},
       {"journal_live_keys", journal_ ? num(journal_->live_keys()) : 0.0},

@@ -58,8 +58,8 @@
 //                                       result_cache_hits, the session cache
 //                                       sizes, journal/replay state,
 //                                       last_abort)
-//   INVALIDATE                          drop every session cache and the
-//                                       result cache
+//   INVALIDATE                          drop every session cache, the
+//                                       result cache and the source cache
 //   SHUTDOWN                            stop admitting (drain begins); the
 //                                       transport drains and exits
 //   TPCH <n> <vhdl|ir> [budget_ms]      compile built-in TPC-H query n
@@ -113,6 +113,7 @@
 #include "src/driver/compiler.hpp"
 #include "src/service/queue.hpp"
 #include "src/service/result_cache.hpp"
+#include "src/service/source_cache.hpp"
 #include "src/service/warmup.hpp"
 #include "src/support/status.hpp"
 
@@ -233,6 +234,11 @@ class PendingRequest {
   /// without executing; an executing compile observes the flag at its next
   /// cancellation poll and aborts. Idempotent.
   void cancel();
+  /// The submitting thread's CPU clock (obs::thread_cpu_ms) as admission
+  /// began, for a compile verb answered at admission; negative for every
+  /// other request. The transport subtracts it from the clock after its
+  /// reply write: tydi.service.request_cpu_ms.
+  [[nodiscard]] double admission_cpu_ms() const;
 
  private:
   friend class CompileService;
@@ -279,6 +285,9 @@ class CompileService {
   [[nodiscard]] const ResultCache& result_cache() const {
     return result_cache_;
   }
+  [[nodiscard]] const SourceCache& source_cache() const {
+    return source_cache_;
+  }
 
   /// The durable compile journal (nullptr when journal_path was empty or
   /// the journal could not be opened at all).
@@ -318,10 +327,10 @@ class CompileService {
   void worker_main();
   void execute(const std::shared_ptr<PendingRequest::State>& state);
   /// The admission half of a queued verb, run by `submit` on the calling
-  /// thread: parse the line, read and stamp the sources, build the durable
-  /// key, probe the result cache. Returns the answer of a hit or a refused
-  /// request; nullopt when the request needs a worker, its job stored in
-  /// `state`.
+  /// thread: parse the line, read (through the source cache) and stamp the
+  /// sources, build the durable key, probe the result cache. Returns the
+  /// answer of a hit or a refused request; nullopt when the request needs a
+  /// worker, its job stored in `state`.
   [[nodiscard]] std::optional<Response> prepare(PendingRequest::State& state);
   /// The worker half: compile the prepared job, store an admitted payload,
   /// journal the key (or run a SLEEP).
@@ -353,6 +362,9 @@ class CompileService {
   /// Whole-result cache probed by prepare, filled by run
   /// (src/service/README.md, "Result cache").
   ResultCache result_cache_;
+  /// FILE sources by path, reused while unchanged (src/service/README.md,
+  /// "Reading FILE sources").
+  SourceCache source_cache_;
   BoundedPriorityQueue<std::shared_ptr<PendingRequest::State>> queue_;
   std::vector<std::thread> workers_;
   std::once_flag join_once_;

@@ -22,7 +22,8 @@ ssize_t read_retrying(int fd, char* buf, std::size_t len) {
 
 }  // namespace
 
-Status read_file(const std::string& path, std::string& out) {
+Status read_file(const std::string& path, std::string& out,
+                 struct stat* identity) {
   out.clear();
   const auto fail = [&](int fd) {
     const int saved = errno;
@@ -33,7 +34,8 @@ Status read_file(const std::string& path, std::string& out) {
   };
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return fail(fd);
-  struct stat st {};
+  struct stat local {};
+  struct stat& st = identity != nullptr ? *identity : local;
   if (::fstat(fd, &st) != 0) return fail(fd);
   if (!S_ISREG(st.st_mode)) {
     errno = S_ISDIR(st.st_mode) ? EISDIR : EINVAL;

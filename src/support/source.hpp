@@ -6,6 +6,8 @@
 // (file id + offset) without lifetime headaches.
 #pragma once
 
+#include <sys/stat.h>
+
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -20,9 +22,11 @@ namespace tydi::support {
 /// and EINTR; a file that grew since the fstat is finished through a small
 /// stack buffer. Anything that is not a readable regular file (missing,
 /// unreadable, a directory, a FIFO) is kIoError "cannot read <path>", with
-/// errno left as the failing call set it (EISDIR for a directory). The one
-/// way the toolchain reads a file whole.
-[[nodiscard]] Status read_file(const std::string& path, std::string& out);
+/// errno left as the failing call set it (EISDIR for a directory). With
+/// `identity`, the fstat of the fd the bytes came from is stored there. The
+/// one way the toolchain reads a file whole.
+[[nodiscard]] Status read_file(const std::string& path, std::string& out,
+                               struct stat* identity = nullptr);
 
 /// Identifies a buffer registered with a SourceManager. Id 0 is reserved for
 /// "unknown" (synthesized nodes such as sugared duplicators).

@@ -675,7 +675,8 @@ TEST(ServiceResultCache, RewrittenSourceMissesAndCompilesTheNewText) {
 
 TEST(ServiceResultCache, SameSizeRewriteIsANewKey) {
   // A same-length edit keeps the file's size (and, within a second, its
-  // mtime): a hit trusts the bytes only, so the answer must follow them.
+  // mtime): the answer must follow the bytes. (test_service_sources.cpp
+  // has the same edit on files the source cache already trusts.)
   Q6Files files("samesize");
   service::CompileService svc;
   for (int i = 0; i < 3; ++i) {
