@@ -5,11 +5,17 @@
 #include <istream>
 #include <ostream>
 
+#include "src/obs/metrics.hpp"
 #include "src/sim/engine.hpp"
 
 namespace tydi::sim {
 
-std::atomic<std::uint64_t> TraceBuffer::g_slabs_allocated{0};
+void TraceBuffer::add_slab() {
+  static obs::Counter& slabs =
+      obs::MetricsRegistry::global().counter("tydi.sim.trace_slabs");
+  slabs_.push_back(std::make_unique<Slab>());
+  ++slabs;
+}
 
 bool TraceBuffer::canonically_sorted() const {
   for (std::size_t i = 1; i < size_; ++i) {

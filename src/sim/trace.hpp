@@ -20,7 +20,6 @@
 // without rendering text.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -58,10 +57,7 @@ class TraceBuffer {
   void append(double time_ns, std::int32_t channel, std::int64_t value,
               bool last) {
     std::size_t slot = size_ & kSlabMask;
-    if (slot == 0 && (size_ >> kSlabShift) == slabs_.size()) {
-      slabs_.push_back(std::make_unique<Slab>());
-      g_slabs_allocated.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (slot == 0 && (size_ >> kSlabShift) == slabs_.size()) add_slab();
     Slab& slab = *slabs_[size_ >> kSlabShift];
     slab.time_ns[slot] = time_ns;
     slab.channel[slot] = channel;
@@ -96,14 +92,9 @@ class TraceBuffer {
     size_ = 0;
   }
 
-  /// Slabs held by this buffer (allocation accounting).
+  /// Slabs held by this buffer (allocation accounting; every slab any
+  /// buffer allocates also counts into `tydi.sim.trace_slabs`).
   [[nodiscard]] std::size_t slab_count() const { return slabs_.size(); }
-  /// Process-wide slab allocation counter (the bench's chunk/alloc gauge —
-  /// compare against event counts to show steady-state allocs dropped).
-  /// Buffers append from worker threads, so the counter is atomic.
-  [[nodiscard]] static std::uint64_t slabs_allocated() {
-    return g_slabs_allocated.load(std::memory_order_relaxed);
-  }
 
  private:
   static constexpr std::size_t kSlabShift = 12;
@@ -117,9 +108,11 @@ class TraceBuffer {
     std::uint8_t last[kSlabEvents];
   };
 
+  /// Appends a slab and counts it (once per kSlabEvents events).
+  void add_slab();
+
   std::vector<std::unique_ptr<Slab>> slabs_;
   std::size_t size_ = 0;
-  static std::atomic<std::uint64_t> g_slabs_allocated;
 };
 
 /// A binary trace file: the channel-name table + the columns.

@@ -32,7 +32,10 @@ Status read_file(const std::string& path, std::string& out,
     out.clear();
     return Status::error(StatusCode::kIoError, "read", "cannot read " + path);
   };
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  // O_NONBLOCK: opening a FIFO without a writer would block; this way the
+  // open returns and the S_ISREG check below refuses it. Reads of a regular
+  // file ignore the flag.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (fd < 0) return fail(fd);
   struct stat local {};
   struct stat& st = identity != nullptr ? *identity : local;

@@ -50,7 +50,7 @@
 //   --dump-tpch <dir>      write each built-in TPC-H query as <dir>/q<n>.td
 //                          (Fletcher interfaces + query logic) plus a
 //                          <dir>/manifest.txt batch manifest, then exit.
-//                          Feeds the tydid smoke test and ad-hoc
+//                          Feeds test_driver's tydid cases and ad-hoc
 //                          --batch-manifest runs
 //   --sim-fault-seed <n>   deterministic fault-injection plan derived from
 //                          one seed (delayed mailbox posts, exchange jitter,
@@ -170,9 +170,9 @@ int run_batch(int rounds, const std::string& manifest_path, int jobs) {
 // (each keeps its own `package` header, so they stay separate files — the
 // driver prepends the stdlib at compile time), plus a manifest.txt whose
 // lines are "fletcher.td,q<n>.td <top>" in the comma-separated multi-source
-// form load_batch_manifest accepts. The dump lets external processes (the
-// tydid smoke test, ad-hoc --batch-manifest runs) compile the exact
-// workload without linking the tpch library.
+// form load_batch_manifest accepts. The dump lets external processes
+// (test_driver's tydid cases, ad-hoc --batch-manifest runs) compile the
+// exact workload without linking the tpch library.
 int run_dump_tpch(const std::string& dir) {
   std::ofstream manifest(dir + "/manifest.txt", std::ios::binary);
   if (!manifest) {

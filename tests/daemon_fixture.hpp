@@ -1,6 +1,6 @@
 // Test fixture shared by the socket tests of the compile service: a daemon
-// served on a temp AF_UNIX socket by a thread of the test process, and a
-// raw client that reads exact reply frames.
+// served on a temp AF_UNIX socket by a thread of the test process, a raw
+// client that reads exact reply frames, and a reader of HEALTH's fields.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -46,7 +47,10 @@ struct TestDaemon {
     EXPECT_TRUE(up.is_ok()) << up.render();
   }
 
-  ~TestDaemon() {
+  ~TestDaemon() { (void)stop(); }
+
+  /// Sends SHUTDOWN and joins the serving thread: serve()'s status.
+  support::Status stop() {
     if (thread.joinable()) {
       // SHUTDOWN itself can be shed by the connection limit while a
       // just-finished connection still occupies its slot — retry until a
@@ -60,6 +64,7 @@ struct TestDaemon {
       }
       thread.join();
     }
+    return status;
   }
 
   static int& instance_counter() {
@@ -72,6 +77,15 @@ struct TestDaemon {
   support::Status status;
   std::thread thread;
 };
+
+/// The number after `"key":` in a flat JSON object such as HEALTH (-1 when
+/// the key is missing).
+inline double json_field(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + at + needle.size(), nullptr);
+}
 
 /// A raw AF_UNIX client connection to `path`; -1 on failure.
 inline int connect_raw(const std::string& path) {

@@ -1,20 +1,35 @@
 // Driver-facade and CLI tests: pipeline staging, option handling, phase
-// timing, multi-source compiles, and the `tydic` executable end-to-end.
+// timing, multi-source compiles, and the `tydic` and `tydid` executables
+// end-to-end.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/driver/compiler.hpp"
 #include "src/ir/ir.hpp"
+#include "src/obs/json.hpp"
+#include "src/service/server.hpp"
+#include "src/service/service.hpp"
 #include "src/sim/engine.hpp"
 #include "src/support/intern.hpp"
+#include "src/support/source.hpp"
+#include "tests/daemon_fixture.hpp"
 
 namespace tydi {
 namespace {
@@ -386,6 +401,12 @@ impl top of s {
 }
 
 #ifdef TYDIC_PATH
+std::string read_text(const std::string& path) {
+  std::string text;
+  (void)support::read_file(path, text);
+  return text;
+}
+
 TEST(Cli, TydicCompilesFileEndToEnd) {
   std::string dir = ::testing::TempDir();
   std::string td_path = dir + "/cli_design.td";
@@ -401,15 +422,8 @@ TEST(Cli, TydicCompilesFileEndToEnd) {
   int rc = std::system(command.c_str());
   EXPECT_EQ(rc, 0) << command;
 
-  std::ifstream vhdl(vhdl_path);
-  std::stringstream vhdl_text;
-  vhdl_text << vhdl.rdbuf();
-  EXPECT_NE(vhdl_text.str().find("entity top is"), std::string::npos);
-
-  std::ifstream ir(ir_path);
-  std::stringstream ir_text;
-  ir_text << ir.rdbuf();
-  EXPECT_NE(ir_text.str().find("impl top of s"), std::string::npos);
+  EXPECT_NE(read_text(vhdl_path).find("entity top is"), std::string::npos);
+  EXPECT_NE(read_text(ir_path).find("impl top of s"), std::string::npos);
 }
 
 TEST(Cli, TydicReportsErrorsWithNonZeroExit) {
@@ -450,14 +464,8 @@ impl top of s @ external {}
   int rc = std::system(command.c_str());
   ASSERT_TRUE(WIFEXITED(rc));
   EXPECT_EQ(WEXITSTATUS(rc), 2) << command;
-  auto read = [](const std::string& path) {
-    std::ifstream in(path);
-    std::stringstream text;
-    text << in.rdbuf();
-    return text.str();
-  };
-  const std::string out = read(out_path);
-  const std::string err = read(err_path);
+  const std::string out = read_text(out_path);
+  const std::string err = read_text(err_path);
   EXPECT_EQ(out.find("Bottleneck report"), std::string::npos) << out;
   const std::string what = "top implementation must be structural";
   const std::size_t first = err.find(what);
@@ -494,15 +502,13 @@ TEST(Cli, ManifestTrailingFieldFailsTheSameInTydicAndTydid) {
   auto run = [&](const std::string& command, const std::string& out_path) {
     const int rc =
         std::system((command + " > " + out_path + " 2>&1").c_str());
-    std::ifstream in(out_path);
-    std::stringstream text;
-    text << in.rdbuf();
+    const std::string text = read_text(out_path);
     EXPECT_TRUE(WIFEXITED(rc)) << command;
     EXPECT_EQ(WEXITSTATUS(rc), support::exit_code(
                                    support::StatusCode::kCorruptData))
-        << command << "\n" << text.str();
-    EXPECT_NE(text.str().find(expected), std::string::npos)
-        << command << "\n" << text.str();
+        << command << "\n" << text;
+    EXPECT_NE(text.find(expected), std::string::npos)
+        << command << "\n" << text;
   };
   run(std::string(TYDIC_PATH) + " --batch-manifest " + manifest_path,
       dir + "/cli_manifest_tydic.out");
@@ -535,14 +541,11 @@ TEST(Cli, ManifestWithoutJobsFailsTheSameInTydicAndTydid) {
     auto run = [&](const std::string& command, const std::string& out_path) {
       const int rc =
           std::system((command + " > " + out_path + " 2>&1").c_str());
-      std::ifstream in(out_path);
-      std::stringstream text;
-      text << in.rdbuf();
+      const std::string text = read_text(out_path);
       EXPECT_TRUE(WIFEXITED(rc)) << command;
       EXPECT_EQ(WEXITSTATUS(rc), expected.exit_code())
-          << command << "\n" << text.str();
-      EXPECT_EQ(text.str(), "error: " + expected.render() + "\n")
-          << command;
+          << command << "\n" << text;
+      EXPECT_EQ(text, "error: " + expected.render() + "\n") << command;
     };
     run(std::string(TYDIC_PATH) + " --batch-manifest " + manifest_path,
         dir + "/cli_manifest_refused_tydic.out");
@@ -550,6 +553,337 @@ TEST(Cli, ManifestWithoutJobsFailsTheSameInTydicAndTydid) {
             "/cli_manifest_absent.sock --batch-manifest " + manifest_path,
         dir + "/cli_manifest_refused_tydid.out");
   }
+}
+
+// ---------------------------------------------------------------------------
+// The built `tydid` on a temp socket, fed by `tydic --dump-tpch`. Every
+// wait polls the daemon's STATS; no case asserts a time.
+// ---------------------------------------------------------------------------
+
+/// A temp directory for one case, removed with everything in it.
+struct ScratchDir {
+  ScratchDir() {
+    char name[] = "/tmp/tydi_cli_XXXXXX";
+    if (::mkdtemp(name) != nullptr) path = name;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+  std::string path;
+};
+
+/// A process started from `argv`, stdout to `out_path`, stderr to
+/// `out_path` + ".err". Unless wait() reaped it, the destructor sends
+/// SIGKILL and reaps it, so a failed assertion leaves no process behind.
+class Child {
+ public:
+  Child(const std::vector<std::string>& argv, const std::string& out_path) {
+    posix_spawn_file_actions_t files;
+    ::posix_spawn_file_actions_init(&files);
+    ::posix_spawn_file_actions_addopen(&files, STDOUT_FILENO,
+                                       out_path.c_str(),
+                                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ::posix_spawn_file_actions_addopen(&files, STDERR_FILENO,
+                                       (out_path + ".err").c_str(),
+                                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    std::vector<char*> args;
+    for (const std::string& arg : argv) {
+      args.push_back(const_cast<char*>(arg.c_str()));
+    }
+    args.push_back(nullptr);
+    if (::posix_spawn(&pid_, args[0], &files, nullptr, args.data(),
+                      environ) != 0) {
+      pid_ = -1;
+    }
+    ::posix_spawn_file_actions_destroy(&files);
+    EXPECT_GT(pid_, 0) << argv[0];
+  }
+  ~Child() {
+    signal(SIGKILL);
+    (void)wait();
+  }
+  Child(const Child&) = delete;
+  Child& operator=(const Child&) = delete;
+
+  void signal(int sig) const {
+    if (pid_ > 0) ::kill(pid_, sig);
+  }
+
+  /// Reaps the process: its exit code, or 128 + the signal that ended it;
+  /// -1 once reaped or when it never started. A process still running
+  /// after a minute is a hang: it fails the case and is killed.
+  int wait() {
+    if (pid_ <= 0) return -1;
+    int status = 0;
+    for (int ms = 0; ::waitpid(pid_, &status, WNOHANG) == 0; ++ms) {
+      if (ms == 60000) {
+        ADD_FAILURE() << "process " << pid_ << " hung; killed";
+        ::kill(pid_, SIGKILL);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    pid_ = -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+  }
+
+ private:
+  pid_t pid_ = -1;
+};
+
+/// Runs `argv` to completion: its exit code; its stdout in `out` if given.
+int run(const std::vector<std::string>& argv, const std::string& out_path,
+        std::string* out = nullptr) {
+  const int code = Child(argv, out_path).wait();
+  if (out != nullptr) *out = read_text(out_path);
+  return code;
+}
+
+/// `tydid --socket <socket> <args...>`.
+std::vector<std::string> tydid(const std::string& socket,
+                               std::vector<std::string> args) {
+  args.insert(args.begin(), {TYDID_PATH, "--socket", socket});
+  return args;
+}
+
+/// STATS text as name -> value; `numeric` says whether every line was
+/// "name <number>".
+std::map<std::string, double> parse_stats(const std::string& text,
+                                          bool* numeric = nullptr) {
+  std::map<std::string, double> values;
+  std::istringstream lines(text);
+  std::string name;
+  double value = 0.0;
+  while (lines >> name >> value) values[name] = value;
+  if (numeric != nullptr) *numeric = lines.eof() && !values.empty();
+  return values;
+}
+
+/// A `tydid` daemon with `flags` on `<dir>/tydid.sock`. The destructor
+/// kills and reaps it, unless a case reaped it, and removes the socket.
+struct Daemon {
+  Daemon(const std::string& dir, const std::vector<std::string>& flags)
+      : dir(dir),
+        socket(dir + "/tydid.sock"),
+        process(tydid(socket, flags), dir + "/tydid.log") {}
+  ~Daemon() {
+    process.signal(SIGKILL);
+    (void)process.wait();
+    ::unlink(socket.c_str());
+  }
+
+  /// The client command line for one request.
+  [[nodiscard]] std::vector<std::string> request(
+      const std::string& line, std::vector<std::string> flags = {}) const {
+    flags.insert(flags.end(), {"--request", line});
+    return tydid(socket, flags);
+  }
+
+  /// Runs a client to completion: its exit code; its stdout in `out`.
+  int client(const std::string& line, std::string* out = nullptr,
+             const std::vector<std::string>& flags = {}) const {
+    return run(request(line, flags), dir + "/client.out", out);
+  }
+
+  /// `tydid --shutdown`, then the daemon's own exit code.
+  int shutdown() {
+    std::string bye;
+    EXPECT_EQ(run(tydid(socket, {"--shutdown"}), dir + "/client.out", &bye),
+              0);
+    EXPECT_EQ(bye, "bye");
+    return process.wait();
+  }
+
+  /// The daemon's STATS as name -> value; empty if it does not answer.
+  [[nodiscard]] std::map<std::string, double> stats() const {
+    service::Response r;
+    if (!service::request(socket, "STATS", r).is_ok() || !r.ok()) return {};
+    return parse_stats(r.payload());
+  }
+
+  /// Polls STATS until `ready` holds for its values; false if it never
+  /// does (or the daemon never answers).
+  [[nodiscard]] bool await(
+      const std::function<bool(std::map<std::string, double>&)>& ready =
+          [](std::map<std::string, double>&) { return true; }) const {
+    for (int i = 0; i < 20000; ++i) {
+      std::map<std::string, double> values = stats();
+      if (!values.empty() && ready(values)) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+  std::string dir;
+  std::string socket;
+  Child process;
+};
+
+/// `tydic --dump-tpch <dir>`: the jobs of the manifest it writes.
+std::vector<driver::ManifestLine> dump_tpch(const std::string& dir) {
+  std::vector<driver::ManifestLine> jobs;
+  EXPECT_EQ(run({TYDIC_PATH, "--dump-tpch", dir}, dir + "/dump.out"), 0);
+  EXPECT_TRUE(
+      driver::parse_batch_manifest(dir + "/manifest.txt", jobs).is_ok());
+  return jobs;
+}
+
+std::string file_request(const driver::ManifestLine& job) {
+  return "FILE " + job.sources + " " + job.top + " vhdl";
+}
+
+/// What a FILE request for `job` must answer: the session-free compile of
+/// the bytes on disk.
+std::string session_free_vhdl(const driver::ManifestLine& job) {
+  std::vector<driver::NamedSource> sources;
+  std::istringstream paths(job.sources);
+  std::string path;
+  while (std::getline(paths, path, ',')) {
+    sources.push_back({path, read_text(path)});
+  }
+  driver::CompileOptions options;
+  options.top = job.top;
+  return driver::compile(sources, options).vhdl_text;
+}
+
+TEST(Cli, TydidServesTheTpchDumpByteIdenticallyAndShedsWhenFull) {
+  ScratchDir dir;
+  const std::vector<driver::ManifestLine> jobs = dump_tpch(dir.path);
+  ASSERT_GE(jobs.size(), 4u);
+  Daemon daemon(dir.path, {"--workers", "1", "--queue-capacity", "1"});
+  ASSERT_TRUE(daemon.await());
+  for (const driver::ManifestLine& job : jobs) {
+    std::string vhdl;
+    EXPECT_EQ(daemon.client(file_request(job), &vhdl), 0) << job.top;
+    EXPECT_TRUE(vhdl == session_free_vhdl(job)) << job.top;
+  }
+  // The error taxonomy over the wire: an unknown query is a usage error, a
+  // directory in a source's place an io-error, and the daemon serves on.
+  // tydic refuses the directory with an exit code too.
+  EXPECT_EQ(daemon.client("TPCH 99 vhdl"), 2);
+  EXPECT_EQ(daemon.client("FILE " + dir.path + " top vhdl"), 3);
+  std::string text;
+  EXPECT_EQ(daemon.client("PING", &text), 0);
+  EXPECT_EQ(text, "pong");
+  EXPECT_EQ(run({TYDIC_PATH, dir.path}, dir.path + "/tydic.out"), 2);
+
+  // STATS is "name <number>" lines and shows the caches the compiles
+  // filled; METRICS is valid JSON with their phase histograms.
+  ASSERT_EQ(daemon.client("STATS", &text), 0);
+  bool numeric = false;
+  std::map<std::string, double> stats = parse_stats(text, &numeric);
+  EXPECT_TRUE(numeric) << text;
+  for (const char* name : {"parse_cache", "memo_impls", "backend_entries"}) {
+    EXPECT_GT(stats[name], 0.0) << name;
+  }
+  ASSERT_EQ(daemon.client("METRICS", &text), 0);
+  EXPECT_TRUE(obs::json_valid(text));
+  EXPECT_NE(text.find("\"tydi.compile.phase_ms."), std::string::npos);
+  EXPECT_NE(text.find("\"tydi.memo."), std::string::npos);
+
+  // The worker runs one SLEEP and the queue's one slot holds another (STATS
+  // counts itself in flight), so a SLEEP sent once more is shed.
+  Child running(daemon.request("SLEEP 600000"), dir.path + "/running.out");
+  ASSERT_TRUE(daemon.await([](std::map<std::string, double>& s) {
+    return s["in_flight"] >= 2 && s["queue_depth"] == 0;
+  }));
+  Child queued(daemon.request("SLEEP 600000"), dir.path + "/queued.out");
+  ASSERT_TRUE(daemon.await([](std::map<std::string, double>& s) {
+    return s["in_flight"] >= 3 && s["queue_depth"] == 1;
+  }));
+  EXPECT_EQ(daemon.client("SLEEP 1", nullptr, {"--retries", "1"}), 12);
+  ASSERT_EQ(daemon.client("HEALTH", &text), 0);
+  EXPECT_TRUE(obs::json_valid(text)) << text;
+  EXPECT_EQ(json_field(text, "workers"), 1.0) << text;
+  EXPECT_EQ(json_field(text, "shed_total"), 1.0) << text;
+  EXPECT_NE(text.find("\"draining\":false"), std::string::npos) << text;
+
+  // Dead clients cancel their SLEEPs, so SHUTDOWN drains at once; the
+  // daemon exits 0 and removes its socket.
+  running.signal(SIGKILL);
+  queued.signal(SIGKILL);
+  EXPECT_EQ(running.wait(), 128 + SIGKILL);
+  EXPECT_EQ(queued.wait(), 128 + SIGKILL);
+  EXPECT_EQ(daemon.shutdown(), 0);
+  EXPECT_NE(::access(daemon.socket.c_str(), F_OK), 0);
+}
+
+TEST(Cli, TydidReplaysItsJournalAfterKill9) {
+  ScratchDir dir;
+  const std::vector<driver::ManifestLine> jobs = dump_tpch(dir.path);
+  ASSERT_GE(jobs.size(), 4u);
+  const std::vector<std::string> flags = {"--journal", dir.path + "/j"};
+  {
+    Daemon first(dir.path, flags);
+    ASSERT_TRUE(first.await());
+    for (const driver::ManifestLine& job : jobs) {
+      EXPECT_EQ(first.client(file_request(job)), 0) << job.top;
+    }
+    // No drain and no final compaction: recovery has to cope.
+    first.process.signal(SIGKILL);
+    EXPECT_EQ(first.process.wait(), 128 + SIGKILL);
+  }
+  Daemon second(dir.path, flags);
+  ASSERT_TRUE(second.await([](std::map<std::string, double>& s) {
+    return s["replay_done"] == 1;
+  }));
+  std::string health;
+  ASSERT_EQ(second.client("HEALTH", &health), 0);
+  EXPECT_TRUE(obs::json_valid(health)) << health;
+  EXPECT_GE(json_field(health, "replayed"), 4.0) << health;
+  EXPECT_NE(health.find("\"journal_error\":\"\""), std::string::npos)
+      << health;
+  // Replay admitted every recovered key: each request is a result-cache
+  // hit, byte-identical to the session-free compile.
+  const double hits0 = second.stats()["result_cache_hits"];
+  for (const driver::ManifestLine& job : jobs) {
+    std::string vhdl;
+    EXPECT_EQ(second.client(file_request(job), &vhdl), 0) << job.top;
+    EXPECT_TRUE(vhdl == session_free_vhdl(job)) << job.top;
+  }
+  EXPECT_EQ(second.stats()["result_cache_hits"] - hits0,
+            static_cast<double>(jobs.size()));
+  EXPECT_EQ(second.shutdown(), 0);
+}
+
+TEST(Cli, TydidDrainsOnSigterm) {
+  ScratchDir dir;
+  Daemon daemon(dir.path, {});
+  ASSERT_TRUE(daemon.await());
+  Child sleeper(daemon.request("SLEEP 1000"), dir.path + "/sleeper.out");
+  ASSERT_TRUE(daemon.await([](std::map<std::string, double>& s) {
+    return s["in_flight"] >= 2 && s["queue_depth"] == 0;
+  }));
+  daemon.process.signal(SIGTERM);
+  EXPECT_EQ(sleeper.wait(), 0);
+  EXPECT_EQ(daemon.process.wait(), 0);
+  EXPECT_NE(::access(daemon.socket.c_str(), F_OK), 0);
+}
+
+TEST(Cli, TydicBatchWritesAChromeTraceAndMetrics) {
+  ScratchDir dir;
+  const std::string trace_path = dir.path + "/trace.json";
+  const std::string metrics_path = dir.path + "/metrics.json";
+  ASSERT_EQ(run({TYDIC_PATH, "--batch", "--batch-rounds", "2", "--jobs", "2",
+                 "--trace-profile", trace_path, "--metrics-out",
+                 metrics_path},
+                dir.path + "/batch.out"),
+            0);
+  const std::string trace = read_text(trace_path);
+  const std::string metrics = read_text(metrics_path);
+  EXPECT_TRUE(obs::json_valid(trace));
+  EXPECT_TRUE(obs::json_valid(metrics));
+  EXPECT_NE(trace.find("\"name\":\"compile.phase."), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"batch.job\""), std::string::npos);
+  EXPECT_GE(json_field(metrics, "tydi.batch.jobs"), 6.0) << metrics;
+  // Every event is a complete ("X") span.
+  const std::string ph = "\"ph\":\"";
+  std::size_t spans = 0;
+  for (std::size_t at = trace.find(ph); at != std::string::npos;
+       at = trace.find(ph, at + 1), ++spans) {
+    EXPECT_EQ(trace.compare(at, ph.size() + 1, ph + "X"), 0) << at;
+  }
+  EXPECT_GT(spans, 0u);
 }
 #endif  // TYDID_PATH
 #endif  // TYDIC_PATH

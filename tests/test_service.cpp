@@ -24,6 +24,7 @@
 #include "src/service/service.hpp"
 #include "src/support/source.hpp"
 #include "src/tpch/tpch.hpp"
+#include "tests/daemon_fixture.hpp"
 #include "tests/q6_files.hpp"
 
 namespace tydi {
@@ -33,15 +34,6 @@ namespace {
 /// into the same registry, so the tests compare deltas.
 std::uint64_t counter(const std::string& name) {
   return obs::MetricsRegistry::global().counter(name).value();
-}
-
-/// The number after `"key":` in a flat JSON object such as HEALTH (-1 when
-/// the key is missing).
-double json_field(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = json.find(needle);
-  if (at == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + at + needle.size(), nullptr);
 }
 
 TEST(ServiceProtocol, PingPong) {
@@ -85,22 +77,8 @@ TEST(ServiceProtocol, MissingFileIsIoError) {
 TEST(ServiceServer, FileOfADirectoryIsIoErrorAndTheDaemonServesOn) {
   // Reading a directory used to throw out of the worker and abort the
   // whole daemon; it is an ordinary kIoError reply now.
-  const std::string socket_path =
-      "/tmp/tydid_dir_test_" + std::to_string(::getpid()) + ".sock";
-  service::CompileService svc;
-  service::ServerConfig config;
-  config.socket_path = socket_path;
-  support::Status serve_status;
-  std::thread daemon([&]() { serve_status = service::serve(svc, config); });
-  service::Response ping;
-  support::Status up;
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    up = service::request(socket_path, "PING", ping);
-    if (up.is_ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(up.is_ok()) << up.render();
-
+  TestDaemon daemon{service::ServiceConfig{}};
+  const std::string& socket_path = daemon.config.socket_path;
   for (const char* line : {"FILE /tmp top vhdl", "FILE /tmp,/tmp top ir"}) {
     service::Response r;
     ASSERT_TRUE(service::request(socket_path, line, r).is_ok()) << line;
@@ -108,13 +86,10 @@ TEST(ServiceServer, FileOfADirectoryIsIoErrorAndTheDaemonServesOn) {
     EXPECT_EQ(r.status.exit_code(), 3) << line;
     EXPECT_EQ(r.status.code(), support::StatusCode::kIoError) << line;
   }
+  service::Response ping;
   ASSERT_TRUE(service::request(socket_path, "PING", ping).is_ok());
   EXPECT_EQ(ping.payload(), "pong");
-
-  service::Response bye;
-  ASSERT_TRUE(service::request(socket_path, "SHUTDOWN", bye).is_ok());
-  daemon.join();
-  EXPECT_TRUE(serve_status.is_ok()) << serve_status.render();
+  EXPECT_TRUE(daemon.stop().is_ok());
 }
 
 TEST(ServiceProtocol, ParseErrorMapsToWireCode) {
@@ -286,24 +261,8 @@ TEST(ServiceServer, ParallelClientsByteIdentical) {
   driver::CompileResult golden = tpch::compile_query(*q);
   ASSERT_TRUE(golden.success()) << golden.report();
 
-  const std::string socket_path =
-      "/tmp/tydid_test_" + std::to_string(::getpid()) + ".sock";
-  service::CompileService svc;
-  service::ServerConfig config;
-  config.socket_path = socket_path;
-  support::Status serve_status;
-  std::thread daemon([&]() { serve_status = service::serve(svc, config); });
-
-  // Wait for the socket to appear (bind is fast; PING confirms liveness).
-  service::Response ping;
-  support::Status up;
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    up = service::request(socket_path, "PING", ping);
-    if (up.is_ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(up.is_ok()) << up.render();
-
+  TestDaemon daemon{service::ServiceConfig{}};
+  const std::string& socket_path = daemon.config.socket_path;
   constexpr int kClients = 8;
   std::vector<std::string> payloads(kClients);
   std::vector<std::string> errors(kClients);
@@ -329,11 +288,7 @@ TEST(ServiceServer, ParallelClientsByteIdentical) {
     EXPECT_EQ(payloads[c], golden.vhdl_text) << "client " << c;
   }
 
-  service::Response bye;
-  ASSERT_TRUE(service::request(socket_path, "SHUTDOWN", bye).is_ok());
-  EXPECT_TRUE(bye.shutdown || bye.payload() == "bye");
-  daemon.join();
-  EXPECT_TRUE(serve_status.is_ok()) << serve_status.render();
+  EXPECT_TRUE(daemon.stop().is_ok());
   // Clean shutdown removes the socket file.
   EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
 }
@@ -436,36 +391,10 @@ TEST(ServiceProtocol, MetricsAndHealthReturnValidJson) {
 // Acceptance gate: the daemon answers METRICS/HEALTH with parseable JSON
 // while FILE compile requests are in flight on other connections.
 TEST(ServiceServer, MetricsAndHealthDuringConcurrentFileRequests) {
-  // Materialise the TPC-H Q6 sources as real files for the FILE verb.
-  const tpch::QueryCase* q = tpch::find_query("TPC-H 6");
-  ASSERT_NE(q, nullptr);
-  const std::string base = "/tmp/tydid_obs_" + std::to_string(::getpid());
-  const std::string fletcher_path = base + "_fletcher.td";
-  const std::string query_path = base + "_q6.td";
-  {
-    std::ofstream f(fletcher_path);
-    f << tpch::fletcher_source();
-    std::ofstream g(query_path);
-    g << q->source;
-  }
-  const std::string file_line = "FILE " + fletcher_path + "," + query_path +
-                                " " + q->top_impl + " vhdl";
-
-  const std::string socket_path = base + ".sock";
-  service::CompileService svc;
-  service::ServerConfig config;
-  config.socket_path = socket_path;
-  support::Status serve_status;
-  std::thread daemon([&]() { serve_status = service::serve(svc, config); });
-
-  service::Response ping;
-  support::Status up;
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    up = service::request(socket_path, "PING", ping);
-    if (up.is_ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_TRUE(up.is_ok()) << up.render();
+  const Q6Files files("obs");
+  const std::string file_line = files.request();
+  TestDaemon daemon{service::ServiceConfig{}};
+  const std::string& socket_path = daemon.config.socket_path;
 
   constexpr int kCompilers = 4;
   constexpr int kCompilesEach = 3;
@@ -530,13 +459,7 @@ TEST(ServiceServer, MetricsAndHealthDuringConcurrentFileRequests) {
   // Nothing shed or draining in this test: a healthy daemon reports so.
   EXPECT_NE(health.payload().find("\"draining\":false"), std::string::npos);
   EXPECT_NE(health.payload().find("\"status\":\"ok\""), std::string::npos);
-
-  service::Response bye;
-  ASSERT_TRUE(service::request(socket_path, "SHUTDOWN", bye).is_ok());
-  daemon.join();
-  EXPECT_TRUE(serve_status.is_ok()) << serve_status.render();
-  std::remove(fletcher_path.c_str());
-  std::remove(query_path.c_str());
+  EXPECT_TRUE(daemon.stop().is_ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -144,7 +145,7 @@ class SourceChanges : public ::testing::Test {
     fs::remove_all(root());
     for (const char* name :
          {"aged", "utimens", "rename", "deleted", "chmod", "replaced",
-          "invalidate", "concurrent"}) {
+          "fifo", "invalidate", "concurrent"}) {
       fs::create_directories(dir(name));
       write_file(dir(name) + "/fletcher.td", tpch::fletcher_source());
       write_file(dir(name) + "/q6.td", q6_version(24));
@@ -334,6 +335,42 @@ TEST_F(SourceChanges, DirectoryInTheFilesPlaceFailsAsBefore) {
   ASSERT_EQ(::mkdir(sources[1].c_str(), 0755), 0);
   const service::Response r = expect_current(daemon, sources);
   EXPECT_EQ(r.status.exit_code(), 3);
+}
+
+TEST_F(SourceChanges, FifoInTheFilesPlaceFailsWithoutWedgingTheDaemon) {
+  // Opening a FIFO that has no writer blocks, so the read must refuse it
+  // as it refuses a directory: a blocked open would hold the connection
+  // thread, and the daemon's teardown joins that thread.
+  const std::vector<std::string> sources = paths("fifo");
+  ASSERT_NO_FATAL_FAILURE(warm(daemon, sources));
+  ASSERT_EQ(::unlink(sources[1].c_str()), 0);
+  ASSERT_EQ(::mkfifo(sources[1].c_str(), 0644), 0);
+  std::promise<service::Response> reply;
+  std::future<service::Response> answered = reply.get_future();
+  std::thread client([&] {
+    service::Response r;
+    const Status sent =
+        service::request(daemon.config.socket_path, file_line(sources), r);
+    EXPECT_TRUE(sent.is_ok()) << sent.render();
+    reply.set_value(std::move(r));
+  });
+  int writer = -1;
+  if (answered.wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    // An O_RDWR open of a FIFO never blocks and wakes the blocked reader,
+    // so the case fails here instead of hanging.
+    writer = ::open(sources[1].c_str(), O_RDWR | O_NONBLOCK);
+    ADD_FAILURE() << "a FILE request naming a FIFO was not answered in 5 s";
+  }
+  client.join();
+  if (writer >= 0) ::close(writer);
+  EXPECT_EQ(answered.get().status.exit_code(), 3);
+  service::Response ping;
+  ASSERT_TRUE(
+      service::request(daemon.config.socket_path, "PING", ping).is_ok());
+  EXPECT_EQ(ping.payload(), "pong");
+  EXPECT_TRUE(daemon.stop().is_ok());
+  EXPECT_NE(::access(daemon.config.socket_path.c_str(), F_OK), 0);
 }
 
 TEST_F(SourceChanges, InvalidateEmptiesTheSourceCache) {

@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "src/driver/compiler.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/kernel.hpp"
 #include "src/sim/metrics.hpp"
@@ -410,8 +411,15 @@ TEST(SimTrace, RejectsTruncatedFile) {
   }
 }
 
+/// Trace slabs allocated by every buffer of the process so far.
+std::uint64_t trace_slabs() {
+  return obs::MetricsRegistry::global()
+      .counter("tydi.sim.trace_slabs")
+      .value();
+}
+
 TEST(SimTrace, SlabGrowthIsChunked) {
-  std::uint64_t before = sim::TraceBuffer::slabs_allocated();
+  const std::uint64_t before = trace_slabs();
   sim::TraceBuffer buffer;
   constexpr std::size_t kEvents = 100000;
   for (std::size_t i = 0; i < kEvents; ++i) {
@@ -423,7 +431,7 @@ TEST(SimTrace, SlabGrowthIsChunked) {
       (kEvents + sim::TraceBuffer::kSlabEvents - 1) /
       sim::TraceBuffer::kSlabEvents;
   EXPECT_EQ(buffer.slab_count(), expected_slabs);
-  EXPECT_EQ(sim::TraceBuffer::slabs_allocated() - before, expected_slabs);
+  EXPECT_EQ(trace_slabs() - before, expected_slabs);
   for (std::size_t i : {std::size_t{0}, std::size_t{4095}, std::size_t{4096},
                         kEvents - 1}) {
     EXPECT_EQ(buffer.time_ns(i), static_cast<double>(i));
@@ -439,7 +447,7 @@ TEST(SimTrace, ShardedMergedRunsAllocateChunkedSlabs) {
                                            "sat_top");
   support::DiagnosticEngine diags;
   sim::Engine engine(compiled.design, diags);
-  const std::uint64_t before = sim::TraceBuffer::slabs_allocated();
+  const std::uint64_t before = trace_slabs();
   std::uint64_t traced = engine.run(base_options(compiled.design, 500, 1.0))
                              .trace.size();
   for (int shards : {2, 4}) {
@@ -449,7 +457,7 @@ TEST(SimTrace, ShardedMergedRunsAllocateChunkedSlabs) {
     traced += engine.run(options).trace.size();
   }
   ASSERT_GT(traced, 0u);
-  EXPECT_LE(sim::TraceBuffer::slabs_allocated() - before,
+  EXPECT_LE(trace_slabs() - before,
             std::max<std::uint64_t>(16, traced / 1024))
       << traced << " traced events";
 }
